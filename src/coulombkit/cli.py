@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from .bethe import bethe_relations_q1, dmodule_relations, render_bethe_system
 from .coulomb import CoulombAlgebra
-from .exactring import (Poly, Scalar, VariableTable, mono_str, scalar_str,
-                        scalar_structured)
+from .exactring import (PoleEvaluationError, Poly, Scalar, VariableTable,
+                        mono_str, scalar_str, scalar_structured)
 from .hypertoric import (Cone, GaugeData, ModelError, circuits, eff_cone,
                          eff_cone_fp, fixed_points)
 from .vertex import (Descendent, QSeries, qde_check, vertex_fp,
@@ -26,6 +26,10 @@ from .wallcross import check_reversal, dmodule_match, make_scenario
 
 class ExprError(ValueError):
     """Syntax error in a descendent or scalar expression."""
+
+
+class UsageError(ValueError):
+    """A command-line flag value outside its allowed range."""
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +271,27 @@ def parse_generator_word(text: str, alg: CoulombAlgebra):
 # model files
 # ---------------------------------------------------------------------------
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_model(path: str) -> GaugeData:
     with open(path, "r") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelError("parse error in %s: %s" % (path, exc))
+    if not isinstance(raw, dict):
+        raise ModelError("model file must hold a JSON object")
     for key in ("chi", "theta"):
         if key not in raw:
             raise ModelError("model file is missing %r" % key)
+    if not (isinstance(raw["chi"], list)
+            and all(isinstance(row, list) and all(_is_int(x) for x in row)
+                    for row in raw["chi"])):
+        raise ModelError("'chi' must be a list of integer lists")
+    if not (isinstance(raw["theta"], list) and all(_is_int(x) for x in raw["theta"])):
+        raise ModelError("'theta' must be a list of integers")
     aspec = None
     if raw.get("a_specialization"):
         chi = raw["chi"]
@@ -337,6 +353,8 @@ def _print(out, payload):
 
 
 def dispatch(args, out=sys.stdout) -> int:
+    if getattr(args, "order", 0) < 0:
+        raise UsageError("--order must be >= 0, got %d" % args.order)
     data = load_model(args.model)
     alg = CoulombAlgebra(data)
     table = alg.table
@@ -539,7 +557,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return dispatch(args)
-    except (ModelError, ExprError, FileNotFoundError) as exc:
+    except (ModelError, ExprError, UsageError, FileNotFoundError,
+            PoleEvaluationError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

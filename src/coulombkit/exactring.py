@@ -21,8 +21,12 @@ a numerator that does not split into monomial times atoms.
 
 No multivariate gcd is ever computed.  Scalars are reduced by monomial
 content extraction and by cancelling atoms against the numerator through
-trial exact division; equality is decided by cross-multiplication.  All
-values are immutable after construction and safe to share between workers.
+trial division, screened by integer residue sums of the numerator's images
+in one variable (the screen only rules divisions out; it never decides a
+division or an equality) and done by summing along chains ``m + k*g``.
+Equality is cross-multiplication after cancelling the atoms, and a general
+denominator, that both sides share.  All values are immutable after
+construction and safe to share between workers.
 """
 
 from __future__ import annotations
@@ -30,46 +34,46 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from operator import mul
 
 
 Q_HALF = 0
 HBAR_HALF = 1
 
-_SCREEN_CACHE: dict = {}
 
-
+@lru_cache(maxsize=None)
 def _screen_weights(width: int):
-    got = _SCREEN_CACHE.get(width)
-    if got is None:
-        rng = random.Random(0x5EED ^ width)
-        got = tuple([rng.randrange(1, 1 << 30) for _ in range(width)] for _ in range(2))
-        _SCREEN_CACHE[width] = got
-    return got
+    rng = random.Random(0x5EED ^ width)
+    return tuple([rng.randrange(1, 1 << 30) for _ in range(width)] for _ in range(2))
 
 
-def _fold_divisible(terms: dict, g: tuple, weights) -> bool | None:
-    """Divisibility of the univariate image by (1 - z^T); None if degenerate."""
-    t_val = sum(w * e for w, e in zip(weights, g))
-    if t_val == 0:
-        return None
-    buckets = {}
-    for m, c in terms.items():
-        lam = sum(w * e for w, e in zip(weights, m)) % t_val
-        buckets[lam] = buckets.get(lam, 0) + c
-    return all(v == 0 for v in buckets.values())
+def _screened(p: "Poly", candidates):
+    """Yield the candidate monomials g for which (1 - g) may divide p.
 
-
-def likely_divisible(terms: dict, g: tuple, width: int) -> bool:
-    """Cheap necessary test for (1 - g) dividing the polynomial.
-
-    Maps every variable to a power of one variable z; divisibility survives
-    the map, so a failed fold rules the division out with no false negative.
+    Two fixed maps send every variable to a power of one variable z, and
+    p's coefficients are scaled once to integers.  Divisibility survives
+    each map, so a nonzero coefficient sum over a residue class of exponents
+    modulo t = image(g) rules (1 - g) out; a yielded g may still not divide.
     """
-    for weights in _screen_weights(width):
-        res = _fold_divisible(terms, g, weights)
-        if res is False:
-            return False
-    return True
+    weights = _screen_weights(p.w)
+    scale = lcm(*[c.denominator for c in p.terms.values()])
+    coeffs = [c.numerator * (scale // c.denominator) for c in p.terms.values()]
+    images = [[sum(map(mul, ws, m)) for m in p.terms] for ws in weights]
+    for g in candidates:
+        for ws, lams in zip(weights, images):
+            t_val = sum(map(mul, ws, g))
+            if not t_val:
+                continue
+            buckets = {}
+            for lam, c in zip(lams, coeffs):
+                r = lam % t_val
+                buckets[r] = buckets.get(r, 0) + c
+            if any(buckets.values()):
+                break
+        else:
+            yield g
 
 
 class PoleEvaluationError(ArithmeticError):
@@ -330,23 +334,42 @@ class Poly:
     def exact_div(self, d: "Poly"):
         """Exact quotient self/d as a Laurent polynomial, or None.
 
-        Both operands are shifted to honest polynomials by content
-        extraction; the greedy leading-term loop then terminates because
-        graded-lex is a well order on nonnegative exponent tuples.
+        ``1 - g`` divides when every chain ``m + k*g`` of terms sums to zero,
+        with the partial sums as quotient.  Otherwise both operands are shifted
+        to honest polynomials by content extraction; the greedy leading-term
+        loop then ends because graded-lex well-orders nonnegative exponents.
         """
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return Poly.zero(self.w)
+        if len(d.terms) == 2 and d.terms.get((0,) * d.w) == 1 and -1 in d.terms.values():
+            g = next(m for m in d.terms if any(m))
+            piv = next(i for i, e in enumerate(g) if e)
+            chains = {}
+            for m, c in self.terms.items():
+                k = m[piv] // g[piv]
+                chains.setdefault(tuple([a - k * b for a, b in zip(m, g)]) if k else m, {})[k] = c
+            quot = {}
+            for base, chain in chains.items():
+                ks = sorted(chain)
+                s = 0
+                for k, k_next in zip(ks, ks[1:]):
+                    s += chain[k]
+                    if s:
+                        for j in range(k, k_next):
+                            quot[tuple([a + j * b for a, b in zip(base, g)])] = s
+                if s + chain[ks[-1]]:
+                    return None
+            return Poly(self.w, quot)
         cf = self.content_mono()
         cd = d.content_mono()
-        fterms = {mono_div(m, cf): c for m, c in self.terms.items()}
+        rem = {mono_div(m, cf): c for m, c in self.terms.items()}
         dterms = {mono_div(m, cd): c for m, c in d.terms.items()}
         lt_d = max(dterms, key=_grkey)
         c_d = dterms[lt_d]
         d_rest = [(m, c) for m, c in dterms.items() if m != lt_d]
         quot = {}
-        rem = fterms
         heap = [(-sum(m), tuple(-e for e in m)) for m in rem]
         heapq.heapify(heap)
         while heap:
@@ -411,20 +434,14 @@ def _binomial_factorization(p: Poly):
             (m, c), = work.terms.items()
             return c, m, atoms
         m0 = min(work.terms, key=_grkey)
-        progressed = False
-        for m in sorted(work.terms, key=_grkey):
-            if m == m0:
-                continue
-            g = mono_div(m, m0)
-            if not likely_divisible(work.terms, g, work.w):
-                continue
+        candidates = (mono_div(m, m0) for m in sorted(work.terms, key=_grkey) if m != m0)
+        for g in _screened(work, candidates):
             q = work.exact_div(one_minus(g))
             if q is not None:
                 atoms[g] = atoms.get(g, 0) + 1
                 work = q
-                progressed = True
                 break
-        if not progressed:
+        else:
             return None
     return None
 
@@ -456,35 +473,16 @@ class Scalar:
             if atoms[g] <= 0:
                 del atoms[g]
         # cancel atoms against numerator factors (screened trial division)
-        changed = True
-        while changed and atoms and len(num.terms) >= 2:
-            changed = False
-            screens = _screen_weights(width)
-            lams = [{m: sum(w * e for w, e in zip(ws, m)) for m in num.terms}
-                    for ws in screens]
-            for g in list(atoms):
-                ok = True
-                for ws, lam in zip(screens, lams):
-                    t_val = sum(w * e for w, e in zip(ws, g))
-                    if not t_val:
-                        continue
-                    buckets = {}
-                    for m, c in num.terms.items():
-                        r = lam[m] % t_val
-                        buckets[r] = buckets.get(r, 0) + c
-                    if any(buckets.values()):
-                        ok = False
-                        break
-                if not ok:
-                    continue
+        while atoms and len(num.terms) >= 2:
+            for g in _screened(num, list(atoms)):
                 q = num.exact_div(one_minus(g))
-                if q is None:
-                    continue
-                num = q
-                atoms[g] -= 1
-                if not atoms[g]:
-                    del atoms[g]
-                changed = True
+                if q is not None:
+                    num = q
+                    atoms[g] -= 1
+                    if not atoms[g]:
+                        del atoms[g]
+                    break
+            else:
                 break
         if gden is not None:
             if gden.is_zero():
@@ -540,9 +538,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self == Scalar.one(self.w)
-
     def numerator_poly(self) -> Poly:
         """Prefactor times numerator, expanded."""
         return self.num.mul_mono(self.pre)
@@ -560,8 +555,21 @@ class Scalar:
             return NotImplemented
         if self.w != other.w:
             return False
-        return (self.numerator_poly() * other.expand_denominator()
-                == other.numerator_poly() * self.expand_denominator())
+        # cross-multiply by what remains of each denominator once the shared
+        # atoms, and a general denominator both sides carry, are cancelled
+        lhs, rhs = self.num.mul_mono(mono_div(self.pre, other.pre)), other.num
+        for g in {**self.atoms, **other.atoms}:
+            e = self.atoms.get(g, 0) - other.atoms.get(g, 0)
+            if e > 0:
+                rhs = rhs * one_minus(g) ** e
+            elif e < 0:
+                lhs = lhs * one_minus(g) ** -e
+        if self.gden != other.gden:
+            if self.gden is not None:
+                rhs = rhs * self.gden
+            if other.gden is not None:
+                lhs = lhs * other.gden
+        return lhs == rhs
 
     __hash__ = None
 
@@ -576,20 +584,15 @@ class Scalar:
         for g, mult in other.atoms.items():
             if atoms.get(g, 0) < mult:
                 atoms[g] = mult
-        gden = None
+        gden = self.gden
         extra_self = Poly.one(self.w)
         extra_other = Poly.one(self.w)
-        if self.gden is None and other.gden is None:
-            pass
-        elif self.gden is not None and other.gden is not None and self.gden == other.gden:
-            gden = self.gden
-        else:
+        if self.gden != other.gden:
             if self.gden is not None:
-                extra_other = extra_other * self.gden
+                extra_other = self.gden
             if other.gden is not None:
-                extra_self = extra_self * other.gden
-            gden = None if (self.gden is None and other.gden is None) else \
-                (self.gden or Poly.one(self.w)) * (other.gden or Poly.one(self.w))
+                extra_self = other.gden
+            gden = (self.gden or Poly.one(self.w)) * (other.gden or Poly.one(self.w))
         for g, mult in atoms.items():
             ds = mult - self.atoms.get(g, 0)
             do = mult - other.atoms.get(g, 0)
@@ -617,9 +620,6 @@ class Scalar:
             gden = (self.gden or Poly.one(self.w)) * (other.gden or Poly.one(self.w))
         return Scalar(self.w, self.num * other.num,
                       pre=mono_mul(self.pre, other.pre), atoms=atoms, gden=gden)
-
-    def times_poly(self, p: Poly) -> "Scalar":
-        return Scalar(self.w, self.num * p, pre=self.pre, atoms=self.atoms, gden=self.gden)
 
     def scale(self, c) -> "Scalar":
         return Scalar(self.w, self.num.scale(c), pre=self.pre, atoms=self.atoms, gden=self.gden)

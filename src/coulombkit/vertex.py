@@ -9,8 +9,6 @@ in the residue variables only.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .coulomb import CoulombAlgebra
@@ -19,19 +17,6 @@ from .exactring import (PoleEvaluationError, Poly, Scalar,
 from .hypertoric import FixedPoint, enumerate_degrees, pair
 from .pochhammer import hq_ratio, hq_ratio_inv, q_shifted, sign_kernel
 from .verma import VermaModule
-
-
-def _ordered_map(fn, items):
-    """Map with an optional thread pool (COULOMBKIT_THREADS), order preserved."""
-    try:
-        workers = int(os.environ.get("COULOMBKIT_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class Descendent:
@@ -83,11 +68,11 @@ def restriction_images(alg: CoulombAlgebra, p: FixedPoint, specialize: bool = Fa
     return images
 
 
-def evaluate_at_point(alg: CoulombAlgebra, images, f: Scalar) -> Scalar:
+def evaluate_at_point(alg: CoulombAlgebra, p: FixedPoint, images, f: Scalar) -> Scalar:
     try:
         return f.subs(images, alg.table.width)
     except PoleEvaluationError as exc:
-        raise PoleEvaluationError("pole at fixed point: %s" % exc)
+        raise PoleEvaluationError("pole at fixed point %s: %s" % (p.label(), exc))
 
 
 def matter_kernel(alg: CoulombAlgebra, d) -> Scalar:
@@ -109,9 +94,9 @@ def vertex_fp(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
 
     def coeff(d):
         weight = matter_kernel(alg, d) * shift_s_by_degree(insertion, alg.table, d)
-        return evaluate_at_point(alg, images, weight)
+        return evaluate_at_point(alg, p, images, weight)
 
-    values = _ordered_map(coeff, degrees)
+    values = [coeff(d) for d in degrees]
     coeffs = {d: v for d, v in zip(degrees, values) if not v.is_zero()}
     return QSeries(order=order, coeffs=coeffs)
 
@@ -292,9 +277,9 @@ def vertex_fp_nonab(alg: CoulombAlgebra, ptilde: FixedPoint, tau: Descendent | S
             if m:
                 weight = weight * hq_ratio_inv(alg.root_mono(root), m)
         weight = weight * shift_s_by_degree(insertion, alg.table, d)
-        return evaluate_at_point(alg, images, weight)
+        return evaluate_at_point(alg, ptilde, images, weight)
 
-    values = _ordered_map(coeff, degrees)
+    values = [coeff(d) for d in degrees]
     coeffs = {}
     for d, value in zip(degrees, values):
         if value.is_zero():

@@ -3,6 +3,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -203,3 +205,36 @@ def test_main_error_exit_code(tmp_path):
     assert main(["circuits", str(bad)]) == 2
     assert main(["circuits", str(tmp_path / "missing.json")]) == 2
     assert main(["circuits", model_path("bad_wall")]) == 2
+
+
+@pytest.mark.parametrize("raw, message", [
+    ('{"chi": [1, 2], "theta": [1]}', "'chi' must be a list of integer lists"),
+    ('{"chi": "x", "theta": [1]}', "'chi' must be a list of integer lists"),
+    ('{"chi": [[1], [1]], "theta": "1"}', "'theta' must be a list of integers"),
+])
+def test_main_rejects_malformed_model(tmp_path, capsys, raw, message):
+    from coulombkit.cli import main
+    bad = tmp_path / "bad.json"
+    bad.write_text(raw)
+    with pytest.raises(ModelError, match=message):
+        load_model(str(bad))
+    assert main(["circuits", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_main_rejects_negative_order(capsys):
+    from coulombkit.cli import main
+    assert main(["vertex", model_path("tp1"), "--order", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --order must be >= 0, got -1\n"
+
+
+def test_pole_at_default_point_exits_2_without_traceback():
+    src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "coulombkit.cli", "vertex",
+                           model_path("tgr24")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: pole at fixed point p{1,5}: ")
+    assert proc.stderr.count("\n") == 1

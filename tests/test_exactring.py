@@ -1,9 +1,11 @@
 """Ring axioms, factored-scalar reduction, substitution homomorphisms."""
 
+from fractions import Fraction
+
 import pytest
 
 from coulombkit import Poly, PoleEvaluationError, Scalar, VariableTable
-from coulombkit.exactring import (one_minus, scalar_str,
+from coulombkit.exactring import (mono_mul, mono_pow, one_minus, scalar_str,
                                   scalar_from_structured, scalar_structured,
                                   shift_s_by_degree, substitute_monomials)
 
@@ -134,6 +136,41 @@ def test_cross_multiplication_equality_routes():
         assert r1 == r2
         r3 = Scalar(W, p * one_minus(a) * one_minus(a), atoms={a: 3})
         assert r2 == r3 and r1 == r3
+        # shared atoms with unequal multiplicities, and atoms on one side only
+        # (1 - b^2) = (1 - b)(1 + b)
+        b = mono(q=1, s2=1)
+        b2 = mono_pow(b, 2)
+        one_plus_b = Poly.from_terms(W, [(T.unit(), 1), (b, 1)])
+        x = Scalar(W, p, atoms={a: 1, b: 1, b2: 1})
+        y = Scalar(W, p * one_plus_b, atoms={a: 1, b2: 2})
+        assert x == y and y == x
+        assert not x == Scalar(W, p, atoms={a: 1, b2: 2})
+        assert not x == Scalar(W, p, atoms={b: 1, b2: 1})
+        x2 = Scalar(W, p, atoms={b: 2})
+        y2 = Scalar(W, p * one_plus_b * one_plus_b, atoms={b2: 2})
+        assert x2 == y2 and y2 == x2
+        assert not x2 == Scalar(W, p * one_plus_b, atoms={b2: 2})
+    # equal and unequal general denominators
+    g1 = Poly.from_terms(W, [(T.unit(), 1), (mono(s1=1), 1)])
+    g2 = Poly.from_terms(W, [(T.unit(), 1), (mono(s2=1), 1)])
+    u = Scalar(W, one_minus(mono(a1=1)), gden=g1)
+    assert u.gden is not None
+    assert u == Scalar(W, one_minus(mono(a1=1)) * one_minus(mono(h=1)),
+                       atoms={mono(h=1): 1}, gden=g1)
+    assert not u == Scalar(W, one_minus(mono(a1=1)), gden=g2)
+    assert u == Scalar(W, one_minus(mono(a1=1)) * g2, gden=g1 * g2)
+    assert Scalar(W, g2, gden=g1) == Scalar(W, g2 * g2, gden=g1 * g2)
+    # zero against nonzero
+    zero = Scalar.zero(W)
+    assert zero == Scalar.zero(W)
+    assert not zero == u and not u == zero
+    assert not zero == Scalar.atom_inverse(mono(s1=1))
+
+
+def _heap_div_by_atom(p, g):
+    """p / (1 - g) through the general path: -(p / (g - 1))."""
+    q = p.exact_div(-one_minus(g))
+    return None if q is None else -q
 
 
 def test_exact_div():
@@ -147,6 +184,35 @@ def test_exact_div():
     f = Poly.from_terms(W, [(T.unit(), 1), (mono(s1=1), 1)])
     d = Poly.from_terms(W, [(T.unit(), 1), (mono(s1=1), -1)])
     assert f.exact_div(d) is None
+    # division by an atom 1 - g takes the chain path; it must match the heap path
+    rng = rng_for("exact-div-atom")
+    thirds = [Fraction(1, 3), Fraction(2, 5), Fraction(-7, 4), 3]
+    for _ in range(60):
+        g = rand_mono(rng, T, span=2)
+        if not any(g):
+            g = mono(q=2)  # q^2 is exponent 4 on q^(1/2): not primitive
+        f = rand_poly(rng, T, terms=5, span=3)
+        f = Poly(W, {m: c * rng.choice(thirds) for m, c in f.terms.items()})
+        for p in (f * one_minus(g), f * one_minus(g) ** 2, f, f * one_minus(g) + f):
+            got = p.exact_div(one_minus(g))
+            assert got == _heap_div_by_atom(p, g)
+            if got is not None:
+                assert got * one_minus(g) == p
+        # the integer screen must not rule a true divisor out
+        assert Scalar(W, f * one_minus(g), atoms={g: 1}).atoms == {}
+    # chains with gaps: (1 - g^3)/(1 - g) = 1 + g + g^2, Laurent and non-primitive g
+    for g in (mono(q=2), mono(q=-1, s1=2), mono(a1=-3, s2=1)):
+        p = Poly.from_terms(W, [(mono(s1=-2), Fraction(2, 5)),
+                                (mono_mul(mono(s1=-2), mono_pow(g, 3)), Fraction(-2, 5))])
+        got = p.exact_div(one_minus(g))
+        assert got == _heap_div_by_atom(p, g)
+        assert len(got.terms) == 3
+        gap = p + Poly.monomial(mono_pow(g, 5), Fraction(1, 3))
+        assert gap.exact_div(one_minus(g)) is None
+        assert _heap_div_by_atom(gap, g) is None
+        # terms of different denominators merge: 1/3 - 2/15*g - 1/5*g^2
+        f = Poly.from_terms(W, [(T.unit(), Fraction(1, 3)), (g, Fraction(1, 5))])
+        assert Scalar(W, f * one_minus(g), atoms={g: 1}).atoms == {}
 
 
 def test_structured_roundtrip():
