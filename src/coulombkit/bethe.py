@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 from .coulomb import CoulombAlgebra
 from .exactring import (Q_HALF, Scalar, _binomial_factorization, atom_str,
-                        mono_str, scalar_structured, specialize_q1)
+                        identity_images, mono_str, poly_str, scalar_structured,
+                        specialize_q1)
 from .hypertoric import circuits
-from .pochhammer import poch, q_shifted
+from .pochhammer import h_shifted, poch_ratio, q_shifted
 
 
 @dataclass(frozen=True)
@@ -31,15 +32,11 @@ class Relation:
 
 def _root_shift_factor(alg: CoulombAlgebra, wc) -> Scalar:
     out = Scalar.one(alg.table.width)
-    hm = alg.table.mono({1: 2})
     for root in alg.roots():
         mu = alg.root_pairing(root, wc)
-        if mu == 0:
-            continue
-        y = alg.root_mono(root)
-        qy = q_shifted(y, 1)
-        hy = tuple(a + b for a, b in zip(hm, y))
-        out = out * poch(qy, -mu) * poch(hy, -mu).inv()
+        if mu:
+            y = alg.root_mono(root)
+            out = out * poch_ratio(q_shifted(y, 1), h_shifted(y), -mu)
     return out
 
 
@@ -51,7 +48,6 @@ def _specialize_flavors(alg: CoulombAlgebra, x: Scalar) -> Scalar:
     aspec = alg.data.a_specialization
     if not aspec:
         return x
-    from .exactring import identity_images
     images = identity_images(alg.table.width)
     for row, mono in aspec.items():
         images[alg.table.a(row)] = tuple(mono)
@@ -142,7 +138,6 @@ def _factored_str(alg: CoulombAlgebra, x: Scalar) -> str:
         for g, mult in sorted(oriented.items(), key=lambda gm: (sum(gm[0]), gm[0])):
             parts.append(atom_str(table, g, mult))
     else:
-        from .exactring import poly_str
         if any(x.pre):
             parts.append(mono_str(table, x.pre))
         parts.append("(%s)" % poly_str(table, x.num))
@@ -150,7 +145,6 @@ def _factored_str(alg: CoulombAlgebra, x: Scalar) -> str:
     denom = [atom_str(table, g, mult)
              for g, mult in sorted(x.atoms.items(), key=lambda gm: (sum(gm[0]), gm[0]))]
     if x.gden is not None:
-        from .exactring import poly_str
         denom.append("[%s]" % poly_str(table, x.gden))
     if denom:
         return "%s / ( %s )" % (head, " * ".join(denom))

@@ -292,18 +292,27 @@ def load_model(path: str) -> GaugeData:
         raise ModelError("'chi' must be a list of integer lists")
     if not (isinstance(raw["theta"], list) and all(_is_int(x) for x in raw["theta"])):
         raise ModelError("'theta' must be a list of integers")
+    blocks, labels, aspec_raw = (raw.get(key) for key in ("blocks", "labels", "a_specialization"))
+    if blocks is not None and not (isinstance(blocks, list)
+                                   and all(_is_int(b) and b > 0 for b in blocks)):
+        raise ModelError("'blocks' must be a list of positive integers")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise ModelError("'labels' must be a list of strings")
+    if aspec_raw is not None and not (isinstance(aspec_raw, dict)
+                                      and all(isinstance(x, str) for x in aspec_raw.values())):
+        raise ModelError("'a_specialization' must be a JSON object of strings")
     aspec = None
-    if raw.get("a_specialization"):
-        chi = raw["chi"]
-        table = VariableTable(len(chi), len(raw["theta"]))
+    if aspec_raw:
+        table = VariableTable(len(raw["chi"]), len(raw["theta"]))
         aspec = {}
-        for name, expr in raw["a_specialization"].items():
+        for name, expr in aspec_raw.items():
             m = re.fullmatch(r"a(\d+)", name)
             if not m or not 1 <= int(m.group(1)) <= table.n:
                 raise ModelError("a_specialization key %r is not a flavor variable" % name)
             aspec[int(m.group(1)) - 1] = _parse_monomial_image(expr, table)
-    return GaugeData.create(raw["chi"], raw["theta"], blocks=raw.get("blocks"),
-                            labels=raw.get("labels"), a_specialization=aspec)
+    return GaugeData.create(raw["chi"], raw["theta"], blocks=blocks, labels=labels,
+                            a_specialization=aspec)
 
 
 def _select_point(data: GaugeData, spec: str):
@@ -467,7 +476,10 @@ def dispatch(args, out=sys.stdout) -> int:
         return 0
 
     if args.command == "wallcross":
-        theta2 = tuple(int(x) for x in args.theta2.split(","))
+        try:
+            theta2 = tuple(int(x) for x in args.theta2.split(","))
+        except ValueError:
+            raise UsageError("--theta2 must be comma-separated integers, got %r" % args.theta2)
         if len(theta2) != data.k:
             raise ModelError("--theta2 must have %d entries" % data.k)
         scn = make_scenario(alg, theta2)

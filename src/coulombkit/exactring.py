@@ -77,7 +77,15 @@ def _screened(p: "Poly", candidates):
 
 
 class PoleEvaluationError(ArithmeticError):
-    """A substitution made a denominator factor vanish with no cancellation."""
+    """A substitution made a denominator factor vanish with no cancellation.
+
+    ``atom`` is the exponent vector g of the vanishing factor (1 - g), or None
+    when the general denominator vanished.
+    """
+
+    def __init__(self, message: str, atom: tuple | None = None):
+        super().__init__(message)
+        self.atom = atom
 
 
 class VariableTable:
@@ -669,7 +677,7 @@ class Scalar:
                     q = num.exact_div(factor)
                     if q is None:
                         raise PoleEvaluationError(
-                            "pole at evaluation point: atom (1 - %r) vanishes" % (g,))
+                            "pole at evaluation point: atom (1 - %r) vanishes" % (g,), atom=g)
                     num = q
             else:
                 new_atoms[gm] = new_atoms.get(gm, 0) + mult

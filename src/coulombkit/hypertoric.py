@@ -2,15 +2,14 @@
 
 Everything here is exact: walls, circuits, fixed points, effective cones,
 mixed polarizations, degree enumeration and restriction maps are computed
-with Fraction Gaussian elimination on integer matrices; no floating point
-is used anywhere.  Dimensions are desk scale (n <= 16, k <= 8).
+with one fraction-free (Bareiss) integer elimination, ``_eliminate``; no
+floating point is used anywhere.  Dimensions are desk scale (n <= 16, k <= 8).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import gcd
 
 from .exactring import HBAR_HALF, VariableTable
@@ -32,83 +31,42 @@ def pair(chi_row, d) -> int:
 # exact linear algebra helpers
 # ---------------------------------------------------------------------------
 
-def _rank(rows) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+def _eliminate(rows):
+    """Bareiss (fraction-free) Gauss-Jordan elimination of an integer matrix.
+
+    Returns ``(pivots, mat, det)``: the pivot columns; the reduced matrix, in
+    which every pivot row carries the last pivot in its pivot column and
+    zeros in the other pivot columns; and the determinant of the columns
+    ``pivots`` when the rows are independent, else 0.  Each step divides by
+    the previous pivot, which is exact, so every entry stays an integer.
+    """
+    mat = [list(r) for r in rows]
+    pivots = []
+    prev, sign = 1, 1
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+        if piv != r:
+            mat[r], mat[piv] = mat[piv], mat[r]
+            sign = -sign
+        p = mat[r][col]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][col]
+                mat[i] = [(p * a - f * b) // prev for a, b in zip(mat[i], mat[r])]
+        prev = p
+        pivots.append(col)
+    return pivots, mat, sign * prev if len(pivots) == len(mat) else 0
+
+
+def _rank(rows) -> int:
+    return len(_eliminate(rows)[0])
 
 
 def det_int(rows) -> int:
-    n = len(rows)
-    mat = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col]:
-                f = mat[r][col] * inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    assert det.denominator == 1
-    return int(det)
-
-
-def solve_square(rows, rhs):
-    """Solve M x = rhs exactly (M square nonsingular, columns of M = rows arg rows)."""
-    n = len(rows)
-    mat = [[Fraction(x) for x in r] + [Fraction(rhs[i])] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if mat[r][col]), None)
-        if piv is None:
-            raise ModelError("singular system")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = Fraction(1) / mat[col][col]
-        mat[col] = [v * inv for v in mat[col]]
-        for r in range(n):
-            if r != col and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[col])]
-    return [mat[r][n] for r in range(n)]
-
-
-def inverse_unimodular(rows):
-    """Integer inverse of a unimodular integer matrix."""
-    n = len(rows)
-    cols = []
-    for t in range(n):
-        e = [0] * n
-        e[t] = 1
-        cols.append(solve_square(rows, e))
-    inv = [[cols[t][l] for t in range(n)] for l in range(n)]
-    out = []
-    for row in inv:
-        irow = []
-        for v in row:
-            assert v.denominator == 1
-            irow.append(int(v))
-        out.append(irow)
-    return out
+    return _eliminate(rows)[2]
 
 
 def primitive(vec):
@@ -121,37 +79,20 @@ def primitive(vec):
 
 
 def kernel_normal(rows, k):
-    """Primitive generator of the 1-dim kernel of <row, .> = 0 (rank k-1 rows)."""
+    """Primitive generator of the 1-dim kernel of <row, .> = 0 (rank k-1 rows),
+    positive in its non-pivot coordinate."""
     if k == 1:
         return (1,)
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(k):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [v * inv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank != k - 1:
+    pivots, mat, _ = _eliminate(rows)
+    if len(pivots) != k - 1:
         return None
     free = next(c for c in range(k) if c not in pivots)
-    sol = [Fraction(0)] * k
-    sol[free] = Fraction(1)
+    p = mat[0][pivots[0]]  # every pivot row carries the same pivot entry
+    sol = [0] * k
+    sol[free] = abs(p)
     for r, col in enumerate(pivots):
-        sol[col] = -mat[r][free]
-    denom = 1
-    for v in sol:
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    ints = [int(v * denom) for v in sol]
-    return primitive(ints)
+        sol[col] = -mat[r][free] if p > 0 else mat[r][free]
+    return primitive(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +245,9 @@ def circuits(data: GaugeData):
 def fixed_points(data: GaugeData, table: VariableTable | None = None):
     """All torus-fixed points with sign splits, restriction maps and cone rays."""
     table = table or data.table()
+    k = data.k
     out = []
-    for subset in itertools.combinations(range(data.n), data.k):
+    for subset in itertools.combinations(range(data.n), k):
         rows = [data.chi[i] for i in subset]
         d = det_int(rows)
         if d == 0:
@@ -313,27 +255,32 @@ def fixed_points(data: GaugeData, table: VariableTable | None = None):
         if abs(d) != 1:
             raise ModelError("non-unimodular subset {%s} encountered"
                              % ",".join(str(i + 1) for i in subset))
-        # theta = sum_j c_j chi_j: columns of the system are the chi rows
-        cols = [[rows[t][l] for t in range(data.k)] for l in range(data.k)]
-        c = solve_square(cols, list(data.theta))
+        # theta = sum_j c_j chi_j, then the integer inverse of the rows; each
+        # row is divided by its pivot entry (+-1), which row swaps do not
+        # flip the way they flip the sign of the determinant
+        _, mat, _ = _eliminate([[rows[t][l] for t in range(k)] + [data.theta[l]]
+                                for l in range(k)])
+        c = [mat[t][k] // mat[t][t] for t in range(k)]
         if any(v == 0 for v in c):
             raise ThetaOnWallError("theta on wall of subset {%s}"
                                    % ",".join(str(i + 1) for i in subset))
-        plus = frozenset(subset[t] for t in range(data.k) if c[t] > 0)
-        minus = frozenset(subset[t] for t in range(data.k) if c[t] < 0)
-        binv = inverse_unimodular(rows)
+        plus = frozenset(subset[t] for t in range(k) if c[t] > 0)
+        minus = frozenset(subset[t] for t in range(k) if c[t] < 0)
+        _, mat, _ = _eliminate([list(rows[l]) + [int(l == t) for t in range(k)]
+                                for l in range(k)])
+        binv = [[mat[l][k + t] // mat[l][l] for t in range(k)] for l in range(k)]
         restriction = {}
-        for l in range(data.k):
+        for l in range(k):
             mono = [0] * table.width
-            for t in range(data.k):
+            for t in range(k):
                 mono[table.a(subset[t])] -= binv[l][t]
                 if subset[t] in minus:
                     mono[HBAR_HALF] -= 2 * binv[l][t]
             restriction[l] = tuple(mono)
         rays = []
-        for t in range(data.k):
+        for t in range(k):
             sign = 1 if subset[t] in plus else -1
-            rays.append(tuple(sign * binv[l][t] for l in range(data.k)))
+            rays.append(tuple(sign * binv[l][t] for l in range(k)))
         out.append(FixedPoint(support=tuple(subset), plus=plus, minus=minus,
                               coeffs=tuple(c), restriction=restriction, rays=tuple(rays)))
     return out

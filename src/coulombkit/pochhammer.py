@@ -6,16 +6,18 @@ The convention is (x; q)_d = (x; q)_inf / (q^d x; q)_inf, made finite:
     d = 0:  1
     d < 0:  1 / ((1 - q^{-1} x)(1 - q^{-2} x) ... (1 - q^d x))
 
-Negative lengths go directly to denominator atoms, never expanded, so the
-factored-denominator discipline survives evaluation.  Infinite symbols and
-theta functions are deliberately not represented.
+Every symbol and ratio of symbols is built by the one routine
+``poch_ratio``: numerator binomials are multiplied out and denominator
+binomials become atoms, never expanded, so the factored-denominator
+discipline survives evaluation.  Infinite symbols and theta functions are
+deliberately not represented.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactring import HBAR_HALF, Poly, Q_HALF, Scalar, mono_inv, mono_mul, mono_pow
+from .exactring import HBAR_HALF, Poly, Q_HALF, Scalar, mono_mul, one_minus
 
 
 def _q_power(width: int, m: int) -> tuple:
@@ -31,21 +33,40 @@ def q_shifted(x: tuple, m: int) -> tuple:
     return mono_mul(x, _q_power(len(x), m))
 
 
+def h_shifted(x: tuple) -> tuple:
+    """The monomial h * x."""
+    m = list(x)
+    m[HBAR_HALF] += 2
+    return tuple(m)
+
+
+def poch_ratio(x: tuple, y: tuple | None, d: int) -> Scalar:
+    """(x; q)_d / (y; q)_d for monomials x and y (y = None reads as 1).
+
+    The one builder of Pochhammer factors: the numerator binomials are
+    multiplied out and the denominator binomials become atoms, for
+    d >= 0 in the order m = 0 .. d-1 of (1 - q^m x) / (1 - q^m y), for d < 0
+    in the order m = 1 .. -d of (1 - q^-m y) / (1 - q^-m x).
+    """
+    w = len(x)
+    if d >= 0:
+        top, bottom, shifts = x, y, range(d)
+    else:
+        top, bottom, shifts = y, x, range(-1, d - 1, -1)
+    num = Poly.one(w)
+    atoms = {}
+    for m in shifts:
+        if top is not None:
+            num = num * one_minus(q_shifted(top, m))
+        if bottom is not None:
+            g = q_shifted(bottom, m)
+            atoms[g] = atoms.get(g, 0) + 1
+    return Scalar(w, num, atoms=atoms)
+
+
 def poch(x: tuple, d: int) -> Scalar:
     """(x; q)_d for a monomial argument x."""
-    w = len(x)
-    if d == 0:
-        return Scalar.one(w)
-    if d > 0:
-        num = Poly.one(w)
-        for m in range(d):
-            num = num * Poly.from_terms(w, [((0,) * w, 1), (q_shifted(x, m), -1)])
-        return Scalar(w, num)
-    atoms = {}
-    for m in range(1, -d + 1):
-        g = q_shifted(x, -m)
-        atoms[g] = atoms.get(g, 0) + 1
-    return Scalar(w, Poly.one(w), atoms=atoms)
+    return poch_ratio(x, None, d)
 
 
 def sign_kernel(d: int, width: int) -> Scalar:
@@ -57,12 +78,8 @@ def sign_kernel(d: int, width: int) -> Scalar:
 
 
 def poch_qinv(x: tuple, d: int) -> Scalar:
-    """(x; q^{-1})_d, computed as (-1)^d x^d q^{-d(d-1)/2} (x^{-1}; q)_d."""
-    w = len(x)
-    head = mono_mul(mono_pow(x, d), _q_power(w, 0))
-    m = list(head)
-    m[Q_HALF] += -d * (d - 1)
-    return Scalar.monomial(tuple(m), Fraction(-1) ** d) * poch(mono_inv(x), d)
+    """(x; q^{-1})_d = (q^{1-d} x; q)_d."""
+    return poch(q_shifted(x, 1 - d), d)
 
 
 def hq_ratio(x: tuple, d: int) -> Scalar:
@@ -71,53 +88,9 @@ def hq_ratio(x: tuple, d: int) -> Scalar:
     This is the kernel factor that the convolution relations, vertex
     coefficients and module actions are built from.
     """
-    w = len(x)
-    out = sign_kernel(d, w)
-    hm = [0] * w
-    hm[HBAR_HALF] = 2
-    hx = mono_mul(tuple(hm), x)
-    qx = q_shifted(x, 1)
-    if d >= 0:
-        num = Poly.one(w)
-        for m in range(d):
-            num = num * Poly.from_terms(w, [((0,) * w, 1), (q_shifted(hx, m), -1)])
-        atoms = {}
-        for m in range(1, d + 1):
-            g = q_shifted(x, m)
-            atoms[g] = atoms.get(g, 0) + 1
-        return out * Scalar(w, num, atoms=atoms)
-    num = Poly.one(w)
-    for m in range(1, -d + 1):
-        num = num * Poly.from_terms(w, [((0,) * w, 1), (q_shifted(qx, -m), -1)])
-    atoms = {}
-    for m in range(1, -d + 1):
-        g = q_shifted(hx, -m)
-        atoms[g] = atoms.get(g, 0) + 1
-    return out * Scalar(w, num, atoms=atoms)
+    return sign_kernel(d, len(x)) * poch_ratio(h_shifted(x), q_shifted(x, 1), d)
 
 
 def hq_ratio_inv(x: tuple, d: int) -> Scalar:
     """[sign_kernel(d) * (h x)_d / (q x)_d]^{-1}, built directly in factored form."""
-    w = len(x)
-    out = sign_kernel(-d, w)
-    hm = [0] * w
-    hm[HBAR_HALF] = 2
-    hx = mono_mul(tuple(hm), x)
-    qx = q_shifted(x, 1)
-    if d >= 0:
-        num = Poly.one(w)
-        for m in range(1, d + 1):
-            num = num * Poly.from_terms(w, [((0,) * w, 1), (q_shifted(x, m), -1)])
-        atoms = {}
-        for m in range(d):
-            g = q_shifted(hx, m)
-            atoms[g] = atoms.get(g, 0) + 1
-        return out * Scalar(w, num, atoms=atoms)
-    num = Poly.one(w)
-    for m in range(1, -d + 1):
-        num = num * Poly.from_terms(w, [((0,) * w, 1), (q_shifted(hx, -m), -1)])
-    atoms = {}
-    for m in range(1, -d + 1):
-        g = q_shifted(qx, -m)
-        atoms[g] = atoms.get(g, 0) + 1
-    return out * Scalar(w, num, atoms=atoms)
+    return sign_kernel(-d, len(x)) * poch_ratio(q_shifted(x, 1), h_shifted(x), d)

@@ -13,8 +13,24 @@ Degrees outside the effective cone of the point contribute zero.
 from __future__ import annotations
 
 from .coulomb import AlgebraElement, CoulombAlgebra
-from .exactring import (PoleEvaluationError, Q_HALF, Scalar, identity_images)
-from .hypertoric import FixedPoint, eff_cone_fp
+from .exactring import (PoleEvaluationError, Q_HALF, Scalar, atom_str,
+                        identity_images)
+from .hypertoric import FixedPoint, eff_cone_fp, enumerate_degrees
+
+
+def evaluate_at_point(alg: CoulombAlgebra, p: FixedPoint, images, f: Scalar) -> Scalar:
+    """Apply the ring map ``images`` (an evaluation at the fixed point p).
+
+    A vanishing denominator is reported with the point's label and the
+    factor written in the model's variables.
+    """
+    try:
+        return f.subs(images, alg.table.width)
+    except PoleEvaluationError as exc:
+        what = str(exc) if exc.atom is None else \
+            "atom %s vanishes" % atom_str(alg.table, exc.atom)
+        raise PoleEvaluationError("pole at fixed point %s: %s" % (p.label(), what),
+                                  atom=exc.atom)
 
 
 class VermaVector:
@@ -82,10 +98,7 @@ class VermaModule:
                     img = list(images[table.s(j)])
                     img[Q_HALF] += 2 * dj
                     images[table.s(j)] = tuple(img)
-        try:
-            return f.subs(images, table.width)
-        except PoleEvaluationError as exc:
-            raise PoleEvaluationError("pole at fixed point %s: %s" % (self.point.label(), exc))
+        return evaluate_at_point(self.algebra, self.point, images, f)
 
     # -- module structure ----------------------------------------------------
 
@@ -133,7 +146,6 @@ class VermaModule:
         """Truncated eigenvector: coefficient Q^{d/2} / norm(d) on the basis vector at d."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        from .hypertoric import enumerate_degrees
         table = self.algebra.table
         terms = {}
         for d in enumerate_degrees(self.cone, self.algebra.data.theta, order):

@@ -12,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coulomb import CoulombAlgebra
-from .exactring import (PoleEvaluationError, Poly, Scalar,
-                        identity_images, mono_subs, shift_s_by_degree)
+from .exactring import (Poly, Scalar, identity_images, mono_subs,
+                        shift_s_by_degree)
 from .hypertoric import FixedPoint, enumerate_degrees, pair
-from .pochhammer import hq_ratio, hq_ratio_inv, q_shifted, sign_kernel
-from .verma import VermaModule
+from .pochhammer import (h_shifted, hq_ratio, hq_ratio_inv, poch, poch_qinv,
+                         q_shifted, sign_kernel)
+from .verma import VermaModule, evaluate_at_point
 
 
 class Descendent:
@@ -66,13 +67,6 @@ def restriction_images(alg: CoulombAlgebra, p: FixedPoint, specialize: bool = Fa
     for j, mono in p.restriction.items():
         images[table.s(j)] = mono_subs(mono, images)
     return images
-
-
-def evaluate_at_point(alg: CoulombAlgebra, p: FixedPoint, images, f: Scalar) -> Scalar:
-    try:
-        return f.subs(images, alg.table.width)
-    except PoleEvaluationError as exc:
-        raise PoleEvaluationError("pole at fixed point %s: %s" % (p.label(), exc))
 
 
 def matter_kernel(alg: CoulombAlgebra, d) -> Scalar:
@@ -153,17 +147,6 @@ def _restricted_x(alg: CoulombAlgebra, images, i: int) -> tuple:
     return mono_subs(alg.x_mono(i), images)
 
 
-def _diag_poch(width: int, y: tuple, m: int, base_qinv: bool, hbar: bool) -> Scalar:
-    """Finite operator eigenvalue: (h^? y; q^{+-1})_m as an explicit product."""
-    out = Poly.one(width)
-    for t in range(m):
-        arg = list(q_shifted(y, -t if base_qinv else t))
-        if hbar:
-            arg[1] += 2
-        out = out * Poly.from_terms(width, [((0,) * width, 1), (tuple(arg), -1)])
-    return Scalar(width, out)
-
-
 @dataclass
 class QdeReport:
     circuit: tuple
@@ -191,24 +174,16 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     xs = [_restricted_x(alg, images, i) for i in range(alg.data.n)]
     sign = sign_kernel(sum(cs), w)
 
-    def term1_eigen(d):
+    def eigen(d, side):
+        """Operator eigenvalue on the degree-d coefficient: (y; q^-1)_|c_i| on
+        rows with side * c_i > 0, (h y; q)_|c_i| on the others."""
         out = Scalar.one(w)
         for i, ci in enumerate(cs):
             y = q_shifted(xs[i], alg.data.pairing(i, d))
-            if ci > 0:
-                out = out * _diag_poch(w, y, ci, base_qinv=True, hbar=False)
-            elif ci < 0:
-                out = out * _diag_poch(w, y, -ci, base_qinv=False, hbar=True)
-        return out
-
-    def term2_eigen(d):
-        out = Scalar.one(w)
-        for i, ci in enumerate(cs):
-            y = q_shifted(xs[i], alg.data.pairing(i, d))
-            if ci > 0:
-                out = out * _diag_poch(w, y, ci, base_qinv=False, hbar=True)
-            elif ci < 0:
-                out = out * _diag_poch(w, y, -ci, base_qinv=True, hbar=False)
+            if side * ci > 0:
+                out = out * poch_qinv(y, abs(ci))
+            elif ci:
+                out = out * poch(h_shifted(y), abs(ci))
         return out
 
     eff = alg.eff()
@@ -224,7 +199,7 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
         vd = series.coefficient(d, w)
         dmc = tuple(x - y for x, y in zip(d, c))
         vdc = series.coefficient(dmc, w)
-        res = term1_eigen(d) * vd - sign * term2_eigen(dmc) * vdc
+        res = eigen(d, 1) * vd - sign * eigen(dmc, -1) * vdc
         if not res.is_zero():
             passed = False
             residuals[d] = res

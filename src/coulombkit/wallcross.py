@@ -72,7 +72,7 @@ class DmoduleMatchReport:
     passed: bool
 
 
-def _relation_apply(alg_gen, scn: WallCrossScenario, wc, insertion: Scalar,
+def _relation_apply(scn: WallCrossScenario, wc, insertion: Scalar,
                     primed: bool) -> Scalar:
     """Scalar of (generator at wc) insertion (generator at -wc) times the root factor."""
     alg = scn.algebra
@@ -103,11 +103,11 @@ def dmodule_match(scn: WallCrossScenario, c, insertions=None) -> DmoduleMatchRep
         nwc = tuple(-x for x in wc)
         for insertion in insertions:
             if c in scn.reversing:
-                forward = _relation_apply(alg, scn, wc, insertion, primed=False)
-                back = _relation_apply(alg, scn, nwc, forward, primed=True)
+                forward = _relation_apply(scn, wc, insertion, primed=False)
+                back = _relation_apply(scn, nwc, forward, primed=True)
                 passed = passed and (back == insertion)
             else:
-                first = _relation_apply(alg, scn, wc, insertion, primed=False)
-                second = _relation_apply(alg, scn, wc, insertion, primed=True)
+                first = _relation_apply(scn, wc, insertion, primed=False)
+                second = _relation_apply(scn, wc, insertion, primed=True)
                 passed = passed and (first == second)
     return DmoduleMatchReport(circuit=c, passed=passed)

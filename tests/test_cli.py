@@ -211,6 +211,15 @@ def test_main_error_exit_code(tmp_path):
     ('{"chi": [1, 2], "theta": [1]}', "'chi' must be a list of integer lists"),
     ('{"chi": "x", "theta": [1]}', "'chi' must be a list of integer lists"),
     ('{"chi": [[1], [1]], "theta": "1"}', "'theta' must be a list of integers"),
+    ('{"chi": [[1], [1]], "theta": [1], "blocks": "x"}',
+     "'blocks' must be a list of positive integers"),
+    ('{"chi": [[1], [1]], "theta": [1], "blocks": [0, 1]}',
+     "'blocks' must be a list of positive integers"),
+    ('{"chi": [[1], [1]], "theta": [1], "labels": 5}', "'labels' must be a list of strings"),
+    ('{"chi": [[1], [1]], "theta": [1], "a_specialization": [1]}',
+     "'a_specialization' must be a JSON object of strings"),
+    ('{"chi": [[1], [1]], "theta": [1], "a_specialization": {"a1": 5}}',
+     "'a_specialization' must be a JSON object of strings"),
 ])
 def test_main_rejects_malformed_model(tmp_path, capsys, raw, message):
     from coulombkit.cli import main
@@ -220,6 +229,13 @@ def test_main_rejects_malformed_model(tmp_path, capsys, raw, message):
         load_model(str(bad))
     assert main(["circuits", str(bad)]) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_main_rejects_malformed_theta2(capsys):
+    from coulombkit.cli import main
+    assert main(["wallcross", model_path("a2"), "--theta2", "1,x"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --theta2 must be comma-separated integers, got '1,x'\n"
 
 
 def test_main_rejects_negative_order(capsys):
@@ -238,3 +254,5 @@ def test_pole_at_default_point_exits_2_without_traceback():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: pole at fixed point p{1,5}: ")
     assert proc.stderr.count("\n") == 1
+    # the vanishing factor is written in the model's variables
+    assert proc.stderr.endswith(": atom (1 - s1*s2^-1) vanishes\n")

@@ -89,8 +89,9 @@ def test_substitute_monomials_pole_and_cancellation():
     got = substitute_monomials(out, T, {0: mono(a1=-1)})
     assert got == Scalar.one(W)
     # but a true pole raises
-    with pytest.raises(PoleEvaluationError):
+    with pytest.raises(PoleEvaluationError) as exc:
         substitute_monomials(Scalar.atom_inverse(mono(a1=1, s1=1)), T, {0: mono(a1=-1)})
+    assert exc.value.atom == mono(a1=1, s1=1)
     # plain evaluation: (1-q s1)/(1-h s1) at s1 -> 1
     f = Scalar(W, one_minus(mono(q=1, s1=1)), atoms={mono(h=1, s1=1): 1})
     got = substitute_monomials(f, T, {0: T.unit(), 1: T.unit()})

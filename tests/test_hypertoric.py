@@ -10,7 +10,7 @@ from coulombkit import (GaugeData, ModelError, Scalar, ThetaOnWallError,
                         fixed_points, mixed_polarization, separating_circuits)
 from coulombkit.hypertoric import pair
 
-from conftest import rng_for
+from conftest import rng_for, tpn
 
 
 # -- independent oracles ----------------------------------------------------
@@ -248,3 +248,65 @@ def test_block_symmetry_validation():
     with pytest.raises(ModelError):
         GaugeData.create([[1, 0], [1, 1]], [1, 1], blocks=[2])
     GaugeData.create([[1, 0], [0, 1]], [1, 1], blocks=[2])  # symmetric: fine
+
+
+# -- the integer elimination against sympy -------------------------------------
+
+def test_elimination_against_sympy():
+    Matrix = pytest.importorskip("sympy").Matrix
+    from math import gcd
+    from coulombkit.hypertoric import _rank, det_int, kernel_normal
+    rng = rng_for("bareiss-oracle")
+    seen = {"deficient": 0, "swap": 0, "kernel": 0, "det": 0}
+    for trial in range(400):
+        m, k = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(m)]
+        if m > 1 and trial % 3 == 0:
+            # the last row a combination of two others: rank deficient
+            a, b = rng.randint(0, m - 2), rng.randint(0, m - 2)
+            ca, cb = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [ca * x + cb * y for x, y in zip(rows[a], rows[b])]
+        if m > 1 and trial % 4 == 1:
+            # only the last row starts nonzero, so the first pivot needs a swap
+            for r in rows[:-1]:
+                r[0] = 0
+            rows[-1][0] = rng.choice([-3, -1, 1, 2])
+            seen["swap"] += 1
+        mat = Matrix(rows)
+        rank = mat.rank()
+        seen["deficient"] += rank < min(m, k)
+        assert _rank(rows) == rank, rows
+        if m == k:
+            assert det_int(rows) == mat.det(), rows
+            seen["det"] += 1
+        if rank == k - 1 and k > 1:
+            (null,) = mat.nullspace()
+            got = kernel_normal(rows, k)
+            assert gcd(*got) == 1, rows
+            assert Matrix.hstack(null, Matrix(got)).rank() == 1, rows
+            free = min(set(range(k)) - set(mat.rref()[1]))
+            assert got[free] > 0, rows
+            seen["kernel"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("name", ["a2", "tgr24", "tp3"])
+def test_fixed_points_against_sympy_inverse(name, request):
+    Matrix = pytest.importorskip("sympy").Matrix
+    data = tpn(3) if name == "tp3" else request.getfixturevalue(name)
+    t = data.table()
+    k = data.k
+    pts = fixed_points(data)
+    assert pts
+    for p in pts:
+        rows = Matrix([data.chi[i] for i in p.support])
+        inv = rows.inv()
+        # theta = sum_t c_t chi_{support[t]}
+        assert list(p.coeffs) == list(rows.T.inv() * Matrix(data.theta))
+        assert all(type(c) is int for c in p.coeffs)
+        signs = [1 if i in p.plus else -1 for i in p.support]
+        assert p.rays == tuple(tuple(signs[u] * int(inv[l, u]) for l in range(k))
+                               for u in range(k))
+        for l in range(k):
+            for u, i in enumerate(p.support):
+                assert p.restriction[l][t.a(i)] == -inv[l, u]

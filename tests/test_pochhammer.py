@@ -2,7 +2,7 @@
 
 from coulombkit import Poly, Scalar, VariableTable, poch, poch_qinv, sign_kernel
 from coulombkit.exactring import mono_inv, mono_mul, one_minus
-from coulombkit.pochhammer import hq_ratio, hq_ratio_inv, q_shifted
+from coulombkit.pochhammer import h_shifted, hq_ratio, hq_ratio_inv, poch_ratio, q_shifted
 
 from conftest import rand_mono, rng_for
 
@@ -94,3 +94,38 @@ def test_hq_ratio_matches_definition():
         assert hq_ratio(x, d) == expected, (x, d)
         assert hq_ratio_inv(x, d) == expected.inv(), (x, d)
         assert hq_ratio(x, d) * hq_ratio_inv(x, d) == Scalar.one(W)
+
+
+def test_poch_ratio_matches_quotient():
+    rng = rng_for("poch-ratio")
+    for trial in range(30):
+        x = _nonunit_mono(rng)
+        # y carries Q1, which x lacks, so no factor cancels and every
+        # denominator binomial must stay an atom
+        y = mono_mul(_nonunit_mono(rng), T.mono({T.qvar(0): 2}))
+        d = rng.randint(-5, 5)
+        got = poch_ratio(x, y, d)
+        assert got == poch(x, d) / poch(y, d), (x, y, d)
+        top, bottom, shifts = (x, y, range(d)) if d >= 0 else (y, x, range(-1, d - 1, -1))
+        num = Poly.one(W)
+        atoms = {}
+        for m in shifts:
+            num = num * one_minus(q_shifted(top, m))
+            atoms[q_shifted(bottom, m)] = atoms.get(q_shifted(bottom, m), 0) + 1
+        assert got.atoms == atoms and got.numerator_poly() == num, (x, y, d)
+
+
+def test_root_shift_factor_against_inverse(tgr24_alg):
+    from coulombkit.bethe import _root_shift_factor
+    alg = tgr24_alg
+    w = alg.table.width
+    for mu in range(-4, 5):
+        wc = (mu, 0)
+        expected = Scalar.one(w)
+        for root in alg.roots():
+            m = alg.root_pairing(root, wc)
+            y = alg.root_mono(root)
+            qy, hy = q_shifted(y, 1), h_shifted(y)
+            assert poch_ratio(qy, hy, -m) == poch(qy, -m) * poch(hy, -m).inv(), (root, m)
+            expected = expected * poch(qy, -m) * poch(hy, -m).inv()
+        assert _root_shift_factor(alg, wc) == expected, mu
