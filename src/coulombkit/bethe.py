@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coulomb import CoulombAlgebra
-from .exactring import (Q_HALF, Scalar, _binomial_factorization, atom_str,
-                        identity_images, mono_str, poly_str, scalar_structured,
-                        specialize_q1)
+from .exactring import (Q_HALF, Scalar, atom_str, denominator_atoms, identity_images,
+                        mono_mul, mono_str, poly_str, scalar_structured, specialize_q1)
 from .hypertoric import circuits
 from .pochhammer import h_shifted, poch_ratio, q_shifted
 
@@ -84,8 +83,7 @@ def bethe_relations_q1(alg: CoulombAlgebra):
     out = []
     for rel in dmodule_relations(alg):
         lhs = specialize_q1(rel.lhs, alg.table)
-        if any(m[Q_HALF] for m in lhs.num.terms) or lhs.pre[Q_HALF] or \
-                any(g[Q_HALF] for g in lhs.atoms):
+        if Q_HALF in lhs.vars_used():
             raise AssertionError("q variable survived the q=1 specialization")
         out.append(Relation(lhs=lhs, rhs_degree=rel.rhs_degree, kind="bethe_q1",
                             circuit=rel.circuit, weyl_rep=rel.weyl_rep))
@@ -114,21 +112,21 @@ def _orient_factor(g: tuple, mult: int):
 
 
 def _factored_str(alg: CoulombAlgebra, x: Scalar) -> str:
-    """Factored canonical rendering; falls back to the expanded numerator."""
+    """Factored canonical rendering; expands the numerator when it has a sum part."""
     table = alg.table
     if x.is_zero():
         return "0"
-    fact = _binomial_factorization(x.num)
     parts = []
-    if fact is not None:
-        coeff, umono, atoms = fact
-        head_mono = tuple(a + b for a, b in zip(x.pre, umono))
+    if x.num.is_monomial():
+        (_, coeff), = x.num.terms.items()
+        head_mono = x.pre
         oriented = {}
-        for g, mult in atoms.items():
-            g2, unit, sign = _orient_factor(g, mult)
-            head_mono = tuple(a + b for a, b in zip(head_mono, unit))
-            coeff = coeff * sign
-            oriented[g2] = oriented.get(g2, 0) + mult
+        for g, mult in x.atoms.items():
+            if mult < 0:
+                g2, unit, sign = _orient_factor(g, -mult)
+                head_mono = mono_mul(head_mono, unit)
+                coeff = coeff * sign
+                oriented[g2] = oriented.get(g2, 0) - mult
         head = mono_str(table, head_mono)
         if coeff == -1:
             head = "-" + head
@@ -138,12 +136,12 @@ def _factored_str(alg: CoulombAlgebra, x: Scalar) -> str:
         for g, mult in sorted(oriented.items(), key=lambda gm: (sum(gm[0]), gm[0])):
             parts.append(atom_str(table, g, mult))
     else:
-        if any(x.pre):
-            parts.append(mono_str(table, x.pre))
-        parts.append("(%s)" % poly_str(table, x.num))
+        pre, num = x.expanded()
+        if any(pre):
+            parts.append(mono_str(table, pre))
+        parts.append("(%s)" % poly_str(table, num))
     head = " * ".join(parts)
-    denom = [atom_str(table, g, mult)
-             for g, mult in sorted(x.atoms.items(), key=lambda gm: (sum(gm[0]), gm[0]))]
+    denom = [atom_str(table, g, mult) for g, mult in denominator_atoms(x)]
     if x.gden is not None:
         denom.append("[%s]" % poly_str(table, x.gden))
     if denom:

@@ -17,11 +17,14 @@ from .coulomb import CoulombAlgebra
 from .exactring import (PoleEvaluationError, Poly, Scalar, VariableTable,
                         mono_str, scalar_str, scalar_structured)
 from .hypertoric import (Cone, GaugeData, ModelError, circuits, eff_cone,
-                         eff_cone_fp, fixed_points)
-from .vertex import (Descendent, QSeries, qde_check, vertex_fp,
-                     vertex_fp_nonab, whittaker_function)
+                         fixed_points)
+from .vertex import Descendent, QSeries, qde_check, vertex_fp, vertex_fp_nonab
 from .verma import VermaModule
 from .wallcross import check_reversal, dmodule_match, make_scenario
+
+
+# largest exponent on a parenthesized sum: its expansion grows with the power
+MAX_SUM_POWER = 32
 
 
 class ExprError(ValueError):
@@ -159,6 +162,8 @@ class _ExprParser:
                 if c == 1:
                     return Poly.monomial(tuple(x * num for x in m))
             raise ExprError("division not allowed in descendents")
+        if num > MAX_SUM_POWER and not p.is_monomial():
+            raise ExprError("power %d of a sum exceeds the limit %d" % (num, MAX_SUM_POWER))
         return p ** num
 
     def atom(self):

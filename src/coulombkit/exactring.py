@@ -11,69 +11,36 @@ exponents as integer powers of q, h, Q.
 
 A :class:`Scalar` is a rational function kept in the factored shape
 
-    prefactor * numerator / ( prod_t (1 - g_t)^{m_t} * general_denominator )
+    prefactor * sum_part * prod_g (1 - g)^(-atoms[g]) / general_denominator
 
-where the prefactor is a single monomial, the numerator is an expanded
-Laurent polynomial with ``Fraction`` coefficients, each denominator atom
-``(1 - g_t)`` is recorded by its monomial ``g_t != 1`` with a multiplicity,
-and the optional general denominator polynomial only appears when inverting
-a numerator that does not split into monomial times atoms.
+where the prefactor is a single monomial, each atom ``(1 - g)`` is recorded
+by its monomial ``g != 1`` with a signed multiplicity (positive: a
+denominator factor, negative: a numerator factor), the sum part is an
+expanded Laurent polynomial with ``Fraction`` coefficients that only
+additions create (it is usually 1), and the optional general denominator
+is the inverse of a sum part.
 
-No multivariate gcd is ever computed.  Scalars are reduced by monomial
-content extraction and by cancelling atoms against the numerator through
-trial division, screened by integer residue sums of the numerator's images
-in one variable (the screen only rules divisions out; it never decides a
-division or an equality) and done by summing along chains ``m + k*g``.
-Equality is cross-multiplication after cancelling the atoms, and a general
-denominator, that both sides share.  All values are immutable after
-construction and safe to share between workers.
+No multivariate gcd is ever computed.  Multiplying adds the atom dicts and
+inverting negates them.  Construction keeps one normal form: no
+denominator atom divides the numerator.  A denominator atom ``(1 - g)``
+cancels a numerator atom ``(1 - g^k)``, k != 0, leaving the geometric sum
+``(1 - g^k) / (1 - g)`` in the sum part, and otherwise divides only the sum
+part, by summing along chains ``m + k*g``.  Monomial content moves to the
+prefactor.  Equality is cross-multiplication after cancelling the atoms,
+and a general denominator, that both sides share.  Numerator atoms are
+multiplied out only to render a value.  All values are immutable after
+construction.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
-from operator import mul
+from math import gcd
 
 
 Q_HALF = 0
 HBAR_HALF = 1
-
-
-@lru_cache(maxsize=None)
-def _screen_weights(width: int):
-    rng = random.Random(0x5EED ^ width)
-    return tuple([rng.randrange(1, 1 << 30) for _ in range(width)] for _ in range(2))
-
-
-def _screened(p: "Poly", candidates):
-    """Yield the candidate monomials g for which (1 - g) may divide p.
-
-    Two fixed maps send every variable to a power of one variable z, and
-    p's coefficients are scaled once to integers.  Divisibility survives
-    each map, so a nonzero coefficient sum over a residue class of exponents
-    modulo t = image(g) rules (1 - g) out; a yielded g may still not divide.
-    """
-    weights = _screen_weights(p.w)
-    scale = lcm(*[c.denominator for c in p.terms.values()])
-    coeffs = [c.numerator * (scale // c.denominator) for c in p.terms.values()]
-    images = [[sum(map(mul, ws, m)) for m in p.terms] for ws in weights]
-    for g in candidates:
-        for ws, lams in zip(weights, images):
-            t_val = sum(map(mul, ws, g))
-            if not t_val:
-                continue
-            buckets = {}
-            for lam, c in zip(lams, coeffs):
-                r = lam % t_val
-                buckets[r] = buckets.get(r, 0) + c
-            if any(buckets.values()):
-                break
-        else:
-            yield g
 
 
 class PoleEvaluationError(ArithmeticError):
@@ -425,41 +392,28 @@ def one_minus(g: tuple) -> Poly:
     return Poly(w, {(0,) * w: Fraction(1), g: Fraction(-1)})
 
 
-def _binomial_factorization(p: Poly):
-    """Split p as unit_coeff * unit_mono * prod (1 - g_t)^{m_t}, or None.
+def _direction(g: tuple):
+    """(r, n) with g = r^n, r primitive and its first nonzero exponent positive."""
+    n = gcd(*g)
+    if next(e for e in g if e) < 0:
+        n = -n
+    return tuple(e // n for e in g), n
 
-    Candidate atoms are differences of term exponents against the
-    graded-lex minimal term; only factors with literal coefficient pattern
-    (1 - monomial) are discovered, which is exactly the shape the factored
-    denominators require.
-    """
-    if p.is_zero():
-        return None
-    work = p
-    atoms = {}
-    for _ in range(256):
-        if work.is_monomial():
-            (m, c), = work.terms.items()
-            return c, m, atoms
-        m0 = min(work.terms, key=_grkey)
-        candidates = (mono_div(m, m0) for m in sorted(work.terms, key=_grkey) if m != m0)
-        for g in _screened(work, candidates):
-            q = work.exact_div(one_minus(g))
-            if q is not None:
-                atoms[g] = atoms.get(g, 0) + 1
-                work = q
-                break
-        else:
-            return None
-    return None
+
+def _geometric(g: tuple, k: int) -> Poly:
+    """(1 - g^k) / (1 - g) for an integer k != 0."""
+    if k > 0:
+        return Poly(len(g), {mono_pow(g, j): Fraction(1) for j in range(k)})
+    return Poly(len(g), {mono_pow(g, j): Fraction(-1) for j in range(k, 0)})
 
 
 class Scalar:
     """Factored rational function; see the module docstring for the shape.
 
-    Construction normalizes: numerator content moves to the prefactor,
-    atoms equal to numerator factors cancel by trial division, and a zero
-    numerator collapses the value to canonical zero.
+    Construction normalizes: a denominator atom cancels a numerator atom
+    that is a power of it, or else divides the sum part when it can, sum
+    part content moves to the prefactor, and a zero numerator collapses the
+    value to canonical zero.
     """
 
     __slots__ = ("w", "num", "pre", "atoms", "gden")
@@ -468,30 +422,37 @@ class Scalar:
                  atoms: dict | None = None, gden: Poly | None = None):
         self.w = width
         pre = pre if pre is not None else (0,) * width
-        atoms = dict(atoms) if atoms else {}
-        if num.is_zero():
+        atoms = {g: m for g, m in atoms.items() if m} if atoms else {}
+        if num.is_zero() or any(m < 0 and mono_is_unit(g) for g, m in atoms.items()):
             self.num = Poly.zero(width)
             self.pre = (0,) * width
             self.atoms = {}
             self.gden = None
             return
-        for g in list(atoms):
+        by_dir = {}
+        for h, m in atoms.items():
+            if m < 0:
+                by_dir.setdefault(_direction(h)[0], []).append(h)
+        for g in [g for g, m in atoms.items() if m > 0]:
             if mono_is_unit(g):
                 raise ZeroDivisionError("denominator atom (1 - 1) is zero")
-            if atoms[g] <= 0:
-                del atoms[g]
-        # cancel atoms against numerator factors (screened trial division)
-        while atoms and len(num.terms) >= 2:
-            for g in _screened(num, list(atoms)):
+            if by_dir:
+                # (1 - h) / (1 - g) for h = g^k is a geometric sum: into the sum part
+                r, n = _direction(g)
+                for h in by_dir.get(r, ()):
+                    k, rest = divmod(_direction(h)[1], n)
+                    c = min(atoms[g], -atoms[h])
+                    if not rest and c > 0:
+                        atoms[g] -= c
+                        atoms[h] += c
+                        num = num * _geometric(g, k) ** c
+            while atoms[g] and len(num.terms) >= 2:
                 q = num.exact_div(one_minus(g))
-                if q is not None:
-                    num = q
-                    atoms[g] -= 1
-                    if not atoms[g]:
-                        del atoms[g]
+                if q is None:
                     break
-            else:
-                break
+                num = q
+                atoms[g] -= 1
+        atoms = {g: m for g, m in atoms.items() if m}
         if gden is not None:
             if gden.is_zero():
                 raise ZeroDivisionError("zero general denominator")
@@ -546,24 +507,27 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def expanded(self):
+        """(prefactor, numerator) with the numerator atoms multiplied out and
+        the numerator's monomial content moved into the prefactor."""
+        num = self.num
+        for g, mult in self.atoms.items():
+            if mult < 0:
+                num = num * one_minus(g) ** -mult
+        cm = num.content_mono()
+        return mono_mul(self.pre, cm), num.mul_mono(mono_inv(cm))
+
     def numerator_poly(self) -> Poly:
         """Prefactor times numerator, expanded."""
-        return self.num.mul_mono(self.pre)
-
-    def expand_denominator(self) -> Poly:
-        out = Poly.one(self.w)
-        for g, mult in self.atoms.items():
-            out = out * (one_minus(g) ** mult)
-        if self.gden is not None:
-            out = out * self.gden
-        return out
+        pre, num = self.expanded()
+        return num.mul_mono(pre)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
         if self.w != other.w:
             return False
-        # cross-multiply by what remains of each denominator once the shared
+        # cross-multiply by what remains of each side's atoms once the shared
         # atoms, and a general denominator both sides carry, are cancelled
         lhs, rhs = self.num.mul_mono(mono_div(self.pre, other.pre)), other.num
         for g in {**self.atoms, **other.atoms}:
@@ -588,10 +552,10 @@ class Scalar:
             return other
         if other.is_zero():
             return self
-        atoms = dict(self.atoms)
-        for g, mult in other.atoms.items():
-            if atoms.get(g, 0) < mult:
-                atoms[g] = mult
+        # each atom at the larger of its two multiplicities: shared numerator
+        # atoms stay factored, the rest multiply into the sums
+        atoms = {g: max(self.atoms.get(g, 0), other.atoms.get(g, 0))
+                 for g in {**self.atoms, **other.atoms}}
         gden = self.gden
         extra_self = Poly.one(self.w)
         extra_other = Poly.one(self.w)
@@ -608,7 +572,7 @@ class Scalar:
                 extra_self = extra_self * (one_minus(g) ** ds)
             if do:
                 extra_other = extra_other * (one_minus(g) ** do)
-        num = (self.numerator_poly() * extra_self) + (other.numerator_poly() * extra_other)
+        num = self.num.mul_mono(self.pre) * extra_self + other.num.mul_mono(other.pre) * extra_other
         return Scalar(self.w, num, atoms=atoms, gden=gden)
 
     def __neg__(self) -> "Scalar":
@@ -633,15 +597,27 @@ class Scalar:
         return Scalar(self.w, self.num.scale(c), pre=self.pre, atoms=self.atoms, gden=self.gden)
 
     def inv(self) -> "Scalar":
+        """The inverse; new denominator atoms (1 - g) are oriented with g above 1
+        in graded-lex order, and a sum part becomes the general denominator."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        fact = _binomial_factorization(self.num)
-        denom = self.expand_denominator()
-        if fact is not None:
-            coeff, umono, atoms = fact
-            return Scalar(self.w, denom.scale(Fraction(1) / coeff),
-                          pre=mono_inv(mono_mul(self.pre, umono)), atoms=atoms)
-        return Scalar(self.w, denom, pre=mono_inv(self.pre), gden=self.num)
+        num = self.gden or Poly.one(self.w)
+        pre = mono_inv(self.pre)
+        atoms = {}
+        unit = _grkey((0,) * self.w)
+        for g, mult in self.atoms.items():
+            if mult < 0 and _grkey(g) < unit:
+                # 1 / (1 - g)^e = (-g^-1)^e / (1 - g^-1)^e
+                pre = mono_mul(pre, mono_pow(g, mult))
+                num = num.scale(-1 if mult % 2 else 1)
+                g = mono_inv(g)
+            atoms[g] = atoms.get(g, 0) - mult
+        gden = None
+        if self.num.is_monomial():
+            num = num.scale(Fraction(1) / next(iter(self.num.terms.values())))
+        else:
+            gden = self.num
+        return Scalar(self.w, num, pre=pre, atoms=atoms, gden=gden)
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()
@@ -663,32 +639,32 @@ class Scalar:
     def subs(self, images, target_width: int) -> "Scalar":
         """Apply the ring map sending each variable to a monomial.
 
-        Atoms whose image monomial collapses to 1 must cancel against the
-        numerator (trial exact division before substituting); otherwise a
-        :class:`PoleEvaluationError` is raised.
+        Each atom maps to an atom.  A denominator atom whose image is 1 is a
+        :class:`PoleEvaluationError` (the normal form already cancelled
+        every atom that divides the numerator); a numerator atom whose image
+        is 1 makes the value zero.
         """
-        num = self.num
-        new_atoms = {}
+        atoms = {}
+        vanished = False
         for g, mult in self.atoms.items():
             gm = mono_subs(g, images)
-            if mono_is_unit(gm):
-                factor = one_minus(g)
-                for _ in range(mult):
-                    q = num.exact_div(factor)
-                    if q is None:
-                        raise PoleEvaluationError(
-                            "pole at evaluation point: atom (1 - %r) vanishes" % (g,), atom=g)
-                    num = q
+            if not mono_is_unit(gm):
+                atoms[gm] = atoms.get(gm, 0) + mult
+            elif mult > 0:
+                raise PoleEvaluationError(
+                    "pole at evaluation point: atom (1 - %r) vanishes" % (g,), atom=g)
             else:
-                new_atoms[gm] = new_atoms.get(gm, 0) + mult
-        new_num = num.subs(images, target_width)
-        new_pre = mono_subs(self.pre, images) if any(self.pre) else (0,) * target_width
+                vanished = True
         new_gden = None
         if self.gden is not None:
             new_gden = self.gden.subs(images, target_width)
             if new_gden.is_zero():
                 raise PoleEvaluationError("pole at evaluation point: general denominator vanishes")
-        return Scalar(target_width, new_num, pre=new_pre, atoms=new_atoms, gden=new_gden)
+        if vanished:
+            return Scalar.zero(target_width)
+        new_num = self.num.subs(images, target_width)
+        new_pre = mono_subs(self.pre, images) if any(self.pre) else (0,) * target_width
+        return Scalar(target_width, new_num, pre=new_pre, atoms=atoms, gden=new_gden)
 
     def q_shift(self, var_idx: int, m: int) -> "Scalar":
         """Replace the variable by q^m * itself (exponent e adds 2*m*e to q^(1/2))."""
@@ -815,23 +791,29 @@ def scalar_str(table: VariableTable, x: Scalar) -> str:
     """Canonical deterministic rendering of a scalar."""
     if x.is_zero():
         return "0"
-    if x.num.is_monomial():
-        (m, c), = x.num.terms.items()
-        head = _term_str(table, mono_mul(x.pre, m), c)
+    pre, num = x.expanded()
+    denoms = denominator_atoms(x)
+    if num.is_monomial():
+        (m, c), = num.terms.items()
+        head = _term_str(table, mono_mul(pre, m), c)
     else:
         parts = []
-        if any(x.pre):
-            parts.append(mono_str(table, x.pre))
-        nstr = poly_str(table, x.num)
-        parts.append("(%s)" % nstr if (" " in nstr and (x.atoms or x.gden or parts)) else nstr)
+        if any(pre):
+            parts.append(mono_str(table, pre))
+        nstr = poly_str(table, num)
+        parts.append("(%s)" % nstr if (" " in nstr and (denoms or x.gden or parts)) else nstr)
         head = " * ".join(parts)
-    denom_parts = [atom_str(table, g, mult)
-                   for g, mult in sorted(x.atoms.items(), key=lambda gm: _grkey(gm[0]))]
+    denom_parts = [atom_str(table, g, mult) for g, mult in denoms]
     if x.gden is not None:
         denom_parts.append("[%s]" % poly_str(table, x.gden))
     if denom_parts:
         return "%s / %s" % (head, "*".join(denom_parts))
     return head
+
+
+def denominator_atoms(x: Scalar):
+    """The denominator atoms (g, multiplicity > 0) in graded-lex order of g."""
+    return sorted(((g, m) for g, m in x.atoms.items() if m > 0), key=lambda gm: _grkey(gm[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -846,11 +828,11 @@ def poly_from_structured(width: int, data) -> Poly:
 
 
 def scalar_structured(x: Scalar):
+    pre, num = x.expanded()
     return {
-        "pre": list(x.pre),
-        "num": poly_structured(x.num),
-        "atoms": [[list(g), mult]
-                  for g, mult in sorted(x.atoms.items(), key=lambda gm: _grkey(gm[0]))],
+        "pre": list(pre),
+        "num": poly_structured(num),
+        "atoms": [[list(g), mult] for g, mult in denominator_atoms(x)],
         "gden": poly_structured(x.gden) if x.gden is not None else None,
     }
 

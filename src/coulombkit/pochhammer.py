@@ -7,17 +7,16 @@ The convention is (x; q)_d = (x; q)_inf / (q^d x; q)_inf, made finite:
     d < 0:  1 / ((1 - q^{-1} x)(1 - q^{-2} x) ... (1 - q^d x))
 
 Every symbol and ratio of symbols is built by the one routine
-``poch_ratio``: numerator binomials are multiplied out and denominator
-binomials become atoms, never expanded, so the factored-denominator
-discipline survives evaluation.  Infinite symbols and theta functions are
-deliberately not represented.
+``poch_ratio``: numerator and denominator binomials both become atoms and
+nothing is multiplied out, so the factored form survives evaluation.
+Infinite symbols and theta functions are deliberately not represented.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactring import HBAR_HALF, Poly, Q_HALF, Scalar, mono_mul, one_minus
+from .exactring import HBAR_HALF, Poly, Q_HALF, Scalar, mono_mul
 
 
 def _q_power(width: int, m: int) -> tuple:
@@ -43,25 +42,21 @@ def h_shifted(x: tuple) -> tuple:
 def poch_ratio(x: tuple, y: tuple | None, d: int) -> Scalar:
     """(x; q)_d / (y; q)_d for monomials x and y (y = None reads as 1).
 
-    The one builder of Pochhammer factors: the numerator binomials are
-    multiplied out and the denominator binomials become atoms, for
-    d >= 0 in the order m = 0 .. d-1 of (1 - q^m x) / (1 - q^m y), for d < 0
-    in the order m = 1 .. -d of (1 - q^-m y) / (1 - q^-m x).
+    The one builder of Pochhammer factors: every binomial becomes an atom,
+    for d >= 0 the factors (1 - q^m x) / (1 - q^m y) with m = 0 .. d-1, for
+    d < 0 the factors (1 - q^-m y) / (1 - q^-m x) with m = 1 .. -d.
     """
-    w = len(x)
     if d >= 0:
         top, bottom, shifts = x, y, range(d)
     else:
         top, bottom, shifts = y, x, range(-1, d - 1, -1)
-    num = Poly.one(w)
     atoms = {}
-    for m in shifts:
-        if top is not None:
-            num = num * one_minus(q_shifted(top, m))
-        if bottom is not None:
-            g = q_shifted(bottom, m)
-            atoms[g] = atoms.get(g, 0) + 1
-    return Scalar(w, num, atoms=atoms)
+    for side, sign in ((top, -1), (bottom, 1)):
+        if side is not None:
+            for m in shifts:
+                g = q_shifted(side, m)
+                atoms[g] = atoms.get(g, 0) + sign
+    return Scalar(len(x), Poly.one(len(x)), atoms=atoms)
 
 
 def poch(x: tuple, d: int) -> Scalar:

@@ -5,12 +5,12 @@ import os
 
 from coulombkit import (Poly, Scalar, circuits, fixed_points,
                         specialize_q1)
-from coulombkit.bethe import (bethe_relations_q1, dmodule_relations,
+from coulombkit.bethe import (_factored_str, bethe_relations_q1, dmodule_relations,
                               render_bethe_system)
 from coulombkit.coulomb import CoulombAlgebra
-from coulombkit.exactring import (mono_mul, one_minus, scalar_from_structured,
-                                  shift_s_by_degree)
-from coulombkit.hypertoric import enumerate_degrees, pair
+from coulombkit.exactring import (mono_inv, mono_mul, one_minus,
+                                  scalar_from_structured, shift_s_by_degree)
+from coulombkit.hypertoric import enumerate_degrees
 from coulombkit.vertex import Descendent, restriction_images, vertex_fp
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "bethe_tgr24_golden.txt")
@@ -93,7 +93,8 @@ def test_q0_limit_cuts_kring_ideal(tp1_alg, a2_alg, sqed11):
                     expected = expected * (one_minus(alg.x_mono(i)) ** ci)
                 elif ci < 0:
                     expected = expected * (one_minus(mono_mul(h2, alg.x_mono(i))) ** (-ci))
-            got = rel.lhs.num
+            # the expanded numerator, numerator atoms multiplied out
+            got = rel.lhs.expanded()[1]
             q = got.exact_div(expected)
             assert q is not None and q.is_monomial(), rel.circuit
 
@@ -128,3 +129,16 @@ def test_json_rendering_roundtrip(tp1_alg, tgr24_alg):
             assert tuple(entry["circuit"]) == rel.circuit
             back = scalar_from_structured(alg.table.width, entry["lhs"])
             assert back == rel.lhs
+
+
+def test_factored_rendering_orients_numerator_atoms(tp1_alg):
+    """(1 - g) and -g (1 - g^-1) are one value and render as one string."""
+    t = tp1_alg.table
+    w = t.width
+    g = t.mono({t.a(0): -1, t.s(0): 1})
+    den = {t.mono({1: 2, t.s(0): 1}): 1}
+    kept = Scalar(w, Poly.one(w), atoms={g: -1, **den})
+    flipped = Scalar.monomial(g, -1) * Scalar(w, Poly.one(w), atoms={mono_inv(g): -1, **den})
+    assert kept == flipped
+    assert _factored_str(tp1_alg, kept) == _factored_str(tp1_alg, flipped) \
+        == "1 * (1 - a1^-1*s1) / ( (1 - h*s1) )"

@@ -244,15 +244,48 @@ def test_main_rejects_negative_order(capsys):
     assert capsys.readouterr().err == "error: --order must be >= 0, got -1\n"
 
 
-def test_pole_at_default_point_exits_2_without_traceback():
+def run_subprocess(argv, **env_extra):
     src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run([sys.executable, "-m", "coulombkit.cli", "vertex",
-                           model_path("tgr24")],
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **env_extra)
+    return subprocess.run([sys.executable, "-m", "coulombkit.cli"] + argv,
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_pole_at_default_point_exits_2_without_traceback():
+    proc = run_subprocess(["vertex", model_path("tgr24")])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: pole at fixed point p{1,5}: ")
     assert proc.stderr.count("\n") == 1
     # the vanishing factor is written in the model's variables
     assert proc.stderr.endswith(": atom (1 - s1*s2^-1) vanishes\n")
+
+
+def test_large_power_of_a_sum_is_rejected_before_expanding():
+    # rejected before any multiplication, so this returns at once
+    proc = run_subprocess(["vertex", model_path("tp1"), "--descendent", "(s1+1)^100000"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: power 100000 of a sum exceeds the limit 32\n"
+    from coulombkit.cli import MAX_SUM_POWER
+    table = VariableTable(2, 1)
+    assert len(parse_descendent("(s1+1)^%d" % MAX_SUM_POWER, table).poly.terms) == MAX_SUM_POWER + 1
+    with pytest.raises(ExprError, match="exceeds the limit"):
+        parse_descendent("(s1+1)^%d" % (MAX_SUM_POWER + 1), table)
+    # a monomial's power is one exponent vector, with no limit
+    assert parse_descendent("(2*s1)^100000", table).poly.is_monomial()
+
+
+@pytest.mark.parametrize("argv", [
+    ["vertex", "a2", "--order", "2", "--descendent", "a1*s1 - h"],
+    ["vertex", "tgr24", "--order", "1", "--point", "1"],
+    ["whittaker", "a2", "--order", "2"],
+    ["mul", "a2", "r[2,1] r[-1,-2] r[0,1]", "--json"],
+    ["bethe", "a2"],
+    ["bethe", "tgr24", "--q1"],
+])
+def test_stdout_independent_of_hash_seed(argv):
+    argv = [argv[0], model_path(argv[1])] + argv[2:]
+    runs = [run_subprocess(argv, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout and runs[0].stdout == runs[1].stdout

@@ -1,0 +1,210 @@
+"""Differential tests: Scalar arithmetic against sympy's rational functions.
+
+Random Laurent rational functions are built twice, as a factored Scalar and
+as a sympy expression, pushed through the same operations, and compared
+by cross-multiplying sympy's fractions; poles are decided on
+``sympy.cancel``'s reduced denominator.  Atoms are drawn as powers g^e, e in {1, -1, 2, -2},
+of a few primitive monomials, so products pair (1 - g) with (1 - g^-1) and
+(1 - g^2), and substitutions can send an atom to 1 (a pole, or a factor
+that cancels against the numerator).
+"""
+
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from coulombkit import PoleEvaluationError, Poly, Scalar, VariableTable  # noqa: E402
+from coulombkit.exactring import (_grkey, mono_is_unit, mono_pow, mono_subs,  # noqa: E402
+                                  one_minus, scalar_str, scalar_structured,
+                                  specialize_q1)
+
+T = VariableTable(1, 1)  # q^(1/2), h^(1/2), a1, s1, Q1^(1/2)
+W = T.width
+Z = sympy.symbols("z0:%d" % W)
+UNIT = (0,) * W
+BASES = [(0, 0, 0, 1, 0), (2, 0, 0, 1, 0), (0, 0, 1, -1, 0), (0, 2, 1, 0, 0), (1, 0, 0, 0, 0)]
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def mono_expr(m):
+    return sympy.Mul(*[z ** e for z, e in zip(Z, m) if e])
+
+
+def poly_expr(terms):
+    return sympy.Add(*[sympy.Rational(str(c)) * mono_expr(m) for m, c in terms])
+
+
+def engine_expr(x: Scalar):
+    """The value of x read from its lossless structured form."""
+    data = scalar_structured(x)
+    value = poly_expr([(m, c) for c, m in data["num"]]) * mono_expr(data["pre"])
+    for g, mult in data["atoms"]:
+        value /= (1 - mono_expr(g)) ** mult
+    if data["gden"] is not None:
+        value /= poly_expr([(m, c) for c, m in data["gden"]])
+    return value
+
+
+def same(a, b) -> bool:
+    """a == b as rational functions, by cross-multiplying sympy's fractions."""
+    (na, da), (nb, db) = (map(lambda e: sympy.Poly(e, *Z), sympy.fraction(sympy.together(v)))
+                          for v in (a, b))
+    return (na * db - nb * da).is_zero
+
+
+coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2), Fraction(5, 7)])
+monos = st.tuples(*[st.integers(-2, 2)] * W)
+atoms = st.dictionaries(
+    st.builds(mono_pow, st.sampled_from(BASES), st.sampled_from([1, -1, 2, -2])),
+    st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=3)
+
+
+@st.composite
+def factored(draw):
+    """c * monomial * prod (1 - g)^(-m): the shape of every Pochhammer ratio."""
+    c, pre, ats = draw(coeffs), draw(monos), draw(atoms)
+    x = Scalar(W, Poly.monomial(UNIT, c), pre=pre, atoms=ats)
+    expr = sympy.Rational(str(c)) * mono_expr(pre)
+    for g, mult in ats.items():
+        expr *= (1 - mono_expr(g)) ** (-mult)
+    return x, expr
+
+
+@SETTINGS
+@given(coeffs, monos, atoms)
+def test_rendering_does_not_depend_on_factoring(c, pre, ats):
+    """Numerator binomials kept as atoms render exactly as when multiplied out."""
+    factored_x = Scalar(W, Poly.monomial(UNIT, c), pre=pre, atoms=ats)
+    num = Poly.monomial(UNIT, c)
+    for g, mult in ats.items():
+        if mult < 0:
+            num = num * one_minus(g) ** -mult
+    expanded_x = Scalar(W, num, pre=pre, atoms={g: m for g, m in ats.items() if m > 0})
+    assert scalar_structured(factored_x) == scalar_structured(expanded_x)
+    assert scalar_str(T, factored_x) == scalar_str(T, expanded_x)
+
+
+@st.composite
+def sums(draw):
+    """A nonzero Laurent polynomial with up to three terms."""
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(-1, 1)] * W), coeffs,
+                                 min_size=1, max_size=3))
+    return Scalar.from_poly(Poly.from_terms(W, terms.items())), poly_expr(terms.items())
+
+
+@st.composite
+def values(draw):
+    """A factored value, a sum, their product, or a sum of factored values."""
+    kind = draw(st.sampled_from(["factored", "sum", "product", "added"]))
+    if kind == "factored":
+        return draw(factored())
+    if kind == "sum":
+        return draw(sums())
+    (x, ex), (y, ey) = draw(factored()), draw(st.one_of(sums(), factored()))
+    return (x * y, ex * ey) if kind == "product" else (x + y, ex + ey)
+
+
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+       "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+@SETTINGS
+@given(values(), values(), st.sampled_from(sorted(OPS)))
+def test_arithmetic_matches_sympy(xa, ya, op):
+    (x, ex), (y, ey) = xa, ya
+    assume(op != "/" or not y.is_zero())
+    got = OPS[op](x, y)
+    assert same(engine_expr(got), OPS[op](ex, ey))
+
+
+@SETTINGS
+@given(values())
+def test_inverse_matches_sympy_and_orients_atoms(xa):
+    x, ex = xa
+    assume(not x.is_zero())
+    xi = x.inv()
+    assert same(engine_expr(xi), 1 / ex)
+    assert x * xi == Scalar.one(W)
+    if x.gden is None:
+        # numerator atoms become denominator atoms (1 - g) with g above 1
+        for g, mult in xi.atoms.items():
+            if mult > 0 and x.atoms.get(g, 0) <= 0:
+                assert _grkey(g) > _grkey(UNIT), g
+
+
+@SETTINGS
+@given(values(), values(), st.sampled_from(["commute", "div-mul", "add-sub", "random"]))
+def test_equality_decides_like_sympy(xa, ya, how):
+    (x, ex), (y, ey) = xa, ya
+    assume(how != "div-mul" or not y.is_zero())
+    if how == "commute":
+        lhs, rhs, elhs, erhs = x * y, y * x, ex * ey, ey * ex
+    elif how == "div-mul":
+        lhs, rhs, elhs, erhs = (x / y) * y, x, ex, ex
+    elif how == "add-sub":
+        lhs, rhs, elhs, erhs = (x + y) - y, x, ex, ex
+    else:
+        lhs, rhs, elhs, erhs = x, y, ex, ey
+    assert (lhs == rhs) == same(elhs, erhs)
+    assert (rhs == lhs) == (lhs == rhs)
+
+
+def _vanishing_image(images, g):
+    """Re-solve the image of one variable so that g, through its root r = g^(1/n)
+    with n the gcd of g's exponents, maps to 1."""
+    n = sympy.igcd(*g)
+    r = tuple(e // n for e in g)
+    i = next((i for i, e in enumerate(r) if abs(e) == 1), None)
+    if i is None:
+        return images
+    rest = [sum(r[j] * images[j][t] for j in range(W) if j != i) for t in range(W)]
+    images = list(images)
+    images[i] = tuple(-r[i] * e for e in rest)
+    return images
+
+
+@settings(SETTINGS, max_examples=120)
+@given(st.one_of(factored(), values()), st.data())
+def test_substitution_matches_sympy(xa, data):
+    x, ex = xa
+    kind = data.draw(st.sampled_from(["random", "vanish", "vanish", "q_shift", "q1"]))
+    images = [data.draw(st.tuples(*[st.integers(-1, 1)] * W)) for _ in range(W)]
+    if kind == "vanish" and x.atoms:
+        # mostly a denominator atom: a pole, unless its factor cancels
+        dens = sorted(g for g, mult in x.atoms.items() if mult > 0)
+        pick = dens if dens and data.draw(st.booleans()) else sorted(x.atoms)
+        images = _vanishing_image(images, data.draw(st.sampled_from(pick)))
+    elif kind == "q_shift":
+        var, m = data.draw(st.integers(1, W - 1)), data.draw(st.integers(-2, 2))
+        images = [tuple(int(t == i) + (2 * m if i == var and t == 0 else 0) for t in range(W))
+                  for i in range(W)]
+    elif kind == "q1":
+        images = [tuple(int(t == i and i != 0) for t in range(W)) for i in range(W)]
+    phi = {z: mono_expr(img) for z, img in zip(Z, images)}
+    num, den = sympy.fraction(sympy.cancel(ex))
+    pole = sympy.cancel(den.xreplace(phi)) == 0
+    try:
+        if kind == "q_shift":
+            got = x.q_shift(var, m)
+        elif kind == "q1":
+            got = specialize_q1(x, T)
+        else:
+            got = x.subs(images, W)
+    except PoleEvaluationError as exc:
+        # the engine names a denominator factor that really vanishes
+        if exc.atom is not None:
+            assert x.atoms.get(exc.atom, 0) > 0 and mono_is_unit(mono_subs(exc.atom, images))
+        else:
+            assert x.gden is not None and x.gden.subs(images, W).is_zero()
+        # a product of binomials over primitive atoms is fully reduced, so its
+        # vanishing denominator atom is a true pole
+        if x.num.is_monomial() and x.gden is None and all(
+                sympy.igcd(*g) == 1 for g, mult in x.atoms.items() if mult > 0):
+            assert pole
+        return
+    assert not pole
+    assert same(engine_expr(got), num.xreplace(phi) / den.xreplace(phi))

@@ -1,7 +1,7 @@
 """Appendix identity kernel: shift, inversion, base-inversion, cocycle."""
 
 from coulombkit import Poly, Scalar, VariableTable, poch, poch_qinv, sign_kernel
-from coulombkit.exactring import mono_inv, mono_mul, one_minus
+from coulombkit.exactring import denominator_atoms, mono_inv, mono_mul, one_minus
 from coulombkit.pochhammer import h_shifted, hq_ratio, hq_ratio_inv, poch_ratio, q_shifted
 
 from conftest import rand_mono, rng_for
@@ -108,11 +108,16 @@ def test_poch_ratio_matches_quotient():
         assert got == poch(x, d) / poch(y, d), (x, y, d)
         top, bottom, shifts = (x, y, range(d)) if d >= 0 else (y, x, range(-1, d - 1, -1))
         num = Poly.one(W)
-        atoms = {}
+        atoms, tops = {}, {}
         for m in shifts:
             num = num * one_minus(q_shifted(top, m))
+            tops[q_shifted(top, m)] = tops.get(q_shifted(top, m), 0) + 1
             atoms[q_shifted(bottom, m)] = atoms.get(q_shifted(bottom, m), 0) + 1
-        assert got.atoms == atoms and got.numerator_poly() == num, (x, y, d)
+        # denominator view: the positive atoms; numerator binomials stay
+        # atoms too (negative multiplicities) and nothing is multiplied out
+        assert dict(denominator_atoms(got)) == atoms, (x, y, d)
+        assert {g: -e for g, e in got.atoms.items() if e < 0} == tops, (x, y, d)
+        assert got.num == Poly.one(W) and got.numerator_poly() == num, (x, y, d)
 
 
 def test_root_shift_factor_against_inverse(tgr24_alg):
