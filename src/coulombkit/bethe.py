@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coulomb import CoulombAlgebra
-from .exactring import (Q_HALF, Scalar, atom_str, denominator_atoms, identity_images,
-                        mono_mul, mono_str, poly_str, scalar_structured, specialize_q1)
+from .exactring import (Q_HALF, Scalar, atom_str, denominator_atoms, mono_mul, mono_str,
+                        poly_str, q_shifted, scalar_structured, specialize_q1)
 from .hypertoric import circuits
-from .pochhammer import h_shifted, poch_ratio, q_shifted
+from .pochhammer import h_shifted, poch_ratio
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,8 @@ def _specialize_flavors(alg: CoulombAlgebra, x: Scalar) -> Scalar:
     aspec = alg.data.a_specialization
     if not aspec:
         return x
-    images = identity_images(alg.table.width)
-    for row, mono in aspec.items():
-        images[alg.table.a(row)] = tuple(mono)
-    return x.subs(images, alg.table.width)
+    table = alg.table
+    return x.subs({table.a(row): tuple(mono) for row, mono in aspec.items()}, table.width)
 
 
 def dmodule_relations(alg: CoulombAlgebra):

@@ -23,8 +23,11 @@ from .verma import VermaModule
 from .wallcross import check_reversal, dmodule_match, make_scenario
 
 
-# largest exponent on a parenthesized sum: its expansion grows with the power
+# largest exponent on any base but a monomial with coefficient 1 or -1: the
+# expansion of a sum, and the digits of a coefficient, grow with the power
 MAX_SUM_POWER = 32
+# deepest nesting of parentheses and unary minus signs; the parser recurses
+MAX_NESTING = 100
 
 
 class ExprError(ValueError):
@@ -64,6 +67,7 @@ class _ExprParser:
         self.tokens = tokens
         self.i = 0
         self.allow_q = allow_q
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -80,6 +84,14 @@ class _ExprParser:
 
     def _pos(self):
         return self.tokens[self.i][1] if self.i < len(self.tokens) else -1
+
+    def nested(self, parse) -> Poly:
+        if self.depth >= MAX_NESTING:
+            raise ExprError("nesting deeper than %d at position %d" % (MAX_NESTING, self._pos()))
+        self.depth += 1
+        p = parse()
+        self.depth -= 1
+        return p
 
     def parse(self) -> Poly:
         p = self.expr()
@@ -109,7 +121,7 @@ class _ExprParser:
     def factor(self) -> Poly:
         if self.peek() == "-":
             self.next()
-            return -self.factor()
+            return -self.nested(self.factor)
         p, is_var = self.atom()
         while self.peek() == "^":
             self.next()
@@ -125,22 +137,28 @@ class _ExprParser:
             if self.peek() == "-":
                 self.next()
                 sign = -1
-            num = int(self.expect_number())
+            num = self.expect_number()
             self.expect("/")
-            den = int(self.expect_number())
+            den = self.expect_number()
             self.expect(")")
             return sign * num, den
         sign = 1
         if self.peek() == "-":
             self.next()
             sign = -1
-        return sign * int(self.expect_number()), 1
+        return sign * self.expect_number(), 1
 
-    def expect_number(self):
+    def expect_number(self) -> int:
         tok = self.peek()
         if tok is None or not tok.isdigit():
             raise ExprError("expected integer at position %d" % self._pos())
-        return self.next()[0]
+        pos = self._pos()
+        self.next()
+        try:
+            return int(tok)
+        except ValueError:
+            raise ExprError("integer at position %d has more than %d digits"
+                            % (pos, sys.get_int_max_str_digits()))
 
     def _power(self, p: Poly, is_var, num, den) -> Poly:
         if den not in (1, 2):
@@ -162,8 +180,9 @@ class _ExprParser:
                 if c == 1:
                     return Poly.monomial(tuple(x * num for x in m))
             raise ExprError("division not allowed in descendents")
-        if num > MAX_SUM_POWER and not p.is_monomial():
-            raise ExprError("power %d of a sum exceeds the limit %d" % (num, MAX_SUM_POWER))
+        if num > MAX_SUM_POWER and not (p.is_monomial() and abs(next(iter(p.terms.values()))) == 1):
+            raise ExprError("power %d of %s exceeds the limit %d" % (
+                num, "a sum" if len(p.terms) > 1 else "a coefficient", MAX_SUM_POWER))
         return p ** num
 
     def atom(self):
@@ -172,18 +191,18 @@ class _ExprParser:
             raise ExprError("unexpected end of expression")
         if tok == "(":
             self.next()
-            p = self.expr()
+            p = self.nested(self.expr)
             self.expect(")")
             return p, None
         if tok.isdigit():
-            self.next()
+            num = self.expect_number()
             if self.peek() == "/":
                 self.next()
-                den = int(self.expect_number())
+                den = self.expect_number()
                 if den == 0:
                     raise ExprError("zero denominator in rational literal")
-                return Poly.monomial(self.table.unit(), Fraction(int(tok), den)), None
-            return Poly.monomial(self.table.unit(), int(tok)), None
+                return Poly.monomial(self.table.unit(), Fraction(num, den)), None
+            return Poly.monomial(self.table.unit(), num), None
         if not tok[0].isalpha():
             raise ExprError("syntax error at position %d: unexpected %r" % (self._pos(), tok))
         self.next()
@@ -284,7 +303,7 @@ def load_model(path: str) -> GaugeData:
     with open(path, "r") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ModelError("parse error in %s: %s" % (path, exc))
     if not isinstance(raw, dict):
         raise ModelError("model file must hold a JSON object")
@@ -366,7 +385,9 @@ def _print(out, payload):
         out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def dispatch(args, out=sys.stdout) -> int:
+def dispatch(args, out=None) -> int:
+    """Run one parsed command, printing to ``out`` (``sys.stdout`` at call time)."""
+    out = sys.stdout if out is None else out
     if getattr(args, "order", 0) < 0:
         raise UsageError("--order must be >= 0, got %d" % args.order)
     data = load_model(args.model)

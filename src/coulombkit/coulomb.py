@@ -25,10 +25,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactring import (Scalar, VariableTable, identity_images,
-                        shift_s_by_degree)
+from .exactring import Scalar, VariableTable, q_shifted, shift_s_by_degree
 from .hypertoric import GaugeData, eff_cone, mixed_polarization
-from .pochhammer import hq_ratio, hq_ratio_inv, q_shifted
+from .pochhammer import hq_ratio, hq_ratio_inv
 
 
 def epsilon(c: int) -> int:
@@ -305,21 +304,13 @@ class CoulombAlgebra:
         return word
 
     def project_lift_scalar(self, f: Scalar, ab: "CoulombAlgebra") -> Scalar:
-        """Send the lift's gauge variables to s^{chi_i} (the reduction map)."""
-        images = identity_images(ab.table.width)
-        for i in range(self.data.n):
-            mono = [0] * self.table.width
-            for j, cij in enumerate(self.data.chi[i]):
-                mono[self.table.s(j)] = cij
-            images[ab.table.s(i)] = tuple(mono)
-        for idx in range(ab.table.width):
-            if idx < 2:
-                images[idx] = self.table.mono({idx: 1})
-            elif idx < 2 + self.data.n and idx >= 2:
-                images[idx] = self.table.mono({self.table.a(idx - 2): 1})
-            elif idx >= 2 + 2 * self.data.n:
-                images[idx] = self.table.unit()
-        return f.subs(images, self.table.width)
+        """Send the lift's gauge variables to s^{chi_i} (the reduction map) and
+        its Kahler variables to 1; q, h and the flavors share their indices."""
+        t = self.table
+        images = {ab.table.s(i): t.mono({t.s(j): cij for j, cij in enumerate(row)})
+                  for i, row in enumerate(self.data.chi)}
+        images.update({ab.table.qvar(i): t.unit() for i in range(self.data.n)})
+        return f.subs(images, t.width)
 
     # -- Weyl machinery -------------------------------------------------------
 
@@ -362,11 +353,10 @@ class CoulombAlgebra:
         return tuple(d[inv[j]] for j in range(len(w)))
 
     def weyl_on_scalar(self, w, f: Scalar) -> Scalar:
-        images = identity_images(self.table.width)
-        for j, src in enumerate(w):
-            images[self.table.s(src)] = self.table.mono({self.table.s(j): 1})
-            images[self.table.qvar(src)] = self.table.mono({self.table.qvar(j): 1})
-        return f.subs(images, self.table.width)
+        t = self.table
+        images = {t.s(src): t.mono({t.s(j): 1}) for j, src in enumerate(w)}
+        images.update({t.qvar(src): t.mono({t.qvar(j): 1}) for j, src in enumerate(w)})
+        return f.subs(images, t.width)
 
     def weyl_on_element(self, w, a: AlgebraElement) -> AlgebraElement:
         terms = {}

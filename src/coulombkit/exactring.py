@@ -129,31 +129,35 @@ def mono_is_unit(m: tuple) -> bool:
     return not any(m)
 
 
-def mono_subs(m: tuple, images) -> tuple:
-    """Image of a monomial under variable -> monomial images (a ring map)."""
-    out = None
+def mono_subs(m: tuple, images: dict, width: int) -> tuple:
+    """Image of a monomial under a ring map ``{variable index: image monomial}``.
+
+    A variable absent from ``images`` is fixed; ``width`` is the target's.
+    """
+    out = [0] * width
     for idx, e in enumerate(m):
         if not e:
             continue
-        img = images[idx]
-        if out is None:
-            out = [x * e for x in img]
+        img = images.get(idx)
+        if img is None:
+            out[idx] += e
         else:
             for t, x in enumerate(img):
                 out[t] += x * e
-    if out is None:
-        w = len(images[0]) if images else 0
-        return (0,) * w
+    return tuple(out)
+
+
+def q_shifted(m: tuple, k: int) -> tuple:
+    """The monomial q^k * m."""
+    if k == 0:
+        return m
+    out = list(m)
+    out[Q_HALF] += 2 * k
     return tuple(out)
 
 
 def _grkey(m: tuple):
     return (sum(m), m)
-
-
-def identity_images(width: int):
-    """Variable images of the identity substitution."""
-    return [tuple(1 if t == i else 0 for t in range(width)) for i in range(width)]
 
 
 class Poly:
@@ -252,12 +256,18 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.one(self.w)
+        if e == 0:
+            return Poly.one(self.w)
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        out = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
         return out
 
@@ -294,10 +304,10 @@ class Poly:
                     used.add(idx)
         return used
 
-    def subs(self, images, target_width: int) -> "Poly":
+    def subs(self, images: dict, target_width: int) -> "Poly":
         terms = {}
         for m, c in self.terms.items():
-            im = mono_subs(m, images) if any(m) else (0,) * target_width
+            im = mono_subs(m, images, target_width)
             acc = terms.get(im)
             nc = c if acc is None else acc + c
             if nc:
@@ -622,22 +632,11 @@ class Scalar:
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()
 
-    def __pow__(self, e: int) -> "Scalar":
-        if e < 0:
-            return self.inv() ** (-e)
-        out = Scalar.one(self.w)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     # -- substitution ------------------------------------------------------
 
-    def subs(self, images, target_width: int) -> "Scalar":
-        """Apply the ring map sending each variable to a monomial.
+    def subs(self, images: dict, target_width: int) -> "Scalar":
+        """Apply the ring map ``{variable index: image monomial}``; absent
+        variables are fixed.
 
         Each atom maps to an atom.  A denominator atom whose image is 1 is a
         :class:`PoleEvaluationError` (the normal form already cancelled
@@ -647,7 +646,7 @@ class Scalar:
         atoms = {}
         vanished = False
         for g, mult in self.atoms.items():
-            gm = mono_subs(g, images)
+            gm = mono_subs(g, images, target_width)
             if not mono_is_unit(gm):
                 atoms[gm] = atoms.get(gm, 0) + mult
             elif mult > 0:
@@ -663,18 +662,15 @@ class Scalar:
         if vanished:
             return Scalar.zero(target_width)
         new_num = self.num.subs(images, target_width)
-        new_pre = mono_subs(self.pre, images) if any(self.pre) else (0,) * target_width
+        new_pre = mono_subs(self.pre, images, target_width)
         return Scalar(target_width, new_num, pre=new_pre, atoms=atoms, gden=new_gden)
 
     def q_shift(self, var_idx: int, m: int) -> "Scalar":
         """Replace the variable by q^m * itself (exponent e adds 2*m*e to q^(1/2))."""
         if m == 0:
             return self
-        images = identity_images(self.w)
-        img = list(images[var_idx])
-        img[Q_HALF] += 2 * m
-        images[var_idx] = tuple(img)
-        return self.subs(images, self.w)
+        var = tuple(int(t == var_idx) for t in range(self.w))
+        return self.subs({var_idx: q_shifted(var, m)}, self.w)
 
     def vars_used(self):
         used = self.num.vars_used()
@@ -704,30 +700,20 @@ def substitute_monomials(x: Scalar, table: VariableTable, s_images: dict) -> Sca
     for j in range(table.k):
         if table.s(j) in used and j not in s_images:
             raise ValueError("substitution does not cover s%d" % (j + 1))
-    images = identity_images(table.width)
-    for j, m in s_images.items():
-        images[table.s(j)] = m
-    return x.subs(images, table.width)
+    return x.subs({table.s(j): m for j, m in s_images.items()}, table.width)
 
 
 def shift_s_by_degree(x: Scalar, table: VariableTable, dvec) -> Scalar:
     """Shift every gauge variable: s_j -> q^{d_j} s_j."""
     if not any(dvec):
         return x
-    images = identity_images(table.width)
-    for j, dj in enumerate(dvec):
-        if dj:
-            img = list(images[table.s(j)])
-            img[Q_HALF] += 2 * dj
-            images[table.s(j)] = tuple(img)
-    return x.subs(images, table.width)
+    return x.subs({table.s(j): q_shifted(table.mono({table.s(j): 1}), dj)
+                   for j, dj in enumerate(dvec) if dj}, table.width)
 
 
 def specialize_q1(x: Scalar, table: VariableTable) -> Scalar:
     """Set q^(1/2) -> 1 (the commutative limit of the convolution product)."""
-    images = identity_images(table.width)
-    images[Q_HALF] = table.unit()
-    return x.subs(images, table.width)
+    return x.subs({Q_HALF: table.unit()}, table.width)
 
 
 # ---------------------------------------------------------------------------

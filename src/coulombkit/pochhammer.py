@@ -16,20 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactring import HBAR_HALF, Poly, Q_HALF, Scalar, mono_mul
-
-
-def _q_power(width: int, m: int) -> tuple:
-    t = [0] * width
-    t[Q_HALF] = 2 * m
-    return tuple(t)
-
-
-def q_shifted(x: tuple, m: int) -> tuple:
-    """The monomial q^m * x."""
-    if m == 0:
-        return x
-    return mono_mul(x, _q_power(len(x), m))
+from .exactring import HBAR_HALF, Poly, Q_HALF, Scalar, q_shifted
 
 
 def h_shifted(x: tuple) -> tuple:

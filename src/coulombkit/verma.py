@@ -13,12 +13,11 @@ Degrees outside the effective cone of the point contribute zero.
 from __future__ import annotations
 
 from .coulomb import AlgebraElement, CoulombAlgebra
-from .exactring import (PoleEvaluationError, Q_HALF, Scalar, atom_str,
-                        identity_images)
+from .exactring import PoleEvaluationError, Scalar, atom_str, q_shifted
 from .hypertoric import FixedPoint, eff_cone_fp, enumerate_degrees
 
 
-def evaluate_at_point(alg: CoulombAlgebra, p: FixedPoint, images, f: Scalar) -> Scalar:
+def evaluate_at_point(alg: CoulombAlgebra, p: FixedPoint, images: dict, f: Scalar) -> Scalar:
     """Apply the ring map ``images`` (an evaluation at the fixed point p).
 
     A vanishing denominator is reported with the point's label and the
@@ -75,29 +74,15 @@ class VermaModule:
         self.point = point
         self.cone = eff_cone_fp(algebra.data, point)
         self._norm_cache = {}
-        self._images = None
 
     # -- evaluation -------------------------------------------------------
-
-    def _base_images(self):
-        if self._images is None:
-            table = self.algebra.table
-            images = identity_images(table.width)
-            for j, mono in self.point.restriction.items():
-                images[table.s(j)] = mono
-            self._images = images
-        return self._images
 
     def evaluate(self, f: Scalar, shift_degree=None) -> Scalar:
         """Evaluate at the point, with s_j sent to q^{shift_j} times its restriction."""
         table = self.algebra.table
-        images = list(self._base_images())
-        if shift_degree is not None and any(shift_degree):
-            for j, dj in enumerate(shift_degree):
-                if dj:
-                    img = list(images[table.s(j)])
-                    img[Q_HALF] += 2 * dj
-                    images[table.s(j)] = tuple(img)
+        shift = shift_degree or (0,) * table.k
+        images = {table.s(j): q_shifted(mono, shift[j])
+                  for j, mono in self.point.restriction.items()}
         return evaluate_at_point(self.algebra, self.point, images, f)
 
     # -- module structure ----------------------------------------------------

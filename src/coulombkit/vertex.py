@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coulomb import CoulombAlgebra
-from .exactring import (Poly, Scalar, identity_images, mono_subs,
-                        shift_s_by_degree)
+from .exactring import Poly, Scalar, mono_subs, q_shifted, shift_s_by_degree
 from .hypertoric import FixedPoint, enumerate_degrees, pair
-from .pochhammer import (h_shifted, hq_ratio, hq_ratio_inv, poch, poch_qinv,
-                         q_shifted, sign_kernel)
+from .pochhammer import h_shifted, hq_ratio, hq_ratio_inv, poch, poch_qinv, sign_kernel
 from .verma import VermaModule, evaluate_at_point
 
 
@@ -55,17 +53,14 @@ class QSeries:
         return True
 
 
-def restriction_images(alg: CoulombAlgebra, p: FixedPoint, specialize: bool = False):
-    """Variable images of evaluation at the point, optionally composed with
-    the model's flavor specialization."""
+def restriction_images(alg: CoulombAlgebra, p: FixedPoint, specialize: bool = False) -> dict:
+    """The ring map of evaluation at the point, optionally composed with the
+    model's flavor specialization."""
     table = alg.table
-    images = identity_images(table.width)
-    if specialize:
-        aspec = alg.data.a_specialization or {}
-        for row, mono in aspec.items():
-            images[table.a(row)] = tuple(mono)
-    for j, mono in p.restriction.items():
-        images[table.s(j)] = mono_subs(mono, images)
+    aspec = (alg.data.a_specialization or {}) if specialize else {}
+    images = {table.a(row): tuple(mono) for row, mono in aspec.items()}
+    images.update({table.s(j): mono_subs(mono, images, table.width)
+                   for j, mono in p.restriction.items()})
     return images
 
 
@@ -128,10 +123,6 @@ def _strip_kahler_power(table, value: Scalar, d) -> Scalar:
 # q-difference checks
 # ---------------------------------------------------------------------------
 
-def _restricted_x(alg: CoulombAlgebra, images, i: int) -> tuple:
-    return mono_subs(alg.x_mono(i), images)
-
-
 @dataclass
 class QdeReport:
     circuit: tuple
@@ -156,7 +147,7 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     table = alg.table
     w = table.width
     cs = [alg.data.pairing(i, c) for i in range(alg.data.n)]
-    xs = [_restricted_x(alg, images, i) for i in range(alg.data.n)]
+    xs = [mono_subs(alg.x_mono(i), images, w) for i in range(alg.data.n)]
     sign = sign_kernel(sum(cs), w)
 
     def eigen(d, side):

@@ -7,8 +7,6 @@ cross-multiplication, so there are no tolerances anywhere.
 import itertools
 import os
 
-import pytest
-
 from coulombkit import (GaugeData, Poly, Scalar, circuits, eff_cone_fp,
                         fixed_points, poch, poch_qinv, sign_kernel,
                         kaehler_relation_check, qde_check, vertex_fp,

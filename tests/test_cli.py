@@ -231,6 +231,58 @@ def test_main_rejects_malformed_model(tmp_path, capsys, raw, message):
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+def test_main_writes_to_the_current_stdout(capsys):
+    from coulombkit.cli import main
+    assert main(["circuits", model_path("tp1")]) == 0
+    assert capsys.readouterr().out == run_cli(["circuits", model_path("tp1")])[1]
+
+
+def _aspec_model(tmp_path, expr):
+    path = tmp_path / "aspec.json"
+    path.write_text(json.dumps({"chi": [[1], [1]], "theta": [1],
+                                "a_specialization": {"a1": expr}}))
+    return str(path)
+
+
+DEEP_PARENS = "(" * 3000 + "s1" + ")" * 3000
+DEEP_MINUS = "-" * 3000 + "s1"
+LONG_INT = "1" * 4400
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["vertex", "tp1", "--descendent=" + DEEP_PARENS], "nesting deeper than 100 at position 101"),
+    (["vertex", "tp1", "--descendent=" + DEEP_MINUS], "nesting deeper than 100 at position 101"),
+    (["mul", "tp1", "r[1] " + DEEP_PARENS], "nesting deeper than 100 at position 101"),
+    (["mul", "tp1", "r[1] " + DEEP_MINUS], "nesting deeper than 100 at position 101"),
+    (["circuits", DEEP_PARENS], "nesting deeper than 100 at position 101"),
+    (["circuits", DEEP_MINUS], "nesting deeper than 100 at position 101"),
+    (["vertex", "tp1", "--descendent=" + LONG_INT],
+     "integer at position 0 has more than 4300 digits"),
+    (["vertex", "tp1", "--descendent=s1^" + LONG_INT],
+     "integer at position 3 has more than 4300 digits"),
+    (["vertex", "tp1", "--descendent=2^100000"],
+     "power 100000 of a coefficient exceeds the limit 32"),
+    (["vertex", "tp1", "--descendent=(3*s1)^33"], "power 33 of a coefficient exceeds the limit 32"),
+])
+def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
+    from coulombkit.cli import main
+    if argv[0] == "circuits":
+        argv = ["circuits", _aspec_model(tmp_path, argv[1])]
+    else:
+        argv = [argv[0], model_path(argv[1])] + argv[2:]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_deeply_nested_model_file_exits_2(tmp_path, capsys):
+    from coulombkit.cli import main
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["circuits", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse error in ") and err.count("\n") == 1
+
+
 def test_main_rejects_malformed_theta2(capsys):
     from coulombkit.cli import main
     assert main(["wallcross", model_path("a2"), "--theta2", "1,x"]) == 2
@@ -272,8 +324,11 @@ def test_large_power_of_a_sum_is_rejected_before_expanding():
     assert len(parse_descendent("(s1+1)^%d" % MAX_SUM_POWER, table).poly.terms) == MAX_SUM_POWER + 1
     with pytest.raises(ExprError, match="exceeds the limit"):
         parse_descendent("(s1+1)^%d" % (MAX_SUM_POWER + 1), table)
-    # a monomial's power is one exponent vector, with no limit
-    assert parse_descendent("(2*s1)^100000", table).poly.is_monomial()
+    # a power of a monomial with coefficient 1 or -1 is one exponent vector,
+    # with no limit; any other coefficient grows in digits with the power
+    assert parse_descendent("(-s1)^100000", table).poly.is_monomial()
+    with pytest.raises(ExprError, match="power 100000 of a coefficient exceeds the limit 32"):
+        parse_descendent("(2*s1)^100000", table)
 
 
 @pytest.mark.parametrize("argv", [

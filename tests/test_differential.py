@@ -185,6 +185,7 @@ def test_substitution_matches_sympy(xa, data):
     elif kind == "q1":
         images = [tuple(int(t == i and i != 0) for t in range(W)) for i in range(W)]
     phi = {z: mono_expr(img) for z, img in zip(Z, images)}
+    ring_map = dict(enumerate(images))
     num, den = sympy.fraction(sympy.cancel(ex))
     pole = sympy.cancel(den.xreplace(phi)) == 0
     try:
@@ -193,13 +194,13 @@ def test_substitution_matches_sympy(xa, data):
         elif kind == "q1":
             got = specialize_q1(x, T)
         else:
-            got = x.subs(images, W)
+            got = x.subs(ring_map, W)
     except PoleEvaluationError as exc:
         # the engine names a denominator factor that really vanishes
         if exc.atom is not None:
-            assert x.atoms.get(exc.atom, 0) > 0 and mono_is_unit(mono_subs(exc.atom, images))
+            assert x.atoms.get(exc.atom, 0) > 0 and mono_is_unit(mono_subs(exc.atom, ring_map, W))
         else:
-            assert x.gden is not None and x.gden.subs(images, W).is_zero()
+            assert x.gden is not None and x.gden.subs(ring_map, W).is_zero()
         # a product of binomials over primitive atoms is fully reduced, so its
         # vanishing denominator atom is a true pole
         if x.num.is_monomial() and x.gden is None and all(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from coulombkit import Poly, PoleEvaluationError, Scalar, VariableTable
-from coulombkit.exactring import (mono_mul, mono_pow, one_minus, scalar_str,
+from coulombkit.exactring import (mono_mul, mono_pow, mono_subs, one_minus, scalar_str,
                                   scalar_from_structured, scalar_structured,
                                   shift_s_by_degree, substitute_monomials)
 
@@ -108,6 +108,34 @@ def test_substitution_is_ring_homomorphism():
         sub = lambda z: substitute_monomials(z, T, smap)
         assert sub(f * g) == sub(f) * sub(g)
         assert sub(f + g) == sub(f) + sub(g)
+
+
+def test_poly_pow_is_the_repeated_product(monkeypatch):
+    p = rand_poly(rng_for("poly-pow"), T, terms=3)
+    product = Poly.one(W)
+    for e in range(10):
+        assert p ** e == product
+        product = product * p
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert p ** 1 == p
+    assert calls == []
+
+
+def test_mono_subs_fixes_absent_variables():
+    m = mono(q=1, a1=2, s1=-1, s2=3)
+    assert mono_subs(m, {}, W) == m
+    # s1 -> a2 * h, s2 -> 1; the rest stay
+    images = {T.s(0): mono(a2=1, h=1), T.s(1): T.unit()}
+    assert mono_subs(m, images, W) == mono(q=1, a1=2, a2=-1, h=-1)
+    # into a narrower table whose q, h and flavors have the same indices
+    narrow = VariableTable(2, 1)
+    images = {T.s(0): narrow.mono({narrow.s(0): 1}), T.s(1): narrow.unit()}
+    expected = narrow.mono({0: 2, narrow.a(0): 2, narrow.s(0): -1})
+    assert mono_subs(m, images, narrow.width) == expected
+    f = Scalar(W, one_minus(mono(a1=1, s1=1)), atoms={mono(q=1, s2=1): 1})
+    assert f.subs({}, W) == f
 
 
 def test_q_shift():

@@ -1,0 +1,76 @@
+"""Fuzz of the CLI's input contract: model files and the expression grammar.
+
+Every input, however malformed, must end with exit code 0, 1 or 2 and never
+with an exception.  Sizes are bounded so that each example runs quickly.
+"""
+
+import contextlib
+import io
+import json
+import os
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from coulombkit.cli import main  # noqa: E402
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+TP1 = os.path.join(os.path.dirname(__file__), "data", "tp1.json")
+
+# the grammar's tokens and their near misses
+GRAMMAR = st.text(alphabet="s1 2a3hqQ()+-*^/0,.x", max_size=24)
+SMALL = st.integers(-3, 3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | SMALL | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=12)
+MODELS = st.fixed_dictionaries(
+    {"chi": st.lists(st.lists(SMALL, min_size=1, max_size=2), min_size=1, max_size=4),
+     "theta": st.lists(SMALL, min_size=1, max_size=2)},
+    optional={"blocks": st.lists(st.integers(0, 3), max_size=2) | JSON_VALUES,
+              "labels": st.lists(st.text(max_size=3), max_size=4) | JSON_VALUES,
+              "a_specialization": st.dictionaries(st.sampled_from(["a1", "a2", "a9", "b1"]),
+                                                  GRAMMAR, max_size=2) | JSON_VALUES})
+
+
+def run_main(argv) -> int:
+    """main(argv), with what it prints discarded; an exception fails the test."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+
+    def write(payload) -> str:
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        return str(path)
+    return write
+
+
+@SETTINGS
+@given(text=GRAMMAR)
+def test_descendent_grammar_keeps_exit_codes(text):
+    assert run_main(["vertex", TP1, "--order", "0", "--descendent=" + text]) in (0, 1, 2)
+
+
+@SETTINGS
+@given(text=GRAMMAR, degree=SMALL)
+def test_generator_word_keeps_exit_codes(text, degree):
+    assert run_main(["mul", TP1, "r[%d] %s" % (degree, text)]) in (0, 1, 2)
+
+
+@SETTINGS
+@given(raw=MODELS | JSON_VALUES)
+def test_load_model_keeps_exit_codes(model_file, raw):
+    assert run_main(["analyze", model_file(raw)]) in (0, 1, 2)
+
+
+@SETTINGS
+@given(text=st.text(alphabet='{}[]":,-01ab ', max_size=30))
+def test_load_model_text_keeps_exit_codes(model_file, text):
+    assert run_main(["circuits", model_file(text)]) in (0, 1, 2)

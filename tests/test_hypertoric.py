@@ -137,9 +137,7 @@ def test_restriction_solves_defining_equations(a2):
     for p in fixed_points(a2):
         for j in p.support:
             x = Scalar.monomial(t.x_mono(j, a2.chi[j]))
-            images = [t.mono({idx: 1}) for idx in range(t.width)]
-            for l, m in p.restriction.items():
-                images[t.s(l)] = m
+            images = {t.s(l): m for l, m in p.restriction.items()}
             val = x.subs(images, t.width)
             if j in p.plus:
                 assert val == Scalar.one(t.width)

@@ -1,8 +1,6 @@
 """Vertex series: closed formula vs module pairing, difference operators,
 block models through the abelianized sum."""
 
-import pytest
-
 from coulombkit import (GaugeData, Poly, Scalar, circuits, fixed_points,
                         kaehler_relation_check, qde_check, vertex_fp,
                         vertex_fp_nonab, whittaker_function)
@@ -155,10 +153,7 @@ def test_tgr12_specialized_series_matches_relabelled_tp1(tgr12, tp1_alg):
     t1 = tp1_alg.table
     base = vertex_fp(tp1_alg, fixed_points(tp1_alg.data)[0],
                      Descendent(Poly.one(t1.width)), 3)
-    from coulombkit.exactring import identity_images
-    images = identity_images(t1.width)
-    images[t1.a(0)] = t1.mono({t1.a(0): -1})
-    images[t1.a(1)] = t1.mono({t1.a(1): -1})
+    images = {t1.a(0): t1.mono({t1.a(0): -1}), t1.a(1): t1.mono({t1.a(1): -1})}
     relabelled = {d: f.subs(images, t1.width) for d, f in base.coeffs.items()}
     for d, f in got.coeffs.items():
         assert f == relabelled[d], d
