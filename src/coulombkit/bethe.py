@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coulomb import CoulombAlgebra
-from .exactring import (Q_HALF, Scalar, atom_str, denominator_atoms, mono_mul, mono_str,
-                        poly_str, q_shifted, scalar_structured, specialize_q1)
+from .exactring import (Q_HALF, Scalar, mono_str, q_shifted, scalar_str, scalar_structured,
+                        specialize_q1)
 from .hypertoric import circuits
 from .pochhammer import h_shifted, poch_ratio
 
@@ -92,61 +92,6 @@ def bethe_relations_q1(alg: CoulombAlgebra):
 # rendering
 # ---------------------------------------------------------------------------
 
-def _orient_factor(g: tuple, mult: int):
-    """Canonical orientation of a binomial factor (1 - g)^mult.
-
-    Prefers the representative with positive total degree, then the
-    lexicographically smaller exponent vector; returns (g', unit monomial,
-    sign) with (1 - g)^mult = sign * unit * (1 - g')^mult.
-    """
-    gi = tuple(-e for e in g)
-    keep = (sum(g) > sum(gi)) or (sum(g) == sum(gi) and g < gi)
-    if keep:
-        return g, (0,) * len(g), 1
-    # (1 - g) = (-g) (1 - g^{-1})
-    unit = tuple(e * mult for e in g)
-    sign = 1 if mult % 2 == 0 else -1
-    return gi, unit, sign
-
-
-def _factored_str(alg: CoulombAlgebra, x: Scalar) -> str:
-    """Factored canonical rendering; expands the numerator when it has a sum part."""
-    table = alg.table
-    if x.is_zero():
-        return "0"
-    parts = []
-    if x.num.is_monomial():
-        (_, coeff), = x.num.terms.items()
-        head_mono = x.pre
-        oriented = {}
-        for g, mult in x.atoms.items():
-            if mult < 0:
-                g2, unit, sign = _orient_factor(g, -mult)
-                head_mono = mono_mul(head_mono, unit)
-                coeff = coeff * sign
-                oriented[g2] = oriented.get(g2, 0) - mult
-        head = mono_str(table, head_mono)
-        if coeff == -1:
-            head = "-" + head
-        elif coeff != 1:
-            head = "%s*%s" % (coeff, head) if head != "1" else str(coeff)
-        parts.append(head)
-        for g, mult in sorted(oriented.items(), key=lambda gm: (sum(gm[0]), gm[0])):
-            parts.append(atom_str(table, g, mult))
-    else:
-        pre, num = x.expanded()
-        if any(pre):
-            parts.append(mono_str(table, pre))
-        parts.append("(%s)" % poly_str(table, num))
-    head = " * ".join(parts)
-    denom = [atom_str(table, g, mult) for g, mult in denominator_atoms(x)]
-    if x.gden is not None:
-        denom.append("[%s]" % poly_str(table, x.gden))
-    if denom:
-        return "%s / ( %s )" % (head, " * ".join(denom))
-    return head
-
-
 def _rhs_str(alg: CoulombAlgebra, rel: Relation) -> str:
     table = alg.table
     if alg.data.blocks is None:
@@ -179,5 +124,5 @@ def render_bethe_system(alg: CoulombAlgebra, relations, fmt: str = "text"):
     lines = []
     for rel in relations:
         lines.append("%s [%s]: %s = %s" % (
-            rel.kind, _relation_tag(rel), _factored_str(alg, rel.lhs), _rhs_str(alg, rel)))
+            rel.kind, _relation_tag(rel), scalar_str(alg.table, rel.lhs), _rhs_str(alg, rel)))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from fractions import Fraction
 from .bethe import bethe_relations_q1, dmodule_relations, render_bethe_system
 from .coulomb import CoulombAlgebra
 from .exactring import (PoleEvaluationError, Poly, Scalar, VariableTable,
-                        mono_str, scalar_str, scalar_structured)
+                        mono_pow, mono_str, scalar_str, scalar_structured)
 from .hypertoric import (Cone, GaugeData, ModelError, circuits, eff_cone,
                          fixed_points)
 from .vertex import Descendent, QSeries, qde_check, vertex_fp, vertex_fp_nonab
@@ -28,6 +29,9 @@ from .wallcross import check_reversal, dmodule_match, make_scenario
 MAX_SUM_POWER = 32
 # deepest nesting of parentheses and unary minus signs; the parser recurses
 MAX_NESTING = 100
+# largest |entry| of a generator degree in a `mul` word; a structure constant
+# has one kernel factor per unit of degree
+MAX_GENERATOR_DEGREE = 64
 
 
 class ExprError(ValueError):
@@ -57,6 +61,20 @@ def _tokenize(text: str):
         out.append((m.group(1), pos))
         pos = m.end()
     return out
+
+
+def _bounded(p: Poly) -> Poly:
+    """p, unless an exponent or a coefficient has more than half the digits an
+    integer literal may have.  The rest is headroom: evaluation multiplies
+    exponents by degrees and adds coefficients, and every number must print.
+    """
+    digits = sys.get_int_max_str_digits() // 2
+    if digits:
+        bound = 10 ** digits
+        for m, c in p.terms.items():
+            if max(map(abs, m)) >= bound or max(abs(c.numerator), c.denominator) >= bound:
+                raise ExprError("a number in the expression has more than %d digits" % digits)
+    return p
 
 
 class _ExprParser:
@@ -97,7 +115,7 @@ class _ExprParser:
         p = self.expr()
         if self.i != len(self.tokens):
             raise ExprError("unexpected token %r at position %d" % (self.peek(), self._pos()))
-        return p
+        return _bounded(p)
 
     def expr(self) -> Poly:
         p = self.term()
@@ -171,19 +189,18 @@ class _ExprParser:
                 e = num
             else:
                 e = num * half_units
-            return Poly.monomial(self.table.mono({idx: e}))
+            return _bounded(Poly.monomial(self.table.mono({idx: e})))
         if den == 2:
             raise ExprError("half powers only allowed on single variables")
-        if num < 0:
-            if p.is_monomial():
-                (m, c), = p.terms.items()
-                if c == 1:
-                    return Poly.monomial(tuple(x * num for x in m))
+        if num < 0 and not (p.is_monomial() and next(iter(p.terms.values())) == 1):
             raise ExprError("division not allowed in descendents")
         if num > MAX_SUM_POWER and not (p.is_monomial() and abs(next(iter(p.terms.values()))) == 1):
             raise ExprError("power %d of %s exceeds the limit %d" % (
                 num, "a sum" if len(p.terms) > 1 else "a coefficient", MAX_SUM_POWER))
-        return p ** num
+        if p.is_monomial():
+            (m, c), = p.terms.items()
+            return _bounded(Poly.monomial(mono_pow(m, num), c ** num))
+        return _bounded(p ** num)
 
     def atom(self):
         tok = self.peek()
@@ -273,11 +290,19 @@ def parse_generator_word(text: str, alg: CoulombAlgebra):
         m = _GEN.match(text, pos)
         if m:
             flush()
-            entries = [e for e in m.group(2).replace(" ", "").split(",") if e]
+            typed = m.group(0).strip()
+            entries = [e for e in re.split(r"[,\s]+", m.group(2)) if e]
+            if not all(re.fullmatch(r"-?\d+", e) for e in entries):
+                raise ExprError("generator %s: degree entries must be integers" % typed)
+            # compare digit counts first: a long entry is never converted
+            if any(len(e.lstrip("-0")) > len(str(MAX_GENERATOR_DEGREE))
+                   or abs(int(e)) > MAX_GENERATOR_DEGREE for e in entries):
+                raise ExprError("generator %s: degree entry above the limit %d"
+                                % (typed, MAX_GENERATOR_DEGREE))
             d = tuple(int(e) for e in entries)
             if len(d) != alg.data.k:
                 raise ExprError("generator degree %r has length %d, expected %d"
-                                % (m.group(0).strip(), len(d), alg.data.k))
+                                % (typed, len(d), alg.data.k))
             gen = alg.r(d) if m.group(1) == "r" else alg.mixed_generator(d)
             element = alg.mul(element, gen)
             pos = m.end()
@@ -303,7 +328,7 @@ def load_model(path: str) -> GaugeData:
     with open(path, "r") as fh:
         try:
             raw = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, or an over-long integer
             raise ModelError("parse error in %s: %s" % (path, exc))
     if not isinstance(raw, dict):
         raise ModelError("model file must hold a JSON object")
@@ -594,11 +619,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return dispatch(args)
+        code = dispatch(args)
+        sys.stdout.flush()
+        return code
     except (ModelError, ExprError, UsageError, FileNotFoundError,
             PoleEvaluationError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to os.devnull,
+        # so the interpreter's final flush cannot raise, and report it as exit 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

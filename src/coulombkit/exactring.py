@@ -27,9 +27,9 @@ cancels a numerator atom ``(1 - g^k)``, k != 0, leaving the geometric sum
 ``(1 - g^k) / (1 - g)`` in the sum part, and otherwise divides only the sum
 part, by summing along chains ``m + k*g``.  Monomial content moves to the
 prefactor.  Equality is cross-multiplication after cancelling the atoms,
-and a general denominator, that both sides share.  Numerator atoms are
-multiplied out only to render a value.  All values are immutable after
-construction.
+and a general denominator, that both sides share.  Rendering prints this
+stored shape, text and structured alike; nothing is multiplied out to print.
+All values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -158,6 +158,11 @@ def q_shifted(m: tuple, k: int) -> tuple:
 
 def _grkey(m: tuple):
     return (sum(m), m)
+
+
+def _atom_key(gm):
+    """Graded-lex key of an (atom, multiplicity) pair."""
+    return _grkey(gm[0])
 
 
 class Poly:
@@ -517,21 +522,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def expanded(self):
-        """(prefactor, numerator) with the numerator atoms multiplied out and
-        the numerator's monomial content moved into the prefactor."""
-        num = self.num
-        for g, mult in self.atoms.items():
-            if mult < 0:
-                num = num * one_minus(g) ** -mult
-        cm = num.content_mono()
-        return mono_mul(self.pre, cm), num.mul_mono(mono_inv(cm))
-
-    def numerator_poly(self) -> Poly:
-        """Prefactor times numerator, expanded."""
-        pre, num = self.expanded()
-        return num.mul_mono(pre)
-
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
@@ -773,33 +763,54 @@ def atom_str(table: VariableTable, g: tuple, mult: int = 1) -> str:
     return body
 
 
+def _orient_factor(g: tuple, mult: int):
+    """Canonical orientation of a binomial factor (1 - g)^mult.
+
+    Prefers the representative with positive total degree, then the
+    lexicographically smaller exponent vector; returns (g', unit monomial,
+    sign) with (1 - g)^mult = sign * unit * (1 - g')^mult.
+    """
+    gi = mono_inv(g)
+    if sum(g) > 0 or (sum(g) == 0 and g < gi):
+        return g, (0,) * len(g), 1
+    # (1 - g) = (-g) (1 - g^{-1})
+    return gi, mono_pow(g, mult), -1 if mult % 2 else 1
+
+
 def scalar_str(table: VariableTable, x: Scalar) -> str:
-    """Canonical deterministic rendering of a scalar."""
+    """Canonical deterministic rendering of a scalar in its stored, factored shape.
+
+    The head monomial with its coefficient, the sum part in parentheses when
+    it is not a monomial, the numerator atoms oriented by
+    :func:`_orient_factor`, then ``/ ( ... )`` around the denominator atoms
+    and ``[general denominator]``.  Nothing is multiplied out.
+    """
     if x.is_zero():
         return "0"
-    pre, num = x.expanded()
-    denoms = denominator_atoms(x)
-    if num.is_monomial():
-        (m, c), = num.terms.items()
-        head = _term_str(table, mono_mul(pre, m), c)
+    head, sign, numer = x.pre, 1, {}
+    for g, mult in x.atoms.items():
+        if mult < 0:
+            g, unit, s = _orient_factor(g, -mult)
+            head, sign = mono_mul(head, unit), sign * s
+            numer[g] = numer.get(g, 0) - mult
+    if x.num.is_monomial():
+        parts = [_term_str(table, head, sign * next(iter(x.num.terms.values())))]
     else:
-        parts = []
-        if any(pre):
-            parts.append(mono_str(table, pre))
-        nstr = poly_str(table, num)
-        parts.append("(%s)" % nstr if (" " in nstr and (denoms or x.gden or parts)) else nstr)
-        head = " * ".join(parts)
-    denom_parts = [atom_str(table, g, mult) for g, mult in denoms]
+        head_str = _term_str(table, head, sign)
+        parts = [head_str] if head_str != "1" else []
+        parts.append("(%s)" % poly_str(table, x.num))
+    parts += [atom_str(table, g, mult) for g, mult in sorted(numer.items(), key=_atom_key)]
+    denom = [atom_str(table, g, mult) for g, mult in denominator_atoms(x)]
     if x.gden is not None:
-        denom_parts.append("[%s]" % poly_str(table, x.gden))
-    if denom_parts:
-        return "%s / %s" % (head, "*".join(denom_parts))
-    return head
+        denom.append("[%s]" % poly_str(table, x.gden))
+    if denom:
+        return "%s / ( %s )" % (" * ".join(parts), " * ".join(denom))
+    return " * ".join(parts)
 
 
 def denominator_atoms(x: Scalar):
     """The denominator atoms (g, multiplicity > 0) in graded-lex order of g."""
-    return sorted(((g, m) for g, m in x.atoms.items() if m > 0), key=lambda gm: _grkey(gm[0]))
+    return sorted(((g, m) for g, m in x.atoms.items() if m > 0), key=_atom_key)
 
 
 # ---------------------------------------------------------------------------
@@ -814,11 +825,12 @@ def poly_from_structured(width: int, data) -> Poly:
 
 
 def scalar_structured(x: Scalar):
-    pre, num = x.expanded()
+    """The stored fields: prefactor, sum part, and every atom with its signed
+    multiplicity (negative: a numerator binomial), in graded-lex order."""
     return {
-        "pre": list(pre),
-        "num": poly_structured(num),
-        "atoms": [[list(g), mult] for g, mult in denominator_atoms(x)],
+        "pre": list(x.pre),
+        "num": poly_structured(x.num),
+        "atoms": [[list(g), mult] for g, mult in sorted(x.atoms.items(), key=_atom_key)],
         "gden": poly_structured(x.gden) if x.gden is not None else None,
     }
 

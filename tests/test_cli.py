@@ -247,6 +247,7 @@ def _aspec_model(tmp_path, expr):
 DEEP_PARENS = "(" * 3000 + "s1" + ")" * 3000
 DEEP_MINUS = "-" * 3000 + "s1"
 LONG_INT = "1" * 4400
+MAX_INT = "9" * 4300
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -263,6 +264,12 @@ LONG_INT = "1" * 4400
     (["vertex", "tp1", "--descendent=2^100000"],
      "power 100000 of a coefficient exceeds the limit 32"),
     (["vertex", "tp1", "--descendent=(3*s1)^33"], "power 33 of a coefficient exceeds the limit 32"),
+    (["vertex", "tp1", "--descendent=(s1^9)^" + MAX_INT],
+     "a number in the expression has more than 2150 digits"),
+    (["vertex", "tp1", "--descendent=s1^" + MAX_INT],
+     "a number in the expression has more than 2150 digits"),
+    (["vertex", "tp1", "--descendent=%s*%s" % (MAX_INT, MAX_INT)],
+     "a number in the expression has more than 2150 digits"),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main
@@ -272,6 +279,30 @@ def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
         argv = [argv[0], model_path(argv[1])] + argv[2:]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_mul_generator_degrees_are_capped(capsys):
+    from coulombkit.cli import MAX_GENERATOR_DEGREE, main
+    cap = MAX_GENERATOR_DEGREE
+    assert main(["mul", model_path("tp1"), "r[%d] r[%d]" % (cap, -cap)]) == 0
+    capsys.readouterr()
+    for word, message in [
+            ("r[3000] r[-3000]", "generator r[3000]: degree entry above the limit %d" % cap),
+            ("r[1] R[-%d]" % (cap + 1), "generator R[-%d]: degree entry above the limit %d"
+             % (cap + 1, cap)),
+            ("r[%s]" % MAX_INT, "generator r[%s]: degree entry above the limit %d" % (MAX_INT, cap)),
+            ("r[1-2]", "generator r[1-2]: degree entries must be integers")]:
+        assert main(["mul", model_path("tp1"), word]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_model_file_with_an_overlong_integer_exits_2(tmp_path, capsys):
+    from coulombkit.cli import main
+    path = tmp_path / "long.json"
+    path.write_text('{"chi": [[%s]], "theta": [1]}' % LONG_INT)
+    assert main(["circuits", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parse error in ") and err.count("\n") == 1
 
 
 def test_deeply_nested_model_file_exits_2(tmp_path, capsys):
@@ -329,6 +360,51 @@ def test_large_power_of_a_sum_is_rejected_before_expanding():
     assert parse_descendent("(-s1)^100000", table).poly.is_monomial()
     with pytest.raises(ExprError, match="power 100000 of a coefficient exceeds the limit 32"):
         parse_descendent("(2*s1)^100000", table)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_1_without_traceback(tmp_path, unbuffered):
+    """A reader that takes one line and closes the pipe: no traceback, exit 1."""
+    path = tmp_path / "tp.json"
+    path.write_text(json.dumps({"chi": [[1]] * 3000, "theta": [1]}))
+    src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), PYTHONUNBUFFERED=unbuffered)
+    # about 190 kB of points, more than a pipe buffers, so the writer blocks
+    proc = subprocess.Popen([sys.executable, "-m", "coulombkit.cli", "fixed-points", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"p[0] ")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_factored_output_stays_small(tmp_path, capsys):
+    """TP^6 at order 8 prints its atoms as they are stored, without expanding."""
+    from coulombkit.cli import main
+    path = tmp_path / "tp6.json"
+    path.write_text(json.dumps({"chi": [[1]] * 7, "theta": [1]}))
+    assert main(["vertex", str(path), "--order", "8"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 10 and len(out.encode()) < 100_000
+
+
+@pytest.mark.parametrize("name, point", [("tp1", "0"), ("a2", "0"), ("tgr24", "1,6")])
+def test_vertex_json_round_trips(name, point):
+    from coulombkit import CoulombAlgebra, Descendent, vertex_fp, vertex_fp_nonab
+    from coulombkit.cli import _select_point
+    code, payload = run_cli(["vertex", model_path(name), "--point", point, "--order", "2",
+                             "--json"])
+    assert code == 0
+    data = load_model(model_path(name))
+    alg = CoulombAlgebra(data)
+    tau = Descendent(Poly.one(alg.table.width))
+    series = (vertex_fp_nonab if data.blocks else vertex_fp)(alg, _select_point(data, point), tau, 2)
+    coefficients = json.loads(payload)["coefficients"]
+    assert [tuple(c["degree"]) for c in coefficients] == sorted(series.coeffs)
+    for c in coefficients:
+        value = scalar_from_structured(alg.table.width, c["value"])
+        assert value == series.coeffs[tuple(c["degree"])]
 
 
 @pytest.mark.parametrize("argv", [

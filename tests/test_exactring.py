@@ -259,7 +259,7 @@ def test_canonical_rendering_deterministic():
     f = Scalar(W, Poly.from_terms(W, [(T.unit(), 2), (mono(s1=1), -1),
                                       (mono(q=1, s1=1), -1)]),
                atoms={mono(s1=1): 1, mono(q=1, s1=1): 1})
-    assert scalar_str(T, f) == "(2 - s1 - q*s1) / (1 - s1)*(1 - q*s1)"
+    assert scalar_str(T, f) == "(2 - s1 - q*s1) / ( (1 - s1) * (1 - q*s1) )"
     g = Scalar.monomial(T.mono({0: 1, 1: -1}), -1)
     assert scalar_str(T, g) == "-q^(1/2)*h^(-1/2)"
 

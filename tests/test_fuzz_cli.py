@@ -14,7 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from coulombkit.cli import main  # noqa: E402
+from coulombkit.cli import MAX_GENERATOR_DEGREE, main  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 TP1 = os.path.join(os.path.dirname(__file__), "data", "tp1.json")
@@ -62,6 +62,15 @@ def test_descendent_grammar_keeps_exit_codes(text):
 @given(text=GRAMMAR, degree=SMALL)
 def test_generator_word_keeps_exit_codes(text, degree):
     assert run_main(["mul", TP1, "r[%d] %s" % (degree, text)]) in (0, 1, 2)
+
+
+@SETTINGS
+@given(degrees=st.lists(st.integers(-MAX_GENERATOR_DEGREE - 2, MAX_GENERATOR_DEGREE + 2),
+                        min_size=1, max_size=3))
+def test_generator_degrees_up_to_the_cap(degrees):
+    word = " ".join("r[%d]" % d for d in degrees)
+    expected = 2 if any(abs(d) > MAX_GENERATOR_DEGREE for d in degrees) else 0
+    assert run_main(["mul", TP1, word]) == expected
 
 
 @SETTINGS

@@ -1,0 +1,60 @@
+"""Source hygiene: no module imports a name at top level that it never uses."""
+
+import ast
+import os
+
+import pytest
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+SOURCES = sorted(
+    os.path.join(dirpath, name)
+    for top in ("src", "tests")
+    for dirpath, _, names in os.walk(os.path.join(ROOT, top))
+    for name in names if name.endswith(".py"))
+
+
+def _imported(tree):
+    """(bound name, line) for each top-level import, __future__ excepted."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used(tree):
+    """Names read anywhere, including string annotations and ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            base = node
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name):
+                used.add(base.id)
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        for ann in annotations:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                         if isinstance(n, ast.Name)}
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: os.path.relpath(p, ROOT))
+def test_no_unused_top_level_imports(path):
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    used = _used(tree)
+    unused = ["%s (line %d)" % (name, line) for name, line in _imported(tree) if name not in used]
+    assert not unused, "unused imports: " + ", ".join(unused)

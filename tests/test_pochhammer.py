@@ -117,7 +117,7 @@ def test_poch_ratio_matches_quotient():
         # atoms too (negative multiplicities) and nothing is multiplied out
         assert dict(denominator_atoms(got)) == atoms, (x, y, d)
         assert {g: -e for g, e in got.atoms.items() if e < 0} == tops, (x, y, d)
-        assert got.num == Poly.one(W) and got.numerator_poly() == num, (x, y, d)
+        assert got.num == Poly.one(W) and got == Scalar(W, num, atoms=atoms), (x, y, d)
 
 
 def test_root_shift_factor_against_inverse(tgr24_alg):
