@@ -1,7 +1,7 @@
 """coulombkit: exact symbolic engine for convolution-algebra models of
 integer gauge data, their modules, vertex series and difference relations."""
 
-from .exactring import (PoleEvaluationError, Poly, Scalar, VariableTable,
+from .exactring import (PoleEvaluationError, Poly, Scalar, SumInverseError, VariableTable,
                         scalar_str, scalar_structured, scalar_from_structured,
                         specialize_q1, substitute_monomials)
 from .hypertoric import (Circuit, Cone, FixedPoint, GaugeData, ModelError,
@@ -20,7 +20,7 @@ from .wallcross import (WallCrossScenario, check_reversal, dmodule_match,
 __all__ = [
     "AlgebraElement", "Circuit", "Cone", "CoulombAlgebra", "Descendent",
     "FixedPoint", "GaugeData", "ModelError", "ModuleElement",
-    "PoleEvaluationError", "Poly", "QSeries", "Relation", "Scalar",
+    "PoleEvaluationError", "Poly", "QSeries", "Relation", "Scalar", "SumInverseError",
     "ThetaOnWallError", "VariableTable", "VermaModule", "VermaVector",
     "WallCrossScenario", "bethe_relations_q1", "check_reversal", "circuits",
     "dmodule_match", "dmodule_relations", "eff_cone", "eff_cone_fp",

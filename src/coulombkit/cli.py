@@ -19,7 +19,7 @@ from .exactring import (PoleEvaluationError, Poly, Scalar, VariableTable,
                         mono_pow, mono_str, scalar_str, scalar_structured)
 from .hypertoric import (Cone, GaugeData, ModelError, circuits, eff_cone,
                          fixed_points)
-from .vertex import Descendent, QSeries, qde_check, vertex_fp, vertex_fp_nonab
+from .vertex import Descendent, QSeries, is_lift, qde_check, vertex_fp, vertex_fp_nonab
 from .verma import VermaModule
 from .wallcross import check_reversal, dmodule_match, make_scenario
 
@@ -32,6 +32,9 @@ MAX_NESTING = 100
 # largest |entry| of a generator degree in a `mul` word; a structure constant
 # has one kernel factor per unit of degree
 MAX_GENERATOR_DEGREE = 64
+# largest number of term pairs one product in an expression may multiply;
+# it bounds both the work of the product and the terms of its result
+MAX_TERMS = 100_000
 
 
 class ExprError(ValueError):
@@ -130,7 +133,7 @@ class _ExprParser:
         while True:
             if self.peek() == "*":
                 self.next()
-                p = p * self.factor()
+                p = self._product(p, self.factor())
             elif self.peek() == "/":
                 raise ExprError("division not allowed in descendents")
             else:
@@ -200,7 +203,20 @@ class _ExprParser:
         if p.is_monomial():
             (m, c), = p.terms.items()
             return _bounded(Poly.monomial(mono_pow(m, num), c ** num))
-        return _bounded(p ** num)
+        out = Poly.one(p.w)
+        while num:
+            if num & 1:
+                out = self._product(out, p)
+            num >>= 1
+            if num:
+                p = self._product(p, p)
+        return _bounded(out)
+
+    def _product(self, a: Poly, b: Poly) -> Poly:
+        if len(a.terms) * len(b.terms) > MAX_TERMS:
+            raise ExprError("a product of %d and %d terms exceeds the limit of %d term pairs"
+                            % (len(a.terms), len(b.terms), MAX_TERMS))
+        return a * b
 
     def atom(self):
         tok = self.peek()
@@ -381,6 +397,22 @@ def _select_point(data: GaugeData, spec: str):
     raise ModelError("no fixed point with support {%s}" % spec)
 
 
+def _select_lift(alg: CoulombAlgebra, spec: str | None):
+    """The point of `vertex` and `whittaker`: the chosen one, by default the
+    first lift of an isolated fixed point (see :func:`vertex.is_lift`).  A
+    chosen point that is not a lift is refused, naming the first lift."""
+    first = next((p for p in fixed_points(alg.data) if is_lift(alg, p)), None)
+    if spec is None and first is not None:
+        return first
+    p = _select_point(alg.data, spec or "0")
+    if not is_lift(alg, p):
+        hint = "; the first lift is %s (--point %s)" % (
+            first.label(), ",".join(str(i + 1) for i in first.support)) if first else ""
+        raise ModelError("fixed point %s is not a lift of an isolated fixed point%s"
+                         % (p.label(), hint))
+    return p
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -407,7 +439,7 @@ def _print(out, payload):
     if isinstance(payload, str):
         out.write(payload)
     else:
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def dispatch(args, out=None) -> int:
@@ -466,7 +498,7 @@ def dispatch(args, out=None) -> int:
         return 0
 
     if args.command == "vertex":
-        p = _select_point(data, args.point or "0")
+        p = _select_lift(alg, args.point)
         tau = parse_descendent(args.descendent, table) if args.descendent else \
             Descendent(Poly.one(table.width))
         if data.blocks is not None and any(b > 1 for b in data.blocks):
@@ -477,7 +509,7 @@ def dispatch(args, out=None) -> int:
         return 0
 
     if args.command == "whittaker":
-        p = _select_point(data, args.point or "0")
+        p = _select_lift(alg, args.point)
         module = VermaModule(alg, p)
         w = module.whittaker_vector(args.order)
         items = sorted(w.terms.items())

@@ -11,32 +11,35 @@ exponents as integer powers of q, h, Q.
 
 A :class:`Scalar` is a rational function kept in the factored shape
 
-    prefactor * sum_part * prod_g (1 - g)^(-atoms[g]) / general_denominator
+    prefactor * sum_part * prod psi_d(r)^(-atoms[(r, d)])
 
-where the prefactor is a single monomial, each atom ``(1 - g)`` is recorded
-by its monomial ``g != 1`` with a signed multiplicity (positive: a
-denominator factor, negative: a numerator factor), the sum part is an
-expanded Laurent polynomial with ``Fraction`` coefficients that only
-additions create (it is usually 1), and the optional general denominator
-is the inverse of a sum part.
+where the prefactor is a single monomial, the sum part is an expanded
+Laurent polynomial with ``Fraction`` coefficients that only additions create
+(usually a constant), and the atom key ``(r, d)`` stands for ``psi_d(r)``:
+``1 - r`` for d = 1, else the cyclotomic polynomial ``Phi_d(r)``, with r
+primitive and its first nonzero exponent positive.  A positive multiplicity
+is a denominator factor, a negative one a numerator factor.  A binomial is
+``1 - r^n = prod_{d|n} psi_d(r)`` for n > 0; for n < 0 its sign and
+monomial move into the prefactor.  The psi_d(r) are irreducible and pairwise
+not associate, so a product of atoms factors one way only.
 
-No multivariate gcd is ever computed.  Multiplying adds the atom dicts and
-inverting negates them.  Construction keeps one normal form: no
-denominator atom divides the numerator.  A denominator atom ``(1 - g)``
-cancels a numerator atom ``(1 - g^k)``, k != 0, leaving the geometric sum
-``(1 - g^k) / (1 - g)`` in the sum part, and otherwise divides only the sum
-part, by summing along chains ``m + k*g``.  Monomial content moves to the
-prefactor.  Equality is cross-multiplication after cancelling the atoms,
-and a general denominator, that both sides share.  Rendering prints this
-stored shape, text and structured alike; nothing is multiplied out to print.
-All values are immutable after construction.
+No multivariate gcd is ever computed.  Multiplying adds the atom dicts,
+inverting negates them (the inverse of a sum part that is not a monomial
+raises :class:`SumInverseError`), and two products of atoms are equal
+exactly when their fields are.  Construction divides the sum part by every
+denominator atom it can, through its chains of terms ``m + k*r``, and moves
+its monomial content to the prefactor.  Equality with a sum part is
+cross-multiplication after cancelling the shared atoms.  Rendering regroups
+the atoms of each root r into binomials ``(1 - r^n)``, largest n first;
+nothing is multiplied out to print.  All values are immutable.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import add, sub
 
 
 Q_HALF = 0
@@ -46,11 +49,10 @@ HBAR_HALF = 1
 class PoleEvaluationError(ArithmeticError):
     """A substitution made a denominator factor vanish with no cancellation.
 
-    ``atom`` is the exponent vector g of the vanishing factor (1 - g), or None
-    when the general denominator vanished.
+    ``atom`` is the primitive monomial r of the vanishing factor (1 - r).
     """
 
-    def __init__(self, message: str, atom: tuple | None = None):
+    def __init__(self, message: str, atom: tuple):
         super().__init__(message)
         self.atom = atom
 
@@ -110,11 +112,11 @@ class VariableTable:
 
 
 def mono_mul(m1: tuple, m2: tuple) -> tuple:
-    return tuple(a + b for a, b in zip(m1, m2))
+    return tuple(map(add, m1, m2))
 
 
 def mono_div(m1: tuple, m2: tuple) -> tuple:
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
 def mono_inv(m: tuple) -> tuple:
@@ -321,75 +323,32 @@ class Poly:
                 del terms[im]
         return Poly(target_width, terms)
 
-    def exact_div(self, d: "Poly"):
-        """Exact quotient self/d as a Laurent polynomial, or None.
+    def exact_div(self, r: tuple, d: int = 1):
+        """Exact quotient by the atom factor ``psi_d(r)``, or None.
 
-        ``1 - g`` divides when every chain ``m + k*g`` of terms sums to zero,
-        with the partial sums as quotient.  Otherwise both operands are shifted
-        to honest polynomials by content extraction; the greedy leading-term
-        loop then ends because graded-lex well-orders nonnegative exponents.
+        ``r`` is primitive with its first nonzero exponent positive.  The
+        terms split into chains ``m + k*r``; each chain is a Laurent
+        polynomial in r and is divided on its own, and a chain of one term
+        is never a multiple of a binomial or cyclotomic factor.
         """
-        if d.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return Poly.zero(self.w)
-        if len(d.terms) == 2 and d.terms.get((0,) * d.w) == 1 and -1 in d.terms.values():
-            g = next(m for m in d.terms if any(m))
-            piv = next(i for i, e in enumerate(g) if e)
-            chains = {}
-            for m, c in self.terms.items():
-                k = m[piv] // g[piv]
-                chains.setdefault(tuple([a - k * b for a, b in zip(m, g)]) if k else m, {})[k] = c
-            quot = {}
-            for base, chain in chains.items():
-                ks = sorted(chain)
-                s = 0
-                for k, k_next in zip(ks, ks[1:]):
-                    s += chain[k]
-                    if s:
-                        for j in range(k, k_next):
-                            quot[tuple([a + j * b for a, b in zip(base, g)])] = s
-                if s + chain[ks[-1]]:
-                    return None
-            return Poly(self.w, quot)
-        cf = self.content_mono()
-        cd = d.content_mono()
-        rem = {mono_div(m, cf): c for m, c in self.terms.items()}
-        dterms = {mono_div(m, cd): c for m, c in d.terms.items()}
-        lt_d = max(dterms, key=_grkey)
-        c_d = dterms[lt_d]
-        d_rest = [(m, c) for m, c in dterms.items() if m != lt_d]
-        quot = {}
-        heap = [(-sum(m), tuple(-e for e in m)) for m in rem]
-        heapq.heapify(heap)
-        while heap:
-            ng, nm = heapq.heappop(heap)
-            lt_r = tuple(-e for e in nm)
-            coeff = rem.get(lt_r)
-            if not coeff:
-                continue
-            qm = mono_div(lt_r, lt_d)
-            if any(e < 0 for e in qm):
-                return None
-            qc = coeff / c_d
-            quot[qm] = qc
-            del rem[lt_r]
-            for m, c in d_rest:
-                mm = mono_mul(qm, m)
-                acc = rem.get(mm)
-                if acc is None:
-                    rem[mm] = -qc * c
-                    heapq.heappush(heap, (-sum(mm), tuple(-e for e in mm)))
-                else:
-                    nc = acc - qc * c
-                    if nc:
-                        rem[mm] = nc
-                    else:
-                        del rem[mm]
-        if rem:
+        piv = next(i for i, e in enumerate(r) if e)
+        chains = {}
+        for m, c in self.terms.items():
+            k = m[piv] // r[piv]
+            chains.setdefault(tuple([a - k * b for a, b in zip(m, r)]) if k else m, {})[k] = c
+        if any(len(chain) < 2 for chain in chains.values()):
             return None
-        shift = mono_div(cf, cd)
-        return Poly(self.w, {mono_mul(m, shift): c for m, c in quot.items()})
+        psi = _psi(d)
+        quot = {}
+        for base, chain in chains.items():
+            lo = min(chain)
+            q = _udiv([chain.get(k, 0) for k in range(lo, max(chain) + 1)], psi)
+            if q is None:
+                return None
+            for j, c in enumerate(q, lo):
+                if c:
+                    quot[tuple([a + j * b for a, b in zip(base, r)])] = c
+        return Poly(self.w, quot)
 
     def sorted_terms(self):
         """Terms in ascending graded-lex order (the canonical print order)."""
@@ -415,84 +374,135 @@ def _direction(g: tuple):
     return tuple(e // n for e in g), n
 
 
-def _geometric(g: tuple, k: int) -> Poly:
-    """(1 - g^k) / (1 - g) for an integer k != 0."""
-    if k > 0:
-        return Poly(len(g), {mono_pow(g, j): Fraction(1) for j in range(k)})
-    return Poly(len(g), {mono_pow(g, j): Fraction(-1) for j in range(k, 0)})
+def _divisors(n: int):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _udiv(a, b):
+    """Exact quotient of coefficient lists (lowest degree first) a / b, where
+    b's leading coefficient is 1 or -1; None when a remainder is left."""
+    n = len(b) - 1
+    a = list(a)
+    lead = b[-1]
+    q = [0] * (len(a) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = a[i + n] * lead
+        if c:
+            for j in range(n):
+                a[i + j] -= c * b[j]
+    return None if any(a[:n]) else q
+
+
+@lru_cache(maxsize=64)
+def _psi(d: int) -> tuple:
+    """Coefficients, lowest degree first, of psi_d: 1 - x for d = 1 and the
+    cyclotomic polynomial Phi_d otherwise, so that 1 - x^n = prod_{d|n} psi_d."""
+    if d == 1:
+        return (1, -1)
+    p = _udiv([1] + [0] * (d - 1) + [-1], _psi(1))
+    for e in _divisors(d)[1:-1]:
+        p = _udiv(p, _psi(e))
+    return tuple(p)
+
+
+def _atom_poly(r: tuple, d: int) -> Poly:
+    """psi_d(r) as a Laurent polynomial."""
+    return Poly(len(r), {mono_pow(r, k): Fraction(c) for k, c in enumerate(_psi(d)) if c})
+
+
+def _psi_image(d: int, p: int):
+    """The e with psi_d(x^p) = prod psi_e(x), for p > 0: x^p has order d
+    exactly when x has an order e with e / gcd(e, p) = d."""
+    return [e for e in _divisors(d * p) if e // gcd(e, p) == d]
+
+
+def _mapped_keys(atoms: dict, images: dict, width: int):
+    """(coefficient, monomial, keys) with prod psi_d(g)^(-mult) over ``atoms``
+    ``{(g, d): mult}``, each g sent through the ring map ``images``, equal to
+    coefficient * monomial * prod over the canonical keys.
+
+    g maps to u^p with u primitive.  When the image is 1, psi_d(1) is a
+    number, zero only for d = 1: a denominator factor there is a
+    :class:`PoleEvaluationError`, a numerator factor makes the coefficient 0.
+    """
+    coeff, pre, keys, roots, vanished = Fraction(1), (0,) * width, {}, {}, False
+    for (g, d), mult in atoms.items():
+        if g not in roots:
+            u = mono_subs(g, images, width)
+            roots[g] = _direction(u) if any(u) else None
+        if roots[g] is None:
+            if d > 1:
+                # psi_d(1) is the prime l for d a power of l, else 1
+                coeff *= Fraction(sum(_psi(d))) ** -mult
+            elif mult > 0:
+                raise PoleEvaluationError(
+                    "pole at evaluation point: atom (1 - %r) vanishes" % (g,), atom=g)
+            else:
+                vanished = True
+            continue
+        u, p = roots[g]
+        if p < 0:
+            # psi_d(x^-1) = -x^-1 psi_1(x) for d = 1, x^-phi(d) psi_d(x) otherwise
+            p = -p
+            pre = mono_mul(pre, mono_pow(u, p * (len(_psi(d)) - 1) * mult))
+            if d == 1 and mult % 2:
+                coeff = -coeff
+        for e in _psi_image(d, p):
+            keys[(u, e)] = keys.get((u, e), 0) + mult
+    return (0 if vanished else coeff), pre, keys
+
+
+class SumInverseError(ArithmeticError):
+    """The inverse of a value whose sum part is not a monomial.
+
+    Such an inverse is not a product of atoms, and no workload needs one.
+    """
 
 
 class Scalar:
     """Factored rational function; see the module docstring for the shape.
 
-    Construction normalizes: a denominator atom cancels a numerator atom
-    that is a power of it, or else divides the sum part when it can, sum
-    part content moves to the prefactor, and a zero numerator collapses the
-    value to canonical zero.
+    ``atoms`` maps a key ``(r, d)``, standing for ``psi_d(r)``, to its signed
+    multiplicity.  Construction normalizes: a denominator atom divides the sum
+    part when it can, sum part content moves to the prefactor, and a zero
+    numerator collapses the value to canonical zero.
     """
 
-    __slots__ = ("w", "num", "pre", "atoms", "gden")
+    __slots__ = ("w", "num", "pre", "atoms")
 
-    def __init__(self, width, num: Poly, pre: tuple | None = None,
-                 atoms: dict | None = None, gden: Poly | None = None):
-        self.w = width
-        pre = pre if pre is not None else (0,) * width
-        atoms = {g: m for g, m in atoms.items() if m} if atoms else {}
-        if num.is_zero() or any(m < 0 and mono_is_unit(g) for g, m in atoms.items()):
-            self.num = Poly.zero(width)
-            self.pre = (0,) * width
-            self.atoms = {}
-            self.gden = None
-            return
-        by_dir = {}
-        for h, m in atoms.items():
-            if m < 0:
-                by_dir.setdefault(_direction(h)[0], []).append(h)
-        for g in [g for g, m in atoms.items() if m > 0]:
-            if mono_is_unit(g):
-                raise ZeroDivisionError("denominator atom (1 - 1) is zero")
-            if by_dir:
-                # (1 - h) / (1 - g) for h = g^k is a geometric sum: into the sum part
-                r, n = _direction(g)
-                for h in by_dir.get(r, ()):
-                    k, rest = divmod(_direction(h)[1], n)
-                    c = min(atoms[g], -atoms[h])
-                    if not rest and c > 0:
-                        atoms[g] -= c
-                        atoms[h] += c
-                        num = num * _geometric(g, k) ** c
-            while atoms[g] and len(num.terms) >= 2:
-                q = num.exact_div(one_minus(g))
+    def __init__(self, width, num: Poly, pre: tuple | None = None, atoms: dict | None = None):
+        """``atoms`` are binomials ``{g: mult}``, the factor (1 - g)^(-mult);
+        they are converted once to cyclotomic keys."""
+        atoms = {(g, 1): m for g, m in atoms.items() if m} if atoms else {}
+        coeff, unit, keys = _mapped_keys(atoms, {}, width) if atoms else (1, (0,) * width, {})
+        pre = mono_mul(pre, unit) if pre is not None else unit
+        x = Scalar._of(width, num if coeff == 1 else num.scale(coeff), pre, keys)
+        self.w, self.num, self.pre, self.atoms = width, x.num, x.pre, x.atoms
+
+    @classmethod
+    def _of(cls, width, num: Poly, pre: tuple, keys: dict) -> "Scalar":
+        """The normal form from cyclotomic keys."""
+        if num.is_zero():
+            num, pre, keys = Poly.zero(width), (0,) * width, {}
+        for k in [k for k, m in keys.items() if m > 0]:
+            while keys[k] and len(num.terms) > 1:
+                q = num.exact_div(*k)
                 if q is None:
                     break
                 num = q
-                atoms[g] -= 1
-        atoms = {g: m for g, m in atoms.items() if m}
-        if gden is not None:
-            if gden.is_zero():
-                raise ZeroDivisionError("zero general denominator")
-            q = num.exact_div(gden)
-            if q is not None:
-                num = q
-                gden = None
-            elif gden.is_monomial():
-                (m, c), = gden.terms.items()
-                num = num.scale(Fraction(1) / c)
-                pre = mono_div(pre, m)
-                gden = None
+                keys[k] -= 1
         cm = num.content_mono()
         if any(cm):
             num = num.mul_mono(mono_inv(cm))
             pre = mono_mul(pre, cm)
-        if gden is not None:
-            cg = gden.content_mono()
-            if any(cg):
-                gden = gden.mul_mono(mono_inv(cg))
-                pre = mono_div(pre, cg)
-        self.num = num
-        self.pre = pre
-        self.atoms = atoms
-        self.gden = gden
+        return cls._raw(width, num, pre, {k: m for k, m in keys.items() if m})
+
+    @classmethod
+    def _raw(cls, width, num: Poly, pre: tuple, keys: dict) -> "Scalar":
+        """Fields that are already in normal form."""
+        x = cls.__new__(cls)
+        x.w, x.num, x.pre, x.atoms = width, num, pre, keys
+        return x
 
     # -- constructors --------------------------------------------------
 
@@ -527,20 +537,19 @@ class Scalar:
             return NotImplemented
         if self.w != other.w:
             return False
+        if self.num.is_monomial() and other.num.is_monomial():
+            # products of atoms factor uniquely
+            return (self.pre == other.pre and self.num.terms == other.num.terms
+                    and self.atoms == other.atoms)
         # cross-multiply by what remains of each side's atoms once the shared
-        # atoms, and a general denominator both sides carry, are cancelled
+        # atoms are cancelled
         lhs, rhs = self.num.mul_mono(mono_div(self.pre, other.pre)), other.num
-        for g in {**self.atoms, **other.atoms}:
-            e = self.atoms.get(g, 0) - other.atoms.get(g, 0)
+        for k in {**self.atoms, **other.atoms}:
+            e = self.atoms.get(k, 0) - other.atoms.get(k, 0)
             if e > 0:
-                rhs = rhs * one_minus(g) ** e
+                rhs = rhs * _atom_poly(*k) ** e
             elif e < 0:
-                lhs = lhs * one_minus(g) ** -e
-        if self.gden != other.gden:
-            if self.gden is not None:
-                rhs = rhs * self.gden
-            if other.gden is not None:
-                lhs = lhs * other.gden
+                lhs = lhs * _atom_poly(*k) ** -e
         return lhs == rhs
 
     __hash__ = None
@@ -554,29 +563,19 @@ class Scalar:
             return self
         # each atom at the larger of its two multiplicities: shared numerator
         # atoms stay factored, the rest multiply into the sums
-        atoms = {g: max(self.atoms.get(g, 0), other.atoms.get(g, 0))
-                 for g in {**self.atoms, **other.atoms}}
-        gden = self.gden
-        extra_self = Poly.one(self.w)
-        extra_other = Poly.one(self.w)
-        if self.gden != other.gden:
-            if self.gden is not None:
-                extra_other = self.gden
-            if other.gden is not None:
-                extra_self = other.gden
-            gden = (self.gden or Poly.one(self.w)) * (other.gden or Poly.one(self.w))
-        for g, mult in atoms.items():
-            ds = mult - self.atoms.get(g, 0)
-            do = mult - other.atoms.get(g, 0)
-            if ds:
-                extra_self = extra_self * (one_minus(g) ** ds)
-            if do:
-                extra_other = extra_other * (one_minus(g) ** do)
-        num = self.num.mul_mono(self.pre) * extra_self + other.num.mul_mono(other.pre) * extra_other
-        return Scalar(self.w, num, atoms=atoms, gden=gden)
+        keys = {k: max(self.atoms.get(k, 0), other.atoms.get(k, 0))
+                for k in {**self.atoms, **other.atoms}}
+        num = Poly.zero(self.w)
+        for x in (self, other):
+            part = x.num.mul_mono(x.pre)
+            for k, mult in keys.items():
+                if mult != x.atoms.get(k, 0):
+                    part = part * _atom_poly(*k) ** (mult - x.atoms.get(k, 0))
+            num = num + part
+        return Scalar._of(self.w, num, (0,) * self.w, keys)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.w, -self.num, pre=self.pre, atoms=self.atoms, gden=self.gden)
+        return Scalar._raw(self.w, -self.num, self.pre, self.atoms)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
@@ -584,40 +583,38 @@ class Scalar:
     def __mul__(self, other: "Scalar") -> "Scalar":
         if self.is_zero() or other.is_zero():
             return Scalar.zero(self.w)
-        atoms = dict(self.atoms)
-        for g, mult in other.atoms.items():
-            atoms[g] = atoms.get(g, 0) + mult
-        gden = None
-        if self.gden is not None or other.gden is not None:
-            gden = (self.gden or Poly.one(self.w)) * (other.gden or Poly.one(self.w))
-        return Scalar(self.w, self.num * other.num,
-                      pre=mono_mul(self.pre, other.pre), atoms=atoms, gden=gden)
+        keys = dict(self.atoms)
+        for k, mult in other.atoms.items():
+            e = keys.get(k, 0) + mult
+            if e:
+                keys[k] = e
+            else:
+                del keys[k]
+        pre = mono_mul(self.pre, other.pre)
+        a, b = (self.num, other.num) if len(other.num.terms) == 1 else (other.num, self.num)
+        if len(b.terms) > 1:
+            return Scalar._of(self.w, a * b, pre, keys)
+        (u, c), = b.terms.items()
+        if len(a.terms) > 1:
+            return Scalar._of(self.w, a.scale(c), pre, keys)
+        # both sum parts are the constant term: a product of atoms again
+        return Scalar._raw(self.w, Poly(self.w, {u: a.terms[u] * c}), pre, keys)
 
     def scale(self, c) -> "Scalar":
-        return Scalar(self.w, self.num.scale(c), pre=self.pre, atoms=self.atoms, gden=self.gden)
+        if c == 0:
+            return Scalar.zero(self.w)
+        return Scalar._raw(self.w, self.num.scale(c), self.pre, self.atoms)
 
     def inv(self) -> "Scalar":
-        """The inverse; new denominator atoms (1 - g) are oriented with g above 1
-        in graded-lex order, and a sum part becomes the general denominator."""
+        """The inverse of a nonzero value whose sum part is a monomial."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        num = self.gden or Poly.one(self.w)
-        pre = mono_inv(self.pre)
-        atoms = {}
-        unit = _grkey((0,) * self.w)
-        for g, mult in self.atoms.items():
-            if mult < 0 and _grkey(g) < unit:
-                # 1 / (1 - g)^e = (-g^-1)^e / (1 - g^-1)^e
-                pre = mono_mul(pre, mono_pow(g, mult))
-                num = num.scale(-1 if mult % 2 else 1)
-                g = mono_inv(g)
-            atoms[g] = atoms.get(g, 0) - mult
-        gden = None
-        if self.num.is_monomial():
-            num = num.scale(Fraction(1) / next(iter(self.num.terms.values())))
-        else:
-            gden = self.num
-        return Scalar(self.w, num, pre=pre, atoms=atoms, gden=gden)
+        if not self.num.is_monomial():
+            raise SumInverseError("inverse of a value with a %d-term sum part"
+                                  % len(self.num.terms))
+        (u, c), = self.num.terms.items()
+        return Scalar._raw(self.w, Poly(self.w, {u: 1 / c}), mono_inv(self.pre),
+                           {k: -m for k, m in self.atoms.items()})
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()
@@ -628,32 +625,16 @@ class Scalar:
         """Apply the ring map ``{variable index: image monomial}``; absent
         variables are fixed.
 
-        Each atom maps to an atom.  A denominator atom whose image is 1 is a
-        :class:`PoleEvaluationError` (the normal form already cancelled
-        every atom that divides the numerator); a numerator atom whose image
-        is 1 makes the value zero.
+        Each atom maps to atoms (see :func:`_mapped_keys`).  A denominator
+        atom (1 - r) whose image is 1 is a :class:`PoleEvaluationError`: the
+        normal form has no atom that divides the numerator.
         """
-        atoms = {}
-        vanished = False
-        for g, mult in self.atoms.items():
-            gm = mono_subs(g, images, target_width)
-            if not mono_is_unit(gm):
-                atoms[gm] = atoms.get(gm, 0) + mult
-            elif mult > 0:
-                raise PoleEvaluationError(
-                    "pole at evaluation point: atom (1 - %r) vanishes" % (g,), atom=g)
-            else:
-                vanished = True
-        new_gden = None
-        if self.gden is not None:
-            new_gden = self.gden.subs(images, target_width)
-            if new_gden.is_zero():
-                raise PoleEvaluationError("pole at evaluation point: general denominator vanishes")
-        if vanished:
+        coeff, unit, keys = _mapped_keys(self.atoms, images, target_width)
+        if coeff == 0:
             return Scalar.zero(target_width)
-        new_num = self.num.subs(images, target_width)
-        new_pre = mono_subs(self.pre, images, target_width)
-        return Scalar(target_width, new_num, pre=new_pre, atoms=atoms, gden=new_gden)
+        pre = mono_mul(mono_subs(self.pre, images, target_width), unit)
+        return Scalar._of(target_width, self.num.subs(images, target_width).scale(coeff),
+                          pre, keys)
 
     def q_shift(self, var_idx: int, m: int) -> "Scalar":
         """Replace the variable by q^m * itself (exponent e adds 2*m*e to q^(1/2))."""
@@ -664,20 +645,14 @@ class Scalar:
 
     def vars_used(self):
         used = self.num.vars_used()
-        for idx, e in enumerate(self.pre):
-            if e:
-                used.add(idx)
-        for g in self.atoms:
-            for idx, e in enumerate(g):
+        for m in [self.pre] + [r for r, d in self.atoms]:
+            for idx, e in enumerate(m):
                 if e:
                     used.add(idx)
-        if self.gden is not None:
-            used |= self.gden.vars_used()
         return used
 
     def __repr__(self):
-        return "Scalar(num=%r, pre=%r, atoms=%r, gden=%r)" % (
-            self.num.terms, self.pre, self.atoms, self.gden)
+        return "Scalar(num=%r, pre=%r, atoms=%r)" % (self.num.terms, self.pre, self.atoms)
 
 
 def substitute_monomials(x: Scalar, table: VariableTable, s_images: dict) -> Scalar:
@@ -777,69 +752,85 @@ def _orient_factor(g: tuple, mult: int):
     return gi, mono_pow(g, mult), -1 if mult % 2 else 1
 
 
+def binomial_atoms(x: Scalar) -> dict:
+    """The atoms regrouped into binomials ``{r^n: mult}``, the factor
+    (1 - r^n)^(-mult): per root r, the largest n left with a nonzero
+    multiplicity first, which inverts 1 - r^n = prod_{d|n} psi_d(r)."""
+    by_root = {}
+    for (r, d), mult in x.atoms.items():
+        by_root.setdefault(r, {})[d] = mult
+    out = {}
+    for r, mults in by_root.items():
+        while mults:
+            n = max(mults)
+            c = out[mono_pow(r, n)] = mults[n]
+            for d in _divisors(n):
+                left = mults.get(d, 0) - c
+                if left:
+                    mults[d] = left
+                else:
+                    mults.pop(d, None)
+    return out
+
+
+def _factored(x: Scalar):
+    """(head, sign, binomials) with x = sign * head * x.num * prod (1 - g)^(-mult)
+    over the binomials {g: mult}, each oriented by :func:`_orient_factor`."""
+    head, sign, out = x.pre, 1, {}
+    for g, mult in binomial_atoms(x).items():
+        g, unit, s = _orient_factor(g, -mult)
+        head, sign = mono_mul(head, unit), sign * s
+        out[g] = mult
+    return head, sign, out
+
+
 def scalar_str(table: VariableTable, x: Scalar) -> str:
-    """Canonical deterministic rendering of a scalar in its stored, factored shape.
+    """Canonical deterministic rendering of a scalar in its factored shape.
 
     The head monomial with its coefficient, the sum part in parentheses when
-    it is not a monomial, the numerator atoms oriented by
-    :func:`_orient_factor`, then ``/ ( ... )`` around the denominator atoms
-    and ``[general denominator]``.  Nothing is multiplied out.
+    it is not a monomial, the numerator binomials, then ``/ ( ... )`` around
+    the denominator binomials (see :func:`_factored`).  Nothing is
+    multiplied out.
     """
     if x.is_zero():
         return "0"
-    head, sign, numer = x.pre, 1, {}
-    for g, mult in x.atoms.items():
-        if mult < 0:
-            g, unit, s = _orient_factor(g, -mult)
-            head, sign = mono_mul(head, unit), sign * s
-            numer[g] = numer.get(g, 0) - mult
+    head, sign, atoms = _factored(x)
     if x.num.is_monomial():
         parts = [_term_str(table, head, sign * next(iter(x.num.terms.values())))]
     else:
         head_str = _term_str(table, head, sign)
         parts = [head_str] if head_str != "1" else []
         parts.append("(%s)" % poly_str(table, x.num))
-    parts += [atom_str(table, g, mult) for g, mult in sorted(numer.items(), key=_atom_key)]
-    denom = [atom_str(table, g, mult) for g, mult in denominator_atoms(x)]
-    if x.gden is not None:
-        denom.append("[%s]" % poly_str(table, x.gden))
+    ordered = sorted(atoms.items(), key=_atom_key)
+    parts += [atom_str(table, g, -mult) for g, mult in ordered if mult < 0]
+    denom = [atom_str(table, g, mult) for g, mult in ordered if mult > 0]
     if denom:
         return "%s / ( %s )" % (" * ".join(parts), " * ".join(denom))
     return " * ".join(parts)
-
-
-def denominator_atoms(x: Scalar):
-    """The denominator atoms (g, multiplicity > 0) in graded-lex order of g."""
-    return sorted(((g, m) for g, m in x.atoms.items() if m > 0), key=_atom_key)
 
 
 # ---------------------------------------------------------------------------
 # lossless structured rendering
 # ---------------------------------------------------------------------------
 
-def poly_structured(p: Poly):
-    return [[str(c), list(m)] for m, c in p.sorted_terms()]
-
-def poly_from_structured(width: int, data) -> Poly:
-    return Poly.from_terms(width, ((tuple(m), Fraction(c)) for c, m in data))
-
-
 def scalar_structured(x: Scalar):
-    """The stored fields: prefactor, sum part, and every atom with its signed
-    multiplicity (negative: a numerator binomial), in graded-lex order."""
+    """The rendered fields: head monomial, sum part, and every binomial with
+    its signed multiplicity (negative: a numerator binomial), in graded-lex
+    order, as :func:`scalar_str` prints them."""
+    head, sign, atoms = _factored(x)
     return {
-        "pre": list(x.pre),
-        "num": poly_structured(x.num),
-        "atoms": [[list(g), mult] for g, mult in sorted(x.atoms.items(), key=_atom_key)],
-        "gden": poly_structured(x.gden) if x.gden is not None else None,
+        "pre": list(head),
+        "num": [[str(c), list(m)] for m, c in (x.num if sign > 0 else -x.num).sorted_terms()],
+        "atoms": [[list(g), mult] for g, mult in sorted(atoms.items(), key=_atom_key)],
     }
 
 
 def scalar_from_structured(width: int, data) -> Scalar:
+    if data.get("gden") is not None:
+        raise ValueError("a general denominator is not a product of atoms")
     return Scalar(
         width,
-        poly_from_structured(width, data["num"]),
+        Poly.from_terms(width, ((tuple(m), Fraction(c)) for c, m in data["num"])),
         pre=tuple(data["pre"]),
         atoms={tuple(g): mult for g, mult in data["atoms"]},
-        gden=poly_from_structured(width, data["gden"]) if data.get("gden") is not None else None,
     )

@@ -26,10 +26,8 @@ def evaluate_at_point(alg: CoulombAlgebra, p: FixedPoint, images: dict, f: Scala
     try:
         return f.subs(images, alg.table.width)
     except PoleEvaluationError as exc:
-        what = str(exc) if exc.atom is None else \
-            "atom %s vanishes" % atom_str(alg.table, exc.atom)
-        raise PoleEvaluationError("pole at fixed point %s: %s" % (p.label(), what),
-                                  atom=exc.atom)
+        raise PoleEvaluationError("pole at fixed point %s: atom %s vanishes"
+                                  % (p.label(), atom_str(alg.table, exc.atom)), atom=exc.atom)
 
 
 class VermaVector:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coulomb import CoulombAlgebra
-from .exactring import Poly, Scalar, mono_subs, q_shifted, shift_s_by_degree
+from .exactring import Poly, Scalar, mono_is_unit, mono_subs, q_shifted, shift_s_by_degree
 from .hypertoric import FixedPoint, enumerate_degrees, pair
 from .pochhammer import h_shifted, hq_ratio, hq_ratio_inv, poch, poch_qinv, sign_kernel
 from .verma import VermaModule, evaluate_at_point
@@ -62,6 +62,15 @@ def restriction_images(alg: CoulombAlgebra, p: FixedPoint, specialize: bool = Fa
     images.update({table.s(j): mono_subs(mono, images, table.width)
                    for j, mono in p.restriction.items()})
     return images
+
+
+def is_lift(alg: CoulombAlgebra, p: FixedPoint) -> bool:
+    """Whether p lifts an isolated fixed point: no block root s_u s_v^-1
+    restricts to 1 there, under the flavor specialization.  Every fixed
+    point of an abelian model is one."""
+    images = restriction_images(alg, p, specialize=True)
+    return not any(mono_is_unit(mono_subs(alg.root_mono(root), images, alg.table.width))
+                   for root in alg.roots())
 
 
 def matter_kernel(alg: CoulombAlgebra, d) -> Scalar:

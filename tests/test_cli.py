@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -327,21 +328,65 @@ def test_main_rejects_negative_order(capsys):
     assert capsys.readouterr().err == "error: --order must be >= 0, got -1\n"
 
 
-def run_subprocess(argv, **env_extra):
+def run_subprocess(argv, timeout=120, **env_extra):
     src = os.path.join(os.path.dirname(DATA), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **env_extra)
     return subprocess.run([sys.executable, "-m", "coulombkit.cli"] + argv,
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
-def test_pole_at_default_point_exits_2_without_traceback():
-    proc = run_subprocess(["vertex", model_path("tgr24")])
+def test_non_lift_exits_2_and_its_pole_names_the_atom():
+    proc = run_subprocess(["vertex", model_path("tgr24"), "--point", "1,5"])
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr.startswith("error: pole at fixed point p{1,5}: ")
-    assert proc.stderr.count("\n") == 1
-    # the vanishing factor is written in the model's variables
-    assert proc.stderr.endswith(": atom (1 - s1*s2^-1) vanishes\n")
+    assert proc.stderr == ("error: fixed point p{1,5} is not a lift of an isolated fixed point;"
+                           " the first lift is p{1,6} (--point 1,6)\n")
+    # computed anyway, the series has a pole there, and the vanishing
+    # factor is written in the model's variables
+    from coulombkit import CoulombAlgebra, Descendent, PoleEvaluationError, vertex_fp_nonab
+    from coulombkit.cli import _select_point
+    data = load_model(model_path("tgr24"))
+    alg = CoulombAlgebra(data)
+    with pytest.raises(PoleEvaluationError) as exc:
+        vertex_fp_nonab(alg, _select_point(data, "1,5"), Descendent(Poly.one(alg.table.width)), 1)
+    assert str(exc.value) == "pole at fixed point p{1,5}: atom (1 - s1*s2^-1) vanishes"
+
+
+def _tgr(k, n):
+    """Hom(C^n, C^k) with one GL block of size k, its flavors specialized
+    onto the n acting ones (the shape of tests/data/tgr24.json)."""
+    chi = [[int(t == j) for t in range(k)] for j in range(k) for _ in range(n)]
+    aspec = {"a%d" % (j * n + i + 1): "a%d^-1" % (i + 1) for j in range(k) for i in range(n)}
+    return {"chi": chi, "theta": [1] * k, "blocks": [k], "a_specialization": aspec}
+
+
+@pytest.mark.parametrize("k, n, lift, non_lift", [
+    (2, 4, "1,6", "1,5"), (2, 5, "1,7", "1,6"), (3, 4, "1,6,11", "1,5,9")])
+def test_block_models_default_to_the_first_lift(tmp_path, k, n, lift, non_lift):
+    path = tmp_path / "tgr.json"
+    path.write_text(json.dumps(_tgr(k, n)))
+    for command in ("vertex", "whittaker"):
+        default = run_cli([command, str(path), "--order", "1"])
+        assert default[0] == 0
+        assert default == run_cli([command, str(path), "--order", "1", "--point", lift])
+        message = ("fixed point p{%s} is not a lift of an isolated fixed point; the first "
+                   "lift is p{%s} (--point %s)" % (non_lift, lift, lift))
+        with pytest.raises(ModelError, match="^%s$" % re.escape(message)):
+            run_cli([command, str(path), "--order", "1", "--point", non_lift])
+
+
+def test_term_cap_refuses_large_products_at_once():
+    from coulombkit.cli import MAX_TERMS
+    proc = run_subprocess(["vertex", model_path("a2"), "--order", "0", "--descendent",
+                           "(s1+s2+a1+a2+a3+h+1)^32"], timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: a product of 3003 and 3003 terms exceeds the limit of %d"
+                           " term pairs\n" % MAX_TERMS)
+    table = VariableTable(3, 2)
+    with pytest.raises(ExprError, match="term pairs"):
+        parse_descendent(" * ".join(["(s1+s2+a1+a2+a3+h+1)^4"] * 3), table)
+    assert len(parse_descendent("(s1+s2+a1+a2+a3+h+1)^8", table).poly.terms) == 3003
 
 
 def test_large_power_of_a_sum_is_rejected_before_expanding():
@@ -387,6 +432,10 @@ def test_factored_output_stays_small(tmp_path, capsys):
     assert main(["vertex", str(path), "--order", "8"]) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == 10 and len(out.encode()) < 100_000
+    # the same values as compact JSON, one line
+    assert main(["vertex", str(path), "--order", "8", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and len(out.encode()) < 20_000
 
 
 @pytest.mark.parametrize("name, point", [("tp1", "0"), ("a2", "0"), ("tgr24", "1,6")])

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from coulombkit import Poly, PoleEvaluationError, Scalar, VariableTable
-from coulombkit.exactring import (mono_mul, mono_pow, mono_subs, one_minus, scalar_str,
-                                  scalar_from_structured, scalar_structured,
-                                  shift_s_by_degree, substitute_monomials)
+from coulombkit.exactring import (SumInverseError, binomial_atoms, mono_inv, mono_mul, mono_pow,
+                                  mono_subs, one_minus, scalar_str, scalar_from_structured,
+                                  scalar_structured, shift_s_by_degree, substitute_monomials)
 
 from conftest import rand_mono, rand_poly, rng_for
 
@@ -55,31 +55,81 @@ def test_scalar_add_identity_and_telescoping():
     num = Poly.from_terms(W, [(T.unit(), 2), (x, -1), (mono(q=1, s1=1), -1)])
     rhs = Scalar(W, num, atoms={x: 1, mono(q=1, s1=1): 1})
     assert lhs == rhs
-    assert set(lhs.atoms) <= {x, mono(q=1, s1=1)}
+    assert set(binomial_atoms(lhs)) <= {x, mono(q=1, s1=1)}
 
 
 def test_scalar_mul_and_inv():
     m = mono(s1=1)
-    x = Scalar(W, one_minus(mono(h=1, s1=1)), atoms={mono(q=1, s1=1): 1})
+    x = Scalar(W, Poly.one(W), atoms={mono(h=1, s1=1): -1, mono(q=1, s1=1): 1})
     assert x * x.inv() == Scalar.one(W)
     sq = Scalar.atom_inverse(m) * Scalar.atom_inverse(m)
-    assert sq.atoms == {m: 2}
+    assert binomial_atoms(sq) == {m: 2}
     # inv((-q^(1/2)h^(-1/2)) (1-x)/(1-hx)) = (-q^(-1/2)h^(1/2)) (1-hx)/(1-x)
-    k = Scalar(W, one_minus(m), pre=T.mono({0: 1, 1: -1}), atoms={mono(h=1, s1=1): 1}).scale(-1)
+    k = Scalar(W, Poly.one(W), pre=T.mono({0: 1, 1: -1}),
+               atoms={m: -1, mono(h=1, s1=1): 1}).scale(-1)
     ki = k.inv()
     expected = Scalar(W, one_minus(mono(h=1, s1=1)), pre=T.mono({0: -1, 1: 1}),
                       atoms={m: 1}).scale(-1)
     assert ki == expected
+    # a numerator binomial given as a sum part equals the same binomial as an atom
+    assert Scalar(W, one_minus(m), pre=T.mono({0: 1, 1: -1}),
+                  atoms={mono(h=1, s1=1): 1}).scale(-1) == k
     with pytest.raises(ZeroDivisionError):
         Scalar.zero(W).inv()
 
 
-def test_inv_general_denominator_flag():
-    # 1 + s1 does not split into atoms; the inverse must carry a general denominator
+def test_inv_of_a_sum_part_raises():
+    # 1 + s1 is no product of atoms, so its inverse is not representable
     f = Scalar(W, Poly.from_terms(W, [(T.unit(), 1), (mono(s1=1), 1)]))
-    g = f.inv()
-    assert g.gden is not None
-    assert f * g == Scalar.one(W)
+    with pytest.raises(SumInverseError):
+        f.inv()
+    with pytest.raises(SumInverseError):
+        Scalar.one(W) / f
+    # as the numerator binomial (1 - s1^2)/(1 - s1) it is one
+    g = Scalar(W, Poly.one(W), atoms={mono(s1=1): 1, mono(s1=2): -1})
+    assert g == f and f == g
+    assert g * g.inv() == Scalar.one(W)
+
+
+def test_non_primitive_atoms_cancel_to_their_value():
+    s1 = mono(s1=1)
+    # (1 - s1) / (1 - s1^2) = 1 / (1 + s1), which is 1/2 at s1 = 1
+    x = Scalar(W, one_minus(s1), atoms={mono_pow(s1, 2): 1})
+    half = substitute_monomials(x, T, {0: T.unit(), 1: T.unit()})
+    assert half == Scalar.monomial(T.unit(), Fraction(1, 2))
+    # (1 - s1^-2) / (1 - s1)^2 at s1 -> 1 is a true pole, named by its root
+    y = Scalar(W, Poly.one(W), atoms={mono_pow(s1, -2): -1, s1: 2})
+    with pytest.raises(PoleEvaluationError) as exc:
+        substitute_monomials(y, T, {0: T.unit(), 1: T.unit()})
+    assert exc.value.atom == s1
+    # (1 - s1^6)(1 - s1) / ((1 - s1^2)(1 - s1^3)) at s1 -> 1 is 6 / (2 * 3)
+    z = Scalar(W, Poly.one(W), atoms={mono_pow(s1, 6): -1, s1: -1, mono_pow(s1, 2): 1,
+                                      mono_pow(s1, 3): 1})
+    assert substitute_monomials(z, T, {0: T.unit(), 1: T.unit()}) == Scalar.one(W)
+    # and under s1 -> s2^-2 the factors land on psi_d(s2)
+    w = substitute_monomials(z, T, {0: mono(s2=-2)})
+    assert w == Scalar(W, Poly.one(W), atoms={mono(s2=-12): -1, mono(s2=-2): -1,
+                                              mono(s2=-4): 1, mono(s2=-6): 1})
+
+
+def test_pure_products_multiply_without_polynomials(monkeypatch):
+    rng = rng_for("pure-products")
+    values = []
+    for _ in range(12):
+        atoms = {rand_mono(rng, T, span=2): rng.choice([-2, -1, 1, 2]) for _ in range(3)}
+        atoms = {g: m for g, m in atoms.items() if any(g)}
+        values.append(Scalar(W, Poly.monomial(T.unit(), rng.choice([1, -2, Fraction(3, 5)])),
+                             pre=rand_mono(rng, T, span=1), atoms=atoms))
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    for x in values:
+        for y in values:
+            assert (x * y).num.is_monomial()
+            assert x * y == y * x
+            assert (x * y) * y.inv() == x
+            assert (x == y) == (scalar_structured(x) == scalar_structured(y))
+    assert calls == []
 
 
 def test_substitute_monomials_pole_and_cancellation():
@@ -179,16 +229,13 @@ def test_cross_multiplication_equality_routes():
         y2 = Scalar(W, p * one_plus_b * one_plus_b, atoms={b2: 2})
         assert x2 == y2 and y2 == x2
         assert not x2 == Scalar(W, p * one_plus_b, atoms={b2: 2})
-    # equal and unequal general denominators
+    # a sum part against the atoms it equals, and against a different sum
     g1 = Poly.from_terms(W, [(T.unit(), 1), (mono(s1=1), 1)])
     g2 = Poly.from_terms(W, [(T.unit(), 1), (mono(s2=1), 1)])
-    u = Scalar(W, one_minus(mono(a1=1)), gden=g1)
-    assert u.gden is not None
-    assert u == Scalar(W, one_minus(mono(a1=1)) * one_minus(mono(h=1)),
-                       atoms={mono(h=1): 1}, gden=g1)
-    assert not u == Scalar(W, one_minus(mono(a1=1)), gden=g2)
-    assert u == Scalar(W, one_minus(mono(a1=1)) * g2, gden=g1 * g2)
-    assert Scalar(W, g2, gden=g1) == Scalar(W, g2 * g2, gden=g1 * g2)
+    u = Scalar(W, one_minus(mono(a1=1)) * g1, atoms={mono(s1=2): 1})
+    assert u == Scalar(W, one_minus(mono(a1=1)), atoms={mono(s1=1): 1})
+    assert not u == Scalar(W, one_minus(mono(a1=1)) * g2, atoms={mono(s1=2): 1})
+    assert Scalar(W, g2 * g1) == Scalar(W, g2, atoms={mono(s1=1): 1, mono(s1=2): -1})
     # zero against nonzero
     zero = Scalar.zero(W)
     assert zero == Scalar.zero(W)
@@ -196,52 +243,55 @@ def test_cross_multiplication_equality_routes():
     assert not zero == Scalar.atom_inverse(mono(s1=1))
 
 
-def _heap_div_by_atom(p, g):
-    """p / (1 - g) through the general path: -(p / (g - 1))."""
-    q = p.exact_div(-one_minus(g))
-    return None if q is None else -q
-
-
 def test_exact_div():
-    rng = rng_for("exact-div")
-    for _ in range(40):
-        f = rand_poly(rng, T, terms=4)
-        g = rand_poly(rng, T, terms=4)
-        prod = f * g
-        q = prod.exact_div(g)
-        assert q is not None and q == f
-    f = Poly.from_terms(W, [(T.unit(), 1), (mono(s1=1), 1)])
-    d = Poly.from_terms(W, [(T.unit(), 1), (mono(s1=1), -1)])
-    assert f.exact_div(d) is None
-    # division by an atom 1 - g takes the chain path; it must match the heap path
+    """Division by psi_d(r) against sympy's division by one polynomial, which
+    leaves remainder 0 exactly on its multiples."""
+    sympy = pytest.importorskip("sympy")
+    z = sympy.symbols("z0:%d" % W)
+
+    def expr(p):
+        """p times the monomial that makes its exponents nonnegative with minimum 0."""
+        low = p.content_mono()
+        return sympy.Add(*[sympy.Rational(str(c)) * sympy.Mul(*[v ** (e - lo) for v, e, lo
+                                                                 in zip(z, m, low)])
+                           for m, c in p.terms.items()])
+
     rng = rng_for("exact-div-atom")
     thirds = [Fraction(1, 3), Fraction(2, 5), Fraction(-7, 4), 3]
-    for _ in range(60):
+    for trial in range(60):
         g = rand_mono(rng, T, span=2)
         if not any(g):
             g = mono(q=2)  # q^2 is exponent 4 on q^(1/2): not primitive
+        r = tuple(e // abs(sympy.igcd(*g)) for e in g)
+        r = r if next(e for e in r if e) > 0 else mono_inv(r)
+        d = 1 + trial % 6
+        x = sympy.Symbol("x")
+        cyclo = 1 - x if d == 1 else sympy.cyclotomic_poly(d, x)
+        psi = Poly(W, {mono_pow(r, k): Fraction(int(c))
+                       for k, c in enumerate(sympy.Poly(cyclo, x).all_coeffs()[::-1]) if c})
         f = rand_poly(rng, T, terms=5, span=3)
         f = Poly(W, {m: c * rng.choice(thirds) for m, c in f.terms.items()})
-        for p in (f * one_minus(g), f * one_minus(g) ** 2, f, f * one_minus(g) + f):
-            got = p.exact_div(one_minus(g))
-            assert got == _heap_div_by_atom(p, g)
+        for p in (f * psi, f * psi * psi, f, f * psi + f, f * one_minus(g)):
+            got = p.exact_div(r, d)
+            _, rem = sympy.reduced(expr(p), [expr(psi)], *z)
+            assert (got is not None) == (rem == 0), (p, r, d)
             if got is not None:
-                assert got * one_minus(g) == p
-        # the integer screen must not rule a true divisor out
-        assert Scalar(W, f * one_minus(g), atoms={g: 1}).atoms == {}
-    # chains with gaps: (1 - g^3)/(1 - g) = 1 + g + g^2, Laurent and non-primitive g
-    for g in (mono(q=2), mono(q=-1, s1=2), mono(a1=-3, s2=1)):
+                assert got * psi == p
+        # the chain screen must not rule a true divisor out
+        divided = Scalar(W, f * one_minus(g), atoms={g: 1})
+        assert divided.atoms == {} and divided.num == Scalar(W, f).num
+    # chains with gaps: (1 - r^3)/(1 - r) = 1 + r + r^2 on Laurent terms, for
+    # the roots q^(1/2), q^(1/2)*s1^-2 and a1^3*s2^-1
+    for r in (T.mono({0: 1}), T.mono({0: 1, T.s(0): -2}), mono(a1=3, s2=-1)):
         p = Poly.from_terms(W, [(mono(s1=-2), Fraction(2, 5)),
-                                (mono_mul(mono(s1=-2), mono_pow(g, 3)), Fraction(-2, 5))])
-        got = p.exact_div(one_minus(g))
-        assert got == _heap_div_by_atom(p, g)
-        assert len(got.terms) == 3
-        gap = p + Poly.monomial(mono_pow(g, 5), Fraction(1, 3))
-        assert gap.exact_div(one_minus(g)) is None
-        assert _heap_div_by_atom(gap, g) is None
-        # terms of different denominators merge: 1/3 - 2/15*g - 1/5*g^2
-        f = Poly.from_terms(W, [(T.unit(), Fraction(1, 3)), (g, Fraction(1, 5))])
-        assert Scalar(W, f * one_minus(g), atoms={g: 1}).atoms == {}
+                                (mono_mul(mono(s1=-2), mono_pow(r, 3)), Fraction(-2, 5))])
+        got = p.exact_div(r, 1)
+        assert len(got.terms) == 3 and got * one_minus(r) == p
+        assert p.exact_div(r, 3) is not None and p.exact_div(r, 2) is None
+        gap = p + Poly.monomial(mono_pow(r, 5), Fraction(1, 3))
+        assert gap.exact_div(r, 1) is None
+        # a chain of one term is rejected at once
+        assert Poly.monomial(mono(s1=1)).exact_div(r, 1) is None
 
 
 def test_structured_roundtrip():
