@@ -20,7 +20,6 @@ from .exactring import (PoleEvaluationError, Poly, Scalar, VariableTable,
 from .hypertoric import (Cone, GaugeData, ModelError, circuits, eff_cone,
                          fixed_points)
 from .vertex import Descendent, QSeries, is_lift, qde_check, vertex_fp, vertex_fp_nonab
-from .verma import VermaModule
 from .wallcross import check_reversal, dmodule_match, make_scenario
 
 
@@ -465,11 +464,13 @@ def dispatch(args, out=None) -> int:
 
     if args.command == "fixed-points":
         pts = fixed_points(data)
+        # block models mark the points that `vertex` and `whittaker` accept
+        lifts = [is_lift(alg, p) for p in pts] if alg.roots() else [None] * len(pts)
         if args.json:
-            _print(out, [_point_json(table, p) for p in pts])
+            _print(out, [_point_json(table, p, lift) for p, lift in zip(pts, lifts)])
         else:
-            for idx, p in enumerate(pts):
-                _print(out, _point_text(table, idx, p))
+            for idx, (p, lift) in enumerate(zip(pts, lifts)):
+                _print(out, _point_text(table, idx, p, lift))
         return 0
 
     if args.command == "analyze":
@@ -510,7 +511,7 @@ def dispatch(args, out=None) -> int:
 
     if args.command == "whittaker":
         p = _select_lift(alg, args.point)
-        module = VermaModule(alg, p)
+        module = alg.verma_module(p)
         w = module.whittaker_vector(args.order)
         items = sorted(w.terms.items())
         if args.json:
@@ -586,20 +587,25 @@ def dispatch(args, out=None) -> int:
     raise ModelError("unknown command %r" % args.command)
 
 
-def _point_json(table, p):
-    return {"support": [i + 1 for i in p.support],
-            "plus": sorted(i + 1 for i in p.plus),
-            "minus": sorted(i + 1 for i in p.minus),
-            "rays": [list(r) for r in p.rays],
-            "restriction": {"s%d" % (j + 1): mono_str(table, m)
-                            for j, m in sorted(p.restriction.items())}}
+def _point_json(table, p, lift=None):
+    """The point's fields, with ``"lift"`` when ``lift`` is not None."""
+    out = {"support": [i + 1 for i in p.support],
+           "plus": sorted(i + 1 for i in p.plus),
+           "minus": sorted(i + 1 for i in p.minus),
+           "rays": [list(r) for r in p.rays],
+           "restriction": {"s%d" % (j + 1): mono_str(table, m)
+                           for j, m in sorted(p.restriction.items())}}
+    if lift is not None:
+        out["lift"] = lift
+    return out
 
 
-def _point_text(table, idx, p):
+def _point_text(table, idx, p, lift=None):
+    """Two lines per point; ``lift`` follows the label of a lift."""
     rest = "  ".join("s%d -> %s" % (j + 1, mono_str(table, m))
                      for j, m in sorted(p.restriction.items()))
     return "p[%d] %s  plus={%s} minus={%s}  rays: %s\n  %s\n" % (
-        idx, p.label(),
+        idx, p.label() + (" lift" if lift else ""),
         ",".join(str(i + 1) for i in sorted(p.plus)),
         ",".join(str(i + 1) for i in sorted(p.minus)),
         "; ".join("(%s)" % ",".join(str(x) for x in r) for r in p.rays),

@@ -15,9 +15,10 @@ the canonical one containing every row.
 Mixed generators rescale r_d by an explicit kernel coefficient depending on
 which side of the effective cone d lies; products of mixed generators inside
 the cone are degreewise trivial, which is what the Verma and vertex layers
-are built on.  Structure constants are memoized per (c, d, polarization);
-cached values are immutable, so concurrent identical insertions are
-harmless.
+are built on.  Structure constants are memoized per (c, d, polarization),
+matter kernels per degree and Verma modules per fixed point, all on the
+algebra instance and dropped with it; cached values are immutable, so
+concurrent identical insertions are harmless.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import itertools
 from fractions import Fraction
 
 from .exactring import Scalar, VariableTable, q_shifted, shift_s_by_degree
-from .hypertoric import GaugeData, eff_cone, mixed_polarization
+from .hypertoric import FixedPoint, GaugeData, eff_cone, mixed_polarization
 from .pochhammer import hq_ratio, hq_ratio_inv
 
 
@@ -123,6 +124,8 @@ class CoulombAlgebra:
         self._sc_cache = {}
         self._mixed_cache = {}
         self._mixed_inv_cache = {}
+        self._kernel_cache = {}
+        self._modules = {}
         self._eff = None
         self._x = [self.table.x_mono(i, data.chi[i]) for i in range(data.n)]
 
@@ -176,6 +179,25 @@ class CoulombAlgebra:
                 factor = hq_ratio(y, length)
             out = out * factor
         self._sc_cache[key] = out
+        return out
+
+    def matter_kernel(self, d) -> Scalar:
+        """The degree-d localization weight of the matter rows, unevaluated:
+        the product of ``hq_ratio(x_i, <chi_i, d>)`` over the rows.
+
+        It depends on the degree alone, so it is built once per degree and
+        shared by every fixed point and descendent of this algebra.
+        """
+        d = tuple(d)
+        got = self._kernel_cache.get(d)
+        if got is not None:
+            return got
+        out = Scalar.one(self.table.width)
+        for i in range(self.data.n):
+            di = self.data.pairing(i, d)
+            if di:
+                out = out * hq_ratio(self._x[i], di)
+        self._kernel_cache[d] = out
         return out
 
     def shift_coefficient(self, f: Scalar, c) -> Scalar:
@@ -276,6 +298,18 @@ class CoulombAlgebra:
                 key = tuple(x + y for x, y in zip(c, d))
                 terms[key] = terms[key] + coeff if key in terms else coeff
         return ModuleElement(self, terms)
+
+    def verma_module(self, p: FixedPoint):
+        """The :class:`~coulombkit.verma.VermaModule` at the fixed point p.
+
+        One module per point and algebra, so its norms and Whittaker vectors
+        are computed once however many descendents are paired against them.
+        """
+        module = self._modules.get(p)
+        if module is None:
+            from .verma import VermaModule  # verma builds on this module
+            module = self._modules[p] = VermaModule(self, p)
+        return module
 
     # -- quantum Hamiltonian reduction oracle ---------------------------------
 

@@ -374,6 +374,15 @@ def _direction(g: tuple):
     return tuple(e // n for e in g), n
 
 
+def _chain_roots(p: Poly) -> set:
+    """The primitive r along which some other term of p lies from its first
+    term.  ``Poly.exact_div`` by a key ``(r, d)`` needs that term's chain to
+    have a second term, so it can succeed only for r in this set."""
+    it = iter(p.terms)
+    m0 = next(it)
+    return {_direction(mono_div(m, m0))[0] for m in it}
+
+
 def _divisors(n: int):
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -416,19 +425,20 @@ def _psi_image(d: int, p: int):
     return [e for e in _divisors(d * p) if e // gcd(e, p) == d]
 
 
-def _mapped_keys(atoms: dict, images: dict, width: int):
+def _mapped_keys(atoms: dict, images: dict | None, width: int):
     """(coefficient, monomial, keys) with prod psi_d(g)^(-mult) over ``atoms``
     ``{(g, d): mult}``, each g sent through the ring map ``images``, equal to
     coefficient * monomial * prod over the canonical keys.
 
-    g maps to u^p with u primitive.  When the image is 1, psi_d(1) is a
-    number, zero only for d = 1: a denominator factor there is a
-    :class:`PoleEvaluationError`, a numerator factor makes the coefficient 0.
+    g maps to u^p with u primitive; ``images=None`` is the identity map.
+    When the image is 1, psi_d(1) is a number, zero only for d = 1: a
+    denominator factor there is a :class:`PoleEvaluationError`, a numerator
+    factor makes the coefficient 0.
     """
     coeff, pre, keys, roots, vanished = Fraction(1), (0,) * width, {}, {}, False
     for (g, d), mult in atoms.items():
         if g not in roots:
-            u = mono_subs(g, images, width)
+            u = g if images is None else mono_subs(g, images, width)
             roots[g] = _direction(u) if any(u) else None
         if roots[g] is None:
             if d > 1:
@@ -474,7 +484,7 @@ class Scalar:
         """``atoms`` are binomials ``{g: mult}``, the factor (1 - g)^(-mult);
         they are converted once to cyclotomic keys."""
         atoms = {(g, 1): m for g, m in atoms.items() if m} if atoms else {}
-        coeff, unit, keys = _mapped_keys(atoms, {}, width) if atoms else (1, (0,) * width, {})
+        coeff, unit, keys = _mapped_keys(atoms, None, width) if atoms else (1, (0,) * width, {})
         pre = mono_mul(pre, unit) if pre is not None else unit
         x = Scalar._of(width, num if coeff == 1 else num.scale(coeff), pre, keys)
         self.w, self.num, self.pre, self.atoms = width, x.num, x.pre, x.atoms
@@ -484,12 +494,15 @@ class Scalar:
         """The normal form from cyclotomic keys."""
         if num.is_zero():
             num, pre, keys = Poly.zero(width), (0,) * width, {}
+        roots = None
         for k in [k for k, m in keys.items() if m > 0]:
             while keys[k] and len(num.terms) > 1:
-                q = num.exact_div(*k)
+                if roots is None:
+                    roots = _chain_roots(num)
+                q = num.exact_div(*k) if k[0] in roots else None
                 if q is None:
                     break
-                num = q
+                num, roots = q, None
                 keys[k] -= 1
         cm = num.content_mono()
         if any(cm):
@@ -633,8 +646,8 @@ class Scalar:
         if coeff == 0:
             return Scalar.zero(target_width)
         pre = mono_mul(mono_subs(self.pre, images, target_width), unit)
-        return Scalar._of(target_width, self.num.subs(images, target_width).scale(coeff),
-                          pre, keys)
+        num = self.num.subs(images, target_width)
+        return Scalar._of(target_width, num if coeff == 1 else num.scale(coeff), pre, keys)
 
     def q_shift(self, var_idx: int, m: int) -> "Scalar":
         """Replace the variable by q^m * itself (exponent e adds 2*m*e to q^(1/2))."""

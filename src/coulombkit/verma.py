@@ -65,13 +65,19 @@ class VermaVector:
 
 
 class VermaModule:
-    """The module attached to one fixed point of one model."""
+    """The module attached to one fixed point of one model.
+
+    Norms are memoized per degree and Whittaker vectors per order.  Obtain
+    the module through :meth:`CoulombAlgebra.verma_module` to share both
+    across every caller of the same algebra and point.
+    """
 
     def __init__(self, algebra: CoulombAlgebra, point: FixedPoint):
         self.algebra = algebra
         self.point = point
         self.cone = eff_cone_fp(algebra.data, point)
         self._norm_cache = {}
+        self._whittaker = {}
 
     # -- evaluation -------------------------------------------------------
 
@@ -129,9 +135,13 @@ class VermaModule:
         """Truncated eigenvector: coefficient Q^{d/2} / norm(d) on the basis vector at d."""
         if order < 0:
             raise ValueError("order must be nonnegative")
+        got = self._whittaker.get(order)
+        if got is not None:
+            return got
         table = self.algebra.table
         terms = {}
         for d in enumerate_degrees(self.cone, self.algebra.data.theta, order):
             qmono = table.mono({table.qvar(j): dj for j, dj in enumerate(d)})
             terms[d] = Scalar.monomial(qmono) * self.norm(d).inv()
-        return VermaVector(self, terms)
+        out = self._whittaker[order] = VermaVector(self, terms)
+        return out

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .coulomb import CoulombAlgebra
 from .exactring import Poly, Scalar, mono_is_unit, mono_subs, q_shifted, shift_s_by_degree
 from .hypertoric import FixedPoint, enumerate_degrees, pair
-from .pochhammer import h_shifted, hq_ratio, hq_ratio_inv, poch, poch_qinv, sign_kernel
-from .verma import VermaModule, evaluate_at_point
+from .pochhammer import h_shifted, hq_ratio_inv, poch, poch_qinv, sign_kernel
+from .verma import evaluate_at_point
 
 
 class Descendent:
@@ -73,16 +73,6 @@ def is_lift(alg: CoulombAlgebra, p: FixedPoint) -> bool:
                    for root in alg.roots())
 
 
-def matter_kernel(alg: CoulombAlgebra, d) -> Scalar:
-    """The degree-d localization weight of the matter rows, unevaluated."""
-    out = Scalar.one(alg.table.width)
-    for i in range(alg.data.n):
-        di = alg.data.pairing(i, d)
-        if di:
-            out = out * hq_ratio(alg.x_mono(i), di)
-    return out
-
-
 def vertex_fp(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
               order: int) -> QSeries:
     """Degreewise vertex series at a fixed point of an abelian model."""
@@ -91,7 +81,7 @@ def vertex_fp(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     degrees = enumerate_degrees(alg.eff(), alg.data.theta, order)
 
     def coeff(d):
-        weight = matter_kernel(alg, d) * shift_s_by_degree(insertion, alg.table, d)
+        weight = alg.matter_kernel(d) * shift_s_by_degree(insertion, alg.table, d)
         return evaluate_at_point(alg, p, images, weight)
 
     values = [coeff(d) for d in degrees]
@@ -103,7 +93,7 @@ def whittaker_function(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Sca
                        order: int) -> QSeries:
     """The same series through the module pairing; the independent second path."""
     insertion = tau.as_scalar() if isinstance(tau, Descendent) else tau
-    module = VermaModule(alg, p)
+    module = alg.verma_module(p)
     w = module.whittaker_vector(order)
     tw = module.act(alg.cartan(insertion), w)
     table = alg.table
@@ -231,7 +221,7 @@ def vertex_fp_nonab(alg: CoulombAlgebra, ptilde: FixedPoint, tau: Descendent | S
     degrees = enumerate_degrees(alg.eff(), alg.data.theta, order)
 
     def coeff(d):
-        weight = matter_kernel(alg, d)
+        weight = alg.matter_kernel(d)
         for root in roots:
             m = alg.root_pairing(root, d)
             if m:

@@ -55,7 +55,6 @@ def test_tp1_bethe_closed_form(tp1_alg):
 def test_relations_match_vertex_recursion(tp1_alg, a2_alg):
     """Each difference relation, shifted by the degree and restricted, steps
     the vertex coefficients down by its circuit."""
-    from coulombkit.vertex import matter_kernel
     for alg, order in ((tp1_alg, 3), (a2_alg, 3)):
         t = alg.table
         w = t.width
@@ -72,7 +71,7 @@ def test_relations_match_vertex_recursion(tp1_alg, a2_alg):
                     # assemble the stepped coefficient before restriction:
                     # the relation eigenvalue can carry the pole that kills
                     # a vanishing coefficient
-                    stepped = matter_kernel(alg, d) * shift_s_by_degree(rel.lhs, t, d)
+                    stepped = alg.matter_kernel(d) * shift_s_by_degree(rel.lhs, t, d)
                     assert vdc == stepped.subs(images, w), (p.label(), c, d)
 
 

@@ -1,0 +1,106 @@
+"""The per-algebra caches: matter kernels per degree, Verma modules per fixed
+point, Whittaker vectors per order.  Cached results must equal, and render
+exactly as, the same calls on a fresh algebra, and no two algebras may share
+a cached value."""
+
+import pytest
+
+import coulombkit.coulomb
+from coulombkit import fixed_points, vertex_fp, whittaker_function
+from coulombkit.cli import _series_report, parse_descendent
+from coulombkit.coulomb import CoulombAlgebra
+from coulombkit.hypertoric import enumerate_degrees
+from coulombkit.verma import VermaModule
+
+from conftest import tpn
+
+# the three acceptance descendents plus one more
+DESCENDENTS = ["1", "s1", "a1*s1 - h", "2*a2*s1^2 + 3*h"]
+
+
+def _render(alg, series):
+    return _series_report(alg, series, False), _series_report(alg, series, True)
+
+
+@pytest.mark.parametrize("model", ["tp2", "a2"])
+def test_shared_algebra_matches_a_fresh_algebra_per_call(a2, model):
+    data, order = (tpn(2) if model == "tp2" else a2), 2
+    shared = CoulombAlgebra(data)
+    for p in fixed_points(data):
+        for text in DESCENDENTS:
+            for fn in (vertex_fp, whittaker_function):
+                got = fn(shared, p, parse_descendent(text, shared.table), order)
+                fresh = CoulombAlgebra(data)
+                want = fn(fresh, p, parse_descendent(text, fresh.table), order)
+                assert got == want, (fn.__name__, p.label(), text)
+                assert _render(shared, got) == _render(fresh, want), (fn.__name__, p.label(), text)
+            assert vertex_fp(shared, p, parse_descendent(text, shared.table), order) \
+                == whittaker_function(shared, p, parse_descendent(text, shared.table), order)
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_second_descendent_builds_no_kernel(a2, monkeypatch):
+    calls = _counting(monkeypatch, coulombkit.coulomb, "hq_ratio")
+    alg = CoulombAlgebra(a2)
+    p = fixed_points(a2)[0]
+    vertex_fp(alg, p, parse_descendent("s1", alg.table), 2)
+    assert calls
+    del calls[:]
+    vertex_fp(alg, p, parse_descendent("a1*s1 - h", alg.table), 2)
+    # another point shares the unevaluated kernels too
+    vertex_fp(alg, fixed_points(a2)[1], parse_descendent("1", alg.table), 2)
+    assert calls == []
+
+
+def test_second_whittaker_function_builds_no_module(a2, monkeypatch):
+    built = _counting(monkeypatch, VermaModule, "__init__")
+    alg = CoulombAlgebra(a2)
+    p = fixed_points(a2)[0]
+    whittaker_function(alg, p, parse_descendent("s1", alg.table), 2)
+    assert len(built) == 1
+    whittaker_function(alg, p, parse_descendent("a1*s1 - h", alg.table), 1)
+    assert len(built) == 1
+    # a point equal to p, found again, is the same module
+    assert alg.verma_module(fixed_points(a2)[0]) is alg.verma_module(p)
+    assert len(built) == 1
+
+
+def test_whittaker_vector_is_memoized_per_order(a2):
+    module = CoulombAlgebra(a2).verma_module(fixed_points(a2)[0])
+    w2 = module.whittaker_vector(2)
+    assert module.whittaker_vector(2) is w2
+    assert module.whittaker_vector(1) == w2.truncate(1)
+    with pytest.raises(ValueError):
+        module.whittaker_vector(-1)
+
+
+def test_algebras_share_no_cached_values(a2, monkeypatch):
+    first, second = CoulombAlgebra(a2), CoulombAlgebra(a2)
+    p = fixed_points(a2)[0]
+    tau = parse_descendent("s1", first.table)
+    vertex_fp(first, p, tau, 2)
+    whittaker_function(first, p, tau, 2)
+    # a fresh algebra starts cold: it builds every kernel and the module again
+    kernels = _counting(monkeypatch, coulombkit.coulomb, "hq_ratio")
+    built = _counting(monkeypatch, VermaModule, "__init__")
+    vertex_fp(second, p, tau, 2)
+    whittaker_function(second, p, tau, 2)
+    assert kernels and len(built) == 1
+    for d in enumerate_degrees(first.eff(), a2.theta, 2):
+        assert first.matter_kernel(d) == second.matter_kernel(d)
+        assert first.matter_kernel(d) is not second.matter_kernel(d)
+    m1, m2 = first.verma_module(p), second.verma_module(p)
+    assert m1 is not m2 and m1.algebra is first and m2.algebra is second
+    assert m1.whittaker_vector(2) is not m2.whittaker_vector(2)
+    assert m1.whittaker_vector(2).module is m1

@@ -375,6 +375,36 @@ def test_block_models_default_to_the_first_lift(tmp_path, k, n, lift, non_lift):
             run_cli([command, str(path), "--order", "1", "--point", non_lift])
 
 
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 4)])
+def test_fixed_points_marks_exactly_the_points_vertex_accepts(tmp_path, k, n):
+    path = tmp_path / "tgr.json"
+    path.write_text(json.dumps(_tgr(k, n)))
+    code, payload = run_cli(["fixed-points", str(path), "--json"])
+    assert code == 0
+    points = json.loads(payload)
+    code, text = run_cli(["fixed-points", str(path)])
+    assert code == 0
+    heads = text.splitlines()[::2]
+    assert len(heads) == len(points)
+    for head, p in zip(heads, points):
+        support = ",".join(str(i) for i in p["support"])
+        assert head.startswith("p[%d] p{%s}" % (points.index(p), support))
+        assert (" p{%s} lift " % support in head) == p["lift"]
+        try:
+            accepted = run_cli(["vertex", str(path), "--order", "0", "--point", support])[0] == 0
+        except ModelError:
+            accepted = False
+        assert accepted == p["lift"], support
+    assert any(p["lift"] for p in points) and not all(p["lift"] for p in points)
+
+
+def test_fixed_points_of_abelian_models_carry_no_lift_mark():
+    for name in ("tp1", "a2"):
+        for extra in ([], ["--json"]):
+            code, text = run_cli(["fixed-points", model_path(name)] + extra)
+            assert code == 0 and "lift" not in text
+
+
 def test_term_cap_refuses_large_products_at_once():
     from coulombkit.cli import MAX_TERMS
     proc = run_subprocess(["vertex", model_path("a2"), "--order", "0", "--descendent",

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from coulombkit import Poly, PoleEvaluationError, Scalar, VariableTable
-from coulombkit.exactring import (SumInverseError, binomial_atoms, mono_inv, mono_mul, mono_pow,
-                                  mono_subs, one_minus, scalar_str, scalar_from_structured,
-                                  scalar_structured, shift_s_by_degree, substitute_monomials)
+from coulombkit.exactring import (SumInverseError, _chain_roots, _direction, binomial_atoms,
+                                  mono_inv, mono_mul, mono_pow, mono_subs, one_minus,
+                                  scalar_str, scalar_from_structured, scalar_structured,
+                                  shift_s_by_degree, substitute_monomials)
 
 from conftest import rand_mono, rand_poly, rng_for
 
@@ -292,6 +293,30 @@ def test_exact_div():
         assert gap.exact_div(r, 1) is None
         # a chain of one term is rejected at once
         assert Poly.monomial(mono(s1=1)).exact_div(r, 1) is None
+
+
+def test_chain_root_screen_rules_out_only_failing_divisions(monkeypatch):
+    rng = rng_for("chain-roots")
+    for _ in range(60):
+        g = rand_mono(rng, T, span=2)
+        if not any(g):
+            continue
+        r = _direction(g)[0]
+        f = rand_poly(rng, T, terms=4, span=2)
+        for p in (f, f * one_minus(g), f * one_minus(mono_pow(g, 2))):
+            if len(p.terms) > 1 and r not in _chain_roots(p):
+                assert all(p.exact_div(r, d) is None for d in range(1, 5)), (p, r)
+    calls = []
+    div = Poly.exact_div
+    monkeypatch.setattr(Poly, "exact_div", lambda p, *key: calls.append(key) or div(p, *key))
+    # no two terms of 1 + s1*s2 differ along s1 or a1*s2^-1: nothing is tried
+    x = Scalar(W, Poly.from_terms(W, [(T.unit(), 1), (mono(s1=1, s2=1), 1)]),
+               atoms={mono(s1=1): 1, mono(a1=1, s2=-1): 2})
+    assert calls == [] and len(x.atoms) == 2
+    # along the root the division is still made: (1 - s1^2) / (1 - s1) = 1 + s1
+    y = Scalar(W, one_minus(mono(s1=2)), atoms={mono(s1=1): 1})
+    assert calls and y.atoms == {}
+    assert y == Scalar.from_poly(Poly.from_terms(W, [(T.unit(), 1), (mono(s1=1), 1)]))
 
 
 def test_structured_roundtrip():

@@ -8,7 +8,7 @@ from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import mono_mul, one_minus
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.pochhammer import sign_kernel
-from coulombkit.vertex import Descendent, matter_kernel, restriction_images
+from coulombkit.vertex import Descendent, restriction_images
 from coulombkit.bethe import _root_shift_factor
 
 from conftest import point_by_support
@@ -193,7 +193,7 @@ def test_nonabelian_kaehler_recursion(tgr24_alg):
     c = (1, 0)
 
     def coeff(d):
-        weight = matter_kernel(alg, d)
+        weight = alg.matter_kernel(d)
         for root in alg.roots():
             m = alg.root_pairing(root, d)
             if m:
