@@ -379,8 +379,7 @@ def load_model(path: str) -> GaugeData:
                             a_specialization=aspec)
 
 
-def _select_point(data: GaugeData, spec: str):
-    pts = fixed_points(data)
+def _select_point(pts: list, spec: str):
     if re.fullmatch(r"\d+", spec or ""):
         idx = int(spec)
         if not 0 <= idx < len(pts):
@@ -396,14 +395,15 @@ def _select_point(data: GaugeData, spec: str):
     raise ModelError("no fixed point with support {%s}" % spec)
 
 
-def _select_lift(alg: CoulombAlgebra, spec: str | None):
-    """The point of `vertex` and `whittaker`: the chosen one, by default the
-    first lift of an isolated fixed point (see :func:`vertex.is_lift`).  A
-    chosen point that is not a lift is refused, naming the first lift."""
-    first = next((p for p in fixed_points(alg.data) if is_lift(alg, p)), None)
+def _select_lift(alg: CoulombAlgebra, pts: list, spec: str | None):
+    """The point of `vertex` and `whittaker` among the fixed points ``pts``:
+    the chosen one, by default the first lift of an isolated fixed point (see
+    :func:`vertex.is_lift`).  A chosen point that is not a lift is refused,
+    naming the first lift."""
+    first = next((p for p in pts if is_lift(alg, p)), None)
     if spec is None and first is not None:
         return first
-    p = _select_point(alg.data, spec or "0")
+    p = _select_point(pts, spec or "0")
     if not is_lift(alg, p):
         hint = "; the first lift is %s (--point %s)" % (
             first.label(), ",".join(str(i + 1) for i in first.support)) if first else ""
@@ -499,7 +499,7 @@ def dispatch(args, out=None) -> int:
         return 0
 
     if args.command == "vertex":
-        p = _select_lift(alg, args.point)
+        p = _select_lift(alg, fixed_points(data), args.point)
         tau = parse_descendent(args.descendent, table) if args.descendent else \
             Descendent(Poly.one(table.width))
         if data.blocks is not None and any(b > 1 for b in data.blocks):
@@ -510,7 +510,7 @@ def dispatch(args, out=None) -> int:
         return 0
 
     if args.command == "whittaker":
-        p = _select_lift(alg, args.point)
+        p = _select_lift(alg, fixed_points(data), args.point)
         module = alg.verma_module(p)
         w = module.whittaker_vector(args.order)
         items = sorted(w.terms.items())
@@ -530,7 +530,7 @@ def dispatch(args, out=None) -> int:
         tau = parse_descendent(args.descendent, table) if args.descendent else \
             Descendent(Poly.one(table.width))
         pts = fixed_points(data)
-        sel = [_select_point(data, args.point)] if args.point else pts
+        sel = [_select_point(pts, args.point)] if args.point else pts
         ok = True
         for p in sel:
             report = qde_check(alg, p, tau, cs[args.circuit].vector, args.order)

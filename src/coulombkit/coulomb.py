@@ -1,9 +1,12 @@
 """The convolution algebra on cocharacter generators, in left-coefficient normal form.
 
-An :class:`AlgebraElement` is a finite map from degrees d in Z^k to scalar
-coefficients, standing for sum_d f_d(a, s, q, h) * r_d with every
-coefficient on the LEFT of its generator.  Moving a generator past a gauge
-variable costs a q-shift:
+Every finite sum over degrees the engine builds is a :class:`Combination`:
+algebra elements, module elements, Verma vectors and the vertex series.  It
+maps degrees to nonzero scalar coefficients; :func:`collect` is the one
+routine that sums them by degree, and the base class owns ``+`` and ``==``.
+An :class:`AlgebraElement` is the combination sum_d f_d(a, s, q, h) * r_d
+with every coefficient on the LEFT of its generator.  Moving a generator
+past a gauge variable costs a q-shift:
 
     r_d s_j = q^{-d_j} s_j r_d,
 
@@ -41,20 +44,56 @@ def delta(c: int, d: int) -> int:
     return 0
 
 
-class AlgebraElement:
-    """Finite left-normal-form combination sum_d f_d * r_d."""
+def collect(terms) -> dict:
+    """Sum (degree, coefficient) pairs by degree, dropping the sums that vanish.
 
-    __slots__ = ("algebra", "terms")
+    A dict is taken as pairs whose degrees are summed already.
+    """
+    if not isinstance(terms, dict):
+        pairs, terms = terms, {}
+        for k, f in pairs:
+            terms[k] = terms[k] + f if k in terms else f
+    return {k: f for k, f in terms.items() if not f.is_zero()}
 
-    def __init__(self, algebra, terms: dict):
-        self.algebra = algebra
-        self.terms = {d: f for d, f in terms.items() if not f.is_zero()}
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        terms = dict(self.terms)
-        for d, f in other.terms.items():
-            terms[d] = terms[d] + f if d in terms else f
-        return AlgebraElement(self.algebra, terms)
+class Combination:
+    """Finite combination sum_d f_d * b_d over the degree-indexed basis of ``owner``.
+
+    ``terms`` holds no zero coefficient, so two combinations of one kind are
+    equal exactly when their degree sets agree and then their coefficients
+    (``Scalar.is_zero`` is exact in normal form).  The constructor takes a
+    dict or any iterable of (degree, coefficient) pairs.
+    """
+
+    __slots__ = ("owner", "terms")
+
+    def __init__(self, owner, terms):
+        self.owner = owner
+        self.terms = collect(terms)
+
+    def __add__(self, other):
+        return type(self)(self.owner, itertools.chain(self.terms.items(), other.terms.items()))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms.keys() == other.terms.keys() and all(
+            f == other.terms[d] for d, f in self.terms.items())
+
+    __hash__ = None
+
+    def is_zero(self):
+        return not self.terms
+
+    def __repr__(self):
+        return "%s(%r)" % (type(self).__name__, sorted(self.terms))
+
+
+class AlgebraElement(Combination):
+    """Left-normal-form combination sum_d f_d * r_d."""
+
+    __slots__ = ()
+    algebra = property(lambda self: self.owner)
 
     def __neg__(self):
         return AlgebraElement(self.algebra, {d: -f for d, f in self.terms.items()})
@@ -65,18 +104,6 @@ class AlgebraElement:
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self.algebra.mul(self, other)
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = Scalar.zero(self.algebra.table.width)
-        return all(self.terms.get(d, zero) == other.terms.get(d, zero) for d in keys)
-
-    __hash__ = None
-
-    def is_zero(self):
-        return not self.terms
-
     def scalar_part(self) -> Scalar:
         """Coefficient of r_0 (the element must be concentrated in degree 0)."""
         zero = (0,) * self.algebra.data.k
@@ -85,33 +112,12 @@ class AlgebraElement:
             raise ValueError("element is not a Cartan scalar; degrees %r present" % extra)
         return self.terms.get(zero, Scalar.zero(self.algebra.table.width))
 
-    def __repr__(self):
-        return "AlgebraElement(%r)" % sorted(self.terms)
 
+class ModuleElement(Combination):
+    """Combination sum_c f_c * t_c of the right-module basis."""
 
-class ModuleElement:
-    """Finite combination sum_c f_c * t_c of the right-module basis."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra, terms: dict):
-        self.algebra = algebra
-        self.terms = {c: f for c, f in terms.items() if not f.is_zero()}
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for d, f in other.terms.items():
-            terms[d] = terms[d] + f if d in terms else f
-        return ModuleElement(self.algebra, terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, ModuleElement):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = Scalar.zero(self.algebra.table.width)
-        return all(self.terms.get(d, zero) == other.terms.get(d, zero) for d in keys)
-
-    __hash__ = None
+    __slots__ = ()
+    algebra = property(lambda self: self.owner)
 
 
 class CoulombAlgebra:
@@ -206,22 +212,15 @@ class CoulombAlgebra:
 
     def mul(self, first: AlgebraElement, second: AlgebraElement,
             pol: frozenset | None = None) -> AlgebraElement:
-        terms = {}
-        for c, f in first.terms.items():
-            for d, g in second.terms.items():
-                coeff = f * self.shift_coefficient(g, c) * self.structure_constant(c, d, pol)
-                key = tuple(x + y for x, y in zip(c, d))
-                terms[key] = terms[key] + coeff if key in terms else coeff
-        return AlgebraElement(self, terms)
+        return AlgebraElement(self, (
+            (tuple(x + y for x, y in zip(c, d)),
+             f * self.shift_coefficient(g, c) * self.structure_constant(c, d, pol))
+            for c, f in first.terms.items() for d, g in second.terms.items()))
 
     def tau(self, a: AlgebraElement) -> AlgebraElement:
         """Anti-automorphism fixing the Cartan and sending r_d to r_{-d}."""
-        terms = {}
-        for d, f in a.terms.items():
-            nd = tuple(-x for x in d)
-            coeff = shift_s_by_degree(f, self.table, d)
-            terms[nd] = terms[nd] + coeff if nd in terms else coeff
-        return AlgebraElement(self, terms)
+        return AlgebraElement(self, ((tuple(-x for x in d), shift_s_by_degree(f, self.table, d))
+                                     for d, f in a.terms.items()))
 
     # -- mixed generators --------------------------------------------------
 
@@ -291,13 +290,10 @@ class CoulombAlgebra:
 
     def module_act(self, t: ModuleElement, a: AlgebraElement,
                    pol: frozenset | None = None) -> ModuleElement:
-        terms = {}
-        for c, g in t.terms.items():
-            for d, f in a.terms.items():
-                coeff = g * self.shift_coefficient(f, c) * self.module_factor(c, d, pol)
-                key = tuple(x + y for x, y in zip(c, d))
-                terms[key] = terms[key] + coeff if key in terms else coeff
-        return ModuleElement(self, terms)
+        return ModuleElement(self, (
+            (tuple(x + y for x, y in zip(c, d)),
+             g * self.shift_coefficient(f, c) * self.module_factor(c, d, pol))
+            for c, g in t.terms.items() for d, f in a.terms.items()))
 
     def verma_module(self, p: FixedPoint):
         """The :class:`~coulombkit.verma.VermaModule` at the fixed point p.
@@ -393,12 +389,8 @@ class CoulombAlgebra:
         return f.subs(images, t.width)
 
     def weyl_on_element(self, w, a: AlgebraElement) -> AlgebraElement:
-        terms = {}
-        for d, f in a.terms.items():
-            nd = self.weyl_on_degree(w, d)
-            coeff = self.weyl_on_scalar(w, f)
-            terms[nd] = terms[nd] + coeff if nd in terms else coeff
-        return AlgebraElement(self, terms)
+        return AlgebraElement(self, ((self.weyl_on_degree(w, d), self.weyl_on_scalar(w, f))
+                                     for d, f in a.terms.items()))
 
     def is_dominant(self, d) -> bool:
         for a, b in self.data.block_slices():

@@ -550,6 +550,8 @@ class Scalar:
             return NotImplemented
         if self.w != other.w:
             return False
+        if self.is_zero() or other.is_zero():
+            return self.is_zero() and other.is_zero()
         if self.num.is_monomial() and other.num.is_monomial():
             # products of atoms factor uniquely
             return (self.pre == other.pre and self.num.terms == other.num.terms

@@ -7,12 +7,14 @@ algebra normal form plus evaluation, never through an abstract quotient:
 rewrite r_c * (mixed generator at e) as a left scalar times r_{c+e}, convert
 back to the mixed generator at c+e, then evaluate the total left scalar with
 the gauge variables sent to q^{(c+e)_j} times their restriction at the point.
-Degrees outside the effective cone of the point contribute zero.
+Degrees outside the effective cone of the point contribute zero.  A vector
+is a :class:`~coulombkit.coulomb.Combination` over the cone's degrees: it
+sums and compares by the same rule as an algebra element.
 """
 
 from __future__ import annotations
 
-from .coulomb import AlgebraElement, CoulombAlgebra
+from .coulomb import AlgebraElement, Combination, CoulombAlgebra
 from .exactring import PoleEvaluationError, Scalar, atom_str, q_shifted
 from .hypertoric import FixedPoint, eff_cone_fp, enumerate_degrees
 
@@ -30,29 +32,11 @@ def evaluate_at_point(alg: CoulombAlgebra, p: FixedPoint, images: dict, f: Scala
                                   % (p.label(), atom_str(alg.table, exc.atom)), atom=exc.atom)
 
 
-class VermaVector:
-    """Finite combination sum_d f_d * (mixed generator at d applied to the cyclic vector)."""
+class VermaVector(Combination):
+    """Combination sum_d f_d * (mixed generator at d applied to the cyclic vector)."""
 
-    __slots__ = ("module", "terms")
-
-    def __init__(self, module, terms: dict):
-        self.module = module
-        self.terms = {d: f for d, f in terms.items() if not f.is_zero()}
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for d, f in other.terms.items():
-            terms[d] = terms[d] + f if d in terms else f
-        return VermaVector(self.module, terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, VermaVector):
-            return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        zero = Scalar.zero(self.module.algebra.table.width)
-        return all(self.terms.get(d, zero) == other.terms.get(d, zero) for d in keys)
-
-    __hash__ = None
+    __slots__ = ()
+    module = property(lambda self: self.owner)
 
     def scale(self, f: Scalar) -> "VermaVector":
         return VermaVector(self.module, {d: g * f for d, g in self.terms.items()})
@@ -96,18 +80,19 @@ class VermaModule:
 
     def act(self, a: AlgebraElement, u: VermaVector) -> VermaVector:
         alg = self.algebra
-        terms = {}
-        for c, f in a.terms.items():
-            for e, g in u.terms.items():
-                target = tuple(x + y for x, y in zip(c, e))
-                if not self.cone.contains(target):
-                    continue
-                h = f * alg.shift_coefficient(alg.mixed_coefficient(e), c)
-                h = h * alg.structure_constant(c, e)
-                h = h * alg.mixed_coefficient_inv(target)
-                coeff = g * self.evaluate(h, shift_degree=target)
-                terms[target] = terms[target] + coeff if target in terms else coeff
-        return VermaVector(self, terms)
+
+        def pairs():
+            for c, f in a.terms.items():
+                for e, g in u.terms.items():
+                    target = tuple(x + y for x, y in zip(c, e))
+                    if not self.cone.contains(target):
+                        continue
+                    h = f * alg.shift_coefficient(alg.mixed_coefficient(e), c)
+                    h = h * alg.structure_constant(c, e)
+                    h = h * alg.mixed_coefficient_inv(target)
+                    yield target, g * self.evaluate(h, shift_degree=target)
+
+        return VermaVector(self, pairs())
 
     def norm(self, d) -> Scalar:
         """The diagonal value of the contravariant form on the basis vector at d."""

@@ -4,14 +4,16 @@ Coefficients are computed directly from the closed localization product --
 never through the module pairing -- so that the pairing route implemented in
 :mod:`coulombkit.verma` is a genuinely independent cross-check.  A series is
 stored degreewise: the key carries the Kahler power, the value is a scalar
-in the residue variables only.
+in the residue variables only; :class:`QSeries` is a
+:class:`~coulombkit.coulomb.Combination`, so both routes build, sum and
+compare their series by one rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coulomb import CoulombAlgebra
+from .coulomb import Combination, CoulombAlgebra
 from .exactring import Poly, Scalar, mono_is_unit, mono_subs, q_shifted, shift_s_by_degree
 from .hypertoric import FixedPoint, enumerate_degrees, pair
 from .pochhammer import h_shifted, hq_ratio_inv, poch, poch_qinv, sign_kernel
@@ -30,27 +32,19 @@ class Descendent:
         return Scalar.from_poly(self.poly)
 
 
-@dataclass
-class QSeries:
-    """Truncated series: degree tuple -> residue-variable coefficient."""
+class QSeries(Combination):
+    """Truncated series sum_d f_d Q^d through ``order``: ``coeffs`` maps each
+    degree tuple to its nonzero residue-variable coefficient."""
 
-    order: int
-    coeffs: dict
+    __slots__ = ()
+    order = property(lambda self: self.owner)
+    coeffs = property(lambda self: self.terms)
+
+    def __init__(self, order: int, coeffs):
+        super().__init__(order, coeffs)
 
     def coefficient(self, d, width: int) -> Scalar:
         return self.coeffs.get(tuple(d), Scalar.zero(width))
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        keys = {d for d, f in self.coeffs.items() if not f.is_zero()}
-        keys |= {d for d, f in other.coeffs.items() if not f.is_zero()}
-        for d in keys:
-            a = self.coeffs.get(d)
-            b = other.coeffs.get(d)
-            if a is None or b is None or not (a == b):
-                return False
-        return True
 
 
 def restriction_images(alg: CoulombAlgebra, p: FixedPoint, specialize: bool = False) -> dict:
@@ -84,9 +78,7 @@ def vertex_fp(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
         weight = alg.matter_kernel(d) * shift_s_by_degree(insertion, alg.table, d)
         return evaluate_at_point(alg, p, images, weight)
 
-    values = [coeff(d) for d in degrees]
-    coeffs = {d: v for d, v in zip(degrees, values) if not v.is_zero()}
-    return QSeries(order=order, coeffs=coeffs)
+    return QSeries(order, zip(degrees, map(coeff, degrees)))
 
 
 def whittaker_function(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
@@ -97,16 +89,8 @@ def whittaker_function(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Sca
     w = module.whittaker_vector(order)
     tw = module.act(alg.cartan(insertion), w)
     table = alg.table
-    coeffs = {}
-    for d, u in w.terms.items():
-        v = tw.terms.get(d)
-        if v is None:
-            continue
-        value = u * v * module.norm(d)
-        stripped = _strip_kahler_power(table, value, d)
-        if not stripped.is_zero():
-            coeffs[d] = stripped
-    return QSeries(order=order, coeffs=coeffs)
+    return QSeries(order, ((d, _strip_kahler_power(table, u * tw.terms[d] * module.norm(d), d))
+                           for d, u in w.terms.items() if d in tw.terms))
 
 
 def _strip_kahler_power(table, value: Scalar, d) -> Scalar:
@@ -229,11 +213,5 @@ def vertex_fp_nonab(alg: CoulombAlgebra, ptilde: FixedPoint, tau: Descendent | S
         weight = weight * shift_s_by_degree(insertion, alg.table, d)
         return evaluate_at_point(alg, ptilde, images, weight)
 
-    values = [coeff(d) for d in degrees]
-    coeffs = {}
-    for d, value in zip(degrees, values):
-        if value.is_zero():
-            continue
-        dbar = tuple(sum(d[a:b]) for a, b in slices)
-        coeffs[dbar] = coeffs[dbar] + value if dbar in coeffs else value
-    return QSeries(order=order, coeffs={d: f for d, f in coeffs.items() if not f.is_zero()})
+    # the Weyl collapse: lifts with the same per-block totals sum into one coefficient
+    return QSeries(order, ((tuple(sum(d[a:b]) for a, b in slices), coeff(d)) for d in degrees))

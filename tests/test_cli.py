@@ -183,6 +183,48 @@ def test_bethe_command_golden():
     assert json.loads(payload)[0]["circuit"] == [1]
 
 
+GOLDEN = [
+    ("vertex_tp1_order3.txt", ["vertex", "tp1", "--order", "3"]),
+    ("vertex_a2_order2_descendent.txt",
+     ["vertex", "a2", "--order", "2", "--descendent", "a1*s1-h"]),
+    ("vertex_a2_order2_descendent.json",
+     ["vertex", "a2", "--order", "2", "--descendent", "a1*s1-h", "--json"]),
+    ("vertex_tgr24_order1.txt", ["vertex", "tgr24", "--order", "1"]),
+    ("whittaker_a2_order2.txt", ["whittaker", "a2", "--order", "2"]),
+    ("mul_a2.txt", ["mul", "a2", "r[1,0]r[-1,1]r[0,-1]"]),
+    ("mul_a2.json", ["mul", "a2", "r[1,0]r[-1,1]r[0,-1]", "--json"]),
+    ("qde_check_a2_circuit0_order2.txt", ["qde-check", "a2", "--circuit", "0", "--order", "2"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_stdout_matches_golden_file(name, argv):
+    code, text = run_cli([argv[0], model_path(argv[1])] + argv[2:])
+    assert code == 0
+    with open(os.path.join(DATA, "golden", name), encoding="utf-8", newline="") as fh:
+        assert text == fh.read()
+
+
+@pytest.mark.parametrize("argv", [
+    ["vertex", "a2", "--order", "1"],
+    ["vertex", "a2", "--order", "1", "--point", "1,3"],
+    ["vertex", "tgr24", "--order", "0", "--point", "1,6"],
+    ["whittaker", "a2", "--order", "1"],
+    ["whittaker", "a2", "--order", "1", "--point", "1"],
+    ["qde-check", "a2", "--circuit", "0", "--order", "1"],
+    ["qde-check", "a2", "--circuit", "0", "--order", "1", "--point", "0"],
+])
+def test_fixed_points_computed_once_per_command(argv, monkeypatch):
+    import coulombkit.cli
+    calls = []
+    original = coulombkit.cli.fixed_points
+    monkeypatch.setattr(coulombkit.cli, "fixed_points",
+                        lambda data: calls.append(data) or original(data))
+    code, _ = run_cli([argv[0], model_path(argv[1])] + argv[2:])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_mul_command():
     code, text = run_cli(["mul", model_path("tp1"), "r[1] r[-1]"])
     assert code == 0
@@ -343,12 +385,14 @@ def test_non_lift_exits_2_and_its_pole_names_the_atom():
                            " the first lift is p{1,6} (--point 1,6)\n")
     # computed anyway, the series has a pole there, and the vanishing
     # factor is written in the model's variables
-    from coulombkit import CoulombAlgebra, Descendent, PoleEvaluationError, vertex_fp_nonab
+    from coulombkit import (CoulombAlgebra, Descendent, PoleEvaluationError, fixed_points,
+                            vertex_fp_nonab)
     from coulombkit.cli import _select_point
     data = load_model(model_path("tgr24"))
     alg = CoulombAlgebra(data)
     with pytest.raises(PoleEvaluationError) as exc:
-        vertex_fp_nonab(alg, _select_point(data, "1,5"), Descendent(Poly.one(alg.table.width)), 1)
+        vertex_fp_nonab(alg, _select_point(fixed_points(data), "1,5"),
+                        Descendent(Poly.one(alg.table.width)), 1)
     assert str(exc.value) == "pole at fixed point p{1,5}: atom (1 - s1*s2^-1) vanishes"
 
 
@@ -470,7 +514,7 @@ def test_factored_output_stays_small(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, point", [("tp1", "0"), ("a2", "0"), ("tgr24", "1,6")])
 def test_vertex_json_round_trips(name, point):
-    from coulombkit import CoulombAlgebra, Descendent, vertex_fp, vertex_fp_nonab
+    from coulombkit import CoulombAlgebra, Descendent, fixed_points, vertex_fp, vertex_fp_nonab
     from coulombkit.cli import _select_point
     code, payload = run_cli(["vertex", model_path(name), "--point", point, "--order", "2",
                              "--json"])
@@ -478,7 +522,8 @@ def test_vertex_json_round_trips(name, point):
     data = load_model(model_path(name))
     alg = CoulombAlgebra(data)
     tau = Descendent(Poly.one(alg.table.width))
-    series = (vertex_fp_nonab if data.blocks else vertex_fp)(alg, _select_point(data, point), tau, 2)
+    p = _select_point(fixed_points(data), point)
+    series = (vertex_fp_nonab if data.blocks else vertex_fp)(alg, p, tau, 2)
     coefficients = json.loads(payload)["coefficients"]
     assert [tuple(c["degree"]) for c in coefficients] == sorted(series.coeffs)
     for c in coefficients:

@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from coulombkit import GaugeData, Scalar, specialize_q1
-from coulombkit.coulomb import CoulombAlgebra, delta, epsilon
+from coulombkit import GaugeData, Poly, Scalar, specialize_q1
+from coulombkit.coulomb import (AlgebraElement, CoulombAlgebra, ModuleElement, collect, delta,
+                               epsilon)
 from coulombkit.exactring import mono_mul, one_minus
 from coulombkit.hypertoric import pair
 from coulombkit.pochhammer import hq_ratio, hq_ratio_inv, poch, q_shifted, sign_kernel
@@ -111,6 +112,28 @@ def test_identity_element(a2_alg):
         a = _random_element(a2_alg, rng, with_coeff=True)
         assert a2_alg.mul(a2_alg.one(), a) == a
         assert a2_alg.mul(a, a2_alg.one()) == a
+        assert (a + (-a)).terms == {} and (a - a).is_zero()
+
+
+def test_combination_sums_repeated_degrees_and_compares_degrees_first(tp1_alg, monkeypatch):
+    w = tp1_alg.table.width
+    x = poch(tp1_alg.x_mono(0), 6) * poch(tp1_alg.x_mono(1), 5)
+    one = Scalar.one(w)
+    assert collect([((1,), x), ((2,), one), ((1,), -x), ((2,), x), ((1,), one)]) == {
+        (2,): one + x, (1,): one}
+    assert collect([((1,), x), ((1,), -x)]) == {}
+    pairs = [((1,), x), ((0,), one), ((1,), one)]
+    assert AlgebraElement(tp1_alg, pairs) == AlgebraElement(tp1_alg, collect(pairs))
+    assert AlgebraElement(tp1_alg, iter(pairs)).terms == {(1,): x + one, (0,): one}
+    # an algebra element is never a module element, even with equal terms
+    assert not (tp1_alg.r((1,), x) == tp1_alg.t((1,), x))
+    assert tp1_alg.r((1,), x) != tp1_alg.t((1,), x)
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert not (tp1_alg.r((1,), x) == tp1_alg.r((2,), x))
+    assert not (tp1_alg.t((1,), x) == tp1_alg.t((1,), x) + tp1_alg.t((2,), x))
+    assert calls == []
 
 
 def test_tau(a2_alg):
@@ -238,6 +261,7 @@ def test_module_action(a2_alg):
             continue
         plus = a2_alg.module_act(tc, a2_alg.mixed_generator(d))
         assert plus == a2_alg.t(tuple(x + y for x, y in zip((1, 1), d))), d
+        assert (plus + ModuleElement(a2_alg, {c: -f for c, f in plus.terms.items()})).terms == {}
         nd = tuple(-x for x in d)
         got = a2_alg.module_act(tc, a2_alg.mixed_generator(nd))
         coeff = Scalar.one(w)

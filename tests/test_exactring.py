@@ -9,6 +9,7 @@ from coulombkit.exactring import (SumInverseError, _chain_roots, _direction, bin
                                   mono_inv, mono_mul, mono_pow, mono_subs, one_minus,
                                   scalar_str, scalar_from_structured, scalar_structured,
                                   shift_s_by_degree, substitute_monomials)
+from coulombkit.pochhammer import poch
 
 from conftest import rand_mono, rand_poly, rng_for
 
@@ -121,6 +122,7 @@ def test_pure_products_multiply_without_polynomials(monkeypatch):
         atoms = {g: m for g, m in atoms.items() if any(g)}
         values.append(Scalar(W, Poly.monomial(T.unit(), rng.choice([1, -2, Fraction(3, 5)])),
                              pre=rand_mono(rng, T, span=1), atoms=atoms))
+    eleven = poch(mono(a1=1), 6) * poch(mono(a2=1), 5)
     calls = []
     mul = Poly.__mul__
     monkeypatch.setattr(Poly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
@@ -130,6 +132,13 @@ def test_pure_products_multiply_without_polynomials(monkeypatch):
             assert x * y == y * x
             assert (x * y) * y.inv() == x
             assert (x == y) == (scalar_structured(x) == scalar_structured(y))
+    # zero against a product decides on the zero test alone; the last product
+    # has eleven numerator atoms
+    zero = Scalar.zero(W)
+    for x in values + [eleven]:
+        assert not (zero == x) and not (x == zero) and not (-x + x == x)
+        assert -x + x == zero
+    assert zero == Scalar.zero(W)
     assert calls == []
 
 

@@ -1,4 +1,5 @@
-"""Source hygiene: no module imports a name at top level that it never uses."""
+"""Source hygiene: no module imports a name at top level that it never uses,
+and no private module-level function or class of the package goes unused."""
 
 import ast
 import os
@@ -58,3 +59,27 @@ def test_no_unused_top_level_imports(path):
     used = _used(tree)
     unused = ["%s (line %d)" % (name, line) for name, line in _imported(tree) if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_private_definitions_are_referenced():
+    """Every module-level ``_name`` function or class in the package is read
+    somewhere in ``src/``, so a helper orphaned by a refactor fails here."""
+    defined, referenced = {}, set()
+    for path in SOURCES:
+        if os.path.relpath(path, ROOT).split(os.sep)[0] != "src":
+            continue
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                defined[node.name] = "%s (line %d)" % (os.path.relpath(path, ROOT), node.lineno)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert defined
+    orphans = ["%s %s" % (name, where) for name, where in sorted(defined.items())
+               if name not in referenced]
+    assert not orphans, "unreferenced private definitions: " + ", ".join(orphans)

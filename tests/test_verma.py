@@ -109,6 +109,7 @@ def test_module_axiom(tp1_module, a2_modules):
             lhs = module.act(alg.mul(a, b), u)
             rhs = module.act(a, module.act(b, u))
             assert lhs == rhs
+            assert (lhs + rhs.scale(-Scalar.one(alg.table.width))).terms == {}
 
 
 def test_contravariant_form(tp1_module, a2_modules):

@@ -8,7 +8,7 @@ from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import mono_mul, one_minus
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.pochhammer import sign_kernel
-from coulombkit.vertex import Descendent, restriction_images
+from coulombkit.vertex import Descendent, QSeries, restriction_images
 from coulombkit.bethe import _root_shift_factor
 
 from conftest import point_by_support
@@ -58,7 +58,11 @@ def test_vertex_tp1_degree_one(tp1_alg):
 def test_vertex_equals_whittaker_tp1(tp1_alg):
     for p in fixed_points(tp1_alg.data):
         for tau in _descendents(tp1_alg.table):
-            assert vertex_fp(tp1_alg, p, tau, 4) == whittaker_function(tp1_alg, p, tau, 4)
+            series = vertex_fp(tp1_alg, p, tau, 4)
+            assert series == whittaker_function(tp1_alg, p, tau, 4)
+            negated = QSeries(4, {d: -f for d, f in series.coeffs.items()})
+            assert (series + negated).coeffs == {} and series != negated
+            assert QSeries(4, list(series.coeffs.items()) * 2) == series + series
 
 
 def test_vertex_equals_whittaker_a2(a2_alg):
