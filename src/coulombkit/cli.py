@@ -201,7 +201,7 @@ class _ExprParser:
                 num, "a sum" if len(p.terms) > 1 else "a coefficient", MAX_SUM_POWER))
         if p.is_monomial():
             (m, c), = p.terms.items()
-            return _bounded(Poly.monomial(mono_pow(m, num), c ** num))
+            return _bounded(Poly.monomial(mono_pow(m, num), Fraction(c) ** num))
         out = Poly.one(p.w)
         while num:
             if num & 1:

@@ -131,6 +131,7 @@ class CoulombAlgebra:
         self._mixed_cache = {}
         self._mixed_inv_cache = {}
         self._kernel_cache = {}
+        self._root_cache = {}
         self._modules = {}
         self._eff = None
         self._x = [self.table.x_mono(i, data.chi[i]) for i in range(data.n)]
@@ -374,6 +375,25 @@ class CoulombAlgebra:
     def root_pairing(root, d):
         u, v = root
         return d[u] - d[v]
+
+    def root_kernel(self, d) -> Scalar:
+        """The degree-d Weyl root factor of a block model, unevaluated: the
+        product of ``hq_ratio_inv(root_mono(root), <root, d>)`` over the roots.
+
+        Like :meth:`matter_kernel` it depends on the degree alone and is built
+        once per degree.
+        """
+        d = tuple(d)
+        got = self._root_cache.get(d)
+        if got is not None:
+            return got
+        out = Scalar.one(self.table.width)
+        for root in self.roots():
+            m = self.root_pairing(root, d)
+            if m:
+                out = out * hq_ratio_inv(self.root_mono(root), m)
+        self._root_cache[d] = out
+        return out
 
     def weyl_on_degree(self, w, d):
         """Permute a degree vector: entry j comes from position w[j]."""

@@ -14,14 +14,14 @@ A :class:`Scalar` is a rational function kept in the factored shape
     prefactor * sum_part * prod psi_d(r)^(-atoms[(r, d)])
 
 where the prefactor is a single monomial, the sum part is an expanded
-Laurent polynomial with ``Fraction`` coefficients that only additions create
-(usually a constant), and the atom key ``(r, d)`` stands for ``psi_d(r)``:
-``1 - r`` for d = 1, else the cyclotomic polynomial ``Phi_d(r)``, with r
-primitive and its first nonzero exponent positive.  A positive multiplicity
-is a denominator factor, a negative one a numerator factor.  A binomial is
-``1 - r^n = prod_{d|n} psi_d(r)`` for n > 0; for n < 0 its sign and
-monomial move into the prefactor.  The psi_d(r) are irreducible and pairwise
-not associate, so a product of atoms factors one way only.
+Laurent polynomial that only additions create (usually a constant), and the
+atom key ``(r, d)`` stands for ``psi_d(r)``: ``1 - r`` for d = 1, else the
+cyclotomic polynomial ``Phi_d(r)``, with r primitive and its first nonzero
+exponent positive.  A positive multiplicity is a denominator factor, a
+negative one a numerator factor.  A binomial is ``1 - r^n = prod_{d|n}
+psi_d(r)`` for n > 0; for n < 0 its sign and monomial move into the
+prefactor.  The psi_d(r) are irreducible and pairwise not associate, so a
+product of atoms factors one way only.
 
 No multivariate gcd is ever computed.  Multiplying adds the atom dicts,
 inverting negates them (the inverse of a sum part that is not a monomial
@@ -32,6 +32,10 @@ its monomial content to the prefactor.  Equality with a sum part is
 cross-multiplication after cancelling the shared atoms.  Rendering regroups
 the atoms of each root r into binomials ``(1 - r^n)``, largest n first;
 nothing is multiplied out to print.  All values are immutable.
+
+A coefficient is an ``int`` when it is integral, otherwise a ``Fraction``
+whose denominator is greater than 1; never a float.  :func:`exact_coeff`
+is the one normalization, and every operation keeps that invariant.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from numbers import Rational
 from operator import add, sub
 
 
@@ -158,6 +163,28 @@ def q_shifted(m: tuple, k: int) -> tuple:
     return tuple(out)
 
 
+def exact_coeff(c):
+    """The rational number c as a stored coefficient: an ``int`` when
+    integral, otherwise a ``Fraction``.  Anything else, a float included, is
+    refused."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if not isinstance(c, Rational):
+            raise TypeError("coefficient %r is not an int or a Fraction" % (c,))
+        c = Fraction(c.numerator, c.denominator)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _exact_terms(terms: dict) -> dict:
+    """terms, each coefficient that arithmetic left as an integral
+    ``Fraction`` replaced in place by its ``int``."""
+    for m, c in terms.items():
+        if type(c) is not int:
+            terms[m] = exact_coeff(c)
+    return terms
+
+
 def _grkey(m: tuple):
     return (sum(m), m)
 
@@ -168,7 +195,8 @@ def _atom_key(gm):
 
 
 class Poly:
-    """Sparse Laurent polynomial: exponent tuple -> nonzero Fraction."""
+    """Sparse Laurent polynomial: exponent tuple -> nonzero coefficient, an
+    ``int`` when integral, otherwise a ``Fraction``; never a float."""
 
     __slots__ = ("w", "terms")
 
@@ -184,11 +212,11 @@ class Poly:
 
     @classmethod
     def one(cls, width: int) -> "Poly":
-        return cls(width, {(0,) * width: Fraction(1)})
+        return cls(width, {(0,) * width: 1})
 
     @classmethod
     def monomial(cls, m: tuple, coeff=1) -> "Poly":
-        c = Fraction(coeff)
+        c = exact_coeff(coeff)
         if c == 0:
             return cls.zero(len(m))
         return cls(len(m), {m: c})
@@ -197,7 +225,7 @@ class Poly:
     def from_terms(cls, width: int, items) -> "Poly":
         terms = {}
         for m, c in items:
-            c = Fraction(c)
+            c = exact_coeff(c)
             if c == 0:
                 continue
             acc = terms.get(m)
@@ -206,7 +234,7 @@ class Poly:
                 terms[m] = nc
             elif acc is not None:
                 del terms[m]
-        return cls(width, terms)
+        return cls(width, _exact_terms(terms))
 
     # -- predicates ----------------------------------------------------
 
@@ -236,7 +264,7 @@ class Poly:
                 terms[m] = nc
             elif acc is not None:
                 del terms[m]
-        return Poly(self.w, terms)
+        return Poly(self.w, _exact_terms(terms))
 
     def __neg__(self) -> "Poly":
         return Poly(self.w, {m: -c for m, c in self.terms.items()})
@@ -258,7 +286,7 @@ class Poly:
                     terms[m] = nc
                 elif acc is not None:
                     del terms[m]
-        return Poly(self.w, terms)
+        return Poly(self.w, _exact_terms(terms))
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -279,10 +307,12 @@ class Poly:
         return out
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = exact_coeff(c)
+        if c == 1:
+            return self
         if c == 0:
             return Poly.zero(self.w)
-        return Poly(self.w, {m: cc * c for m, cc in self.terms.items()})
+        return Poly(self.w, _exact_terms({m: cc * c for m, cc in self.terms.items()}))
 
     def mul_mono(self, m: tuple) -> "Poly":
         if mono_is_unit(m):
@@ -321,7 +351,7 @@ class Poly:
                 terms[im] = nc
             elif acc is not None:
                 del terms[im]
-        return Poly(target_width, terms)
+        return Poly(target_width, _exact_terms(terms))
 
     def exact_div(self, r: tuple, d: int = 1):
         """Exact quotient by the atom factor ``psi_d(r)``, or None.
@@ -348,7 +378,7 @@ class Poly:
             for j, c in enumerate(q, lo):
                 if c:
                     quot[tuple([a + j * b for a, b in zip(base, r)])] = c
-        return Poly(self.w, quot)
+        return Poly(self.w, _exact_terms(quot))
 
     def sorted_terms(self):
         """Terms in ascending graded-lex order (the canonical print order)."""
@@ -363,7 +393,7 @@ def one_minus(g: tuple) -> Poly:
     w = len(g)
     if mono_is_unit(g):
         return Poly.zero(w)
-    return Poly(w, {(0,) * w: Fraction(1), g: Fraction(-1)})
+    return Poly(w, {(0,) * w: 1, g: -1})
 
 
 def _direction(g: tuple):
@@ -416,7 +446,7 @@ def _psi(d: int) -> tuple:
 
 def _atom_poly(r: tuple, d: int) -> Poly:
     """psi_d(r) as a Laurent polynomial."""
-    return Poly(len(r), {mono_pow(r, k): Fraction(c) for k, c in enumerate(_psi(d)) if c})
+    return Poly(len(r), {mono_pow(r, k): c for k, c in enumerate(_psi(d)) if c})
 
 
 def _psi_image(d: int, p: int):
@@ -435,7 +465,7 @@ def _mapped_keys(atoms: dict, images: dict | None, width: int):
     denominator factor there is a :class:`PoleEvaluationError`, a numerator
     factor makes the coefficient 0.
     """
-    coeff, pre, keys, roots, vanished = Fraction(1), (0,) * width, {}, {}, False
+    coeff, pre, keys, roots, vanished = 1, (0,) * width, {}, {}, False
     for (g, d), mult in atoms.items():
         if g not in roots:
             u = g if images is None else mono_subs(g, images, width)
@@ -443,7 +473,7 @@ def _mapped_keys(atoms: dict, images: dict | None, width: int):
         if roots[g] is None:
             if d > 1:
                 # psi_d(1) is the prime l for d a power of l, else 1
-                coeff *= Fraction(sum(_psi(d))) ** -mult
+                coeff = exact_coeff(coeff * Fraction(sum(_psi(d))) ** -mult)
             elif mult > 0:
                 raise PoleEvaluationError(
                     "pole at evaluation point: atom (1 - %r) vanishes" % (g,), atom=g)
@@ -486,7 +516,7 @@ class Scalar:
         atoms = {(g, 1): m for g, m in atoms.items() if m} if atoms else {}
         coeff, unit, keys = _mapped_keys(atoms, None, width) if atoms else (1, (0,) * width, {})
         pre = mono_mul(pre, unit) if pre is not None else unit
-        x = Scalar._of(width, num if coeff == 1 else num.scale(coeff), pre, keys)
+        x = Scalar._of(width, num.scale(coeff), pre, keys)
         self.w, self.num, self.pre, self.atoms = width, x.num, x.pre, x.atoms
 
     @classmethod
@@ -613,7 +643,7 @@ class Scalar:
         if len(a.terms) > 1:
             return Scalar._of(self.w, a.scale(c), pre, keys)
         # both sum parts are the constant term: a product of atoms again
-        return Scalar._raw(self.w, Poly(self.w, {u: a.terms[u] * c}), pre, keys)
+        return Scalar._raw(self.w, Poly(self.w, {u: exact_coeff(a.terms[u] * c)}), pre, keys)
 
     def scale(self, c) -> "Scalar":
         if c == 0:
@@ -628,8 +658,8 @@ class Scalar:
             raise SumInverseError("inverse of a value with a %d-term sum part"
                                   % len(self.num.terms))
         (u, c), = self.num.terms.items()
-        return Scalar._raw(self.w, Poly(self.w, {u: 1 / c}), mono_inv(self.pre),
-                           {k: -m for k, m in self.atoms.items()})
+        return Scalar._raw(self.w, Poly(self.w, {u: exact_coeff(Fraction(1, c))}),
+                           mono_inv(self.pre), {k: -m for k, m in self.atoms.items()})
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         return self * other.inv()
@@ -649,7 +679,7 @@ class Scalar:
             return Scalar.zero(target_width)
         pre = mono_mul(mono_subs(self.pre, images, target_width), unit)
         num = self.num.subs(images, target_width)
-        return Scalar._of(target_width, num if coeff == 1 else num.scale(coeff), pre, keys)
+        return Scalar._of(target_width, num.scale(coeff), pre, keys)
 
     def q_shift(self, var_idx: int, m: int) -> "Scalar":
         """Replace the variable by q^m * itself (exponent e adds 2*m*e to q^(1/2))."""
@@ -720,7 +750,7 @@ def mono_str(table: VariableTable, m: tuple) -> str:
     return "*".join(parts) if parts else "1"
 
 
-def _term_str(table: VariableTable, m: tuple, c: Fraction) -> str:
+def _term_str(table: VariableTable, m: tuple, c) -> str:
     mstr = mono_str(table, m)
     if mstr == "1":
         return str(c)

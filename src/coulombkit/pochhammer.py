@@ -14,8 +14,6 @@ Infinite symbols and theta functions are deliberately not represented.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactring import HBAR_HALF, Poly, Q_HALF, Scalar, q_shifted
 
 
@@ -56,7 +54,7 @@ def sign_kernel(d: int, width: int) -> Scalar:
     m = [0] * width
     m[Q_HALF] = d
     m[HBAR_HALF] = -d
-    return Scalar.monomial(tuple(m), Fraction(-1) ** d)
+    return Scalar.monomial(tuple(m), -1 if d % 2 else 1)
 
 
 def poch_qinv(x: tuple, d: int) -> Scalar:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .coulomb import Combination, CoulombAlgebra
 from .exactring import Poly, Scalar, mono_is_unit, mono_subs, q_shifted, shift_s_by_degree
 from .hypertoric import FixedPoint, enumerate_degrees, pair
-from .pochhammer import h_shifted, hq_ratio_inv, poch, poch_qinv, sign_kernel
+from .pochhammer import h_shifted, poch, poch_qinv, sign_kernel
 from .verma import evaluate_at_point
 
 
@@ -201,15 +201,10 @@ def vertex_fp_nonab(alg: CoulombAlgebra, ptilde: FixedPoint, tau: Descendent | S
     insertion = tau.as_scalar() if isinstance(tau, Descendent) else tau
     images = restriction_images(alg, ptilde, specialize=True)
     slices = alg.data.block_slices()
-    roots = alg.roots()
     degrees = enumerate_degrees(alg.eff(), alg.data.theta, order)
 
     def coeff(d):
-        weight = alg.matter_kernel(d)
-        for root in roots:
-            m = alg.root_pairing(root, d)
-            if m:
-                weight = weight * hq_ratio_inv(alg.root_mono(root), m)
+        weight = alg.matter_kernel(d) * alg.root_kernel(d)
         weight = weight * shift_s_by_degree(insertion, alg.table, d)
         return evaluate_at_point(alg, ptilde, images, weight)
 

@@ -1,18 +1,21 @@
-"""The per-algebra caches: matter kernels per degree, Verma modules per fixed
-point, Whittaker vectors per order.  Cached results must equal, and render
+"""The per-algebra caches: matter kernels and Weyl root factors per degree,
+Verma modules per fixed point, Whittaker vectors per order.  Cached results must equal, and render
 exactly as, the same calls on a fresh algebra, and no two algebras may share
 a cached value."""
 
 import pytest
 
 import coulombkit.coulomb
-from coulombkit import fixed_points, vertex_fp, whittaker_function
+from coulombkit import fixed_points, vertex_fp, vertex_fp_nonab, whittaker_function
 from coulombkit.cli import _series_report, parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
+from coulombkit.exactring import shift_s_by_degree
 from coulombkit.hypertoric import enumerate_degrees
-from coulombkit.verma import VermaModule
+from coulombkit.pochhammer import hq_ratio_inv
+from coulombkit.verma import VermaModule, evaluate_at_point
+from coulombkit.vertex import QSeries, restriction_images
 
-from conftest import tpn
+from conftest import point_by_support, tpn
 
 # the three acceptance descendents plus one more
 DESCENDENTS = ["1", "s1", "a1*s1 - h", "2*a2*s1^2 + 3*h"]
@@ -104,3 +107,38 @@ def test_algebras_share_no_cached_values(a2, monkeypatch):
     assert m1 is not m2 and m1.algebra is first and m2.algebra is second
     assert m1.whittaker_vector(2) is not m2.whittaker_vector(2)
     assert m1.whittaker_vector(2).module is m1
+
+
+def _nonab_rebuilt(alg, p, tau, order):
+    """vertex_fp_nonab with every root factor built afresh per degree."""
+    images = restriction_images(alg, p, specialize=True)
+
+    def coeff(d):
+        weight = alg.matter_kernel(d)
+        for root in alg.roots():
+            m = alg.root_pairing(root, d)
+            if m:
+                weight = weight * hq_ratio_inv(alg.root_mono(root), m)
+        weight = weight * shift_s_by_degree(tau.as_scalar(), alg.table, d)
+        return evaluate_at_point(alg, p, images, weight)
+
+    degrees = enumerate_degrees(alg.eff(), alg.data.theta, order)
+    return QSeries(order, ((tuple(sum(d[a:b]) for a, b in alg.data.block_slices()), coeff(d))
+                           for d in degrees))
+
+
+def test_root_factors_are_built_once_per_degree(tgr24, monkeypatch):
+    """Both lifts of tgr(2,4) at order 1 share the root factors of each
+    degree: 4 builds where rebuilding per call makes 8."""
+    alg = CoulombAlgebra(tgr24)
+    lifts = [point_by_support(tgr24, (0, 5)), point_by_support(tgr24, (1, 4))]
+    taus = [parse_descendent(text, alg.table) for text in ("1", "a1*s1 - h")]
+    builds = _counting(monkeypatch, coulombkit.coulomb, "hq_ratio_inv")
+    got = [vertex_fp_nonab(alg, p, taus[0], 1) for p in lifts]
+    assert len(builds) == 4
+    got += [vertex_fp_nonab(alg, p, taus[1], 1) for p in lifts]
+    assert len(builds) == 4
+    want = [_nonab_rebuilt(CoulombAlgebra(tgr24), p, tau, 1) for tau in taus for p in lifts]
+    assert got == want
+    for d in enumerate_degrees(alg.eff(), tgr24.theta, 1):
+        assert alg.root_kernel(d) is alg.root_kernel(d)

@@ -194,6 +194,11 @@ GOLDEN = [
     ("mul_a2.txt", ["mul", "a2", "r[1,0]r[-1,1]r[0,-1]"]),
     ("mul_a2.json", ["mul", "a2", "r[1,0]r[-1,1]r[0,-1]", "--json"]),
     ("qde_check_a2_circuit0_order2.txt", ["qde-check", "a2", "--circuit", "0", "--order", "2"]),
+    # a negative power of a coefficient-1 monomial, and rational literals
+    ("vertex_tp1_order1_negative_power.txt",
+     ["vertex", "tp1", "--order", "1", "--descendent", "(a1*s1)^-2"]),
+    ("vertex_tp1_order2_rational.json",
+     ["vertex", "tp1", "--order", "2", "--descendent", "1/2*a1*s1-3/2*h", "--json"]),
 ]
 
 

@@ -7,6 +7,9 @@ by cross-multiplying sympy's fractions; poles are decided on
 of a few primitive monomials, so products pair (1 - g) with (1 - g^-1) and
 (1 - g^2), and substitutions can send an atom to 1 (a pole, or a factor
 that cancels against the numerator).
+
+The same values also check the coefficient invariant: every coefficient is
+an ``int`` when integral, otherwise a ``Fraction``, and never a float.
 """
 
 import re
@@ -19,10 +22,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from coulombkit import PoleEvaluationError, Poly, Scalar, VariableTable  # noqa: E402
+from coulombkit.cli import ExprError, parse_scalar_expr  # noqa: E402
+from coulombkit.coulomb import CoulombAlgebra  # noqa: E402
 from coulombkit.exactring import (SumInverseError, binomial_atoms, mono_inv,  # noqa: E402
                                   mono_is_unit, mono_pow, mono_str, mono_subs,
                                   scalar_from_structured, scalar_str, scalar_structured,
                                   specialize_q1)
+from coulombkit.pochhammer import sign_kernel  # noqa: E402
+
+from conftest import tgr_model  # noqa: E402
 
 T = VariableTable(1, 1)  # q^(1/2), h^(1/2), a1, s1, Q1^(1/2)
 W = T.width
@@ -208,3 +216,76 @@ def test_substitution_matches_sympy(xa, data):
         return
     assert not pole
     assert same(engine_expr(got), num.xreplace(phi) / den.xreplace(phi))
+
+
+def assert_exact(*values):
+    """Every coefficient of each Scalar or Poly is an ``int``, or a
+    ``Fraction`` that is not integral; none is a float."""
+    for x in values:
+        for c in (x.num if isinstance(x, Scalar) else x).terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+# literals with integral and non-integral values, and coefficient-1 powers,
+# negative ones included
+LITERALS = st.sampled_from(["1", "2", "3/2", "4/2", "6/3", "1/3", "-5/10"])
+FACTORS = st.sampled_from(["a1", "s1", "h", "h^(1/2)", "(a1*s1)^-2", "(h*s1)^-1", "(2*s1)^3",
+                           "(1/2*a1)^2", "(a1 + 1/2)^2"])
+TERMS = st.builds("{}*{}".format, LITERALS, FACTORS)
+EXPRESSIONS = st.builds(lambda first, rest: first + "".join(op + t for op, t in rest), TERMS,
+                        st.lists(st.tuples(st.sampled_from([" + ", " - "]), TERMS), max_size=2))
+
+
+@SETTINGS
+@given(values(), values(), EXPRESSIONS, st.data())
+def test_coefficients_are_int_when_integral(xa, ya, text, data):
+    """Products, quotients, sums, substitutions and the grammar keep every
+    coefficient an ``int`` when integral and never make a float."""
+    (x, _), (y, _) = xa, ya
+    half = Fraction(1, 2)
+    assert_exact(x, y, x + y, x - y, x * y, -x, x.scale(Fraction(2, 3)), x.scale(Fraction(4, 2)),
+                 x.scale(half) + x.scale(half), x.scale(half) * y.scale(2))
+    if not y.is_zero() and y.num.is_monomial():
+        assert_exact(x / y, y.inv(), y.inv().inv())
+    images = {i: data.draw(st.tuples(*[st.integers(-1, 1)] * W)) for i in range(W)}
+    for z in (x, y, x + y):
+        try:
+            assert_exact(z.subs(images, W), z.q_shift(3, 1), specialize_q1(z, T))
+        except PoleEvaluationError:
+            pass
+    try:
+        p = parse_scalar_expr(text, T)
+    except ExprError:
+        return
+    assert_exact(p, p * p, p + p.scale(Fraction(-1, 2)), p.scale(half) + p.scale(half),
+                 p.scale(half) * p.scale(2), Scalar.from_poly(p) * x)
+
+
+def test_coefficient_invariant_cases():
+    m = (1, 0, 0, 1, 0)
+    third = Scalar.monomial(m, 3).inv()
+    assert third.num.terms == {UNIT: Fraction(1, 3)} and type(third.num.terms[UNIT]) is Fraction
+    assert_exact(third, third.inv(), third * Scalar.monomial(m, 3), third.scale(3))
+    assert type((third * Scalar.monomial(UNIT, 3)).num.terms[UNIT]) is int
+    for d in range(-3, 4):
+        (c,) = sign_kernel(d, W).num.terms.values()
+        assert type(c) is int and c == (-1) ** abs(d)
+    assert sign_kernel(-3, W).num.terms == {UNIT: -1}
+    for inexact in (0.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            Poly.monomial(UNIT, inexact)
+    # (1 - r) / (1 - r^3) = 1 / Phi_3(r) at r = 1 is an exact 1/3
+    r = (0, 1, 0, 0, 0)
+    x = Scalar(W, Poly.one(W), atoms={mono_pow(r, 3): 1, r: -1})
+    assert x.subs({1: UNIT}, W).num.terms == {UNIT: Fraction(1, 3)}
+
+
+def test_symmetrized_generator_stays_exact():
+    """The Weyl average weights each term by 1/|W| = 1/2 on tgr(2,4)."""
+    alg = CoulombAlgebra(tgr_model(2, 4))
+    element = alg.symmetrized_generator((1, 0))
+    halves = 0
+    for f in element.terms.values():
+        assert_exact(f)
+        halves += any(type(c) is Fraction for c in f.num.terms.values())
+    assert halves

@@ -1,5 +1,6 @@
 """Source hygiene: no module imports a name at top level that it never uses,
-and no private module-level function or class of the package goes unused."""
+no private module-level function or class of the package goes unused, and
+the package has no floating point."""
 
 import ast
 import os
@@ -12,6 +13,7 @@ SOURCES = sorted(
     for top in ("src", "tests")
     for dirpath, _, names in os.walk(os.path.join(ROOT, top))
     for name in names if name.endswith(".py"))
+PACKAGE = [path for path in SOURCES if os.path.relpath(path, ROOT).split(os.sep)[0] == "src"]
 
 
 def _imported(tree):
@@ -65,9 +67,7 @@ def test_private_definitions_are_referenced():
     """Every module-level ``_name`` function or class in the package is read
     somewhere in ``src/``, so a helper orphaned by a refactor fails here."""
     defined, referenced = {}, set()
-    for path in SOURCES:
-        if os.path.relpath(path, ROOT).split(os.sep)[0] != "src":
-            continue
+    for path in PACKAGE:
         with open(path) as fh:
             tree = ast.parse(fh.read(), filename=path)
         for node in tree.body:
@@ -83,3 +83,25 @@ def test_private_definitions_are_referenced():
     orphans = ["%s %s" % (name, where) for name, where in sorted(defined.items())
                if name not in referenced]
     assert not orphans, "unreferenced private definitions: " + ", ".join(orphans)
+
+
+def test_package_has_no_floating_point():
+    """No float literal, no ``float`` name and no true division ``/`` in the
+    package: coefficients are ``int`` or ``Fraction``, and an exact quotient
+    is written ``Fraction(a, b)``."""
+    assert PACKAGE
+    hits = []
+    for path in PACKAGE:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                what = "float literal %r" % node.value
+            elif isinstance(node, ast.Name) and node.id == "float":
+                what = "the name float"
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                what = "true division"
+            else:
+                continue
+            hits.append("%s (line %d): %s" % (os.path.relpath(path, ROOT), node.lineno, what))
+    assert not hits, "floating point in the package: " + ", ".join(hits)
