@@ -2,9 +2,10 @@
 
 Relations are emitted as scalar data tagged by the Kahler degree they are
 set equal to; quotient-module arithmetic is out of scope.  For block models
-one relation is produced per (dominant circuit, Weyl element) pair, carrying
-the root-system correction factor; the degree tag then records only the
-per-block image of the circuit.
+one relation is produced per (dominant circuit, Weyl element) pair of the
+virtual abelian model, whose virtual rows supply the Weyl correction through
+the product itself; the degree tag then records only the per-block image of
+the circuit.
 """
 
 from __future__ import annotations
@@ -12,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coulomb import CoulombAlgebra
-from .exactring import (Q_HALF, Scalar, mono_str, q_shifted, scalar_str, scalar_structured,
-                        specialize_q1)
+from .exactring import Q_HALF, Scalar, mono_str, scalar_str, scalar_structured, specialize_q1
 from .hypertoric import circuits
-from .pochhammer import h_shifted, poch_ratio
 
 
 @dataclass(frozen=True)
@@ -27,16 +26,6 @@ class Relation:
     kind: str  # "dmodule" | "bethe_q1"
     circuit: tuple
     weyl_rep: tuple | None = None
-
-
-def _root_shift_factor(alg: CoulombAlgebra, wc) -> Scalar:
-    out = Scalar.one(alg.table.width)
-    for root in alg.roots():
-        mu = alg.root_pairing(root, wc)
-        if mu:
-            y = alg.root_mono(root)
-            out = out * poch_ratio(q_shifted(y, 1), h_shifted(y), -mu)
-    return out
 
 
 def _block_image(alg: CoulombAlgebra, c) -> tuple:
@@ -70,7 +59,7 @@ def dmodule_relations(alg: CoulombAlgebra):
             wc = alg.weyl_on_degree(w, c)
             nwc = tuple(-x for x in wc)
             lhs = alg.mul(alg.mixed_generator(wc), alg.mixed_generator(nwc)).scalar_part()
-            lhs = _specialize_flavors(alg, lhs * _root_shift_factor(alg, wc))
+            lhs = _specialize_flavors(alg, lhs)
             out.append(Relation(lhs=lhs, rhs_degree=_block_image(alg, c),
                                 kind="dmodule", circuit=c, weyl_rep=w))
     return out

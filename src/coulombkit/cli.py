@@ -31,6 +31,9 @@ MAX_NESTING = 100
 # largest |entry| of a generator degree in a `mul` word; a structure constant
 # has one kernel factor per unit of degree
 MAX_GENERATOR_DEGREE = 64
+# largest --order of `vertex`, `whittaker` and `qde-check`; the degrees
+# enumerated grow as a power of the order
+MAX_ORDER = 64
 # largest number of term pairs one product in an expression may multiply;
 # it bounds both the work of the product and the terms of its result
 MAX_TERMS = 100_000
@@ -446,9 +449,12 @@ def dispatch(args, out=None) -> int:
     out = sys.stdout if out is None else out
     if getattr(args, "order", 0) < 0:
         raise UsageError("--order must be >= 0, got %d" % args.order)
+    if getattr(args, "order", 0) > MAX_ORDER:
+        raise UsageError("--order must be at most %d, got %d" % (MAX_ORDER, args.order))
     data = load_model(args.model)
     alg = CoulombAlgebra(data)
     table = alg.table
+    virtual = len(alg.rows) > data.n  # a block model: it has virtual rows
 
     if args.command == "circuits":
         cs = circuits(data)
@@ -465,7 +471,7 @@ def dispatch(args, out=None) -> int:
     if args.command == "fixed-points":
         pts = fixed_points(data)
         # block models mark the points that `vertex` and `whittaker` accept
-        lifts = [is_lift(alg, p) for p in pts] if alg.roots() else [None] * len(pts)
+        lifts = [is_lift(alg, p) for p in pts] if virtual else [None] * len(pts)
         if args.json:
             _print(out, [_point_json(table, p, lift) for p, lift in zip(pts, lifts)])
         else:
@@ -502,10 +508,7 @@ def dispatch(args, out=None) -> int:
         p = _select_lift(alg, fixed_points(data), args.point)
         tau = parse_descendent(args.descendent, table) if args.descendent else \
             Descendent(Poly.one(table.width))
-        if data.blocks is not None and any(b > 1 for b in data.blocks):
-            series = vertex_fp_nonab(alg, p, tau, args.order)
-        else:
-            series = vertex_fp(alg, p, tau, args.order)
+        series = (vertex_fp_nonab if virtual else vertex_fp)(alg, p, tau, args.order)
         _print(out, _series_report(alg, series, args.json))
         return 0
 
@@ -646,7 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("word", help="generator word, e.g. \"r[1,0] r[-1,0]\"")
     sp = sub.add_parser("wallcross")
     common(sp, order=False)
-    sp.add_argument("--theta2", required=True)
+    sp.add_argument("--theta2", required=True,
+                    help="comma-separated integers; a negative first entry as --theta2=-1,-1")
     return ap
 
 

@@ -12,8 +12,14 @@ past a gauge variable costs a q-shift:
 
 and the product of two generators is a single generator scaled by a
 structure constant built from Pochhammer kernel factors; the constant
-depends on a polarization (a subset of the matter rows), the default being
-the canonical one containing every row.
+depends on a polarization (a subset of the rows), the default being the
+canonical one containing every row.
+
+Every kernel loops over one list of signed rows (:func:`signed_rows`): a
+genuine row per matter row and, in a block model, a virtual row per root
+of a block, which contributes the inverse factor.  A block model is thus
+its virtual abelian model, the adjoint counted negatively; fixed points,
+circuits and cones still read the genuine rows of the :class:`GaugeData`.
 
 Mixed generators rescale r_d by an explicit kernel coefficient depending on
 which side of the effective cone d lies; products of mixed generators inside
@@ -27,10 +33,9 @@ concurrent identical insertions are harmless.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .exactring import Scalar, VariableTable, q_shifted, shift_s_by_degree
-from .hypertoric import FixedPoint, GaugeData, eff_cone, mixed_polarization
+from .hypertoric import FixedPoint, GaugeData, eff_cone, mixed_polarization, pair
 from .pochhammer import hq_ratio, hq_ratio_inv
 
 
@@ -42,6 +47,28 @@ def delta(c: int, d: int) -> int:
     if c * d < 0:
         return min(abs(c), abs(d))
     return 0
+
+
+def signed_rows(data: GaugeData, table: VariableTable) -> list:
+    """The rows of the virtual abelian model, as (weight, x monomial, sign).
+
+    One genuine row (chi_i, a_i s^chi_i, +1) per matter row, then one virtual
+    row (alpha, s^alpha, -1) per root alpha = e_u - e_v inside a block: the
+    adjoint counted negatively, so a virtual row contributes the inverse of
+    the factor of a genuine row of the same weight.
+    """
+    rows = [(chi, table.x_mono(i, chi), 1) for i, chi in enumerate(data.chi)]
+    for a, b in data.block_slices():
+        for u, v in itertools.permutations(range(a, b), 2):
+            alpha = tuple((j == u) - (j == v) for j in range(data.k))
+            rows.append((alpha, table.mono({table.s(u): 1, table.s(v): -1}), -1))
+    return rows
+
+
+def _kernel(sign: int, x: tuple, d: int, inverse: bool = False) -> Scalar:
+    """``hq_ratio(x, d)`` on a genuine row and its inverse on a virtual one;
+    ``inverse`` inverts both."""
+    return hq_ratio(x, d) if (sign > 0) != inverse else hq_ratio_inv(x, d)
 
 
 def collect(terms) -> dict:
@@ -126,15 +153,15 @@ class CoulombAlgebra:
     def __init__(self, data: GaugeData):
         self.data = data
         self.table: VariableTable = data.table()
-        self.canonical_pol = frozenset(range(data.n))
+        # genuine rows first, so row i < data.n is the matter row chi_i
+        self.rows = signed_rows(data, self.table)
+        self.canonical_pol = frozenset(range(len(self.rows)))
         self._sc_cache = {}
         self._mixed_cache = {}
         self._mixed_inv_cache = {}
         self._kernel_cache = {}
-        self._root_cache = {}
         self._modules = {}
         self._eff = None
-        self._x = [self.table.x_mono(i, data.chi[i]) for i in range(data.n)]
 
     # -- basic builders -------------------------------------------------
 
@@ -161,7 +188,7 @@ class CoulombAlgebra:
         return ModuleElement(self, {c: coeff if coeff is not None else Scalar.one(self.table.width)})
 
     def x_mono(self, i: int):
-        return self._x[i]
+        return self.rows[i][1]
 
     # -- structure constants ---------------------------------------------
 
@@ -173,24 +200,19 @@ class CoulombAlgebra:
         if got is not None:
             return got
         out = Scalar.one(self.table.width)
-        for i in range(self.data.n):
-            ci = self.data.pairing(i, c)
-            di = self.data.pairing(i, d)
-            length = epsilon(ci) * delta(ci, di)
-            if length == 0:
-                continue
-            y = q_shifted(self._x[i], -ci)
-            if (i in pol) == (epsilon(ci) > 0):
-                factor = hq_ratio_inv(y, length)
-            else:
-                factor = hq_ratio(y, length)
-            out = out * factor
+        for i, (chi, x, sign) in enumerate(self.rows):
+            ci = pair(chi, c)
+            length = epsilon(ci) * delta(ci, pair(chi, d))
+            if length:
+                out = out * _kernel(sign, q_shifted(x, -ci), length,
+                                    inverse=(i in pol) == (ci > 0))
         self._sc_cache[key] = out
         return out
 
     def matter_kernel(self, d) -> Scalar:
-        """The degree-d localization weight of the matter rows, unevaluated:
-        the product of ``hq_ratio(x_i, <chi_i, d>)`` over the rows.
+        """The degree-d localization weight, unevaluated: the product of
+        ``hq_ratio(x, <weight, d>)`` over the genuine rows and of its inverse
+        over the virtual ones.
 
         It depends on the degree alone, so it is built once per degree and
         shared by every fixed point and descendent of this algebra.
@@ -200,10 +222,10 @@ class CoulombAlgebra:
         if got is not None:
             return got
         out = Scalar.one(self.table.width)
-        for i in range(self.data.n):
-            di = self.data.pairing(i, d)
+        for chi, x, sign in self.rows:
+            di = pair(chi, d)
             if di:
-                out = out * hq_ratio(self._x[i], di)
+                out = out * _kernel(sign, x, di)
         self._kernel_cache[d] = out
         return out
 
@@ -228,16 +250,10 @@ class CoulombAlgebra:
     def xi_phi_coefficient(self, d, pol: frozenset) -> Scalar:
         """Left coefficient of the polarization-change image of r_d(Pol)."""
         out = Scalar.one(self.table.width)
-        for i in range(self.data.n):
-            if i in pol:
-                continue
-            di = self.data.pairing(i, d)
-            if di == 0:
-                continue
-            if di > 0:
-                out = out * hq_ratio_inv(self._x[i], -di)
-            else:
-                out = out * hq_ratio(self._x[i], -di)
+        for i, (chi, x, sign) in enumerate(self.rows):
+            di = pair(chi, d)
+            if di and i not in pol:
+                out = out * _kernel(sign, x, -di, inverse=di > 0)
         return out
 
     def xi_phi_generator(self, d, pol: frozenset) -> AlgebraElement:
@@ -250,12 +266,9 @@ class CoulombAlgebra:
         if got is not None:
             return got
         eff = self.eff()
-        if eff.contains(d):
-            pol = mixed_polarization(self.data, d)
-        elif eff.contains(tuple(-x for x in d)):
-            pol = frozenset(i for i in range(self.data.n) if self.data.pairing(i, d) <= 0)
-        else:
-            pol = self.canonical_pol
+        side = d if eff.contains(d) else tuple(-x for x in d)
+        pol = mixed_polarization([chi for chi, _, _ in self.rows], side) \
+            if eff.contains(side) else self.canonical_pol
         out = self.xi_phi_coefficient(d, pol)
         self._mixed_cache[d] = out
         return out
@@ -278,15 +291,10 @@ class CoulombAlgebra:
         """Scalar with t_c(Pol) r_d(Pol) = factor * t_{c+d}(Pol)."""
         pol = self.canonical_pol if pol is None else frozenset(pol)
         out = Scalar.one(self.table.width)
-        for i in range(self.data.n):
-            di = self.data.pairing(i, d)
-            if di == 0:
-                continue
-            if (di < 0) != (i in pol):
-                continue
-            ci = self.data.pairing(i, c)
-            y = q_shifted(self._x[i], -ci)
-            out = out * hq_ratio_inv(y, -di)
+        for i, (chi, x, sign) in enumerate(self.rows):
+            di = pair(chi, d)
+            if di and (di < 0) == (i in pol):
+                out = out * _kernel(sign, q_shifted(x, -pair(chi, c)), -di, inverse=True)
         return out
 
     def module_act(self, t: ModuleElement, a: AlgebraElement,
@@ -357,44 +365,6 @@ class CoulombAlgebra:
             out.append(tuple(perm))
         return out
 
-    def roots(self):
-        """Coordinate-difference roots within blocks (empty for trivial blocks)."""
-        out = []
-        for a, b in self.data.block_slices():
-            for u in range(a, b):
-                for v in range(a, b):
-                    if u != v:
-                        out.append((u, v))
-        return out
-
-    def root_mono(self, root):
-        u, v = root
-        return self.table.mono({self.table.s(u): 1, self.table.s(v): -1})
-
-    @staticmethod
-    def root_pairing(root, d):
-        u, v = root
-        return d[u] - d[v]
-
-    def root_kernel(self, d) -> Scalar:
-        """The degree-d Weyl root factor of a block model, unevaluated: the
-        product of ``hq_ratio_inv(root_mono(root), <root, d>)`` over the roots.
-
-        Like :meth:`matter_kernel` it depends on the degree alone and is built
-        once per degree.
-        """
-        d = tuple(d)
-        got = self._root_cache.get(d)
-        if got is not None:
-            return got
-        out = Scalar.one(self.table.width)
-        for root in self.roots():
-            m = self.root_pairing(root, d)
-            if m:
-                out = out * hq_ratio_inv(self.root_mono(root), m)
-        self._root_cache[d] = out
-        return out
-
     def weyl_on_degree(self, w, d):
         """Permute a degree vector: entry j comes from position w[j]."""
         inv = [0] * len(w)
@@ -408,33 +378,9 @@ class CoulombAlgebra:
         images.update({t.qvar(src): t.mono({t.qvar(j): 1}) for j, src in enumerate(w)})
         return f.subs(images, t.width)
 
-    def weyl_on_element(self, w, a: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(self, ((self.weyl_on_degree(w, d), self.weyl_on_scalar(w, f))
-                                     for d, f in a.terms.items()))
-
     def is_dominant(self, d) -> bool:
         for a, b in self.data.block_slices():
             for j in range(a, b - 1):
                 if d[j] < d[j + 1]:
                     return False
         return True
-
-    def symmetrized_generator(self, d) -> AlgebraElement:
-        """Weyl-averaged mixed generator weighted by the orbit normal kernel."""
-        if self.data.blocks is None:
-            raise ValueError("no block structure")
-        d = tuple(d)
-        if not self.is_dominant(d):
-            raise ValueError("degree %r is not dominant for the blocks" % (d,))
-        ws = self.weyl_elements()
-        total = AlgebraElement(self, {})
-        inv_order = Fraction(1, len(ws))
-        for w in ws:
-            wd = self.weyl_on_degree(w, d)
-            coeff = Scalar.one(self.table.width).scale(inv_order)
-            for root in self.roots():
-                m = self.root_pairing(root, wd)
-                if m > 0:
-                    coeff = coeff * hq_ratio_inv(self.root_mono(root), -m)
-            total = total + self.mul(self.cartan(coeff), self.mixed_generator(wd))
-        return total

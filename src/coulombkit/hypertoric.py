@@ -319,9 +319,9 @@ def eff_cone_fp(data: GaugeData, p: FixedPoint) -> Cone:
     return Cone(generators=tuple(sorted(p.rays)), facet_normals=facets)
 
 
-def mixed_polarization(data: GaugeData, d) -> frozenset:
-    """Row indices whose pairing with d is nonnegative (ties included)."""
-    return frozenset(i for i in range(data.n) if data.pairing(i, d) >= 0)
+def mixed_polarization(weights, d) -> frozenset:
+    """Indices of the weight rows whose pairing with d is nonnegative (ties included)."""
+    return frozenset(i for i, row in enumerate(weights) if pair(row, d) >= 0)
 
 
 def enumerate_degrees(cone: Cone, theta, order: int):

@@ -59,26 +59,30 @@ def restriction_images(alg: CoulombAlgebra, p: FixedPoint, specialize: bool = Fa
 
 
 def is_lift(alg: CoulombAlgebra, p: FixedPoint) -> bool:
-    """Whether p lifts an isolated fixed point: no block root s_u s_v^-1
-    restricts to 1 there, under the flavor specialization.  Every fixed
-    point of an abelian model is one."""
+    """Whether p lifts an isolated fixed point: no virtual row's monomial
+    s_u s_v^-1 restricts to 1 there, under the flavor specialization.  Every
+    fixed point of an abelian model is one."""
     images = restriction_images(alg, p, specialize=True)
-    return not any(mono_is_unit(mono_subs(alg.root_mono(root), images, alg.table.width))
-                   for root in alg.roots())
+    return not any(sign < 0 and mono_is_unit(mono_subs(x, images, alg.table.width))
+                   for _, x, sign in alg.rows)
+
+
+def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
+                  order: int, specialize: bool):
+    """(degree, coefficient) pairs of the closed localization product at p:
+    the signed-row kernel times the shifted insertion, evaluated at p."""
+    insertion = tau.as_scalar() if isinstance(tau, Descendent) else tau
+    images = restriction_images(alg, p, specialize)
+    for d in enumerate_degrees(alg.eff(), alg.data.theta, order):
+        weight = alg.matter_kernel(d) * shift_s_by_degree(insertion, alg.table, d)
+        yield d, evaluate_at_point(alg, p, images, weight)
 
 
 def vertex_fp(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
               order: int) -> QSeries:
-    """Degreewise vertex series at a fixed point of an abelian model."""
-    insertion = tau.as_scalar() if isinstance(tau, Descendent) else tau
-    images = restriction_images(alg, p)
-    degrees = enumerate_degrees(alg.eff(), alg.data.theta, order)
-
-    def coeff(d):
-        weight = alg.matter_kernel(d) * shift_s_by_degree(insertion, alg.table, d)
-        return evaluate_at_point(alg, p, images, weight)
-
-    return QSeries(order, zip(degrees, map(coeff, degrees)))
+    """Degreewise vertex series at a fixed point, keyed by abelian degree; on
+    a block model it is the virtual abelian model's series."""
+    return QSeries(order, _coefficients(alg, p, tau, order, specialize=False))
 
 
 def whittaker_function(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
@@ -127,22 +131,20 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     c = tuple(circuit)
     series = vertex_fp(alg, p, tau, order)
     images = restriction_images(alg, p)
-    table = alg.table
-    w = table.width
-    cs = [alg.data.pairing(i, c) for i in range(alg.data.n)]
-    xs = [mono_subs(alg.x_mono(i), images, w) for i in range(alg.data.n)]
-    sign = sign_kernel(sum(cs), w)
+    w = alg.table.width
+    rows = [(chi, pair(chi, c), mono_subs(x, images, w), row_sign)
+            for chi, x, row_sign in alg.rows if pair(chi, c)]
+    sign = sign_kernel(sum(ci * row_sign for _, ci, _, row_sign in rows), w)
 
     def eigen(d, side):
         """Operator eigenvalue on the degree-d coefficient: (y; q^-1)_|c_i| on
-        rows with side * c_i > 0, (h y; q)_|c_i| on the others."""
+        rows with side * c_i > 0, (h y; q)_|c_i| on the others, inverted on
+        the virtual rows."""
         out = Scalar.one(w)
-        for i, ci in enumerate(cs):
-            y = q_shifted(xs[i], alg.data.pairing(i, d))
-            if side * ci > 0:
-                out = out * poch_qinv(y, abs(ci))
-            elif ci:
-                out = out * poch(h_shifted(y), abs(ci))
+        for chi, ci, x, row_sign in rows:
+            y = q_shifted(x, pair(chi, d))
+            f = poch_qinv(y, abs(ci)) if side * ci > 0 else poch(h_shifted(y), abs(ci))
+            out = out * (f if row_sign > 0 else f.inv())
         return out
 
     eff = alg.eff()
@@ -198,15 +200,11 @@ def vertex_fp_nonab(alg: CoulombAlgebra, ptilde: FixedPoint, tau: Descendent | S
     collapses the big flavor torus onto the acting one, and the degree keys
     record only the per-block total.
     """
-    insertion = tau.as_scalar() if isinstance(tau, Descendent) else tau
-    images = restriction_images(alg, ptilde, specialize=True)
+    return weyl_collapse(alg, _coefficients(alg, ptilde, tau, order, specialize=True), order)
+
+
+def weyl_collapse(alg: CoulombAlgebra, terms, order: int) -> QSeries:
+    """Sum (abelian degree, coefficient) pairs with the same per-block totals
+    into one coefficient keyed by those totals."""
     slices = alg.data.block_slices()
-    degrees = enumerate_degrees(alg.eff(), alg.data.theta, order)
-
-    def coeff(d):
-        weight = alg.matter_kernel(d) * alg.root_kernel(d)
-        weight = weight * shift_s_by_degree(insertion, alg.table, d)
-        return evaluate_at_point(alg, ptilde, images, weight)
-
-    # the Weyl collapse: lifts with the same per-block totals sum into one coefficient
-    return QSeries(order, ((tuple(sum(d[a:b]) for a, b in slices), coeff(d)) for d in degrees))
+    return QSeries(order, ((tuple(sum(d[a:b]) for a, b in slices), f) for d, f in terms))

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .coulomb import AlgebraElement, CoulombAlgebra
 from .exactring import Scalar
 from .hypertoric import GaugeData, separating_circuits
-from .bethe import _root_shift_factor
 
 
 @dataclass
@@ -74,13 +73,13 @@ class DmoduleMatchReport:
 
 def _relation_apply(scn: WallCrossScenario, wc, insertion: Scalar,
                     primed: bool) -> Scalar:
-    """Scalar of (generator at wc) insertion (generator at -wc) times the root factor."""
+    """Scalar of (generator at wc) insertion (generator at -wc)."""
     alg = scn.algebra
     nwc = tuple(-x for x in wc)
     gen_plus = primed_generator(scn, wc) if primed else alg.mixed_generator(wc)
     gen_minus = primed_generator(scn, nwc) if primed else alg.mixed_generator(nwc)
     prod = alg.mul(alg.mul(gen_plus, alg.cartan(insertion)), gen_minus)
-    return prod.scalar_part() * _root_shift_factor(alg, wc)
+    return prod.scalar_part()
 
 
 def dmodule_match(scn: WallCrossScenario, c, insertions=None) -> DmoduleMatchReport:

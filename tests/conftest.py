@@ -72,6 +72,19 @@ def point_by_support(data, support):
     raise KeyError(support)
 
 
+def weyl_image(alg, w, p):
+    """The fixed point w.p of a block model: each support row moves to the
+    row of the permuted weight with the same specialized flavor."""
+    data = alg.data
+
+    def image(i):
+        chi = alg.weyl_on_degree(w, data.chi[i])
+        return next(j for j in range(data.n) if data.chi[j] == chi
+                    and data.a_specialization[j] == data.a_specialization[i])
+
+    return point_by_support(data, [image(i) for i in p.support])
+
+
 def rand_mono(rng, table, span=2, vars_=None):
     m = [0] * table.width
     idxs = vars_ if vars_ is not None else range(table.width)

@@ -17,10 +17,10 @@ from coulombkit.exactring import mono_inv, mono_mul, one_minus
 from coulombkit.hypertoric import enumerate_degrees, pair, separating_circuits
 from coulombkit.pochhammer import q_shifted
 from coulombkit.verma import VermaModule
-from coulombkit.vertex import Descendent
+from coulombkit.vertex import Descendent, is_lift
 from coulombkit.wallcross import check_reversal, dmodule_match, make_scenario
 
-from conftest import point_by_support, rand_mono, rng_for, tpn
+from conftest import rand_mono, rng_for, tpn, weyl_image
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -264,21 +264,19 @@ def test_criterion_11_wallcross(a2_alg, sqed11):
     report(11, "generator inversion across the wall", ok)
 
 
-def test_criterion_12_nonabelian_consistency(tgr12, tgr24_alg):
+def test_criterion_12_nonabelian_consistency(tgr24_alg):
     ok = True
     plain = GaugeData.create([[1], [1]], [1], blocks=[1])
     alg = CoulombAlgebra(plain)
     for p in fixed_points(plain):
         for tau in _acceptance_descendents(alg.table):
             ok = ok and vertex_fp(alg, p, tau, 3) == vertex_fp_nonab(alg, p, tau, 3)
-    alg12 = CoulombAlgebra(tgr12)
-    p = point_by_support(tgr12, (0,))
-    base = vertex_fp_nonab(alg12, p, Descendent(Poly.one(alg12.table.width)), 3)
-    for w in alg12.weyl_elements():
-        ok = ok and vertex_fp_nonab(alg12, p, Descendent(Poly.one(alg12.table.width)), 3) == base
-    # a genuinely nonabelian lift pair
-    p_a = point_by_support(tgr24_alg.data, (0, 5))
-    p_b = point_by_support(tgr24_alg.data, (1, 4))
+    # every lift of tgr(2,4) against its images under the Weyl group
     tau = Descendent(Poly.one(tgr24_alg.table.width))
-    ok = ok and vertex_fp_nonab(tgr24_alg, p_a, tau, 2) == vertex_fp_nonab(tgr24_alg, p_b, tau, 2)
+    lifts = [p for p in fixed_points(tgr24_alg.data) if is_lift(tgr24_alg, p)]
+    series = {p: vertex_fp_nonab(tgr24_alg, p, tau, 2) for p in lifts}
+    for p in lifts:
+        for w in tgr24_alg.weyl_elements():
+            wp = weyl_image(tgr24_alg, w, p)
+            ok = ok and (wp == p) == (w == (0, 1)) and series[wp] == series[p]
     report(12, "block models: trivial blocks and lift independence", ok)

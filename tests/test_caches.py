@@ -1,5 +1,5 @@
-"""The per-algebra caches: matter kernels and Weyl root factors per degree,
-Verma modules per fixed point, Whittaker vectors per order.  Cached results must equal, and render
+"""The per-algebra caches: signed-row kernels per degree, Verma modules per
+fixed point, Whittaker vectors per order.  Cached results must equal, and render
 exactly as, the same calls on a fresh algebra, and no two algebras may share
 a cached value."""
 
@@ -10,8 +10,8 @@ from coulombkit import fixed_points, vertex_fp, vertex_fp_nonab, whittaker_funct
 from coulombkit.cli import _series_report, parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import shift_s_by_degree
-from coulombkit.hypertoric import enumerate_degrees
-from coulombkit.pochhammer import hq_ratio_inv
+from coulombkit.hypertoric import enumerate_degrees, pair
+from coulombkit.pochhammer import hq_ratio
 from coulombkit.verma import VermaModule, evaluate_at_point
 from coulombkit.vertex import QSeries, restriction_images
 
@@ -110,16 +110,15 @@ def test_algebras_share_no_cached_values(a2, monkeypatch):
 
 
 def _nonab_rebuilt(alg, p, tau, order):
-    """vertex_fp_nonab with every root factor built afresh per degree."""
+    """vertex_fp_nonab with the kernel of every signed row built afresh per degree."""
     images = restriction_images(alg, p, specialize=True)
 
     def coeff(d):
-        weight = alg.matter_kernel(d)
-        for root in alg.roots():
-            m = alg.root_pairing(root, d)
+        weight = shift_s_by_degree(tau.as_scalar(), alg.table, d)
+        for chi, x, sign in alg.rows:
+            m = pair(chi, d)
             if m:
-                weight = weight * hq_ratio_inv(alg.root_mono(root), m)
-        weight = weight * shift_s_by_degree(tau.as_scalar(), alg.table, d)
+                weight = weight * (hq_ratio(x, m) if sign > 0 else hq_ratio(x, m).inv())
         return evaluate_at_point(alg, p, images, weight)
 
     degrees = enumerate_degrees(alg.eff(), alg.data.theta, order)
@@ -128,17 +127,22 @@ def _nonab_rebuilt(alg, p, tau, order):
 
 
 def test_root_factors_are_built_once_per_degree(tgr24, monkeypatch):
-    """Both lifts of tgr(2,4) at order 1 share the root factors of each
-    degree: 4 builds where rebuilding per call makes 8."""
+    """Both lifts of tgr(2,4) at order 1 share the signed-row kernel of each
+    degree, its virtual (root) rows included: one factor per row with a
+    nonzero pairing and degree, 12 in all, however many calls."""
     alg = CoulombAlgebra(tgr24)
     lifts = [point_by_support(tgr24, (0, 5)), point_by_support(tgr24, (1, 4))]
     taus = [parse_descendent(text, alg.table) for text in ("1", "a1*s1 - h")]
-    builds = _counting(monkeypatch, coulombkit.coulomb, "hq_ratio_inv")
+    builds = _counting(monkeypatch, coulombkit.coulomb, "hq_ratio")
+    builds_inv = _counting(monkeypatch, coulombkit.coulomb, "hq_ratio_inv")
+    degrees = enumerate_degrees(alg.eff(), tgr24.theta, 1)
+    per_degree = [sum(1 for chi, _, _ in alg.rows if pair(chi, d)) for d in degrees]
+    assert per_degree == [0, 6, 6]
     got = [vertex_fp_nonab(alg, p, taus[0], 1) for p in lifts]
-    assert len(builds) == 4
+    assert (len(builds), len(builds_inv)) == (8, 4)  # genuine rows, virtual rows
     got += [vertex_fp_nonab(alg, p, taus[1], 1) for p in lifts]
-    assert len(builds) == 4
+    assert (len(builds), len(builds_inv)) == (8, 4)
     want = [_nonab_rebuilt(CoulombAlgebra(tgr24), p, tau, 1) for tau in taus for p in lifts]
     assert got == want
-    for d in enumerate_degrees(alg.eff(), tgr24.theta, 1):
-        assert alg.root_kernel(d) is alg.root_kernel(d)
+    for d in degrees:
+        assert alg.matter_kernel(d) is alg.matter_kernel(d)

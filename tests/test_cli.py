@@ -191,6 +191,8 @@ GOLDEN = [
      ["vertex", "a2", "--order", "2", "--descendent", "a1*s1-h", "--json"]),
     ("vertex_tgr24_order1.txt", ["vertex", "tgr24", "--order", "1"]),
     ("whittaker_a2_order2.txt", ["whittaker", "a2", "--order", "2"]),
+    # the virtual model's Whittaker vector, keyed by abelian degree
+    ("whittaker_tgr24_order1.txt", ["whittaker", "tgr24", "--order", "1"]),
     ("mul_a2.txt", ["mul", "a2", "r[1,0]r[-1,1]r[0,-1]"]),
     ("mul_a2.json", ["mul", "a2", "r[1,0]r[-1,1]r[0,-1]", "--json"]),
     ("qde_check_a2_circuit0_order2.txt", ["qde-check", "a2", "--circuit", "0", "--order", "2"]),
@@ -373,6 +375,32 @@ def test_main_rejects_negative_order(capsys):
     from coulombkit.cli import main
     assert main(["vertex", model_path("tp1"), "--order", "-1"]) == 2
     assert capsys.readouterr().err == "error: --order must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["vertex", "whittaker", "qde-check"])
+@pytest.mark.parametrize("order", ["65", str(2 ** 62)])
+def test_order_above_the_limit_exits_2(capsys, command, order):
+    from coulombkit.cli import main
+    extra = ["--circuit", "0"] if command == "qde-check" else []
+    assert main([command, model_path("tp1"), "--order", order] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --order must be at most 64, got %s\n" % order
+
+
+def test_order_at_the_limit_is_accepted():
+    from coulombkit.cli import MAX_ORDER
+    code, text = run_cli(["vertex", model_path("tp1"), "--order", str(MAX_ORDER)])
+    assert code == 0 and text.count("\n") == MAX_ORDER + 2
+
+
+def test_qde_check_passes_on_every_tgr24_point():
+    """The virtual series of tgr(2,4) is annihilated by the virtual operator
+    of each circuit at all 16 fixed points."""
+    for idx in range(2):
+        code, text = run_cli(["qde-check", model_path("tgr24"), "--circuit", str(idx),
+                              "--order", "2"])
+        assert code == 0 and text.count("PASS") == 16 and "FAIL" not in text, idx
 
 
 def run_subprocess(argv, timeout=120, **env_extra):

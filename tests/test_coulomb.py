@@ -280,28 +280,6 @@ def test_module_grading(a2_alg):
         assert set(out.terms) <= {tuple(x + y for x, y in zip(c, d))}
 
 
-def test_symmetrized_generator_trivial_blocks():
-    data = GaugeData.create([[1], [1]], [1], blocks=[1])
-    alg = CoulombAlgebra(data)
-    for d in [(0,), (1,), (2,)]:
-        assert alg.symmetrized_generator(d) == alg.mixed_generator(d)
-
-
-def test_symmetrized_generator_weyl_invariance(tgr24_alg):
-    sg = tgr24_alg.symmetrized_generator((1, 0))
-    for w in tgr24_alg.weyl_elements():
-        assert tgr24_alg.weyl_on_element(w, sg) == sg
-    assert tgr24_alg.symmetrized_generator((0, 0)) == tgr24_alg.one()
-
-
-def test_symmetrized_generator_requires_blocks(a2_alg):
-    with pytest.raises(ValueError, match="no block structure"):
-        a2_alg.symmetrized_generator((1, 0))
-    with pytest.raises(ValueError, match="dominant"):
-        tgr = CoulombAlgebra(GaugeData.create([[1, 0], [0, 1]], [1, 1], blocks=[2]))
-        tgr.symmetrized_generator((0, 1))
-
-
 def test_epsilon_delta():
     assert [epsilon(v) for v in (-3, 0, 5)] == [-1, 0, 1]
     assert delta(2, 3) == 0 and delta(-2, -3) == 0 and delta(0, 4) == 0

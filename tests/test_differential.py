@@ -23,14 +23,11 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from coulombkit import PoleEvaluationError, Poly, Scalar, VariableTable  # noqa: E402
 from coulombkit.cli import ExprError, parse_scalar_expr  # noqa: E402
-from coulombkit.coulomb import CoulombAlgebra  # noqa: E402
 from coulombkit.exactring import (SumInverseError, binomial_atoms, mono_inv,  # noqa: E402
                                   mono_is_unit, mono_pow, mono_str, mono_subs,
                                   scalar_from_structured, scalar_str, scalar_structured,
                                   specialize_q1)
 from coulombkit.pochhammer import sign_kernel  # noqa: E402
-
-from conftest import tgr_model  # noqa: E402
 
 T = VariableTable(1, 1)  # q^(1/2), h^(1/2), a1, s1, Q1^(1/2)
 W = T.width
@@ -278,14 +275,3 @@ def test_coefficient_invariant_cases():
     r = (0, 1, 0, 0, 0)
     x = Scalar(W, Poly.one(W), atoms={mono_pow(r, 3): 1, r: -1})
     assert x.subs({1: UNIT}, W).num.terms == {UNIT: Fraction(1, 3)}
-
-
-def test_symmetrized_generator_stays_exact():
-    """The Weyl average weights each term by 1/|W| = 1/2 on tgr(2,4)."""
-    alg = CoulombAlgebra(tgr_model(2, 4))
-    element = alg.symmetrized_generator((1, 0))
-    halves = 0
-    for f in element.terms.values():
-        assert_exact(f)
-        halves += any(type(c) is Fraction for c in f.num.terms.values())
-    assert halves

@@ -203,13 +203,13 @@ def test_enumerate_degrees_rejects_unpointed(a2):
 
 
 def test_mixed_polarization(a2):
-    assert mixed_polarization(a2, (0, 0)) == frozenset(range(3))
+    assert mixed_polarization(a2.chi, (0, 0)) == frozenset(range(3))
     # opposite signs partition the nonzero pairings
     rng = rng_for("mixed-pol")
     for _ in range(20):
         d = (rng.randint(-3, 3), rng.randint(-3, 3))
-        pol_p = mixed_polarization(a2, d)
-        pol_m = mixed_polarization(a2, tuple(-x for x in d))
+        pol_p = mixed_polarization(a2.chi, d)
+        pol_m = mixed_polarization(a2.chi, tuple(-x for x in d))
         nonzero = {i for i in range(3) if pair(a2.chi[i], d) != 0}
         assert (pol_p & pol_m) & nonzero == set()
         assert (pol_p | pol_m) >= nonzero
@@ -224,7 +224,7 @@ def test_mixed_polarization_constant_on_cochambers(a2):
         sig = tuple((pair(a2.chi[i], d) > 0) - (pair(a2.chi[i], d) < 0) for i in range(3))
         if 0 in sig:
             continue
-        pol = mixed_polarization(a2, d)
+        pol = mixed_polarization(a2.chi, d)
         assert seen.setdefault(sig, pol) == pol
 
 

@@ -1,8 +1,12 @@
 """Appendix identity kernel: shift, inversion, base-inversion, cocycle."""
 
-from coulombkit import Poly, Scalar, VariableTable, poch, poch_qinv, sign_kernel
+import itertools
+
+from coulombkit import GaugeData, Poly, Scalar, VariableTable, poch, poch_qinv, sign_kernel
+from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import binomial_atoms, mono_inv, mono_mul, one_minus
-from coulombkit.pochhammer import h_shifted, hq_ratio, hq_ratio_inv, poch_ratio, q_shifted
+from coulombkit.hypertoric import pair
+from coulombkit.pochhammer import hq_ratio, hq_ratio_inv, poch_ratio, q_shifted
 
 from conftest import rand_mono, rng_for
 
@@ -122,17 +126,36 @@ def test_poch_ratio_matches_quotient():
         assert got.num.is_monomial() and got == Scalar(W, num, atoms=atoms), (x, y, d)
 
 
-def test_root_shift_factor_against_inverse(tgr24_alg):
-    from coulombkit.bethe import _root_shift_factor
-    alg = tgr24_alg
-    w = alg.table.width
-    for mu in range(-4, 5):
-        wc = (mu, 0)
-        expected = Scalar.one(w)
-        for root in alg.roots():
-            m = alg.root_pairing(root, wc)
-            y = alg.root_mono(root)
-            qy, hy = q_shifted(y, 1), h_shifted(y)
-            assert poch_ratio(qy, hy, -m) == poch(qy, -m) * poch(hy, -m).inv(), (root, m)
-            expected = expected * poch(qy, -m) * poch(hy, -m).inv()
-        assert _root_shift_factor(alg, wc) == expected, mu
+def test_virtual_rows_invert_genuine_rows(tgr24):
+    """On tgr(2,4) the kernel of a degree is the genuine-row kernel times the
+    inverted root factors, and in every kernel, structure constant and module
+    factor a virtual row cancels a genuine row of the same weight: the
+    virtual model times the model with one genuine row per root is the
+    abelian model twice over."""
+    virtual = CoulombAlgebra(tgr24)
+    plain = CoulombAlgebra(GaugeData.create(tgr24.chi, tgr24.theta))
+    roots = ((1, -1), (-1, 1))
+    # the abelian model with one more genuine row per root, whose flavors go to 1
+    doubled = CoulombAlgebra(GaugeData.create(tgr24.chi + roots, tgr24.theta))
+    t, t2 = virtual.table, doubled.table
+    images = {t2.a(tgr24.n + i): t.unit() for i in range(len(roots))}
+    images.update({var(j): t.mono({own(j): 1}) for var, own in ((t2.s, t.s), (t2.qvar, t.qvar))
+                   for j in range(tgr24.k)})
+
+    def cancels(name, *args):
+        got = getattr(virtual, name)(*args) * getattr(doubled, name)(*args).subs(images, t.width)
+        return got == getattr(plain, name)(*args) * getattr(plain, name)(*args)
+
+    degrees = list(itertools.product(range(-3, 4), repeat=2))
+    for d in degrees:
+        expected = plain.matter_kernel(d)
+        for alpha in roots:
+            s_alpha = t.mono({t.s(0): alpha[0], t.s(1): alpha[1]})
+            expected = expected * hq_ratio(s_alpha, pair(alpha, d)).inv()
+        assert virtual.matter_kernel(d) == expected, d
+        assert cancels("matter_kernel", d), d
+    near = list(itertools.product(range(-2, 3), repeat=2))
+    for c in near:
+        for d in near:
+            assert cancels("structure_constant", c, d), (c, d)
+            assert cancels("module_factor", c, d), (c, d)

@@ -1,17 +1,19 @@
 """Vertex series: closed formula vs module pairing, difference operators,
-block models through the abelianized sum."""
+block models through the abelianized sum of their virtual abelian model."""
+
+import pytest
 
 from coulombkit import (GaugeData, Poly, Scalar, circuits, fixed_points,
                         kaehler_relation_check, qde_check, vertex_fp,
                         vertex_fp_nonab, whittaker_function)
+from coulombkit.cli import parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
-from coulombkit.exactring import mono_mul, one_minus
+from coulombkit.exactring import mono_mul, one_minus, shift_s_by_degree
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.pochhammer import sign_kernel
-from coulombkit.vertex import Descendent, QSeries, restriction_images
-from coulombkit.bethe import _root_shift_factor
+from coulombkit.vertex import Descendent, QSeries, is_lift, restriction_images, weyl_collapse
 
-from conftest import point_by_support
+from conftest import point_by_support, tgr_model, weyl_image
 
 
 def _descendents(table):
@@ -163,21 +165,22 @@ def test_tgr12_specialized_series_matches_relabelled_tp1(tgr12, tp1_alg):
         assert f == relabelled[d], d
 
 
-def test_weyl_lift_independence_tgr12(tgr12):
-    alg = CoulombAlgebra(tgr12)
-    p = point_by_support(tgr12, (0,))
-    for tau in _descendents(alg.table):
-        s1 = vertex_fp_nonab(alg, p, tau, 3)
-        for w in alg.weyl_elements():
-            assert s1 == vertex_fp_nonab(alg, p, tau, 3)
-
-
 def test_weyl_lift_independence_tgr24(tgr24_alg):
+    """The series of every lift equals that of its image under the block swap."""
     alg = tgr24_alg
-    p_a = point_by_support(alg.data, (0, 5))  # columns (1, 2)
-    p_b = point_by_support(alg.data, (1, 4))  # columns (2, 1)
-    tau = Descendent(Poly.one(alg.table.width))
-    assert vertex_fp_nonab(alg, p_a, tau, 2) == vertex_fp_nonab(alg, p_b, tau, 2)
+    swap = alg.weyl_elements()[1]
+    assert weyl_image(alg, swap, point_by_support(alg.data, (0, 5))) \
+        == point_by_support(alg.data, (1, 4))
+    lifts = [p for p in fixed_points(alg.data) if is_lift(alg, p)]
+    assert len(lifts) == 12
+    # insertions symmetric in the gauge variables of the block
+    taus = [parse_descendent(text, alg.table) for text in ("1", "s1 + s2")]
+    series = {p: [vertex_fp_nonab(alg, p, tau, 2) for tau in taus] for p in lifts}
+    for p in lifts:
+        for w in alg.weyl_elements():
+            wp = weyl_image(alg, w, p)
+            assert (wp == p) == (w == (0, 1)), (p.label(), w)
+            assert series[p] == series[wp], (p.label(), wp.label())
 
 
 def test_nonabelian_kaehler_recursion(tgr24_alg):
@@ -185,9 +188,10 @@ def test_nonabelian_kaehler_recursion(tgr24_alg):
 
     For every Weyl image of the dominant circuit, stepping the abelianized
     coefficient down by the image circuit multiplies it by the relation
-    scalar (two-sided product times root factor) shifted by the degree and
-    restricted at the lift.  Summed over the Weyl group this is exactly the
-    difference relation of the block model.
+    scalar (the two-sided product of the virtual model, whose virtual rows
+    carry the root factor) shifted by the degree and restricted at the lift.
+    Summed over the Weyl group this is exactly the difference relation of
+    the block model.
     """
     alg = tgr24_alg
     t = alg.table
@@ -197,27 +201,19 @@ def test_nonabelian_kaehler_recursion(tgr24_alg):
     c = (1, 0)
 
     def coeff(d):
-        weight = alg.matter_kernel(d)
-        for root in alg.roots():
-            m = alg.root_pairing(root, d)
-            if m:
-                from coulombkit.pochhammer import hq_ratio_inv
-                weight = weight * hq_ratio_inv(alg.root_mono(root), m)
-        return weight.subs(images, w)
+        return alg.matter_kernel(d).subs(images, w)
 
     rels = {}
     for wp in alg.weyl_elements():
         wc = alg.weyl_on_degree(wp, c)
         nwc = tuple(-x for x in wc)
-        scalar = alg.mul(alg.mixed_generator(wc), alg.mixed_generator(nwc)).scalar_part()
-        rels[wc] = scalar * _root_shift_factor(alg, wc)
+        rels[wc] = alg.mul(alg.mixed_generator(wc), alg.mixed_generator(nwc)).scalar_part()
 
     degrees = enumerate_degrees(alg.eff(), alg.data.theta, 2)
     checked = 0
     for d in degrees:
         ad = coeff(d)
         for wc, rel in rels.items():
-            from coulombkit.exactring import shift_s_by_degree
             down = tuple(x - y for x, y in zip(d, wc))
             if pair(alg.data.theta, down) < 0:
                 continue
@@ -226,3 +222,22 @@ def test_nonabelian_kaehler_recursion(tgr24_alg):
             assert lhs == ad * eig, (d, wc)
             checked += 1
     assert checked >= 6
+
+
+@pytest.mark.parametrize("k, n, top", [(2, 4, 2), (3, 4, 1)])
+def test_weyl_collapsed_pairing_equals_vertex_fp_nonab(k, n, top):
+    """The second route for block models: the virtual model's module pairing,
+    flavor-specialized and Weyl-collapsed, is the closed series."""
+    data = tgr_model(k, n)
+    alg = CoulombAlgebra(data)
+    t = alg.table
+    spec = {t.a(row): mono for row, mono in data.a_specialization.items()}
+    lifts = [p for p in fixed_points(data) if is_lift(alg, p)]
+    for p in (lifts[0], lifts[-1]):
+        for text in ("1", "s1", "a1*s1 - h"):
+            tau = parse_descendent(text, t)
+            for order in range(top + 1):
+                pairing = whittaker_function(alg, p, tau, order)
+                collapsed = weyl_collapse(alg, ((d, f.subs(spec, t.width))
+                                                for d, f in pairing.coeffs.items()), order)
+                assert collapsed == vertex_fp_nonab(alg, p, tau, order), (p.label(), text, order)
