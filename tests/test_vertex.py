@@ -165,6 +165,16 @@ def test_tgr12_specialized_series_matches_relabelled_tp1(tgr12, tp1_alg):
         assert f == relabelled[d], d
 
 
+def test_weyl_lift_independence_tgr12(tgr12):
+    """The series at the lift equals that at each of its Weyl images."""
+    alg = CoulombAlgebra(tgr12)
+    p = point_by_support(tgr12, (0,))
+    for tau in _descendents(alg.table):
+        s1 = vertex_fp_nonab(alg, p, tau, 3)
+        for w in alg.weyl_elements():
+            assert s1 == vertex_fp_nonab(alg, weyl_image(alg, w, p), tau, 3), w
+
+
 def test_weyl_lift_independence_tgr24(tgr24_alg):
     """The series of every lift equals that of its image under the block swap."""
     alg = tgr24_alg
