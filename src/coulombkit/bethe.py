@@ -1,11 +1,13 @@
 """Generators of the quantum difference relations and their q = 1 limits.
 
 Relations are emitted as scalar data tagged by the Kahler degree they are
-set equal to; quotient-module arithmetic is out of scope.  For block models
-one relation is produced per (dominant circuit, Weyl element) pair of the
-virtual abelian model, whose virtual rows supply the Weyl correction through
-the product itself; the degree tag then records only the per-block image of
-the circuit.
+set equal to; quotient-module arithmetic is out of scope.  Every model is a
+block model, an abelian one having blocks of size 1: one relation is produced
+per (dominant circuit, Weyl element) pair of the virtual abelian model, whose
+virtual rows supply the Weyl correction through the product itself, under
+the flavor specialization the model records.  The degree tag records the
+per-block totals of the circuit.  Only the rendering asks whether the model
+file gives blocks: then each relation also shows its Weyl element.
 """
 
 from __future__ import annotations
@@ -25,33 +27,16 @@ class Relation:
     rhs_degree: tuple
     kind: str  # "dmodule" | "bethe_q1"
     circuit: tuple
-    weyl_rep: tuple | None = None
-
-
-def _block_image(alg: CoulombAlgebra, c) -> tuple:
-    return tuple(sum(c[a:b]) for a, b in alg.data.block_slices())
-
-
-def _specialize_flavors(alg: CoulombAlgebra, x: Scalar) -> Scalar:
-    aspec = alg.data.a_specialization
-    if not aspec:
-        return x
-    table = alg.table
-    return x.subs({table.a(row): tuple(mono) for row, mono in aspec.items()}, table.width)
+    weyl_rep: tuple
 
 
 def dmodule_relations(alg: CoulombAlgebra):
-    """One relation per circuit (times Weyl element when blocks are present)."""
+    """One relation per dominant circuit c and Weyl element w: the scalar of
+    the mixed generators at w.c and -w.c, flavor-specialized, equals the
+    Kahler monomial of the per-block totals of c.  With blocks of size 1
+    every circuit is dominant and w is the identity alone."""
     out = []
-    circs = circuits(alg.data)
-    if alg.data.blocks is None:
-        for circ in circs:
-            c = circ.vector
-            nc = tuple(-x for x in c)
-            lhs = alg.mul(alg.mixed_generator(c), alg.mixed_generator(nc)).scalar_part()
-            out.append(Relation(lhs=lhs, rhs_degree=c, kind="dmodule", circuit=c))
-        return out
-    for circ in circs:
+    for circ in circuits(alg.data):
         c = circ.vector
         if not alg.is_dominant(c):
             continue
@@ -59,8 +44,9 @@ def dmodule_relations(alg: CoulombAlgebra):
             wc = alg.weyl_on_degree(w, c)
             nwc = tuple(-x for x in wc)
             lhs = alg.mul(alg.mixed_generator(wc), alg.mixed_generator(nwc)).scalar_part()
-            lhs = _specialize_flavors(alg, lhs)
-            out.append(Relation(lhs=lhs, rhs_degree=_block_image(alg, c),
+            if alg.flavor_images:
+                lhs = lhs.subs(alg.flavor_images, alg.table.width)
+            out.append(Relation(lhs=lhs, rhs_degree=alg.data.block_sums(c),
                                 kind="dmodule", circuit=c, weyl_rep=w))
     return out
 
@@ -82,36 +68,35 @@ def bethe_relations_q1(alg: CoulombAlgebra):
 # ---------------------------------------------------------------------------
 
 def _rhs_str(alg: CoulombAlgebra, rel: Relation) -> str:
+    """The Kahler monomial of the per-block totals, each block written with
+    the Q variable of its first coordinate."""
     table = alg.table
-    if alg.data.blocks is None:
-        mono = table.mono({table.qvar(j): 2 * cj for j, cj in enumerate(rel.rhs_degree) if cj})
-        return mono_str(table, mono)
     slices = alg.data.block_slices()
     mono = table.mono({table.qvar(slices[b][0]): 2 * cb
                        for b, cb in enumerate(rel.rhs_degree) if cb})
     return mono_str(table, mono)
 
 
-def _relation_tag(rel: Relation) -> str:
+def _relation_tag(alg: CoulombAlgebra, rel: Relation) -> str:
     tag = "c=(%s)" % ",".join(str(x) for x in rel.circuit)
-    if rel.weyl_rep is not None:
+    if alg.data.blocks:
         tag += " w=(%s)" % ",".join(str(x + 1) for x in rel.weyl_rep)
     return tag
 
 
 def render_bethe_system(alg: CoulombAlgebra, relations, fmt: str = "text"):
     """Deterministic rendering of a relation system, one equation per line."""
-    relations = sorted(relations, key=lambda r: (r.circuit, r.weyl_rep or ()))
+    relations = sorted(relations, key=lambda r: (r.circuit, r.weyl_rep))
     if fmt == "json":
         return [{
             "kind": rel.kind,
             "circuit": list(rel.circuit),
-            "weyl": list(rel.weyl_rep) if rel.weyl_rep is not None else None,
+            "weyl": list(rel.weyl_rep) if alg.data.blocks else None,
             "rhs_degree": list(rel.rhs_degree),
             "lhs": scalar_structured(rel.lhs),
         } for rel in relations]
     lines = []
     for rel in relations:
         lines.append("%s [%s]: %s = %s" % (
-            rel.kind, _relation_tag(rel), scalar_str(alg.table, rel.lhs), _rhs_str(alg, rel)))
+            rel.kind, _relation_tag(alg, rel), scalar_str(alg.table, rel.lhs), _rhs_str(alg, rel)))
     return "\n".join(lines) + ("\n" if lines else "")

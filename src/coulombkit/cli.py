@@ -19,7 +19,7 @@ from .exactring import (PoleEvaluationError, Poly, Scalar, VariableTable,
                         mono_pow, mono_str, scalar_str, scalar_structured)
 from .hypertoric import (Cone, GaugeData, ModelError, circuits, eff_cone,
                          fixed_points)
-from .vertex import Descendent, QSeries, is_lift, qde_check, vertex_fp, vertex_fp_nonab
+from .vertex import Descendent, QSeries, is_lift, qde_check, vertex_fp_nonab
 from .wallcross import check_reversal, dmodule_match, make_scenario
 
 
@@ -454,7 +454,6 @@ def dispatch(args, out=None) -> int:
     data = load_model(args.model)
     alg = CoulombAlgebra(data)
     table = alg.table
-    virtual = len(alg.rows) > data.n  # a block model: it has virtual rows
 
     if args.command == "circuits":
         cs = circuits(data)
@@ -470,8 +469,8 @@ def dispatch(args, out=None) -> int:
 
     if args.command == "fixed-points":
         pts = fixed_points(data)
-        # block models mark the points that `vertex` and `whittaker` accept
-        lifts = [is_lift(alg, p) for p in pts] if virtual else [None] * len(pts)
+        # a model file that gives blocks marks the points `vertex` and `whittaker` accept
+        lifts = [is_lift(alg, p) for p in pts] if data.blocks else [None] * len(pts)
         if args.json:
             _print(out, [_point_json(table, p, lift) for p, lift in zip(pts, lifts)])
         else:
@@ -508,7 +507,7 @@ def dispatch(args, out=None) -> int:
         p = _select_lift(alg, fixed_points(data), args.point)
         tau = parse_descendent(args.descendent, table) if args.descendent else \
             Descendent(Poly.one(table.width))
-        series = (vertex_fp_nonab if virtual else vertex_fp)(alg, p, tau, args.order)
+        series = vertex_fp_nonab(alg, p, tau, args.order)
         _print(out, _series_report(alg, series, args.json))
         return 0
 
@@ -534,14 +533,15 @@ def dispatch(args, out=None) -> int:
             Descendent(Poly.one(table.width))
         pts = fixed_points(data)
         sel = [_select_point(pts, args.point)] if args.point else pts
-        ok = True
-        for p in sel:
-            report = qde_check(alg, p, tau, cs[args.circuit].vector, args.order)
-            ok = ok and report.passed
-            _print(out, "%s circuit (%s) at %s\n" % (
-                "PASS" if report.passed else "FAIL",
-                ",".join(str(x) for x in report.circuit), p.label()))
-        return 0 if ok else 1
+        results = [(p, qde_check(alg, p, tau, cs[args.circuit].vector, args.order)) for p in sel]
+        if args.json:
+            _print(out, [{"circuit": list(r.circuit), "point": p.label(), "passed": r.passed}
+                         for p, r in results])
+        else:
+            for p, r in results:
+                _print(out, "%s circuit (%s) at %s\n" % (
+                    "PASS" if r.passed else "FAIL", ",".join(str(x) for x in r.circuit), p.label()))
+        return 0 if all(r.passed for _, r in results) else 1
 
     if args.command == "bethe":
         rels = bethe_relations_q1(alg) if args.q1 else dmodule_relations(alg)

@@ -155,6 +155,9 @@ class CoulombAlgebra:
         self.table: VariableTable = data.table()
         # genuine rows first, so row i < data.n is the matter row chi_i
         self.rows = signed_rows(data, self.table)
+        # the model's flavor specialization, as a ring map {a_i: image monomial}
+        self.flavor_images = {self.table.a(row): tuple(mono)
+                              for row, mono in (data.a_specialization or {}).items()}
         self.canonical_pol = frozenset(range(len(self.rows)))
         self._sc_cache = {}
         self._mixed_cache = {}
@@ -366,17 +369,12 @@ class CoulombAlgebra:
         return out
 
     def weyl_on_degree(self, w, d):
-        """Permute a degree vector: entry j comes from position w[j]."""
-        inv = [0] * len(w)
-        for pos, src in enumerate(w):
-            inv[src] = pos
-        return tuple(d[inv[j]] for j in range(len(w)))
-
-    def weyl_on_scalar(self, w, f: Scalar) -> Scalar:
-        t = self.table
-        images = {t.s(src): t.mono({t.s(j): 1}) for j, src in enumerate(w)}
-        images.update({t.qvar(src): t.mono({t.qvar(j): 1}) for j, src in enumerate(w)})
-        return f.subs(images, t.width)
+        """Permute a degree vector: entry w[j] of the image is entry j of d, so
+        on three entries w = (1, 2, 0) sends (10, 20, 30) to (30, 10, 20)."""
+        out = [0] * len(w)
+        for j, dst in enumerate(w):
+            out[dst] = d[j]
+        return tuple(out)
 
     def is_dominant(self, d) -> bool:
         for a, b in self.data.block_slices():

@@ -154,6 +154,11 @@ class GaugeData:
             start += b
         return out
 
+    def block_sums(self, d) -> tuple:
+        """The per-block totals of a degree vector: its image in the cocharacters
+        of the block torus, and ``d`` itself when every block has size 1."""
+        return tuple(sum(d[a:b]) for a, b in self.block_slices())
+
     def pairing(self, i: int, d) -> int:
         return pair(self.chi[i], d)
 

@@ -51,8 +51,7 @@ def restriction_images(alg: CoulombAlgebra, p: FixedPoint, specialize: bool = Fa
     """The ring map of evaluation at the point, optionally composed with the
     model's flavor specialization."""
     table = alg.table
-    aspec = (alg.data.a_specialization or {}) if specialize else {}
-    images = {table.a(row): tuple(mono) for row, mono in aspec.items()}
+    images = dict(alg.flavor_images) if specialize else {}
     images.update({table.s(j): mono_subs(mono, images, table.width)
                    for j, mono in p.restriction.items()})
     return images
@@ -114,7 +113,7 @@ def _strip_kahler_power(table, value: Scalar, d) -> Scalar:
 class QdeReport:
     circuit: tuple
     passed: bool
-    residuals: dict
+    residuals: dict  # degree -> nonzero residual, for the failing degrees only
 
 
 def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
@@ -147,26 +146,18 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
             out = out * (f if row_sign > 0 else f.inv())
         return out
 
-    eff = alg.eff()
-    degrees = set(enumerate_degrees(eff, alg.data.theta, order))
+    theta = alg.data.theta
+    degrees = set(enumerate_degrees(alg.eff(), theta, order))
     degrees |= {tuple(x + y for x, y in zip(d, c))
-                for d in degrees
-                if pair(alg.data.theta, d) + pair(alg.data.theta, c) <= order}
+                for d in degrees if pair(theta, d) + pair(theta, c) <= order}
     residuals = {}
-    passed = True
-    for d in sorted(degrees, key=lambda dd: (pair(alg.data.theta, dd), dd)):
-        if pair(alg.data.theta, d) > order:
-            continue
-        vd = series.coefficient(d, w)
+    for d in sorted(degrees, key=lambda dd: (pair(theta, dd), dd)):
         dmc = tuple(x - y for x, y in zip(d, c))
-        vdc = series.coefficient(dmc, w)
-        res = eigen(d, 1) * vd - sign * eigen(dmc, -1) * vdc
+        res = (eigen(d, 1) * series.coefficient(d, w)
+               - sign * eigen(dmc, -1) * series.coefficient(dmc, w))
         if not res.is_zero():
-            passed = False
             residuals[d] = res
-        else:
-            residuals[d] = Scalar.zero(w)
-    return QdeReport(circuit=c, passed=passed, residuals=residuals)
+    return QdeReport(circuit=c, passed=not residuals, residuals=residuals)
 
 
 def kaehler_relation_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
@@ -188,17 +179,18 @@ def kaehler_relation_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent |
 
 
 # ---------------------------------------------------------------------------
-# block models via the abelianized series
+# every model as a block model, via the abelianized series
 # ---------------------------------------------------------------------------
 
 def vertex_fp_nonab(alg: CoulombAlgebra, ptilde: FixedPoint, tau: Descendent | Scalar,
                     order: int) -> QSeries:
-    """Vertex series of a block model as a Weyl-collapsed abelianized sum.
+    """Vertex series of a model as a Weyl-collapsed abelianized sum.
 
     ``ptilde`` is a fixed point of the underlying abelian model lifting an
     isolated fixed point; the flavor specialization recorded in the model
     collapses the big flavor torus onto the acting one, and the degree keys
-    record only the per-block total.
+    record only the per-block totals.  With blocks of size 1 and no
+    specialization this is :func:`vertex_fp`.
     """
     return weyl_collapse(alg, _coefficients(alg, ptilde, tau, order, specialize=True), order)
 
@@ -206,5 +198,4 @@ def vertex_fp_nonab(alg: CoulombAlgebra, ptilde: FixedPoint, tau: Descendent | S
 def weyl_collapse(alg: CoulombAlgebra, terms, order: int) -> QSeries:
     """Sum (abelian degree, coefficient) pairs with the same per-block totals
     into one coefficient keyed by those totals."""
-    slices = alg.data.block_slices()
-    return QSeries(order, ((tuple(sum(d[a:b]) for a, b in slices), f) for d, f in terms))
+    return QSeries(order, ((alg.data.block_sums(d), f) for d, f in terms))

@@ -95,9 +95,8 @@ def dmodule_match(scn: WallCrossScenario, c, insertions=None) -> DmoduleMatchRep
     if insertions is None:
         insertions = [Scalar.one(table.width),
                       Scalar.monomial(table.mono({table.s(0): 1}))]
-    ws = alg.weyl_elements() if alg.data.blocks is not None else [tuple(range(alg.data.k))]
     passed = True
-    for w in ws:
+    for w in alg.weyl_elements():
         wc = alg.weyl_on_degree(w, c)
         nwc = tuple(-x for x in wc)
         for insertion in insertions:

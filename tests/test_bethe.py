@@ -105,7 +105,11 @@ def test_weyl_equivariance_nonabelian(tgr24_alg):
     lhs_set = [r.lhs for r in rels]
     # acting by the transposition permutes the two relations
     w = tgr24_alg.weyl_elements()[1]
-    images = [tgr24_alg.weyl_on_scalar(w, f) for f in lhs_set]
+    # w moves the gauge and Kahler variables of index j to index w[j], as
+    # weyl_on_degree moves degree entries
+    t = tgr24_alg.table
+    images = {v(j): t.mono({v(dst): 1}) for j, dst in enumerate(w) for v in (t.s, t.qvar)}
+    images = [f.subs(images, t.width) for f in lhs_set]
     assert images[0] == lhs_set[1] and images[1] == lhs_set[0]
 
 

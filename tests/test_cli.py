@@ -173,6 +173,23 @@ def test_qde_command_exit_codes():
     assert "FAIL" in text
 
 
+def test_qde_command_json():
+    """--json prints one object per point, with the text mode's exit codes."""
+    code, payload = run_cli(["qde-check", model_path("tp1"), "--circuit", "0",
+                             "--order", "2", "--json"])
+    assert code == 0
+    assert json.loads(payload) == [{"circuit": [1], "point": "p{1}", "passed": True},
+                                   {"circuit": [1], "point": "p{2}", "passed": True}]
+    code, payload = run_cli(["qde-check", model_path("tp1"), "--circuit", "0", "--point", "0",
+                             "--order", "2", "--descendent", "s1", "--json"])
+    assert code == 1
+    assert json.loads(payload) == [{"circuit": [1], "point": "p{1}", "passed": False}]
+    code, payload = run_cli(["qde-check", model_path("a2"), "--circuit", "1",
+                             "--order", "1", "--json"])
+    points = json.loads(payload)
+    assert code == 0 and len(points) == 3 and all(p["passed"] for p in points)
+
+
 def test_bethe_command_golden():
     code, text = run_cli(["bethe", model_path("tgr24"), "--q1"])
     assert code == 0
@@ -475,6 +492,55 @@ def test_fixed_points_marks_exactly_the_points_vertex_accepts(tmp_path, k, n):
     assert any(p["lift"] for p in points) and not all(p["lift"] for p in points)
 
 
+# tp1 with its flavors inverted; once with blocks of size 1, once without blocks
+INVERTED_TP1 = {"chi": [[1], [1]], "theta": [1],
+                "a_specialization": {"a1": "a1^-1", "a2": "a2^-1"}}
+
+
+@pytest.mark.parametrize("blocks", [[1], None])
+def test_one_model_path_with_or_without_blocks(tmp_path, blocks):
+    """A model of 1x1 blocks takes the block-model path whether or not its
+    file gives ``blocks``: `vertex` and `bethe` apply the recorded flavor
+    specialization, and only `fixed-points` asks whether blocks are given."""
+    from coulombkit import CoulombAlgebra, Descendent, fixed_points, vertex_fp, vertex_fp_nonab
+    from coulombkit.bethe import dmodule_relations
+    raw = dict(INVERTED_TP1, **({"blocks": blocks} if blocks else {}))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    data = load_model(str(path))
+    alg = CoulombAlgebra(data)
+    tp1_alg = CoulombAlgebra(load_model(model_path("tp1")))
+    t = alg.table
+    inverted = {t.a(i): t.mono({t.a(i): -1}) for i in range(2)}
+    one = Descendent(Poly.one(t.width))
+    for idx, p in enumerate(fixed_points(data)):
+        code, payload = run_cli(["vertex", str(path), "--order", "2", "--point", str(idx),
+                                 "--json"])
+        assert code == 0
+        series = vertex_fp_nonab(alg, p, one, 2)
+        # the point's restriction s1 -> a_i^-1 is inverted along with the flavors
+        tp1_point = next(q for q in fixed_points(tp1_alg.data) if q.support == p.support)
+        plain = vertex_fp(tp1_alg, tp1_point, one, 2)
+        coefficients = json.loads(payload)["coefficients"]
+        assert [tuple(c["degree"]) for c in coefficients] == sorted(series.coeffs) == [
+            (0,), (1,), (2,)]
+        for c in coefficients:
+            d = tuple(c["degree"])
+            value = scalar_from_structured(t.width, c["value"])
+            assert value == series.coeffs[d] == plain.coeffs[d].subs(inverted, t.width)
+            if any(d):
+                assert value != plain.coeffs[d]
+    code, payload = run_cli(["bethe", str(path), "--json"])
+    assert code == 0
+    (entry,), (rel,) = json.loads(payload), dmodule_relations(tp1_alg)
+    assert scalar_from_structured(t.width, entry["lhs"]) == rel.lhs.subs(inverted, t.width)
+    assert entry["weyl"] == ([0] if blocks else None)
+    code, text = run_cli(["bethe", str(path)])
+    assert text.startswith("dmodule [c=(1)%s]: " % (" w=(1)" if blocks else ""))
+    code, text = run_cli(["fixed-points", str(path)])
+    assert code == 0 and text.count(" lift ") == (2 if blocks else 0)
+
+
 def test_fixed_points_of_abelian_models_carry_no_lift_mark():
     for name in ("tp1", "a2"):
         for extra in ([], ["--json"]):
@@ -547,7 +613,7 @@ def test_factored_output_stays_small(tmp_path, capsys):
 
 @pytest.mark.parametrize("name, point", [("tp1", "0"), ("a2", "0"), ("tgr24", "1,6")])
 def test_vertex_json_round_trips(name, point):
-    from coulombkit import CoulombAlgebra, Descendent, fixed_points, vertex_fp, vertex_fp_nonab
+    from coulombkit import CoulombAlgebra, Descendent, fixed_points, vertex_fp_nonab
     from coulombkit.cli import _select_point
     code, payload = run_cli(["vertex", model_path(name), "--point", point, "--order", "2",
                              "--json"])
@@ -556,7 +622,7 @@ def test_vertex_json_round_trips(name, point):
     alg = CoulombAlgebra(data)
     tau = Descendent(Poly.one(alg.table.width))
     p = _select_point(fixed_points(data), point)
-    series = (vertex_fp_nonab if data.blocks else vertex_fp)(alg, p, tau, 2)
+    series = vertex_fp_nonab(alg, p, tau, 2)
     coefficients = json.loads(payload)["coefficients"]
     assert [tuple(c["degree"]) for c in coefficients] == sorted(series.coeffs)
     for c in coefficients:

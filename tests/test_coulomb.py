@@ -11,7 +11,7 @@ from coulombkit.exactring import mono_mul, one_minus
 from coulombkit.hypertoric import pair
 from coulombkit.pochhammer import hq_ratio, hq_ratio_inv, poch, q_shifted, sign_kernel
 
-from conftest import rng_for, tpn
+from conftest import rng_for, tgr_model, tpn
 
 
 def test_structure_constant_identity(a2_alg):
@@ -284,3 +284,31 @@ def test_epsilon_delta():
     assert [epsilon(v) for v in (-3, 0, 5)] == [-1, 0, 1]
     assert delta(2, 3) == 0 and delta(-2, -3) == 0 and delta(0, 4) == 0
     assert delta(2, -3) == 2 and delta(-4, 1) == 1
+
+
+def test_weyl_on_degree_moves_entry_j_to_position_w_j():
+    """On tgr(3,4) the Weyl group is S_3, with 3-cycles: entry j of d lands at
+    position w[j], and w composed with its inverse is the identity."""
+    alg = CoulombAlgebra(tgr_model(3, 4))
+    ws = alg.weyl_elements()
+    assert len(ws) == 6 and (1, 2, 0) in ws
+    assert alg.weyl_on_degree((1, 2, 0), (10, 20, 30)) == (30, 10, 20)
+    assert alg.weyl_on_degree((2, 0, 1), (10, 20, 30)) == (20, 30, 10)
+    d = (10, 20, 30)
+    for w in ws:
+        inverse = tuple(w.index(j) for j in range(3))
+        assert inverse in ws
+        assert alg.weyl_on_degree(inverse, alg.weyl_on_degree(w, d)) == d
+        assert alg.weyl_on_degree(w, alg.weyl_on_degree(inverse, d)) == d
+        # block sums do not see the permutation
+        assert alg.data.block_sums(alg.weyl_on_degree(w, d)) == (60,)
+
+
+def test_abelian_model_is_the_trivial_block_case(a2_alg):
+    """Blocks of size 1: one Weyl element, the identity; every degree is
+    dominant; the block sums of a degree are the degree."""
+    assert a2_alg.weyl_elements() == [(0, 1)]
+    assert len(a2_alg.rows) == a2_alg.data.n
+    for d in itertools.product(range(-2, 3), repeat=2):
+        assert a2_alg.is_dominant(d)
+        assert a2_alg.data.block_sums(d) == d

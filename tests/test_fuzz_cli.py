@@ -1,4 +1,5 @@
-"""Fuzz of the CLI's input contract: model files and the expression grammar.
+"""Fuzz of the CLI's input contract: model files, the expression grammar, and
+the point and circuit flags.
 
 Every input, however malformed, must end with exit code 0, 1 or 2 and never
 with an exception.  Sizes are bounded so that each example runs quickly.
@@ -17,10 +18,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from coulombkit.cli import MAX_GENERATOR_DEGREE, main  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
-TP1 = os.path.join(os.path.dirname(__file__), "data", "tp1.json")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+TP1 = os.path.join(DATA, "tp1.json")
 
 # the grammar's tokens and their near misses
 GRAMMAR = st.text(alphabet="s1 2a3hqQ()+-*^/0,.x", max_size=24)
+# --point and --circuit values: indices, supports and their near misses
+INDICES = st.text(alphabet="0123459,- x", max_size=8) | st.integers(-3, 5).map(str)
 SMALL = st.integers(-3, 3)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | SMALL | st.text(max_size=4),
@@ -83,3 +87,13 @@ def test_load_model_keeps_exit_codes(model_file, raw):
 @given(text=st.text(alphabet='{}[]":,-01ab ', max_size=30))
 def test_load_model_text_keeps_exit_codes(model_file, text):
     assert run_main(["circuits", model_file(text)]) in (0, 1, 2)
+
+
+@SETTINGS
+@given(model=st.sampled_from(["tp1", "a2"]), point=st.none() | INDICES,
+       circuit=INDICES, order=st.integers(0, 1), command=st.sampled_from(["vertex", "qde-check"]))
+def test_point_and_circuit_flags_keep_exit_codes(model, point, circuit, order, command):
+    argv = [command, os.path.join(DATA, model + ".json"), "--order", str(order)]
+    argv += ["--point=" + point] if point is not None else []
+    argv += ["--circuit=" + circuit] if command == "qde-check" else []
+    assert run_main(argv) in (0, 1, 2)
