@@ -383,19 +383,22 @@ def load_model(path: str) -> GaugeData:
 
 
 def _select_point(pts: list, spec: str):
+    """The point an index (``1``) or a 1-based support (``1,3``) names; a
+    trailing comma makes a support of one element (``1,``)."""
     if re.fullmatch(r"\d+", spec or ""):
         idx = int(spec)
         if not 0 <= idx < len(pts):
             raise ModelError("point index %d out of range (0..%d)" % (idx, len(pts) - 1))
         return pts[idx]
+    body = spec[:-1] if spec.endswith(",") else spec
     try:
-        support = tuple(sorted(int(x) - 1 for x in spec.split(",")))
+        support = tuple(sorted(int(x) - 1 for x in body.split(",")))
     except ValueError:
         raise ModelError("bad --point %r" % spec)
     for p in pts:
         if p.support == support:
             return p
-    raise ModelError("no fixed point with support {%s}" % spec)
+    raise ModelError("no fixed point with support {%s}" % body)
 
 
 def _select_lift(alg: CoulombAlgebra, pts: list, spec: str | None):

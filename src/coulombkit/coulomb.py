@@ -25,16 +25,20 @@ Mixed generators rescale r_d by an explicit kernel coefficient depending on
 which side of the effective cone d lies; products of mixed generators inside
 the cone are degreewise trivial, which is what the Verma and vertex layers
 are built on.  Structure constants are memoized per (c, d, polarization),
-matter kernels per degree and Verma modules per fixed point, all on the
-algebra instance and dropped with it; cached values are immutable, so
-concurrent identical insertions are harmless.
+matter kernels per degree, Verma modules per fixed point, evaluation ring
+maps per (fixed point, flavor specialization) and shift ring maps
+s_j -> q^{d_j} s_j per degree, all on the algebra instance and dropped with
+it.  Cached values are immutable and a :class:`~coulombkit.exactring.RingMap`
+only grows memos that never change a result, so concurrent identical
+insertions are harmless.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .exactring import Scalar, VariableTable, q_shifted, shift_s_by_degree
+from .exactring import (RingMap, Scalar, VariableTable, mono_subs, q_shift_map,
+                        q_shifted)
 from .hypertoric import FixedPoint, GaugeData, eff_cone, mixed_polarization, pair
 from .pochhammer import hq_ratio, hq_ratio_inv
 
@@ -164,6 +168,8 @@ class CoulombAlgebra:
         self._mixed_inv_cache = {}
         self._kernel_cache = {}
         self._modules = {}
+        self._eval_maps = {}
+        self._shift_maps = {}
         self._eff = None
 
     # -- basic builders -------------------------------------------------
@@ -232,9 +238,36 @@ class CoulombAlgebra:
         self._kernel_cache[d] = out
         return out
 
+    # -- ring maps ------------------------------------------------------------
+
+    def evaluation_map(self, p: FixedPoint, specialize: bool = False) -> RingMap:
+        """The ring map of evaluation at the fixed point p, optionally composed
+        with the model's flavor specialization; one per (point, specialize)."""
+        key = (p, specialize)
+        got = self._eval_maps.get(key)
+        if got is None:
+            width = self.table.width
+            images = dict(self.flavor_images) if specialize else {}
+            images.update({self.table.s(j): mono_subs(mono, images, width)
+                           for j, mono in p.restriction.items()})
+            got = self._eval_maps[key] = RingMap(images, width)
+        return got
+
+    def shift_map(self, d) -> RingMap:
+        """The ring map s_j -> q^{d_j} s_j; one per degree."""
+        d = tuple(d)
+        got = self._shift_maps.get(d)
+        if got is None:
+            got = self._shift_maps[d] = q_shift_map(self.table, d)
+        return got
+
+    def shift(self, f: Scalar, d) -> Scalar:
+        """f with every s_j sent to q^{d_j} s_j."""
+        return f.subs(self.shift_map(d)) if any(d) else f
+
     def shift_coefficient(self, f: Scalar, c) -> Scalar:
         """Move a coefficient across r_c: every s_j picks up q^{-c_j}."""
-        return shift_s_by_degree(f, self.table, [-cj for cj in c])
+        return self.shift(f, [-cj for cj in c])
 
     def mul(self, first: AlgebraElement, second: AlgebraElement,
             pol: frozenset | None = None) -> AlgebraElement:
@@ -245,7 +278,7 @@ class CoulombAlgebra:
 
     def tau(self, a: AlgebraElement) -> AlgebraElement:
         """Anti-automorphism fixing the Cartan and sending r_d to r_{-d}."""
-        return AlgebraElement(self, ((tuple(-x for x in d), shift_s_by_degree(f, self.table, d))
+        return AlgebraElement(self, ((tuple(-x for x in d), self.shift(f, d))
                                      for d, f in a.terms.items()))
 
     # -- mixed generators --------------------------------------------------

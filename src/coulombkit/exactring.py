@@ -33,6 +33,13 @@ cross-multiplication after cancelling the shared atoms.  Rendering regroups
 the atoms of each root r into binomials ``(1 - r^n)``, largest n first;
 nothing is multiplied out to print.  All values are immutable.
 
+Every substitution goes through a :class:`RingMap`: the images of the
+variables plus memos of the image of each monomial and the direction of the
+image of each atom root.  A map built once per point or shift and applied
+to many values maps each monomial and root once; a plain dict handed to
+``subs`` becomes a throwaway map.  The memos never change a result, and a
+denominator atom sent to 1 raises on every application.
+
 A coefficient is an ``int`` when it is integral, otherwise a ``Fraction``
 whose denominator is greater than 1; never a float.  :func:`exact_coeff`
 is the one normalization, and every operation keeps that invariant.
@@ -152,6 +159,47 @@ def mono_subs(m: tuple, images: dict, width: int) -> tuple:
             for t, x in enumerate(img):
                 out[t] += x * e
     return tuple(out)
+
+
+class RingMap:
+    """The monomial ring map ``{variable index: image monomial}`` into a ring
+    of ``width`` variables, remembering what it has mapped.
+
+    ``mono(m)`` memoizes the image of each monomial, and ``root(g)`` the
+    direction ``(u, p)`` of the image of each atom root g (the image is
+    ``u^p`` with u primitive), or None when that image is 1.  Build one map
+    per point and shift and apply it again and again; the memos only grow
+    with the monomials it has seen, and ``images`` must not change after
+    construction.
+    """
+
+    __slots__ = ("images", "width", "_monos", "_roots")
+
+    def __init__(self, images: dict, width: int):
+        self.images = images
+        self.width = width
+        self._monos = {}
+        self._roots = {}
+
+    def mono(self, m: tuple) -> tuple:
+        got = self._monos.get(m)
+        if got is None:
+            got = self._monos[m] = mono_subs(m, self.images, self.width)
+        return got
+
+    def root(self, g: tuple):
+        try:
+            return self._roots[g]
+        except KeyError:
+            u = self.mono(g)
+            got = self._roots[g] = _direction(u) if any(u) else None
+            return got
+
+
+def ring_map(images, width: int | None) -> RingMap:
+    """``images`` itself when it is a :class:`RingMap`, else a throwaway map
+    of the dict into ``width`` variables."""
+    return images if isinstance(images, RingMap) else RingMap(images, width)
 
 
 def q_shifted(m: tuple, k: int) -> tuple:
@@ -341,17 +389,20 @@ class Poly:
                     used.add(idx)
         return used
 
-    def subs(self, images: dict, target_width: int) -> "Poly":
+    def subs(self, images, target_width: int | None = None) -> "Poly":
+        """The image under a :class:`RingMap`, or under a dict
+        ``{variable index: image monomial}`` into ``target_width`` variables."""
+        ring = ring_map(images, target_width)
         terms = {}
         for m, c in self.terms.items():
-            im = mono_subs(m, images, target_width)
+            im = ring.mono(m)
             acc = terms.get(im)
             nc = c if acc is None else acc + c
             if nc:
                 terms[im] = nc
             elif acc is not None:
                 del terms[im]
-        return Poly(target_width, _exact_terms(terms))
+        return Poly(ring.width, _exact_terms(terms))
 
     def exact_div(self, r: tuple, d: int = 1):
         """Exact quotient by the atom factor ``psi_d(r)``, or None.
@@ -455,22 +506,24 @@ def _psi_image(d: int, p: int):
     return [e for e in _divisors(d * p) if e // gcd(e, p) == d]
 
 
-def _mapped_keys(atoms: dict, images: dict | None, width: int):
+def _mapped_keys(atoms: dict, ring: RingMap | None, width: int):
     """(coefficient, monomial, keys) with prod psi_d(g)^(-mult) over ``atoms``
-    ``{(g, d): mult}``, each g sent through the ring map ``images``, equal to
-    coefficient * monomial * prod over the canonical keys.
+    ``{(g, d): mult}``, each g sent through ``ring``, equal to coefficient *
+    monomial * prod over the canonical keys.
 
-    g maps to u^p with u primitive; ``images=None`` is the identity map.
-    When the image is 1, psi_d(1) is a number, zero only for d = 1: a
-    denominator factor there is a :class:`PoleEvaluationError`, a numerator
-    factor makes the coefficient 0.
+    g maps to u^p with u primitive (:meth:`RingMap.root`); ``ring=None`` is
+    the identity map.  When the image is 1, psi_d(1) is a number, zero only
+    for d = 1: a denominator factor there is a :class:`PoleEvaluationError`,
+    however often the map has seen g, and a numerator factor makes the
+    coefficient 0.
     """
-    coeff, pre, keys, roots, vanished = 1, (0,) * width, {}, {}, False
+    coeff, pre, keys, vanished = 1, (0,) * width, {}, False
     for (g, d), mult in atoms.items():
-        if g not in roots:
-            u = g if images is None else mono_subs(g, images, width)
-            roots[g] = _direction(u) if any(u) else None
-        if roots[g] is None:
+        if ring is not None:
+            root = ring.root(g)
+        else:
+            root = _direction(g) if any(g) else None
+        if root is None:
             if d > 1:
                 # psi_d(1) is the prime l for d a power of l, else 1
                 coeff = exact_coeff(coeff * Fraction(sum(_psi(d))) ** -mult)
@@ -480,7 +533,7 @@ def _mapped_keys(atoms: dict, images: dict | None, width: int):
             else:
                 vanished = True
             continue
-        u, p = roots[g]
+        u, p = root
         if p < 0:
             # psi_d(x^-1) = -x^-1 psi_1(x) for d = 1, x^-phi(d) psi_d(x) otherwise
             p = -p
@@ -520,12 +573,15 @@ class Scalar:
         self.w, self.num, self.pre, self.atoms = width, x.num, x.pre, x.atoms
 
     @classmethod
-    def _of(cls, width, num: Poly, pre: tuple, keys: dict) -> "Scalar":
-        """The normal form from cyclotomic keys."""
+    def _of(cls, width, num: Poly, pre: tuple, keys: dict, cancel=None) -> "Scalar":
+        """The normal form from cyclotomic keys.  ``cancel`` lists the
+        denominator keys that may divide ``num``; by default every one may."""
         if num.is_zero():
-            num, pre, keys = Poly.zero(width), (0,) * width, {}
+            num, pre, keys, cancel = Poly.zero(width), (0,) * width, {}, ()
+        elif cancel is None:
+            cancel = [k for k, m in keys.items() if m > 0]
         roots = None
-        for k in [k for k, m in keys.items() if m > 0]:
+        for k in cancel:
             while keys[k] and len(num.terms) > 1:
                 if roots is None:
                     roots = _chain_roots(num)
@@ -617,7 +673,12 @@ class Scalar:
                 if mult != x.atoms.get(k, 0):
                     part = part * _atom_poly(*k) ** (mult - x.atoms.get(k, 0))
             num = num + part
-        return Scalar._of(self.w, num, (0,) * self.w, keys)
+        # a denominator key only one summand reaches multiplies the other
+        # summand's part, and no denominator key divides a sum part in normal
+        # form: the key does not divide the sum, so only shared keys may cancel
+        cancel = [k for k, m in keys.items()
+                  if m > 0 and self.atoms.get(k, 0) == other.atoms.get(k, 0)]
+        return Scalar._of(self.w, num, (0,) * self.w, keys, cancel)
 
     def __neg__(self) -> "Scalar":
         return Scalar._raw(self.w, -self.num, self.pre, self.atoms)
@@ -666,20 +727,22 @@ class Scalar:
 
     # -- substitution ------------------------------------------------------
 
-    def subs(self, images: dict, target_width: int) -> "Scalar":
-        """Apply the ring map ``{variable index: image monomial}``; absent
-        variables are fixed.
+    def subs(self, images, target_width: int | None = None) -> "Scalar":
+        """Apply a :class:`RingMap`, or the dict ``{variable index: image
+        monomial}`` into ``target_width`` variables; absent variables are
+        fixed.
 
         Each atom maps to atoms (see :func:`_mapped_keys`).  A denominator
         atom (1 - r) whose image is 1 is a :class:`PoleEvaluationError`: the
         normal form has no atom that divides the numerator.
         """
-        coeff, unit, keys = _mapped_keys(self.atoms, images, target_width)
+        ring = ring_map(images, target_width)
+        coeff, unit, keys = _mapped_keys(self.atoms, ring, ring.width)
         if coeff == 0:
-            return Scalar.zero(target_width)
-        pre = mono_mul(mono_subs(self.pre, images, target_width), unit)
-        num = self.num.subs(images, target_width)
-        return Scalar._of(target_width, num.scale(coeff), pre, keys)
+            return Scalar.zero(ring.width)
+        pre = mono_mul(ring.mono(self.pre), unit)
+        num = self.num.subs(ring)
+        return Scalar._of(ring.width, num.scale(coeff), pre, keys)
 
     def q_shift(self, var_idx: int, m: int) -> "Scalar":
         """Replace the variable by q^m * itself (exponent e adds 2*m*e to q^(1/2))."""
@@ -713,12 +776,17 @@ def substitute_monomials(x: Scalar, table: VariableTable, s_images: dict) -> Sca
     return x.subs({table.s(j): m for j, m in s_images.items()}, table.width)
 
 
+def q_shift_map(table: VariableTable, dvec) -> RingMap:
+    """The ring map shifting every gauge variable: s_j -> q^{d_j} s_j."""
+    return RingMap({table.s(j): q_shifted(table.mono({table.s(j): 1}), dj)
+                    for j, dj in enumerate(dvec) if dj}, table.width)
+
+
 def shift_s_by_degree(x: Scalar, table: VariableTable, dvec) -> Scalar:
-    """Shift every gauge variable: s_j -> q^{d_j} s_j."""
+    """x under :func:`q_shift_map`, through a throwaway map."""
     if not any(dvec):
         return x
-    return x.subs({table.s(j): q_shifted(table.mono({table.s(j): 1}), dj)
-                   for j, dj in enumerate(dvec) if dj}, table.width)
+    return x.subs(q_shift_map(table, dvec))
 
 
 def specialize_q1(x: Scalar, table: VariableTable) -> Scalar:

@@ -15,11 +15,12 @@ sums and compares by the same rule as an algebra element.
 from __future__ import annotations
 
 from .coulomb import AlgebraElement, Combination, CoulombAlgebra
-from .exactring import PoleEvaluationError, Scalar, atom_str, q_shifted
+from .exactring import PoleEvaluationError, RingMap, Scalar, atom_str, q_shifted
 from .hypertoric import FixedPoint, eff_cone_fp, enumerate_degrees
 
 
-def evaluate_at_point(alg: CoulombAlgebra, p: FixedPoint, images: dict, f: Scalar) -> Scalar:
+def evaluate_at_point(alg: CoulombAlgebra, p: FixedPoint, images: RingMap | dict,
+                      f: Scalar) -> Scalar:
     """Apply the ring map ``images`` (an evaluation at the fixed point p).
 
     A vanishing denominator is reported with the point's label and the
@@ -51,9 +52,12 @@ class VermaVector(Combination):
 class VermaModule:
     """The module attached to one fixed point of one model.
 
-    Norms are memoized per degree and Whittaker vectors per order.  Obtain
-    the module through :meth:`CoulombAlgebra.verma_module` to share both
-    across every caller of the same algebra and point.
+    Norms are memoized per degree, Whittaker vectors per order and the
+    evaluation maps per shift degree (the unshifted one is the algebra's
+    :meth:`~coulombkit.coulomb.CoulombAlgebra.evaluation_map`), all dropped
+    with the module.  Obtain the module through
+    :meth:`CoulombAlgebra.verma_module` to share them across every caller of
+    the same algebra and point.
     """
 
     def __init__(self, algebra: CoulombAlgebra, point: FixedPoint):
@@ -62,16 +66,26 @@ class VermaModule:
         self.cone = eff_cone_fp(algebra.data, point)
         self._norm_cache = {}
         self._whittaker = {}
+        self._eval_maps = {}
 
     # -- evaluation -------------------------------------------------------
 
+    def evaluation_map(self, shift_degree=None) -> RingMap:
+        """The ring map sending s_j to q^{shift_j} times its restriction."""
+        if not any(shift_degree or ()):
+            return self.algebra.evaluation_map(self.point)
+        shift = tuple(shift_degree)
+        got = self._eval_maps.get(shift)
+        if got is None:
+            table = self.algebra.table
+            got = self._eval_maps[shift] = RingMap(
+                {table.s(j): q_shifted(mono, shift[j]) for j, mono in self.point.restriction.items()},
+                table.width)
+        return got
+
     def evaluate(self, f: Scalar, shift_degree=None) -> Scalar:
         """Evaluate at the point, with s_j sent to q^{shift_j} times its restriction."""
-        table = self.algebra.table
-        shift = shift_degree or (0,) * table.k
-        images = {table.s(j): q_shifted(mono, shift[j])
-                  for j, mono in self.point.restriction.items()}
-        return evaluate_at_point(self.algebra, self.point, images, f)
+        return evaluate_at_point(self.algebra, self.point, self.evaluation_map(shift_degree), f)
 
     # -- module structure ----------------------------------------------------
 

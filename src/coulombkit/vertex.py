@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coulomb import Combination, CoulombAlgebra
-from .exactring import Poly, Scalar, mono_is_unit, mono_subs, q_shifted, shift_s_by_degree
+from .exactring import Poly, Scalar, mono_is_unit, mono_mul, q_shifted
 from .hypertoric import FixedPoint, enumerate_degrees, pair
 from .pochhammer import h_shifted, poch, poch_qinv, sign_kernel
 from .verma import evaluate_at_point
@@ -48,22 +48,17 @@ class QSeries(Combination):
 
 
 def restriction_images(alg: CoulombAlgebra, p: FixedPoint, specialize: bool = False) -> dict:
-    """The ring map of evaluation at the point, optionally composed with the
-    model's flavor specialization."""
-    table = alg.table
-    images = dict(alg.flavor_images) if specialize else {}
-    images.update({table.s(j): mono_subs(mono, images, table.width)
-                   for j, mono in p.restriction.items()})
-    return images
+    """The images of the algebra's evaluation map at the point, optionally
+    composed with the model's flavor specialization."""
+    return dict(alg.evaluation_map(p, specialize).images)
 
 
 def is_lift(alg: CoulombAlgebra, p: FixedPoint) -> bool:
     """Whether p lifts an isolated fixed point: no virtual row's monomial
     s_u s_v^-1 restricts to 1 there, under the flavor specialization.  Every
     fixed point of an abelian model is one."""
-    images = restriction_images(alg, p, specialize=True)
-    return not any(sign < 0 and mono_is_unit(mono_subs(x, images, alg.table.width))
-                   for _, x, sign in alg.rows)
+    ring = alg.evaluation_map(p, specialize=True)
+    return not any(sign < 0 and mono_is_unit(ring.mono(x)) for _, x, sign in alg.rows)
 
 
 def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
@@ -71,10 +66,10 @@ def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     """(degree, coefficient) pairs of the closed localization product at p:
     the signed-row kernel times the shifted insertion, evaluated at p."""
     insertion = tau.as_scalar() if isinstance(tau, Descendent) else tau
-    images = restriction_images(alg, p, specialize)
+    ring = alg.evaluation_map(p, specialize)
     for d in enumerate_degrees(alg.eff(), alg.data.theta, order):
-        weight = alg.matter_kernel(d) * shift_s_by_degree(insertion, alg.table, d)
-        yield d, evaluate_at_point(alg, p, images, weight)
+        weight = alg.matter_kernel(d) * alg.shift(insertion, d)
+        yield d, evaluate_at_point(alg, p, ring, weight)
 
 
 def vertex_fp(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
@@ -97,9 +92,12 @@ def whittaker_function(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Sca
 
 
 def _strip_kahler_power(table, value: Scalar, d) -> Scalar:
-    """Remove the expected Q^d factor; no other Kahler power may remain."""
-    stripped = value * Scalar.monomial(
-        table.mono({table.qvar(j): -2 * dj for j, dj in enumerate(d) if dj}))
+    """Remove the expected Q^d factor; no other Kahler power may remain.
+
+    A monomial factor leaves the normal form as it is, so only the prefactor
+    changes."""
+    stripped = Scalar._raw(value.w, value.num, mono_mul(value.pre, table.mono(
+        {table.qvar(j): -2 * dj for j, dj in enumerate(d) if dj})), value.atoms)
     if any(table.qvar(j) in stripped.vars_used() for j in range(table.k)):
         raise AssertionError("Kahler power of coefficient at %r is not Q^%r" % (d, d))
     return stripped
@@ -129,9 +127,9 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     """
     c = tuple(circuit)
     series = vertex_fp(alg, p, tau, order)
-    images = restriction_images(alg, p)
+    ring = alg.evaluation_map(p)
     w = alg.table.width
-    rows = [(chi, pair(chi, c), mono_subs(x, images, w), row_sign)
+    rows = [(chi, pair(chi, c), ring.mono(x), row_sign)
             for chi, x, row_sign in alg.rows if pair(chi, c)]
     sign = sign_kernel(sum(ci * row_sign for _, ci, _, row_sign in rows), w)
 

@@ -1,12 +1,14 @@
 """The per-algebra caches: signed-row kernels per degree, Verma modules per
-fixed point, Whittaker vectors per order.  Cached results must equal, and render
-exactly as, the same calls on a fresh algebra, and no two algebras may share
-a cached value."""
+fixed point, Whittaker vectors per order, and the evaluation and shift ring
+maps.  Cached results must equal, and render exactly as, the same calls on a
+fresh algebra, and no two algebras may share a cached value."""
 
 import pytest
 
 import coulombkit.coulomb
-from coulombkit import fixed_points, vertex_fp, vertex_fp_nonab, whittaker_function
+import coulombkit.exactring
+from coulombkit import (Descendent, PoleEvaluationError, Poly, fixed_points, vertex_fp,
+                        vertex_fp_nonab, whittaker_function)
 from coulombkit.cli import _series_report, parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import shift_s_by_degree
@@ -107,6 +109,57 @@ def test_algebras_share_no_cached_values(a2, monkeypatch):
     assert m1 is not m2 and m1.algebra is first and m2.algebra is second
     assert m1.whittaker_vector(2) is not m2.whittaker_vector(2)
     assert m1.whittaker_vector(2).module is m1
+
+
+def test_second_descendent_maps_no_atom_root_again(a2, monkeypatch):
+    """Both routes evaluate through the algebra's ring maps, so once one
+    descendent has been paired at a point, the next maps no atom root: a
+    monomial insertion leaves no sum part whose roots need finding either."""
+    alg = CoulombAlgebra(a2)
+    p = fixed_points(a2)[0]
+    first = parse_descendent("a1*s1 - h", alg.table)
+    assert vertex_fp(alg, p, first, 2) == whittaker_function(alg, p, first, 2)
+    roots = _counting(monkeypatch, coulombkit.exactring, "_direction")
+    for text in ("s1", "2*a2*s1^2"):
+        tau = parse_descendent(text, alg.table)
+        assert vertex_fp(alg, p, tau, 2) == whittaker_function(alg, p, tau, 2)
+    assert roots == []
+
+
+def test_algebras_share_no_ring_map(a2):
+    first, second = CoulombAlgebra(a2), CoulombAlgebra(a2)
+    p = fixed_points(a2)[0]
+    for alg in (first, second):
+        tau = parse_descendent("s1", alg.table)
+        vertex_fp(alg, p, tau, 2)
+        whittaker_function(alg, p, tau, 2)
+    for specialize in (False, True):
+        ring = first.evaluation_map(p, specialize)
+        assert first.evaluation_map(p, specialize) is ring
+        assert second.evaluation_map(p, specialize) is not ring
+        assert second.evaluation_map(p, specialize).images == ring.images
+    d = (1, 0)
+    assert first.shift_map(d) is first.shift_map(d)
+    assert first.shift_map(d) is not second.shift_map(d)
+    m1, m2 = first.verma_module(p), second.verma_module(p)
+    assert m1.evaluation_map(d) is m1.evaluation_map(d)
+    assert m1.evaluation_map(d) is not m2.evaluation_map(d)
+    # the unshifted module map is its algebra's evaluation map
+    assert m1.evaluation_map() is first.evaluation_map(p)
+
+
+def test_cached_evaluation_map_raises_the_pole_of_a_fresh_one(tgr24):
+    """The non-lift p{1,5} of tgr(2,4) is a pole of every degree-1 term; the
+    algebra's cached map raises it again, as a fresh algebra's map does."""
+    alg = CoulombAlgebra(tgr24)
+    p = point_by_support(tgr24, (0, 4))
+    errors = []
+    for a in (alg, alg, CoulombAlgebra(tgr24)):
+        with pytest.raises(PoleEvaluationError) as exc:
+            vertex_fp_nonab(a, p, Descendent(Poly.one(a.table.width)), 1)
+        errors.append((str(exc.value), exc.value.atom))
+    assert errors == [("pole at fixed point p{1,5}: atom (1 - s1*s2^-1) vanishes",
+                       alg.table.mono({alg.table.s(0): 1, alg.table.s(1): -1}))] * 3
 
 
 def _nonab_rebuilt(alg, p, tau, order):

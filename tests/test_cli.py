@@ -154,6 +154,25 @@ def test_vertex_with_descendent_and_point():
     assert "Q^(0,0)" in text
 
 
+def test_point_with_a_trailing_comma_is_a_one_element_support():
+    """On tp1, ``--point 1`` is index 1, the point p{2}; ``--point 1,`` is
+    the support {1}, the point p{1}."""
+    tp1 = model_path("tp1")
+    for index, support in (("0", "1,"), ("1", "2,")):
+        for command in (["vertex", tp1, "--order", "2"], ["whittaker", tp1, "--order", "1"]):
+            want = run_cli(command + ["--point", index])
+            assert want[0] == 0 and run_cli(command + ["--point", support]) == want
+    code, payload = run_cli(["qde-check", tp1, "--circuit", "0", "--order", "1", "--json",
+                             "--point", "2,"])
+    assert code == 0 and json.loads(payload) == [{"circuit": [1], "point": "p{2}", "passed": True}]
+    assert run_cli(["vertex", tp1, "--point", "1"]) != run_cli(["vertex", tp1, "--point", "1,"])
+    for bad in (",", "1,,", ",1"):
+        with pytest.raises(ModelError, match="^bad --point %s$" % re.escape(repr(bad))):
+            run_cli(["vertex", tp1, "--point", bad])
+    with pytest.raises(ModelError, match=r"^no fixed point with support \{3\}$"):
+        run_cli(["vertex", tp1, "--point", "3,"])
+
+
 def test_whittaker_command():
     code, text = run_cli(["whittaker", model_path("tp1"), "--order", "2"])
     assert code == 0
@@ -207,6 +226,8 @@ GOLDEN = [
     ("vertex_a2_order2_descendent.json",
      ["vertex", "a2", "--order", "2", "--descendent", "a1*s1-h", "--json"]),
     ("vertex_tgr24_order1.txt", ["vertex", "tgr24", "--order", "1"]),
+    # the Weyl-collapse sums of both lifts' abelian degrees
+    ("vertex_tgr24_order2.txt", ["vertex", "tgr24", "--order", "2"]),
     ("whittaker_a2_order2.txt", ["whittaker", "a2", "--order", "2"]),
     # the virtual model's Whittaker vector, keyed by abelian degree
     ("whittaker_tgr24_order1.txt", ["whittaker", "tgr24", "--order", "1"]),

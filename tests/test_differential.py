@@ -162,6 +162,57 @@ def test_equality_decides_like_sympy(xa, ya, how):
     assert (rhs == lhs) == (lhs == rhs)
 
 
+RING = sympy.ring(Z, sympy.QQ)[0]
+
+
+def polynomial(terms):
+    """The Laurent polynomial ``{monomial: coefficient}`` times the monomial
+    that makes its least exponents 0, in sympy's sparse ring: a polynomial
+    no variable divides."""
+    low = [min(m[i] for m in terms) for i in range(W)]
+    return RING.from_dict({tuple(e - lo for e, lo in zip(m, low)): sympy.QQ(c.numerator,
+                                                                            c.denominator)
+                           for m, c in terms.items()})
+
+
+def assert_reduced(x: Scalar):
+    """The normal form's invariant: no denominator atom divides the sum part.
+
+    Cleared of monomials, psi_d(r) is prime to every variable, so it divides
+    the sum part exactly when it divides the cleared polynomial; a single
+    divisor is a Groebner basis of its ideal, so sympy's remainder decides.
+    """
+    if len(x.num.terms) < 2:
+        return
+    num = polynomial(x.num.terms)
+    for (r, d), mult in x.atoms.items():
+        if mult > 0:
+            psi = sympy.Poly(sympy.cyclotomic_poly(d, sympy.Symbol("t")), sympy.Symbol("t"))
+            atom = polynomial({mono_pow(r, k): Fraction(int(c)) for (k,), c in psi.terms()})
+            assert num.rem(atom), ((r, d), x)
+
+
+@SETTINGS
+@given(values(), values(), st.data())
+def test_no_denominator_atom_divides_the_sum_part(xa, ya, data):
+    """Every operation returns the normal form, ``+`` included, which offers
+    only the denominator atoms both summands share for cancellation, and the
+    results that skip renormalization (``-x``, scaling, ``inv``, products of
+    atoms)."""
+    (x, _), (y, _) = xa, ya
+    results = [x, y, x + y, x - y, x + x, y + x * y, x * y, -x, x.scale(Fraction(-2, 3))]
+    if not y.is_zero() and y.num.is_monomial():
+        results += [y.inv(), x / y, x + y.inv()]
+    images = {i: data.draw(st.tuples(*[st.integers(-1, 1)] * W)) for i in range(W)}
+    for z in (x, y, x + y):
+        try:
+            results.append(z.subs(images, W))
+        except PoleEvaluationError:
+            pass
+    for z in results:
+        assert_reduced(z)
+
+
 def _vanishing_image(images, g):
     """Re-solve the image of one variable so that g, through its root r = g^(1/n)
     with n the gcd of g's exponents, maps to 1."""

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from coulombkit import Poly, PoleEvaluationError, Scalar, VariableTable
-from coulombkit.exactring import (SumInverseError, _chain_roots, _direction, binomial_atoms,
-                                  mono_inv, mono_mul, mono_pow, mono_subs, one_minus,
+from coulombkit.exactring import (RingMap, SumInverseError, _chain_roots, _direction,
+                                  binomial_atoms, mono_inv, mono_mul, mono_pow, mono_subs,
+                                  one_minus,
                                   scalar_str, scalar_from_structured, scalar_structured,
                                   shift_s_by_degree, substitute_monomials)
 from coulombkit.pochhammer import poch
@@ -196,6 +197,39 @@ def test_mono_subs_fixes_absent_variables():
     assert mono_subs(m, images, narrow.width) == expected
     f = Scalar(W, one_minus(mono(a1=1, s1=1)), atoms={mono(q=1, s2=1): 1})
     assert f.subs({}, W) == f
+
+
+def test_ring_map_memoizes_and_matches_a_dict():
+    images = {T.s(0): mono(a1=-1, q=1), T.s(1): mono(h=1)}
+    ring = RingMap(images, W)
+    rng = rng_for("ring-map")
+    for _ in range(20):
+        f = Scalar.from_poly(rand_poly(rng, T, terms=3)) * Scalar(
+            W, Poly.one(W), atoms={rand_mono(rng, T): 1, mono(a1=1, s2=2): -1})
+        assert f.subs(ring) == f.subs(images, W) == f.subs(ring)
+    m = mono(s1=2, s2=-1)
+    assert ring.mono(m) is ring.mono(m) == mono_subs(m, images, W)
+    # s1^2 s2^-1 -> q^2 a1^-2 h^-1, the square of q h^(-1/2) a1^-1
+    assert ring.root(m) == (tuple(e // 2 for e in mono(q=2, h=-1, a1=-2)), 2)
+    assert ring.root(mono(a1=1, s1=1, q=-1)) is None
+
+
+def test_cached_ring_map_raises_the_same_pole_every_time(monkeypatch):
+    """A denominator atom sent to 1 is a pole on every application of a map,
+    with the message and atom of a fresh map; the memo is not a way round it."""
+    g = mono(a1=1, s1=1)
+    images = {T.s(0): mono(a1=-1)}
+    pole = Scalar.atom_inverse(g) * Scalar.from_poly(one_minus(mono(s2=1)))
+    ring = RingMap(images, W)
+    seen = []
+    for subs in (lambda: pole.subs(ring), lambda: pole.subs(ring), lambda: pole.subs(images, W)):
+        with pytest.raises(PoleEvaluationError) as exc:
+            subs()
+        seen.append((str(exc.value), exc.value.atom))
+    assert seen == [("pole at evaluation point: atom (1 - %r) vanishes" % (g,), g)] * 3
+    # a numerator atom sent to 1 gives zero, cached or not
+    zero = Scalar.atom_inverse(g).inv()
+    assert zero.subs(ring).is_zero() and zero.subs(ring).is_zero()
 
 
 def test_q_shift():

@@ -15,7 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from coulombkit.cli import MAX_GENERATOR_DEGREE, main  # noqa: E402
+from coulombkit.cli import MAX_GENERATOR_DEGREE, MAX_ORDER, main  # noqa: E402
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -44,6 +44,18 @@ def run_main(argv) -> int:
     """main(argv), with what it prints discarded; an exception fails the test."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
+
+
+@st.composite
+def descendents(draw, k):
+    """One or two terms in a1, h and s1..sk, each exponent in -3..3."""
+    names = ["a1", "h"] + ["s%d" % (j + 1) for j in range(k)]
+    terms = []
+    for _ in range(draw(st.integers(1, 2))):
+        exps = draw(st.lists(SMALL, min_size=len(names), max_size=len(names)))
+        factors = ["%s^%d" % (v, e) for v, e in zip(names, exps) if e] or ["1"]
+        terms.append("%d*%s" % (draw(st.integers(1, 3)), "*".join(factors)))
+    return " - ".join(terms)
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +109,22 @@ def test_point_and_circuit_flags_keep_exit_codes(model, point, circuit, order, c
     argv += ["--point=" + point] if point is not None else []
     argv += ["--circuit=" + circuit] if command == "qde-check" else []
     assert run_main(argv) in (0, 1, 2)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(model=st.sampled_from([("tp1", 1), ("a2", 2)]), order=st.integers(-2, MAX_ORDER + 2),
+       command=st.sampled_from(["vertex", "qde-check"]), data=st.data())
+def test_order_and_descendent_exponents_keep_exit_codes(model, order, command, data):
+    """Orders on both sides of 0..MAX_ORDER and descendents with negative
+    powers end with an exit code and one ``error:`` line, never a traceback."""
+    name, k = model
+    text = data.draw(descendents(k))
+    argv = [command, os.path.join(DATA, name + ".json"), "--order", str(order),
+            "--descendent", text] + (["--circuit", "0"] if command == "qde-check" else [])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == (not 0 <= order <= MAX_ORDER)
+    assert err.getvalue() == ("" if code < 2 else "error: --order must be %s, got %d\n"
+                              % (">= 0" if order < 0 else "at most %d" % MAX_ORDER, order))
