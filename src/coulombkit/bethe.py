@@ -56,7 +56,7 @@ def bethe_relations_q1(alg: CoulombAlgebra):
     out = []
     for rel in dmodule_relations(alg):
         lhs = specialize_q1(rel.lhs, alg.table)
-        if Q_HALF in lhs.vars_used():
+        if lhs.uses((Q_HALF,)):
             raise AssertionError("q variable survived the q=1 specialization")
         out.append(Relation(lhs=lhs, rhs_degree=rel.rhs_degree, kind="bethe_q1",
                             circuit=rel.circuit, weyl_rep=rel.weyl_rep))

@@ -20,27 +20,34 @@ genuine row per matter row and, in a block model, a virtual row per root
 of a block, which contributes the inverse factor.  A block model is thus
 its virtual abelian model, the adjoint counted negatively; fixed points,
 circuits and cones still read the genuine rows of the :class:`GaugeData`.
+A kernel is one :func:`~coulombkit.pochhammer.hq_product` call over
+(row monomial, length, power) triples, the power being the row's sign,
+negated where the kernel inverts the row's factor; ``hq_product`` hands
+every binomial to :func:`~coulombkit.pochhammer.poch_product`, the one
+Pochhammer builder.
 
 Mixed generators rescale r_d by an explicit kernel coefficient depending on
 which side of the effective cone d lies; products of mixed generators inside
 the cone are degreewise trivial, which is what the Verma and vertex layers
 are built on.  Structure constants are memoized per (c, d, polarization),
 matter kernels per degree, Verma modules per fixed point, evaluation ring
-maps per (fixed point, flavor specialization) and shift ring maps
-s_j -> q^{d_j} s_j per degree, all on the algebra instance and dropped with
-it.  Cached values are immutable and a :class:`~coulombkit.exactring.RingMap`
-only grows memos that never change a result, so concurrent identical
-insertions are harmless.
+maps per (fixed point, flavor specialization, shift degree) and shift ring
+maps s_j -> q^{d_j} s_j per degree, all on the algebra instance and dropped
+with it; :meth:`CoulombAlgebra.evaluate` is the one evaluation at a fixed
+point, for the closed series and the Verma modules alike.  Cached values
+are immutable and a :class:`~coulombkit.exactring.RingMap` only grows memos
+that never change a result, so concurrent identical insertions are
+harmless.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .exactring import (RingMap, Scalar, VariableTable, mono_subs, q_shift_map,
-                        q_shifted)
+from .exactring import (PoleEvaluationError, RingMap, Scalar, VariableTable, atom_str,
+                        mono_subs, q_shift_map, q_shifted)
 from .hypertoric import FixedPoint, GaugeData, eff_cone, mixed_polarization, pair
-from .pochhammer import hq_ratio, hq_ratio_inv
+from .pochhammer import hq_product
 
 
 def epsilon(c: int) -> int:
@@ -67,12 +74,6 @@ def signed_rows(data: GaugeData, table: VariableTable) -> list:
             alpha = tuple((j == u) - (j == v) for j in range(data.k))
             rows.append((alpha, table.mono({table.s(u): 1, table.s(v): -1}), -1))
     return rows
-
-
-def _kernel(sign: int, x: tuple, d: int, inverse: bool = False) -> Scalar:
-    """``hq_ratio(x, d)`` on a genuine row and its inverse on a virtual one;
-    ``inverse`` inverts both."""
-    return hq_ratio(x, d) if (sign > 0) != inverse else hq_ratio_inv(x, d)
 
 
 def collect(terms) -> dict:
@@ -208,14 +209,14 @@ class CoulombAlgebra:
         got = self._sc_cache.get(key)
         if got is not None:
             return got
-        out = Scalar.one(self.table.width)
+        factors = []
         for i, (chi, x, sign) in enumerate(self.rows):
             ci = pair(chi, c)
             length = epsilon(ci) * delta(ci, pair(chi, d))
             if length:
-                out = out * _kernel(sign, q_shifted(x, -ci), length,
-                                    inverse=(i in pol) == (ci > 0))
-        self._sc_cache[key] = out
+                factors.append((q_shifted(x, -ci), length,
+                                -sign if (i in pol) == (ci > 0) else sign))
+        out = self._sc_cache[key] = hq_product(self.table.width, factors)
         return out
 
     def matter_kernel(self, d) -> Scalar:
@@ -228,30 +229,43 @@ class CoulombAlgebra:
         """
         d = tuple(d)
         got = self._kernel_cache.get(d)
-        if got is not None:
-            return got
-        out = Scalar.one(self.table.width)
-        for chi, x, sign in self.rows:
-            di = pair(chi, d)
-            if di:
-                out = out * _kernel(sign, x, di)
-        self._kernel_cache[d] = out
-        return out
+        if got is None:
+            got = self._kernel_cache[d] = hq_product(
+                self.table.width,
+                [(x, di, sign) for chi, x, sign in self.rows if (di := pair(chi, d))])
+        return got
 
     # -- ring maps ------------------------------------------------------------
 
-    def evaluation_map(self, p: FixedPoint, specialize: bool = False) -> RingMap:
+    def evaluation_map(self, p: FixedPoint, specialize: bool = False, shift=()) -> RingMap:
         """The ring map of evaluation at the fixed point p, optionally composed
-        with the model's flavor specialization; one per (point, specialize)."""
-        key = (p, specialize)
+        with the model's flavor specialization, with s_j sent to q^{shift_j}
+        times its restriction; one per (point, specialize, shift), a zero
+        shift being the unshifted map."""
+        shift = tuple(shift) if any(shift) else ()
+        key = (p, specialize, shift)
         got = self._eval_maps.get(key)
         if got is None:
             width = self.table.width
             images = dict(self.flavor_images) if specialize else {}
-            images.update({self.table.s(j): mono_subs(mono, images, width)
+            images.update({self.table.s(j): q_shifted(mono_subs(mono, images, width),
+                                                      shift[j] if shift else 0)
                            for j, mono in p.restriction.items()})
             got = self._eval_maps[key] = RingMap(images, width)
         return got
+
+    def evaluate(self, p: FixedPoint, f: Scalar, specialize: bool = False, shift=()) -> Scalar:
+        """f under :meth:`evaluation_map`.
+
+        A vanishing denominator is reported with the point's label and the
+        factor written in the model's variables.
+        """
+        try:
+            return f.subs(self.evaluation_map(p, specialize, shift))
+        except PoleEvaluationError as exc:
+            raise PoleEvaluationError("pole at fixed point %s: atom %s vanishes"
+                                      % (p.label(), atom_str(self.table, exc.atom)),
+                                      atom=exc.atom)
 
     def shift_map(self, d) -> RingMap:
         """The ring map s_j -> q^{d_j} s_j; one per degree."""
@@ -285,12 +299,12 @@ class CoulombAlgebra:
 
     def xi_phi_coefficient(self, d, pol: frozenset) -> Scalar:
         """Left coefficient of the polarization-change image of r_d(Pol)."""
-        out = Scalar.one(self.table.width)
+        factors = []
         for i, (chi, x, sign) in enumerate(self.rows):
             di = pair(chi, d)
             if di and i not in pol:
-                out = out * _kernel(sign, x, -di, inverse=di > 0)
-        return out
+                factors.append((x, -di, -sign if di > 0 else sign))
+        return hq_product(self.table.width, factors)
 
     def xi_phi_generator(self, d, pol: frozenset) -> AlgebraElement:
         return self.r(d, self.xi_phi_coefficient(d, pol))
@@ -326,12 +340,12 @@ class CoulombAlgebra:
     def module_factor(self, c, d, pol: frozenset | None = None) -> Scalar:
         """Scalar with t_c(Pol) r_d(Pol) = factor * t_{c+d}(Pol)."""
         pol = self.canonical_pol if pol is None else frozenset(pol)
-        out = Scalar.one(self.table.width)
+        factors = []
         for i, (chi, x, sign) in enumerate(self.rows):
             di = pair(chi, d)
             if di and (di < 0) == (i in pol):
-                out = out * _kernel(sign, q_shifted(x, -pair(chi, c)), -di, inverse=True)
-        return out
+                factors.append((q_shifted(x, -pair(chi, c)), -di, -sign))
+        return hq_product(self.table.width, factors)
 
     def module_act(self, t: ModuleElement, a: AlgebraElement,
                    pol: frozenset | None = None) -> ModuleElement:

@@ -47,6 +47,7 @@ is the one normalization, and every operation keeps that invariant.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -380,14 +381,6 @@ class Poly:
                 if e < lo[t]:
                     lo[t] = e
         return tuple(lo)
-
-    def vars_used(self):
-        used = set()
-        for m in self.terms:
-            for idx, e in enumerate(m):
-                if e:
-                    used.add(idx)
-        return used
 
     def subs(self, images, target_width: int | None = None) -> "Poly":
         """The image under a :class:`RingMap`, or under a dict
@@ -751,13 +744,11 @@ class Scalar:
         var = tuple(int(t == var_idx) for t in range(self.w))
         return self.subs({var_idx: q_shifted(var, m)}, self.w)
 
-    def vars_used(self):
-        used = self.num.vars_used()
-        for m in [self.pre] + [r for r, d in self.atoms]:
-            for idx, e in enumerate(m):
-                if e:
-                    used.add(idx)
-        return used
+    def uses(self, indices) -> bool:
+        """Whether a variable of the sequence ``indices`` occurs in the
+        prefactor, the sum part or an atom root; stops at the first hit."""
+        monos = itertools.chain((self.pre,), self.num.terms, (r for r, _ in self.atoms))
+        return any(m[idx] for m in monos for idx in indices)
 
     def __repr__(self):
         return "Scalar(num=%r, pre=%r, atoms=%r)" % (self.num.terms, self.pre, self.atoms)
@@ -769,9 +760,8 @@ def substitute_monomials(x: Scalar, table: VariableTable, s_images: dict) -> Sca
     ``s_images`` maps 0-based gauge indices to monomial tuples of the same
     table; every s_j occurring in x must be covered.
     """
-    used = x.vars_used()
     for j in range(table.k):
-        if table.s(j) in used and j not in s_images:
+        if j not in s_images and x.uses((table.s(j),)):
             raise ValueError("substitution does not cover s%d" % (j + 1))
     return x.subs({table.s(j): m for j, m in s_images.items()}, table.width)
 

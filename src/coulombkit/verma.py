@@ -7,6 +7,10 @@ algebra normal form plus evaluation, never through an abstract quotient:
 rewrite r_c * (mixed generator at e) as a left scalar times r_{c+e}, convert
 back to the mixed generator at c+e, then evaluate the total left scalar with
 the gauge variables sent to q^{(c+e)_j} times their restriction at the point.
+The scalars are kernel products, each built by one
+:func:`~coulombkit.pochhammer.poch_product` call, and the evaluation is the
+algebra's: :meth:`~coulombkit.coulomb.CoulombAlgebra.evaluation_map` keeps
+one ring map per (point, specialization, shift), the module none.
 Degrees outside the effective cone of the point contribute zero.  A vector
 is a :class:`~coulombkit.coulomb.Combination` over the cone's degrees: it
 sums and compares by the same rule as an algebra element.
@@ -15,22 +19,8 @@ sums and compares by the same rule as an algebra element.
 from __future__ import annotations
 
 from .coulomb import AlgebraElement, Combination, CoulombAlgebra
-from .exactring import PoleEvaluationError, RingMap, Scalar, atom_str, q_shifted
+from .exactring import Scalar
 from .hypertoric import FixedPoint, eff_cone_fp, enumerate_degrees
-
-
-def evaluate_at_point(alg: CoulombAlgebra, p: FixedPoint, images: RingMap | dict,
-                      f: Scalar) -> Scalar:
-    """Apply the ring map ``images`` (an evaluation at the fixed point p).
-
-    A vanishing denominator is reported with the point's label and the
-    factor written in the model's variables.
-    """
-    try:
-        return f.subs(images, alg.table.width)
-    except PoleEvaluationError as exc:
-        raise PoleEvaluationError("pole at fixed point %s: atom %s vanishes"
-                                  % (p.label(), atom_str(alg.table, exc.atom)), atom=exc.atom)
 
 
 class VermaVector(Combination):
@@ -52,12 +42,11 @@ class VermaVector(Combination):
 class VermaModule:
     """The module attached to one fixed point of one model.
 
-    Norms are memoized per degree, Whittaker vectors per order and the
-    evaluation maps per shift degree (the unshifted one is the algebra's
-    :meth:`~coulombkit.coulomb.CoulombAlgebra.evaluation_map`), all dropped
-    with the module.  Obtain the module through
-    :meth:`CoulombAlgebra.verma_module` to share them across every caller of
-    the same algebra and point.
+    Norms are memoized per degree and Whittaker vectors per order, both
+    dropped with the module; every evaluation goes through the algebra's
+    maps (:meth:`~coulombkit.coulomb.CoulombAlgebra.evaluate`).  Obtain the
+    module through :meth:`CoulombAlgebra.verma_module` to share them across
+    every caller of the same algebra and point.
     """
 
     def __init__(self, algebra: CoulombAlgebra, point: FixedPoint):
@@ -66,26 +55,10 @@ class VermaModule:
         self.cone = eff_cone_fp(algebra.data, point)
         self._norm_cache = {}
         self._whittaker = {}
-        self._eval_maps = {}
-
-    # -- evaluation -------------------------------------------------------
-
-    def evaluation_map(self, shift_degree=None) -> RingMap:
-        """The ring map sending s_j to q^{shift_j} times its restriction."""
-        if not any(shift_degree or ()):
-            return self.algebra.evaluation_map(self.point)
-        shift = tuple(shift_degree)
-        got = self._eval_maps.get(shift)
-        if got is None:
-            table = self.algebra.table
-            got = self._eval_maps[shift] = RingMap(
-                {table.s(j): q_shifted(mono, shift[j]) for j, mono in self.point.restriction.items()},
-                table.width)
-        return got
 
     def evaluate(self, f: Scalar, shift_degree=None) -> Scalar:
         """Evaluate at the point, with s_j sent to q^{shift_j} times its restriction."""
-        return evaluate_at_point(self.algebra, self.point, self.evaluation_map(shift_degree), f)
+        return self.algebra.evaluate(self.point, f, shift=shift_degree or ())
 
     # -- module structure ----------------------------------------------------
 

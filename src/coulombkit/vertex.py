@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from .coulomb import Combination, CoulombAlgebra
 from .exactring import Poly, Scalar, mono_is_unit, mono_mul, q_shifted
 from .hypertoric import FixedPoint, enumerate_degrees, pair
-from .pochhammer import h_shifted, poch, poch_qinv, sign_kernel
-from .verma import evaluate_at_point
+from .pochhammer import h_shifted, poch_product, sign_kernel
 
 
 class Descendent:
@@ -47,12 +46,6 @@ class QSeries(Combination):
         return self.coeffs.get(tuple(d), Scalar.zero(width))
 
 
-def restriction_images(alg: CoulombAlgebra, p: FixedPoint, specialize: bool = False) -> dict:
-    """The images of the algebra's evaluation map at the point, optionally
-    composed with the model's flavor specialization."""
-    return dict(alg.evaluation_map(p, specialize).images)
-
-
 def is_lift(alg: CoulombAlgebra, p: FixedPoint) -> bool:
     """Whether p lifts an isolated fixed point: no virtual row's monomial
     s_u s_v^-1 restricts to 1 there, under the flavor specialization.  Every
@@ -66,10 +59,9 @@ def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     """(degree, coefficient) pairs of the closed localization product at p:
     the signed-row kernel times the shifted insertion, evaluated at p."""
     insertion = tau.as_scalar() if isinstance(tau, Descendent) else tau
-    ring = alg.evaluation_map(p, specialize)
     for d in enumerate_degrees(alg.eff(), alg.data.theta, order):
         weight = alg.matter_kernel(d) * alg.shift(insertion, d)
-        yield d, evaluate_at_point(alg, p, ring, weight)
+        yield d, alg.evaluate(p, weight, specialize)
 
 
 def vertex_fp(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
@@ -98,7 +90,7 @@ def _strip_kahler_power(table, value: Scalar, d) -> Scalar:
     changes."""
     stripped = Scalar._raw(value.w, value.num, mono_mul(value.pre, table.mono(
         {table.qvar(j): -2 * dj for j, dj in enumerate(d) if dj})), value.atoms)
-    if any(table.qvar(j) in stripped.vars_used() for j in range(table.k)):
+    if stripped.uses([table.qvar(j) for j in range(table.k)]):
         raise AssertionError("Kahler power of coefficient at %r is not Q^%r" % (d, d))
     return stripped
 
@@ -134,15 +126,15 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     sign = sign_kernel(sum(ci * row_sign for _, ci, _, row_sign in rows), w)
 
     def eigen(d, side):
-        """Operator eigenvalue on the degree-d coefficient: (y; q^-1)_|c_i| on
-        rows with side * c_i > 0, (h y; q)_|c_i| on the others, inverted on
-        the virtual rows."""
-        out = Scalar.one(w)
+        """Operator eigenvalue on the degree-d coefficient: (y; q^-1)_|c_i| =
+        (q^{1-|c_i|} y; q)_|c_i| on rows with side * c_i > 0, (h y; q)_|c_i|
+        on the others, inverted on the virtual rows."""
+        symbols = []
         for chi, ci, x, row_sign in rows:
             y = q_shifted(x, pair(chi, d))
-            f = poch_qinv(y, abs(ci)) if side * ci > 0 else poch(h_shifted(y), abs(ci))
-            out = out * (f if row_sign > 0 else f.inv())
-        return out
+            z = q_shifted(y, 1 - abs(ci)) if side * ci > 0 else h_shifted(y)
+            symbols.append((z, abs(ci), row_sign))
+        return poch_product(w, symbols)
 
     theta = alg.data.theta
     degrees = set(enumerate_degrees(alg.eff(), theta, order))

@@ -11,7 +11,7 @@ from coulombkit.exactring import (binomial_atoms, mono_inv, mono_mul, one_minus,
                                   scalar_from_structured,
                                   scalar_str, shift_s_by_degree)
 from coulombkit.hypertoric import enumerate_degrees
-from coulombkit.vertex import Descendent, restriction_images, vertex_fp
+from coulombkit.vertex import Descendent, vertex_fp
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "bethe_tgr24_golden.txt")
 
@@ -60,7 +60,7 @@ def test_relations_match_vertex_recursion(tp1_alg, a2_alg):
         w = t.width
         rels = dmodule_relations(alg)
         for p in fixed_points(alg.data):
-            images = restriction_images(alg, p)
+            images = alg.evaluation_map(p)
             series = vertex_fp(alg, p, Descendent(Poly.one(w)), order)
             for rel in rels:
                 c = rel.circuit

@@ -3,6 +3,8 @@ fixed point, Whittaker vectors per order, and the evaluation and shift ring
 maps.  Cached results must equal, and render exactly as, the same calls on a
 fresh algebra, and no two algebras may share a cached value."""
 
+import itertools
+
 import pytest
 
 import coulombkit.coulomb
@@ -14,8 +16,8 @@ from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import shift_s_by_degree
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.pochhammer import hq_ratio
-from coulombkit.verma import VermaModule, evaluate_at_point
-from coulombkit.vertex import QSeries, restriction_images
+from coulombkit.verma import VermaModule
+from coulombkit.vertex import QSeries
 
 from conftest import point_by_support, tpn
 
@@ -56,11 +58,12 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_second_descendent_builds_no_kernel(a2, monkeypatch):
-    calls = _counting(monkeypatch, coulombkit.coulomb, "hq_ratio")
+    calls = _counting(monkeypatch, coulombkit.coulomb, "hq_product")
     alg = CoulombAlgebra(a2)
     p = fixed_points(a2)[0]
     vertex_fp(alg, p, parse_descendent("s1", alg.table), 2)
-    assert calls
+    # one kernel product per degree
+    assert len(calls) == len(enumerate_degrees(alg.eff(), a2.theta, 2))
     del calls[:]
     vertex_fp(alg, p, parse_descendent("a1*s1 - h", alg.table), 2)
     # another point shares the unevaluated kernels too
@@ -97,7 +100,7 @@ def test_algebras_share_no_cached_values(a2, monkeypatch):
     vertex_fp(first, p, tau, 2)
     whittaker_function(first, p, tau, 2)
     # a fresh algebra starts cold: it builds every kernel and the module again
-    kernels = _counting(monkeypatch, coulombkit.coulomb, "hq_ratio")
+    kernels = _counting(monkeypatch, coulombkit.coulomb, "hq_product")
     built = _counting(monkeypatch, VermaModule, "__init__")
     vertex_fp(second, p, tau, 2)
     whittaker_function(second, p, tau, 2)
@@ -141,11 +144,44 @@ def test_algebras_share_no_ring_map(a2):
     d = (1, 0)
     assert first.shift_map(d) is first.shift_map(d)
     assert first.shift_map(d) is not second.shift_map(d)
-    m1, m2 = first.verma_module(p), second.verma_module(p)
-    assert m1.evaluation_map(d) is m1.evaluation_map(d)
-    assert m1.evaluation_map(d) is not m2.evaluation_map(d)
-    # the unshifted module map is its algebra's evaluation map
-    assert m1.evaluation_map() is first.evaluation_map(p)
+    # the shifted maps a module evaluates through live on its algebra
+    shifted = first.evaluation_map(p, shift=d)
+    assert first.evaluation_map(p, shift=list(d)) is shifted
+    assert second.evaluation_map(p, shift=d) is not shifted
+    assert second.evaluation_map(p, shift=d).images == shifted.images
+
+
+def test_zero_shift_is_the_unshifted_map(a2):
+    alg = CoulombAlgebra(a2)
+    for p in fixed_points(a2):
+        for specialize in (False, True):
+            ring = alg.evaluation_map(p, specialize)
+            assert alg.evaluation_map(p, specialize, shift=(0, 0)) is ring
+            assert alg.evaluation_map(p, specialize, shift=[0, 0]) is ring
+            assert alg.evaluation_map(p, specialize, shift=(0, 1)) is not ring
+
+
+@pytest.mark.parametrize("model", ["a2", "tgr24"])
+def test_shifted_evaluation_is_shift_then_evaluate(model, request):
+    """The algebra's shifted map evaluates a kernel as shifting it first and
+    evaluating it unshifted does, a pole included."""
+    data = request.getfixturevalue(model)
+    alg = CoulombAlgebra(data)
+    near = list(itertools.product(range(-1, 2), repeat=data.k))
+    kernels = [alg.matter_kernel(d) for d in near] + [alg.mixed_coefficient(d) for d in near]
+
+    def outcome(p, f, specialize, shift=()):
+        try:
+            return alg.evaluate(p, f, specialize, shift)
+        except PoleEvaluationError:
+            return "pole"
+
+    for p in fixed_points(data):
+        for specialize in (False, True):
+            for f in kernels:
+                for d in near:
+                    assert outcome(p, f, specialize, shift=d) \
+                        == outcome(p, alg.shift(f, d), specialize), (p.label(), d)
 
 
 def test_cached_evaluation_map_raises_the_pole_of_a_fresh_one(tgr24):
@@ -164,15 +200,13 @@ def test_cached_evaluation_map_raises_the_pole_of_a_fresh_one(tgr24):
 
 def _nonab_rebuilt(alg, p, tau, order):
     """vertex_fp_nonab with the kernel of every signed row built afresh per degree."""
-    images = restriction_images(alg, p, specialize=True)
-
     def coeff(d):
         weight = shift_s_by_degree(tau.as_scalar(), alg.table, d)
         for chi, x, sign in alg.rows:
             m = pair(chi, d)
             if m:
                 weight = weight * (hq_ratio(x, m) if sign > 0 else hq_ratio(x, m).inv())
-        return evaluate_at_point(alg, p, images, weight)
+        return alg.evaluate(p, weight, specialize=True)
 
     degrees = enumerate_degrees(alg.eff(), alg.data.theta, order)
     return QSeries(order, ((tuple(sum(d[a:b]) for a, b in alg.data.block_slices()), coeff(d))
@@ -181,20 +215,26 @@ def _nonab_rebuilt(alg, p, tau, order):
 
 def test_root_factors_are_built_once_per_degree(tgr24, monkeypatch):
     """Both lifts of tgr(2,4) at order 1 share the signed-row kernel of each
-    degree, its virtual (root) rows included: one factor per row with a
-    nonzero pairing and degree, 12 in all, however many calls."""
+    degree, its virtual (root) rows included: one kernel product per degree,
+    with one factor per row with a nonzero pairing and degree, 12 in all,
+    however many calls."""
     alg = CoulombAlgebra(tgr24)
     lifts = [point_by_support(tgr24, (0, 5)), point_by_support(tgr24, (1, 4))]
     taus = [parse_descendent(text, alg.table) for text in ("1", "a1*s1 - h")]
-    builds = _counting(monkeypatch, coulombkit.coulomb, "hq_ratio")
-    builds_inv = _counting(monkeypatch, coulombkit.coulomb, "hq_ratio_inv")
+    builds = _counting(monkeypatch, coulombkit.coulomb, "hq_product")
+
+    def factors(power):
+        return sum(1 for _, fs in builds for _, _, pw in fs if pw == power)
+
     degrees = enumerate_degrees(alg.eff(), tgr24.theta, 1)
     per_degree = [sum(1 for chi, _, _ in alg.rows if pair(chi, d)) for d in degrees]
     assert per_degree == [0, 6, 6]
     got = [vertex_fp_nonab(alg, p, taus[0], 1) for p in lifts]
-    assert (len(builds), len(builds_inv)) == (8, 4)  # genuine rows, virtual rows
+    assert len(builds) == len(degrees)
+    assert (factors(1), factors(-1)) == (8, 4)  # genuine rows, virtual rows
     got += [vertex_fp_nonab(alg, p, taus[1], 1) for p in lifts]
-    assert (len(builds), len(builds_inv)) == (8, 4)
+    assert len(builds) == len(degrees)
+    assert (factors(1), factors(-1)) == (8, 4)
     want = [_nonab_rebuilt(CoulombAlgebra(tgr24), p, tau, 1) for tau in taus for p in lifts]
     assert got == want
     for d in degrees:

@@ -233,6 +233,8 @@ GOLDEN = [
     ("whittaker_tgr24_order1.txt", ["whittaker", "tgr24", "--order", "1"]),
     ("mul_a2.txt", ["mul", "a2", "r[1,0]r[-1,1]r[0,-1]"]),
     ("mul_a2.json", ["mul", "a2", "r[1,0]r[-1,1]r[0,-1]", "--json"]),
+    # structure constants and mixed coefficients with virtual rows
+    ("mul_tgr24.json", ["mul", "tgr24", "r[1,0] R[0,1] r[-1,1]", "--json"]),
     ("qde_check_a2_circuit0_order2.txt", ["qde-check", "a2", "--circuit", "0", "--order", "2"]),
     # a negative power of a coefficient-1 monomial, and rational literals
     ("vertex_tp1_order1_negative_power.txt",

@@ -27,7 +27,8 @@ from coulombkit.exactring import (SumInverseError, binomial_atoms, mono_inv,  # 
                                   mono_is_unit, mono_pow, mono_str, mono_subs,
                                   scalar_from_structured, scalar_str, scalar_structured,
                                   specialize_q1)
-from coulombkit.pochhammer import sign_kernel  # noqa: E402
+from coulombkit.pochhammer import (hq_product, hq_ratio, hq_ratio_inv, poch,  # noqa: E402
+                                   poch_product, sign_kernel)
 
 T = VariableTable(1, 1)  # q^(1/2), h^(1/2), a1, s1, Q1^(1/2)
 W = T.width
@@ -91,6 +92,38 @@ def test_rendering_does_not_depend_on_factoring(c, pre, ats):
     for g, mult in binomial_atoms(x).items():
         if mult < 0:
             assert {"(1 - %s)" % mono_str(T, h) for h in (g, mono_inv(g))} & factors, g
+
+
+# a Pochhammer argument carries a1, so no binomial of its symbol is 1 - 1
+arguments = st.builds(lambda a, m: m[:2] + (a,) + m[3:],
+                      st.sampled_from([-2, -1, 1, 2]), monos)
+symbols = st.lists(st.tuples(arguments, st.integers(-4, 4), st.sampled_from([1, -1])),
+                   max_size=5)
+
+
+def same_rendering(x: Scalar, y: Scalar) -> bool:
+    return x == y and scalar_str(T, x) == scalar_str(T, y) \
+        and scalar_structured(x) == scalar_structured(y)
+
+
+@SETTINGS
+@given(symbols)
+def test_hq_product_is_the_product_of_its_factors(factors):
+    """One atom dict per kernel product gives the value, and the text, of
+    multiplying the factors one at a time from the left."""
+    expected = Scalar.one(W)
+    for x, d, power in factors:
+        expected = expected * (hq_ratio(x, d) if power > 0 else hq_ratio_inv(x, d))
+    assert same_rendering(hq_product(W, factors), expected)
+
+
+@SETTINGS
+@given(symbols, st.integers(-4, 4))
+def test_poch_product_is_the_product_of_its_symbols(symbols, e):
+    expected = sign_kernel(e, W)
+    for x, d, power in symbols:
+        expected = expected * (poch(x, d) if power > 0 else poch(x, d).inv())
+    assert same_rendering(poch_product(W, symbols, e), expected)
 
 
 @st.composite

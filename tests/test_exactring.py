@@ -160,6 +160,20 @@ def test_substitute_monomials_pole_and_cancellation():
     assert got == expected
 
 
+def test_uses_reads_every_part():
+    s1, s2 = T.s(0), T.s(1)
+    for x in (Scalar.monomial(mono(a1=1, s1=-1)),
+              Scalar(W, one_minus(mono(s1=1, a2=1)) * one_minus(mono(a1=1))),
+              Scalar.atom_inverse(mono(q=1, s1=2))):
+        assert x.uses((s1,)) and x.uses((s2, s1)) and not x.uses((s2,)), x
+    assert not Scalar.one(W).uses(range(W))
+    # an uncovered gauge variable is named, the first one when several are
+    x = Scalar.atom_inverse(mono(s1=1, s2=-1))
+    for s_images, label in (({0: mono(a1=1)}, "s2"), ({}, "s1")):
+        with pytest.raises(ValueError, match="substitution does not cover %s$" % label):
+            substitute_monomials(x, T, s_images)
+
+
 def test_substitution_is_ring_homomorphism():
     rng = rng_for("subs-hom")
     smap = {0: mono(a1=1, h=-1), 1: mono(a2=-2)}

@@ -11,7 +11,7 @@ from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import mono_mul, one_minus, shift_s_by_degree
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.pochhammer import sign_kernel
-from coulombkit.vertex import Descendent, QSeries, is_lift, restriction_images, weyl_collapse
+from coulombkit.vertex import Descendent, QSeries, is_lift, weyl_collapse
 
 from conftest import point_by_support, tgr_model, weyl_image
 
@@ -37,7 +37,7 @@ def test_vertex_degree_zero_is_restricted_insertion(a2_alg):
     for p in fixed_points(a2_alg.data):
         for tau in _descendents(t):
             series = vertex_fp(a2_alg, p, tau, 2)
-            images = restriction_images(a2_alg, p)
+            images = a2_alg.evaluation_map(p)
             expected = tau.as_scalar().subs(images, t.width)
             got = series.coeffs.get((0, 0), Scalar.zero(t.width))
             assert got == expected
@@ -207,7 +207,7 @@ def test_nonabelian_kaehler_recursion(tgr24_alg):
     t = alg.table
     w = t.width
     p = point_by_support(alg.data, (0, 5))
-    images = restriction_images(alg, p, specialize=True)
+    images = alg.evaluation_map(p, specialize=True)
     c = (1, 0)
 
     def coeff(d):
