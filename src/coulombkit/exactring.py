@@ -21,7 +21,10 @@ exponent positive.  A positive multiplicity is a denominator factor, a
 negative one a numerator factor.  A binomial is ``1 - r^n = prod_{d|n}
 psi_d(r)`` for n > 0; for n < 0 its sign and monomial move into the
 prefactor.  The psi_d(r) are irreducible and pairwise not associate, so a
-product of atoms factors one way only.
+product of atoms factors one way only.  A binomial whose g is already such
+a root (the usual ``1 - q^m x`` of a Pochhammer kernel) keeps g itself as
+its key, and a root whose image is ``u^1`` maps ``psi_d`` to the one key
+``(u, d)``; only an image ``u^p`` with p > 1 splits into several keys.
 
 No multivariate gcd is ever computed.  Multiplying adds the atom dicts,
 inverting negates them (the inverse of a sum part that is not a monomial
@@ -71,14 +74,20 @@ class PoleEvaluationError(ArithmeticError):
 
 
 class VariableTable:
-    """Canonical, totally ordered variable layout for a rank-k model with n matter rows."""
+    """Canonical, totally ordered variable layout for a rank-k model with n matter rows.
 
-    __slots__ = ("n", "k", "width")
+    ``labels`` holds, per variable index, the pair ``(var_label(idx),
+    is_half_variable(idx))``, built once for the renderer.
+    """
+
+    __slots__ = ("n", "k", "width", "labels")
 
     def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
         self.width = 2 + n + 2 * k
+        self.labels = tuple((self.var_label(i), self.is_half_variable(i))
+                            for i in range(self.width))
 
     def a(self, i: int) -> int:
         """Index of the flavor variable a_{i+1} (0-based i)."""
@@ -137,6 +146,8 @@ def mono_inv(m: tuple) -> tuple:
 
 
 def mono_pow(m: tuple, e: int) -> tuple:
+    if e == 1:
+        return m
     return tuple(a * e for a in m)
 
 
@@ -441,10 +452,16 @@ def one_minus(g: tuple) -> Poly:
 
 
 def _direction(g: tuple):
-    """(r, n) with g = r^n, r primitive and its first nonzero exponent positive."""
+    """(r, n) with g = r^n, r primitive and its first nonzero exponent
+    positive; r is g itself when g already is such a root."""
     n = gcd(*g)
-    if next(e for e in g if e) < 0:
+    for lead in g:
+        if lead:
+            break
+    if lead < 0:
         n = -n
+    elif n == 1:
+        return g, 1
     return tuple(e // n for e in g), n
 
 
@@ -533,7 +550,7 @@ def _mapped_keys(atoms: dict, ring: RingMap | None, width: int):
             pre = mono_mul(pre, mono_pow(u, p * (len(_psi(d)) - 1) * mult))
             if d == 1 and mult % 2:
                 coeff = -coeff
-        for e in _psi_image(d, p):
+        for e in (d,) if p == 1 else _psi_image(d, p):
             keys[(u, e)] = keys.get((u, e), 0) + mult
     return (0 if vanished else coeff), pre, keys
 
@@ -789,8 +806,8 @@ def specialize_q1(x: Scalar, table: VariableTable) -> Scalar:
 # ---------------------------------------------------------------------------
 
 def _exp_str(table: VariableTable, idx: int, e: int) -> str:
-    label = table.var_label(idx)
-    if table.is_half_variable(idx):
+    label, half = table.labels[idx]
+    if half:
         if e % 2 == 0:
             e //= 2
             if e == 1:
@@ -848,11 +865,11 @@ def _orient_factor(g: tuple, mult: int):
     lexicographically smaller exponent vector; returns (g', unit monomial,
     sign) with (1 - g)^mult = sign * unit * (1 - g')^mult.
     """
-    gi = mono_inv(g)
-    if sum(g) > 0 or (sum(g) == 0 and g < gi):
+    total = sum(g)
+    if total > 0 or (total == 0 and g < mono_inv(g)):
         return g, (0,) * len(g), 1
     # (1 - g) = (-g) (1 - g^{-1})
-    return gi, mono_pow(g, mult), -1 if mult % 2 else 1
+    return mono_inv(g), mono_pow(g, mult), -1 if mult % 2 else 1
 
 
 def binomial_atoms(x: Scalar) -> dict:

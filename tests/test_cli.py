@@ -228,6 +228,10 @@ GOLDEN = [
     ("vertex_tgr24_order1.txt", ["vertex", "tgr24", "--order", "1"]),
     # the Weyl-collapse sums of both lifts' abelian degrees
     ("vertex_tgr24_order2.txt", ["vertex", "tgr24", "--order", "2"]),
+    # p = 2 roots from h, binomials with a negative lead, and d = 2 keys
+    # regrouped into binomials for printing
+    ("vertex_a2_order4.txt", ["vertex", "a2", "--order", "4"]),
+    ("vertex_a2_order4.json", ["vertex", "a2", "--order", "4", "--json"]),
     ("whittaker_a2_order2.txt", ["whittaker", "a2", "--order", "2"]),
     # the virtual model's Whittaker vector, keyed by abelian degree
     ("whittaker_tgr24_order1.txt", ["whittaker", "tgr24", "--order", "1"]),

@@ -23,8 +23,8 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from coulombkit import PoleEvaluationError, Poly, Scalar, VariableTable  # noqa: E402
 from coulombkit.cli import ExprError, parse_scalar_expr  # noqa: E402
-from coulombkit.exactring import (SumInverseError, binomial_atoms, mono_inv,  # noqa: E402
-                                  mono_is_unit, mono_pow, mono_str, mono_subs,
+from coulombkit.exactring import (SumInverseError, _psi_image, binomial_atoms,  # noqa: E402
+                                  mono_inv, mono_is_unit, mono_pow, mono_str, mono_subs,
                                   scalar_from_structured, scalar_str, scalar_structured,
                                   specialize_q1)
 from coulombkit.pochhammer import (hq_product, hq_ratio, hq_ratio_inv, poch,  # noqa: E402
@@ -223,6 +223,25 @@ def assert_reduced(x: Scalar):
             psi = sympy.Poly(sympy.cyclotomic_poly(d, sympy.Symbol("t")), sympy.Symbol("t"))
             atom = polynomial({mono_pow(r, k): Fraction(int(c)) for (k,), c in psi.terms()})
             assert num.rem(atom), ((r, d), x)
+
+
+def test_psi_image_matches_sympy_cyclotomic_polynomials():
+    """psi_d(x^p) = prod over e in _psi_image(d, p) of psi_e(x), with
+    psi_1 = 1 - x and psi_d = Phi_d for d > 1, checked against sympy."""
+    x = sympy.Symbol("x")
+
+    def psi(d, arg):
+        if d == 1:
+            return sympy.Poly(1 - arg, x)
+        return sympy.Poly(sympy.cyclotomic_poly(d, x).subs(x, arg), x)
+
+    for d in range(1, 13):
+        assert _psi_image(d, 1) == [d]
+        for p in range(1, 13):
+            product = sympy.Poly(1, x)
+            for e in _psi_image(d, p):
+                product *= psi(e, x)
+            assert product == psi(d, x ** p), (d, p)
 
 
 @SETTINGS

@@ -1,16 +1,18 @@
 """Ring axioms, factored-scalar reduction, substitution homomorphisms."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import coulombkit.exactring
 from coulombkit import Poly, PoleEvaluationError, Scalar, VariableTable
 from coulombkit.exactring import (RingMap, SumInverseError, _chain_roots, _direction,
-                                  binomial_atoms, mono_inv, mono_mul, mono_pow, mono_subs,
-                                  one_minus,
+                                  _orient_factor, binomial_atoms, mono_inv, mono_mul,
+                                  mono_pow, mono_str, mono_subs, one_minus,
                                   scalar_str, scalar_from_structured, scalar_structured,
                                   shift_s_by_degree, substitute_monomials)
-from coulombkit.pochhammer import poch
+from coulombkit.pochhammer import poch, poch_product
 
 from conftest import rand_mono, rand_poly, rng_for
 
@@ -400,3 +402,112 @@ def test_shift_s_by_degree_matches_manual():
     f = Scalar(W, one_minus(mono(a1=1, s1=1, s2=-1)))
     g = shift_s_by_degree(f, T, (2, 1))
     assert g == Scalar(W, one_minus(mono(q=1, a1=1, s1=1, s2=-1)))
+
+
+# -- the short path of primitive roots -------------------------------------
+
+def _lead(m):
+    return next(e for e in m if e)
+
+
+def test_direction_returns_a_primitive_root_with_positive_lead():
+    rng = rng_for("direction")
+    checked = kept = 0
+    while checked < 200:
+        g = mono_pow(rand_mono(rng, T, span=3), rng.choice([1, -1, 2, -3]))
+        if not any(g):
+            continue
+        checked += 1
+        r, n = _direction(g)
+        assert gcd(*r) == 1 and _lead(r) > 0
+        assert mono_pow(r, n) == g
+        if gcd(*g) == 1 and _lead(g) > 0:
+            # a root that is already canonical is returned as it is
+            assert n == 1 and r is g
+            kept += 1
+    assert kept
+
+
+def _primitive_symbols(rng, count):
+    """Random Pochhammer symbols (x, d, power) whose x has an exponent 1 on a
+    flavor variable, so every binomial 1 - q^m x is primitive."""
+    out = []
+    for _ in range(count):
+        x = list(rand_mono(rng, T, span=2))
+        x[T.a(rng.randrange(T.n))] = 1
+        out.append((tuple(x), rng.randint(-3, 3), rng.choice([1, -1])))
+    return out
+
+
+def test_primitive_binomials_map_to_keys_without_psi_image(monkeypatch):
+    rng = rng_for("primitive-keys")
+    calls = []
+    image = coulombkit.exactring._psi_image
+    monkeypatch.setattr(coulombkit.exactring, "_psi_image",
+                        lambda d, p: calls.append((d, p)) or image(d, p))
+    for _ in range(40):
+        x = poch_product(W, _primitive_symbols(rng, 4), rng.randint(-2, 2))
+        assert all(d == 1 for _, d in x.atoms)
+    assert calls == []
+    # a binomial that is a proper power still splits through psi_image
+    Scalar.atom_inverse(mono(s1=2))
+    assert calls == [(1, 2)]
+
+
+def _mono_str_reference(table, m):
+    parts = []
+    for idx, e in enumerate(m):
+        if not e:
+            continue
+        label = table.var_label(idx)
+        power = Fraction(e, 2) if table.is_half_variable(idx) else e
+        if power == 1:
+            parts.append(label)
+        elif power.denominator == 1:
+            parts.append("%s^%d" % (label, power))
+        else:
+            parts.append("%s^(%s)" % (label, power))
+    return "*".join(parts) or "1"
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (5, 3)])
+def test_variable_table_labels_pair_label_and_half_flag(n, k):
+    table = VariableTable(n, k)
+    assert table.labels == tuple((table.var_label(i), table.is_half_variable(i))
+                                 for i in range(table.width))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (5, 3)])
+def test_mono_str_matches_a_reference_from_the_variable_labels(n, k):
+    table = VariableTable(n, k)
+    rng = rng_for("mono-str-%d-%d" % (n, k))
+    for _ in range(100):
+        # odd exponents on half variables too, and many zero exponents
+        m = tuple(rng.choice([0, 0, 1, -1, 2, -2, 3, -4]) for _ in range(table.width))
+        assert mono_str(table, m) == _mono_str_reference(table, m), m
+
+
+@pytest.mark.parametrize("mult", range(-3, 4))
+def test_orient_factor_keeps_the_value_of_the_binomial(mult):
+    rng = rng_for("orient-%d" % mult)
+    signs = set()
+    for i in range(60):
+        g = list(rand_mono(rng, T, span=2))
+        if i % 3 == 0:
+            g[T.s(0)] -= sum(g)
+        g = tuple(g)
+        if not any(g):
+            continue
+        total = sum(g)
+        signs.add((total > 0) - (total < 0))
+        g2, unit, sign = _orient_factor(g, mult)
+        assert sum(g2) > 0 or (sum(g2) == 0 and g2 <= mono_inv(g2))
+        lhs, rhs = Poly.monomial(unit, sign), Poly.one(W)
+        if mult >= 0:
+            lhs, rhs = lhs * one_minus(g2) ** mult, rhs * one_minus(g) ** mult
+        else:
+            # sign * unit * (1 - g2)^mult == (1 - g)^mult, cleared of denominators
+            lhs, rhs = lhs * one_minus(g) ** -mult, rhs * one_minus(g2) ** -mult
+        assert lhs == rhs, (g, mult)
+    # total degree < 0, 0 and > 0 were all drawn
+    assert signs == {-1, 0, 1}
