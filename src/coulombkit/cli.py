@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .bethe import bethe_relations_q1, dmodule_relations, render_bethe_system
 from .coulomb import CoulombAlgebra
-from .exactring import (PoleEvaluationError, Poly, Scalar, VariableTable,
-                        mono_pow, mono_str, scalar_str, scalar_structured)
+from .exactring import (ExponentOverflowError, PoleEvaluationError, Poly, RingMap, Scalar,
+                        VariableTable, mono_str, scalar_str, scalar_structured)
 from .hypertoric import (Cone, GaugeData, ModelError, circuits, eff_cone,
                          fixed_points)
 from .vertex import Descendent, QSeries, is_lift, qde_check, vertex_fp_nonab
@@ -37,6 +37,10 @@ MAX_ORDER = 64
 # largest number of term pairs one product in an expression may multiply;
 # it bounds both the work of the product and the terms of its result
 MAX_TERMS = 100_000
+# largest |exponent| of a variable in an expression (a half power counts as
+# its fraction): 2^20, far inside the 2^31 bound of a packed exponent slot,
+# with room for the degree shifts and products a command applies
+MAX_EXPONENT = 1 << 20
 
 
 class ExprError(ValueError):
@@ -68,17 +72,33 @@ def _tokenize(text: str):
     return out
 
 
-def _bounded(p: Poly) -> Poly:
-    """p, unless an exponent or a coefficient has more than half the digits an
-    integer literal may have.  The rest is headroom: evaluation multiplies
-    exponents by degrees and adds coefficients, and every number must print.
-    """
+def _check_digits(*numbers):
+    """Refuse a number with more than half the digits an integer literal may
+    have.  The rest is headroom: evaluation adds coefficients, and every
+    number must print."""
     digits = sys.get_int_max_str_digits() // 2
-    if digits:
-        bound = 10 ** digits
-        for m, c in p.terms.items():
-            if max(map(abs, m)) >= bound or max(abs(c.numerator), c.denominator) >= bound:
-                raise ExprError("a number in the expression has more than %d digits" % digits)
+    if digits and max(map(abs, numbers)) >= 10 ** digits:
+        raise ExprError("a number in the expression has more than %d digits" % digits)
+
+
+def _checked_monomial(table: VariableTable, m: tuple) -> tuple:
+    """m, once every exponent has passed :func:`_check_digits` and is at
+    most ``MAX_EXPONENT`` in size."""
+    _check_digits(*m)
+    for idx, e in enumerate(m):
+        exponent = Fraction(e, 2) if table.is_half_variable(idx) else e
+        if abs(exponent) > MAX_EXPONENT:
+            raise ExprError("exponent %s of %s exceeds the limit %d"
+                            % (exponent, table.var_label(idx), MAX_EXPONENT))
+    return m
+
+
+def _bounded(p: Poly, table: VariableTable) -> Poly:
+    """p, unless a coefficient fails :func:`_check_digits` or an exponent a
+    product formed fails :func:`_checked_monomial`."""
+    for m, c in p.tuple_terms().items():
+        _check_digits(c.numerator, c.denominator)
+        _checked_monomial(table, m)
     return p
 
 
@@ -120,7 +140,7 @@ class _ExprParser:
         p = self.expr()
         if self.i != len(self.tokens):
             raise ExprError("unexpected token %r at position %d" % (self.peek(), self._pos()))
-        return _bounded(p)
+        return _bounded(p, self.table)
 
     def expr(self) -> Poly:
         p = self.term()
@@ -194,7 +214,7 @@ class _ExprParser:
                 e = num
             else:
                 e = num * half_units
-            return _bounded(Poly.monomial(self.table.mono({idx: e})))
+            return Poly.monomial(_checked_monomial(self.table, self.table.mono({idx: e})))
         if den == 2:
             raise ExprError("half powers only allowed on single variables")
         if num < 0 and not (p.is_monomial() and next(iter(p.terms.values())) == 1):
@@ -203,8 +223,10 @@ class _ExprParser:
             raise ExprError("power %d of %s exceeds the limit %d" % (
                 num, "a sum" if len(p.terms) > 1 else "a coefficient", MAX_SUM_POWER))
         if p.is_monomial():
-            (m, c), = p.terms.items()
-            return _bounded(Poly.monomial(mono_pow(m, num), Fraction(c) ** num))
+            (m, c), = p.tuple_terms().items()
+            c = Fraction(c) ** num
+            _check_digits(c.numerator, c.denominator)
+            return Poly.monomial(_checked_monomial(self.table, tuple(e * num for e in m)), c)
         out = Poly.one(p.w)
         while num:
             if num & 1:
@@ -212,7 +234,7 @@ class _ExprParser:
             num >>= 1
             if num:
                 p = self._product(p, p)
-        return _bounded(out)
+        return _bounded(out, self.table)
 
     def _product(self, a: Poly, b: Poly) -> Poly:
         if len(a.terms) * len(b.terms) > MAX_TERMS:
@@ -278,7 +300,7 @@ def _parse_monomial_image(text: str, table: VariableTable) -> tuple:
     poly = _ExprParser(table, _tokenize(text), allow_q=False).parse()
     if not poly.is_monomial():
         raise ExprError("expected a monomial, got %r" % text)
-    (m, c), = poly.terms.items()
+    (m, c), = poly.tuple_terms().items()
     if c != 1:
         raise ExprError("expected a monomial with coefficient 1, got %r" % text)
     return m
@@ -418,6 +440,25 @@ def _select_lift(alg: CoulombAlgebra, pts: list, spec: str | None):
     return p
 
 
+def _check_weyl_invariant(alg: CoulombAlgebra, tau: Descendent, text: str):
+    """Refuse a descendent of a block model that some permutation w of the
+    s_j within a block changes, once the flavor specialization is applied:
+    a nonabelian descendent is a Weyl-invariant class, and the series of one
+    that is not would depend on the lift.  The swaps of neighbouring s_j in
+    a block generate the Weyl group, so they are the ones tried."""
+    table, k = alg.table, alg.data.k
+    poly = tau.poly.subs(RingMap(alg.flavor_images, table.width))
+    for a, b in alg.data.block_slices():
+        for u in range(a, b - 1):
+            swap = {table.s(u): table.packed({table.s(u + 1): 1}),
+                    table.s(u + 1): table.packed({table.s(u): 1})}
+            if poly.subs(swap, table.width) != poly:
+                w = [j + 1 for j in range(k)]
+                w[u], w[u + 1] = w[u + 1], w[u]
+                raise ExprError("descendent %r is not Weyl-invariant: w=(%s) changes it"
+                                % (text, ",".join(map(str, w))))
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -456,6 +497,15 @@ def dispatch(args, out=None) -> int:
         raise UsageError("--order must be at most %d, got %d" % (MAX_ORDER, args.order))
     data = load_model(args.model)
     alg = CoulombAlgebra(data)
+    try:
+        return _run(args, out, data, alg)
+    except ExponentOverflowError as exc:
+        raise UsageError("%s leaves the exponent bound 2^31 of a packed slot" % mono_str(
+            alg.table, alg.table.mono({exc.index: exc.exponent})))
+
+
+def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
+    """The body of :func:`dispatch`, once the model is loaded."""
     table = alg.table
 
     if args.command == "circuits":
@@ -510,6 +560,8 @@ def dispatch(args, out=None) -> int:
         p = _select_lift(alg, fixed_points(data), args.point)
         tau = parse_descendent(args.descendent, table) if args.descendent else \
             Descendent(Poly.one(table.width))
+        if data.blocks:
+            _check_weyl_invariant(alg, tau, args.descendent)
         series = vertex_fp_nonab(alg, p, tau, args.order)
         _print(out, _series_report(alg, series, args.json))
         return 0
@@ -535,7 +587,8 @@ def dispatch(args, out=None) -> int:
         tau = parse_descendent(args.descendent, table) if args.descendent else \
             Descendent(Poly.one(table.width))
         pts = fixed_points(data)
-        sel = [_select_point(pts, args.point)] if args.point else pts
+        sel = [_select_lift(alg, pts, args.point)] if args.point else \
+            [p for p in pts if is_lift(alg, p)]
         results = [(p, qde_check(alg, p, tau, cs[args.circuit].vector, args.order)) for p in sel]
         if args.json:
             _print(out, [{"circuit": list(r.circuit), "point": p.label(), "passed": r.passed}

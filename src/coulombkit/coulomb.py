@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import itertools
 
-from .exactring import (PoleEvaluationError, RingMap, Scalar, VariableTable, atom_str,
-                        mono_subs, q_shift_map, q_shifted)
+from .exactring import (PoleEvaluationError, Q_HALF, RingMap, Scalar, VariableTable, atom_str,
+                        pack, packed_power, q_shift_map, unpack)
 from .hypertoric import FixedPoint, GaugeData, eff_cone, mixed_polarization, pair
 from .pochhammer import hq_product
 
@@ -61,18 +61,18 @@ def delta(c: int, d: int) -> int:
 
 
 def signed_rows(data: GaugeData, table: VariableTable) -> list:
-    """The rows of the virtual abelian model, as (weight, x monomial, sign).
+    """The rows of the virtual abelian model, as (weight, packed x monomial, sign).
 
     One genuine row (chi_i, a_i s^chi_i, +1) per matter row, then one virtual
     row (alpha, s^alpha, -1) per root alpha = e_u - e_v inside a block: the
     adjoint counted negatively, so a virtual row contributes the inverse of
     the factor of a genuine row of the same weight.
     """
-    rows = [(chi, table.x_mono(i, chi), 1) for i, chi in enumerate(data.chi)]
+    rows = [(chi, pack(table.x_mono(i, chi)), 1) for i, chi in enumerate(data.chi)]
     for a, b in data.block_slices():
         for u, v in itertools.permutations(range(a, b), 2):
             alpha = tuple((j == u) - (j == v) for j in range(data.k))
-            rows.append((alpha, table.mono({table.s(u): 1, table.s(v): -1}), -1))
+            rows.append((alpha, table.packed({table.s(u): 1, table.s(v): -1}), -1))
     return rows
 
 
@@ -160,9 +160,11 @@ class CoulombAlgebra:
         self.table: VariableTable = data.table()
         # genuine rows first, so row i < data.n is the matter row chi_i
         self.rows = signed_rows(data, self.table)
-        # the model's flavor specialization, as a ring map {a_i: image monomial}
-        self.flavor_images = {self.table.a(row): tuple(mono)
+        # the model's flavor specialization, as a ring map {a_i: packed image}
+        self.flavor_images = {self.table.a(row): pack(tuple(mono))
                               for row, mono in (data.a_specialization or {}).items()}
+        # the packed monomial q
+        self.q = packed_power(self.table.width, Q_HALF, 2)
         self.canonical_pol = frozenset(range(len(self.rows)))
         self._sc_cache = {}
         self._mixed_cache = {}
@@ -197,8 +199,9 @@ class CoulombAlgebra:
         c = tuple(c)
         return ModuleElement(self, {c: coeff if coeff is not None else Scalar.one(self.table.width)})
 
-    def x_mono(self, i: int):
-        return self.rows[i][1]
+    def x_mono(self, i: int) -> tuple:
+        """The monomial of row i, as an exponent tuple."""
+        return unpack(self.rows[i][1], self.table.width)
 
     # -- structure constants ---------------------------------------------
 
@@ -214,7 +217,7 @@ class CoulombAlgebra:
             ci = pair(chi, c)
             length = epsilon(ci) * delta(ci, pair(chi, d))
             if length:
-                factors.append((q_shifted(x, -ci), length,
+                factors.append((x - ci * self.q, length,
                                 -sign if (i in pol) == (ci > 0) else sign))
         out = self._sc_cache[key] = hq_product(self.table.width, factors)
         return out
@@ -247,10 +250,11 @@ class CoulombAlgebra:
         got = self._eval_maps.get(key)
         if got is None:
             width = self.table.width
-            images = dict(self.flavor_images) if specialize else {}
-            images.update({self.table.s(j): q_shifted(mono_subs(mono, images, width),
-                                                      shift[j] if shift else 0)
-                           for j, mono in p.restriction.items()})
+            flavor = RingMap(self.flavor_images if specialize else {}, width)
+            images = dict(flavor.images)
+            for j, mono in p.restriction.items():
+                images[self.table.s(j)] = (flavor.mono(pack(mono))
+                                           + (shift[j] if shift else 0) * self.q)
             got = self._eval_maps[key] = RingMap(images, width)
         return got
 
@@ -344,7 +348,7 @@ class CoulombAlgebra:
         for i, (chi, x, sign) in enumerate(self.rows):
             di = pair(chi, d)
             if di and (di < 0) == (i in pol):
-                factors.append((q_shifted(x, -pair(chi, c)), -di, -sign))
+                factors.append((x - pair(chi, c) * self.q, -di, -sign))
         return hq_product(self.table.width, factors)
 
     def module_act(self, t: ModuleElement, a: AlgebraElement,

@@ -3,16 +3,27 @@
 Everything here is exact: walls, circuits, fixed points, effective cones,
 mixed polarizations, degree enumeration and restriction maps are computed
 with one fraction-free (Bareiss) integer elimination, ``_eliminate``; no
-floating point is used anywhere.  Dimensions are desk scale (n <= 16, k <= 8).
+floating point is used anywhere.  Dimensions are desk scale (n <= 16, k <= 8):
+a model is refused when it has more than ``MAX_ROW_SUBSETS`` candidate row
+subsets C(n, k), which every loop over supports and walls walks, or a
+weight entry above ``MAX_WEIGHT`` in size.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
+from math import comb, gcd
+from operator import mul
 
 from .exactring import HBAR_HALF, VariableTable
+
+# largest number of candidate row subsets C(n, k); C(16, 8) = 12,870 is desk
+# scale, and every subset is a determinant to take
+MAX_ROW_SUBSETS = 20_000
+# largest |chi entry|: a weight is an exponent of a row monomial and scales
+# every Pochhammer length, so it stays far inside a packed exponent slot
+MAX_WEIGHT = 1 << 10
 
 
 class ModelError(ValueError):
@@ -24,7 +35,7 @@ class ThetaOnWallError(ModelError):
 
 
 def pair(chi_row, d) -> int:
-    return sum(c * x for c, x in zip(chi_row, d))
+    return sum(map(mul, chi_row, d))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +133,14 @@ class GaugeData:
                 raise ModelError("row chi_%d has length %d, expected %d" % (i + 1, len(row), k))
             if not any(row):
                 raise ModelError("row chi_%d is zero" % (i + 1))
+            big = next((x for x in row if abs(x) > MAX_WEIGHT), None)
+            if big is not None:
+                raise ModelError("row chi_%d has the entry %d, above the limit %d"
+                                 % (i + 1, big, MAX_WEIGHT))
+        subsets = comb(n, k)
+        if subsets > MAX_ROW_SUBSETS:
+            raise ModelError("the model has C(%d, %d) = %d candidate row subsets, more than "
+                             "the limit %d" % (n, k, subsets, MAX_ROW_SUBSETS))
         if _rank(chi) != k:
             raise ModelError("chi has rank %d < %d; the gauge torus does not act with finite kernel"
                              % (_rank(chi), k))

@@ -113,7 +113,7 @@ class VermaModule:
         table = self.algebra.table
         terms = {}
         for d in enumerate_degrees(self.cone, self.algebra.data.theta, order):
-            qmono = table.mono({table.qvar(j): dj for j, dj in enumerate(d)})
-            terms[d] = Scalar.monomial(qmono) * self.norm(d).inv()
+            terms[d] = self.norm(d).inv().mul_mono(
+                table.packed({table.qvar(j): dj for j, dj in enumerate(d)}))
         out = self._whittaker[order] = VermaVector(self, terms)
         return out

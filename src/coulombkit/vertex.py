@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coulomb import Combination, CoulombAlgebra
-from .exactring import Poly, Scalar, mono_is_unit, mono_mul, q_shifted
+from .exactring import HBAR_HALF, Poly, Scalar, packed_power
 from .hypertoric import FixedPoint, enumerate_degrees, pair
-from .pochhammer import h_shifted, poch_product, sign_kernel
+from .pochhammer import poch_product, sign_kernel
 
 
 class Descendent:
@@ -51,7 +51,7 @@ def is_lift(alg: CoulombAlgebra, p: FixedPoint) -> bool:
     s_u s_v^-1 restricts to 1 there, under the flavor specialization.  Every
     fixed point of an abelian model is one."""
     ring = alg.evaluation_map(p, specialize=True)
-    return not any(sign < 0 and mono_is_unit(ring.mono(x)) for _, x, sign in alg.rows)
+    return not any(sign < 0 and not ring.mono(x) for _, x, sign in alg.rows)
 
 
 def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
@@ -88,8 +88,7 @@ def _strip_kahler_power(table, value: Scalar, d) -> Scalar:
 
     A monomial factor leaves the normal form as it is, so only the prefactor
     changes."""
-    stripped = Scalar._raw(value.w, value.num, mono_mul(value.pre, table.mono(
-        {table.qvar(j): -2 * dj for j, dj in enumerate(d) if dj})), value.atoms)
+    stripped = value.mul_mono(table.packed({table.qvar(j): -2 * dj for j, dj in enumerate(d)}))
     if stripped.uses([table.qvar(j) for j in range(table.k)]):
         raise AssertionError("Kahler power of coefficient at %r is not Q^%r" % (d, d))
     return stripped
@@ -121,6 +120,7 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     series = vertex_fp(alg, p, tau, order)
     ring = alg.evaluation_map(p)
     w = alg.table.width
+    q, h = alg.q, packed_power(w, HBAR_HALF, 2)
     rows = [(chi, pair(chi, c), ring.mono(x), row_sign)
             for chi, x, row_sign in alg.rows if pair(chi, c)]
     sign = sign_kernel(sum(ci * row_sign for _, ci, _, row_sign in rows), w)
@@ -131,8 +131,8 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
         on the others, inverted on the virtual rows."""
         symbols = []
         for chi, ci, x, row_sign in rows:
-            y = q_shifted(x, pair(chi, d))
-            z = q_shifted(y, 1 - abs(ci)) if side * ci > 0 else h_shifted(y)
+            y = x + pair(chi, d) * q
+            z = y + (1 - abs(ci)) * q if side * ci > 0 else y + h
             symbols.append((z, abs(ci), row_sign))
         return poch_product(w, symbols)
 
@@ -187,5 +187,20 @@ def vertex_fp_nonab(alg: CoulombAlgebra, ptilde: FixedPoint, tau: Descendent | S
 
 def weyl_collapse(alg: CoulombAlgebra, terms, order: int) -> QSeries:
     """Sum (abelian degree, coefficient) pairs with the same per-block totals
-    into one coefficient keyed by those totals."""
-    return QSeries(order, ((alg.data.block_sums(d), f) for d, f in terms))
+    into one coefficient keyed by those totals.
+
+    The summands of one key are added as a balanced tree of pairwise sums,
+    not a left fold: the cancellation across a Weyl orbit happens only once
+    every summand is in, and a left fold drags the largest partial sums
+    through every later addition."""
+    groups = {}
+    for d, f in terms:
+        groups.setdefault(alg.data.block_sums(d), []).append(f)
+    return QSeries(order, {key: _balanced_sum(fs) for key, fs in groups.items()})
+
+
+def _balanced_sum(values: list):
+    while len(values) > 1:
+        pairs = [values[i] + values[i + 1] for i in range(0, len(values) - 1, 2)]
+        values = pairs + values[len(pairs) * 2:]
+    return values[0]

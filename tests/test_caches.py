@@ -202,9 +202,10 @@ def _nonab_rebuilt(alg, p, tau, order):
     """vertex_fp_nonab with the kernel of every signed row built afresh per degree."""
     def coeff(d):
         weight = shift_s_by_degree(tau.as_scalar(), alg.table, d)
-        for chi, x, sign in alg.rows:
+        for i, (chi, _, sign) in enumerate(alg.rows):
             m = pair(chi, d)
             if m:
+                x = alg.x_mono(i)
                 weight = weight * (hq_ratio(x, m) if sign > 0 else hq_ratio(x, m).inv())
         return alg.evaluate(p, weight, specialize=True)
 

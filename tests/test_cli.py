@@ -440,11 +440,119 @@ def test_order_at_the_limit_is_accepted():
 
 def test_qde_check_passes_on_every_tgr24_point():
     """The virtual series of tgr(2,4) is annihilated by the virtual operator
-    of each circuit at all 16 fixed points."""
+    of each circuit at each of its 12 lifts, the points `qde-check` checks on
+    a block model (the library check at all 16 points is in test_vertex)."""
     for idx in range(2):
         code, text = run_cli(["qde-check", model_path("tgr24"), "--circuit", str(idx),
                               "--order", "2"])
-        assert code == 0 and text.count("PASS") == 16 and "FAIL" not in text, idx
+        assert code == 0 and text.count("PASS") == 12 and "FAIL" not in text, idx
+
+
+def test_qde_check_refuses_a_non_lift_of_a_block_model(capsys):
+    from coulombkit.cli import main
+    argv = ["--circuit", "0", "--point", "1,5", "--order", "2"]
+    assert main(["qde-check", model_path("tgr24")] + argv) == 2
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert main(["vertex", model_path("tgr24"), "--point", "1,5"]) == 2
+    assert refused.err == capsys.readouterr().err == (
+        "error: fixed point p{1,5} is not a lift of an isolated fixed point; the first lift is"
+        " p{1,6} (--point 1,6)\n")
+    # a named lift is checked alone; an abelian model's points are all lifts
+    assert run_cli(["qde-check", model_path("tgr24"), "--circuit", "0", "--point", "1,6",
+                    "--order", "1"]) == (0, "PASS circuit (0,1) at p{1,6}\n")
+    assert run_cli(["qde-check", model_path("a2"), "--circuit", "0", "--order", "1"])[1].count(
+        "PASS") == 3
+
+
+@pytest.mark.parametrize("point", ["1,6", "2,5"])
+def test_vertex_refuses_a_descendent_that_is_not_weyl_invariant(capsys, point):
+    """p{1,6} and p{2,5} lift one fixed point of tgr(2,4); s1 would print a1
+    at one and a2 at the other."""
+    from coulombkit.cli import main
+    for text, w in [("s1", "(2,1)"), ("a1*s1 - h", "(2,1)"), ("s1^2*s2", "(2,1)")]:
+        assert main(["vertex", model_path("tgr24"), "--order", "0", "--point", point,
+                     "--descendent", text]) == 2
+        assert capsys.readouterr().err == (
+            "error: descendent %r is not Weyl-invariant: w=%s changes it\n" % (text, w))
+
+
+def test_weyl_invariant_descendents_print_the_same_at_every_lift_of_a_point():
+    """a5 specializes to a1^-1, as a1 does, so a1*s1 + a5*s2 is invariant only
+    once the flavor specialization is applied."""
+    for text in ("s1+s2", "s1*s2 - 3*h", "a1*s1 + a5*s2"):
+        outs = [run_cli(["vertex", model_path("tgr24"), "--order", "1", "--point", point,
+                         "--descendent", text]) for point in ("1,6", "2,5")]
+        assert outs[0][0] == 0 and outs[0] == outs[1], text
+
+
+def test_model_with_too_many_row_subsets_exits_2_at_once(tmp_path):
+    """tgr(6,4): 24 rows of rank 6, so C(24, 6) = 134,596 row subsets."""
+    from coulombkit.hypertoric import MAX_ROW_SUBSETS
+    from math import comb
+    assert comb(16, 8) <= MAX_ROW_SUBSETS < comb(24, 6)
+    path = tmp_path / "tgr64.json"
+    path.write_text(json.dumps(_tgr(6, 4)))
+    proc = run_subprocess(["fixed-points", str(path)], timeout=5)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == ("error: the model has C(24, 6) = 134596 candidate row subsets, more"
+                           " than the limit %d\n" % MAX_ROW_SUBSETS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["vertex", "tp1", "--descendent=s1^2000000"],
+     "exponent 2000000 of s1 exceeds the limit 1048576"),
+    (["vertex", "tp1", "--descendent=h^(-2097153/2)"],
+     "exponent -2097153/2 of h exceeds the limit 1048576"),
+    (["vertex", "tp1", "--descendent=(a1^-1000)^2000"],
+     "exponent -2000000 of a1 exceeds the limit 1048576"),
+    (["vertex", "tp1", "--descendent=s1^1000000*a2*s1^100000"],
+     "exponent 1100000 of s1 exceeds the limit 1048576"),
+    (["mul", "tp1", "Q1^2000000 r[1]"], "exponent 2000000 of Q1 exceeds the limit 1048576"),
+    (["circuits", "a1^-1048577"], "exponent -1048577 of a1 exceeds the limit 1048576"),
+])
+def test_exponents_above_the_slot_limit_exit_2(tmp_path, capsys, argv, message):
+    from coulombkit.cli import main
+    if argv[0] == "circuits":
+        argv = ["circuits", _aspec_model(tmp_path, argv[1])]
+    else:
+        argv = [argv[0], model_path(argv[1])] + argv[2:]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_exponents_at_the_slot_limit_are_accepted():
+    from coulombkit.cli import MAX_EXPONENT
+    table = VariableTable(2, 1)
+    for text in ("s1^%d" % MAX_EXPONENT, "h^(-%d/2)" % (2 * MAX_EXPONENT), "(-s1)^100000",
+                 "s1^%d * s1^-%d" % (MAX_EXPONENT, MAX_EXPONENT)):
+        assert parse_descendent(text, table).poly.is_monomial(), text
+
+
+def test_weight_entries_above_the_limit_exit_2(tmp_path, capsys):
+    from coulombkit.cli import main
+    from coulombkit.hypertoric import MAX_WEIGHT
+    path = tmp_path / "heavy.json"
+    for entry, code in [(MAX_WEIGHT, 0), (-MAX_WEIGHT - 1, 2), (2 ** 40, 2)]:
+        path.write_text(json.dumps({"chi": [[1, 0], [entry, 1]], "theta": [1, 1]}))
+        assert main(["circuits", str(path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == "error: row chi_2 has the entry %d, above the limit %d\n" % (
+                entry, MAX_WEIGHT)
+
+
+def test_an_exponent_the_engine_would_push_out_of_its_slot_exits_2(capsys):
+    """Each r[64] moves the insertion s1^1048576 on its right by 64 more
+    units of q, 2^27 on the slot of q^(1/2): 16 of them reach -2^31, the
+    end of the slot's range, and 17 would leave it."""
+    from coulombkit.cli import main
+    word = " s1^1048576"
+    assert main(["mul", model_path("tp1"), "r[64] " * 17 + word]) == 2
+    assert capsys.readouterr() == (
+        "", "error: q^-1140850688 leaves the exponent bound 2^31 of a packed slot\n")
+    assert main(["mul", model_path("tp1"), "r[64] " * 16 + word]) == 0
+    assert capsys.readouterr().out == "(q^-1073741824*s1^1048576) r[1024]\n"
 
 
 def run_subprocess(argv, timeout=120, **env_extra):

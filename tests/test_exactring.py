@@ -7,11 +7,12 @@ import pytest
 
 import coulombkit.exactring
 from coulombkit import Poly, PoleEvaluationError, Scalar, VariableTable
-from coulombkit.exactring import (RingMap, SumInverseError, _chain_roots, _direction,
+from coulombkit.exactring import (ExponentOverflowError, RingMap, SumInverseError, _degree,
+                                  _direction,
                                   _orient_factor, binomial_atoms, mono_inv, mono_mul,
-                                  mono_pow, mono_str, mono_subs, one_minus,
+                                  mono_pow, mono_str, mono_subs, one_minus, pack,
                                   scalar_str, scalar_from_structured, scalar_structured,
-                                  shift_s_by_degree, substitute_monomials)
+                                  shift_s_by_degree, substitute_monomials, unpack)
 from coulombkit.pochhammer import poch, poch_product
 
 from conftest import rand_mono, rand_poly, rng_for
@@ -223,11 +224,11 @@ def test_ring_map_memoizes_and_matches_a_dict():
         f = Scalar.from_poly(rand_poly(rng, T, terms=3)) * Scalar(
             W, Poly.one(W), atoms={rand_mono(rng, T): 1, mono(a1=1, s2=2): -1})
         assert f.subs(ring) == f.subs(images, W) == f.subs(ring)
-    m = mono(s1=2, s2=-1)
-    assert ring.mono(m) is ring.mono(m) == mono_subs(m, images, W)
+    m = pack(mono(s1=2, s2=-1))
+    assert ring.mono(m) is ring.mono(m) == pack(mono_subs(unpack(m, W), images, W))
     # s1^2 s2^-1 -> q^2 a1^-2 h^-1, the square of q h^(-1/2) a1^-1
-    assert ring.root(m) == (tuple(e // 2 for e in mono(q=2, h=-1, a1=-2)), 2)
-    assert ring.root(mono(a1=1, s1=1, q=-1)) is None
+    assert ring.root(m) == (pack(tuple(e // 2 for e in mono(q=2, h=-1, a1=-2))), 2)
+    assert ring.root(pack(mono(a1=1, s1=1, q=-1))) is None
 
 
 def test_cached_ring_map_raises_the_same_pole_every_time(monkeypatch):
@@ -311,10 +312,10 @@ def test_exact_div():
 
     def expr(p):
         """p times the monomial that makes its exponents nonnegative with minimum 0."""
-        low = p.content_mono()
+        low = unpack(p.content_mono(), W)
         return sympy.Add(*[sympy.Rational(str(c)) * sympy.Mul(*[v ** (e - lo) for v, e, lo
                                                                  in zip(z, m, low)])
-                           for m, c in p.terms.items()])
+                           for m, c in p.tuple_terms().items()])
 
     rng = rng_for("exact-div-atom")
     thirds = [Fraction(1, 3), Fraction(2, 5), Fraction(-7, 4), 3]
@@ -332,7 +333,7 @@ def test_exact_div():
         f = rand_poly(rng, T, terms=5, span=3)
         f = Poly(W, {m: c * rng.choice(thirds) for m, c in f.terms.items()})
         for p in (f * psi, f * psi * psi, f, f * psi + f, f * one_minus(g)):
-            got = p.exact_div(r, d)
+            got = p.exact_div(pack(r), d)
             _, rem = sympy.reduced(expr(p), [expr(psi)], *z)
             assert (got is not None) == (rem == 0), (p, r, d)
             if got is not None:
@@ -345,26 +346,34 @@ def test_exact_div():
     for r in (T.mono({0: 1}), T.mono({0: 1, T.s(0): -2}), mono(a1=3, s2=-1)):
         p = Poly.from_terms(W, [(mono(s1=-2), Fraction(2, 5)),
                                 (mono_mul(mono(s1=-2), mono_pow(r, 3)), Fraction(-2, 5))])
-        got = p.exact_div(r, 1)
+        got = p.exact_div(pack(r), 1)
         assert len(got.terms) == 3 and got * one_minus(r) == p
-        assert p.exact_div(r, 3) is not None and p.exact_div(r, 2) is None
+        assert p.exact_div(pack(r), 3) is not None and p.exact_div(pack(r), 2) is None
         gap = p + Poly.monomial(mono_pow(r, 5), Fraction(1, 3))
-        assert gap.exact_div(r, 1) is None
+        assert gap.exact_div(pack(r), 1) is None
         # a chain of one term is rejected at once
-        assert Poly.monomial(mono(s1=1)).exact_div(r, 1) is None
+        assert Poly.monomial(mono(s1=1)).exact_div(pack(r), 1) is None
 
 
 def test_chain_root_screen_rules_out_only_failing_divisions(monkeypatch):
+    """A chain split with a one-term chain along r rules out every
+    division by a factor in r; the split shared by several factors gives the
+    quotients of a fresh split."""
     rng = rng_for("chain-roots")
     for _ in range(60):
         g = rand_mono(rng, T, span=2)
         if not any(g):
             continue
-        r = _direction(g)[0]
+        r = _direction(pack(g), W)[0]
         f = rand_poly(rng, T, terms=4, span=2)
         for p in (f, f * one_minus(g), f * one_minus(mono_pow(g, 2))):
-            if len(p.terms) > 1 and r not in _chain_roots(p):
-                assert all(p.exact_div(r, d) is None for d in range(1, 5)), (p, r)
+            chains = p._chains(r)
+            for d in range(1, 5):
+                got = p.exact_div(r, d)
+                if chains is None:
+                    assert got is None, (p, r)
+                else:
+                    assert p.exact_div(r, d, chains) == got
     calls = []
     div = Poly.exact_div
     monkeypatch.setattr(Poly, "exact_div", lambda p, *key: calls.append(key) or div(p, *key))
@@ -418,12 +427,13 @@ def test_direction_returns_a_primitive_root_with_positive_lead():
         if not any(g):
             continue
         checked += 1
-        r, n = _direction(g)
-        assert gcd(*r) == 1 and _lead(r) > 0
-        assert mono_pow(r, n) == g
+        packed = pack(g)
+        r, n = _direction(packed, W)
+        assert gcd(*unpack(r, W)) == 1 and _lead(unpack(r, W)) > 0
+        assert mono_pow(unpack(r, W), n) == g and n * r == packed
         if gcd(*g) == 1 and _lead(g) > 0:
             # a root that is already canonical is returned as it is
-            assert n == 1 and r is g
+            assert n == 1 and r is packed
             kept += 1
     assert kept
 
@@ -435,7 +445,7 @@ def _primitive_symbols(rng, count):
     for _ in range(count):
         x = list(rand_mono(rng, T, span=2))
         x[T.a(rng.randrange(T.n))] = 1
-        out.append((tuple(x), rng.randint(-3, 3), rng.choice([1, -1])))
+        out.append((pack(tuple(x)), rng.randint(-3, 3), rng.choice([1, -1])))
     return out
 
 
@@ -500,7 +510,8 @@ def test_orient_factor_keeps_the_value_of_the_binomial(mult):
             continue
         total = sum(g)
         signs.add((total > 0) - (total < 0))
-        g2, unit, sign = _orient_factor(g, mult)
+        g2, unit, sign = _orient_factor(pack(g), mult)
+        g2, unit = unpack(g2, W), unpack(unit, W)
         assert sum(g2) > 0 or (sum(g2) == 0 and g2 <= mono_inv(g2))
         lhs, rhs = Poly.monomial(unit, sign), Poly.one(W)
         if mult >= 0:
@@ -511,3 +522,41 @@ def test_orient_factor_keeps_the_value_of_the_binomial(mult):
         assert lhs == rhs, (g, mult)
     # total degree < 0, 0 and > 0 were all drawn
     assert signs == {-1, 0, 1}
+
+
+# -- the packed layout ---------------------------------------------------------
+
+@pytest.mark.parametrize("width", [1, 5, 14])
+def test_pack_round_trips_and_keeps_the_order_of_the_tuples(width):
+    """Unpacking inverts packing; + - and * are the monomial product,
+    inverse and power; the int order is the lexicographic order of the
+    tuples, and the sign of a packed monomial is that of its first nonzero
+    exponent."""
+    rng = rng_for("pack-%d" % width)
+    edges = [0, 0, 1, -1, 7, -(2 ** 31), 2 ** 31 - 1]
+    monos = [tuple(rng.choice(edges + [rng.randint(-(2 ** 31), 2 ** 31 - 1)])
+                   for _ in range(width)) for _ in range(300)]
+    packed = [pack(m) for m in monos]
+    for m, x in zip(monos, packed):
+        assert unpack(x, width) == m and _degree(x) == sum(m)
+        assert (x > 0) - (x < 0) == next(((e > 0) - (e < 0) for e in m if e), 0)
+    assert sorted(packed) == [pack(m) for m in sorted(monos)]
+    small = [tuple(rng.randint(-9, 9) for _ in range(width)) for _ in range(50)]
+    for a, b in zip(small, small[1:]):
+        assert unpack(pack(a) + pack(b), width) == mono_mul(a, b)
+        assert unpack(-pack(a), width) == mono_inv(a)
+        assert unpack(-3 * pack(a), width) == mono_pow(a, -3)
+
+
+def test_exponents_outside_the_slot_bound_raise():
+    assert unpack(pack((-(2 ** 31), 2 ** 31 - 1)), 2) == (-(2 ** 31), 2 ** 31 - 1)
+    for m, index in [((0, 2 ** 31, 0), 1), ((-(2 ** 31) - 1,), 0), ((5, 10 ** 30), 1)]:
+        with pytest.raises(ExponentOverflowError) as exc:
+            pack(m)
+        assert (exc.value.index, exc.value.exponent) == (index, m[index])
+    # the image of a monomial under a ring map is checked when it is formed
+    ring = RingMap({T.s(0): mono(q=2 ** 19)}, W)
+    assert unpack(ring.mono(pack(mono(s1=2 ** 10))), W) == mono(q=2 ** 29)
+    with pytest.raises(ExponentOverflowError) as exc:
+        ring.mono(pack(mono(s1=2 ** 11)))
+    assert (exc.value.index, exc.value.exponent) == (0, 2 ** 31)

@@ -4,7 +4,7 @@ import itertools
 
 from coulombkit import GaugeData, Poly, Scalar, VariableTable, poch, poch_qinv, sign_kernel
 from coulombkit.coulomb import CoulombAlgebra
-from coulombkit.exactring import binomial_atoms, mono_inv, mono_mul, one_minus
+from coulombkit.exactring import binomial_atoms, mono_inv, mono_mul, one_minus, pack
 from coulombkit.hypertoric import pair
 from coulombkit.pochhammer import hq_ratio, hq_ratio_inv, poch_product, q_shifted
 
@@ -108,7 +108,7 @@ def test_poch_product_matches_quotient():
         # denominator binomial must stay an atom
         y = mono_mul(_nonunit_mono(rng), T.mono({T.qvar(0): 2}))
         d = rng.randint(-5, 5)
-        got = poch_product(W, [(x, d, 1), (y, d, -1)])
+        got = poch_product(W, [(pack(x), d, 1), (pack(y), d, -1)])
         assert got == poch(x, d) / poch(y, d), (x, y, d)
         top, bottom, shifts = (x, y, range(d)) if d >= 0 else (y, x, range(-1, d - 1, -1))
         num = Poly.one(W)

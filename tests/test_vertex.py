@@ -251,3 +251,31 @@ def test_weyl_collapsed_pairing_equals_vertex_fp_nonab(k, n, top):
                 collapsed = weyl_collapse(alg, ((d, f.subs(spec, t.width))
                                                 for d, f in pairing.coeffs.items()), order)
                 assert collapsed == vertex_fp_nonab(alg, p, tau, order), (p.label(), text, order)
+
+
+def test_qde_check_holds_at_every_tgr24_fixed_point(tgr24_alg):
+    """The library check runs at any fixed point, lift or not: the virtual
+    series is annihilated at all 16 points of tgr(2,4); the command checks
+    the 12 lifts."""
+    pts = fixed_points(tgr24_alg.data)
+    assert len(pts) == 16 and sum(is_lift(tgr24_alg, p) for p in pts) == 12
+    for circ in circuits(tgr24_alg.data):
+        for p in pts:
+            assert qde_check(tgr24_alg, p, Descendent(Poly.one(tgr24_alg.table.width)),
+                             circ.vector, 2).passed, (p.label(), circ.vector)
+
+
+def test_weyl_collapse_sums_each_key_as_a_left_fold_would(tgr24_alg):
+    """The balanced pairwise sum is the value of the left fold, with the same
+    degree keys; a descendent that is not Weyl-invariant is accepted here."""
+    alg = tgr24_alg
+    p = next(p for p in fixed_points(alg.data) if is_lift(alg, p))
+    for text in ("1", "s1", "a1*s1 - h"):
+        tau = parse_descendent(text, alg.table)
+        terms = [(d, alg.evaluate(p, alg.matter_kernel(d) * alg.shift(tau.as_scalar(), d), True))
+                 for d in enumerate_degrees(alg.eff(), alg.data.theta, 3)]
+        folded = {}
+        for d, f in terms:
+            key = alg.data.block_sums(d)
+            folded[key] = folded[key] + f if key in folded else f
+        assert weyl_collapse(alg, terms, 3) == QSeries(3, folded), text
