@@ -19,7 +19,7 @@ from .exactring import (ExponentOverflowError, PoleEvaluationError, Poly, RingMa
                         VariableTable, mono_str, scalar_str, scalar_structured)
 from .hypertoric import (Cone, GaugeData, ModelError, circuits, eff_cone,
                          fixed_points)
-from .vertex import Descendent, QSeries, is_lift, qde_check, vertex_fp_nonab
+from .vertex import Descendent, is_lift, qde_check, vertex_fp_nonab
 from .wallcross import check_reversal, dmodule_match, make_scenario
 
 
@@ -399,7 +399,11 @@ def load_model(path: str) -> GaugeData:
             m = re.fullmatch(r"a(\d+)", name)
             if not m or not 1 <= int(m.group(1)) <= table.n:
                 raise ModelError("a_specialization key %r is not a flavor variable" % name)
-            aspec[int(m.group(1)) - 1] = _parse_monomial_image(expr, table)
+            image = _parse_monomial_image(expr, table)
+            if any(image[table.s(j)] for j in range(table.k)):
+                raise ModelError("a_specialization %r: the image %r names a gauge variable; "
+                                 "an image is a monomial in the a_i and h" % (name, expr))
+            aspec[int(m.group(1)) - 1] = image
     return GaugeData.create(raw["chi"], raw["theta"], blocks=blocks, labels=labels,
                             a_specialization=aspec)
 
@@ -408,10 +412,11 @@ def _select_point(pts: list, spec: str):
     """The point an index (``1``) or a 1-based support (``1,3``) names; a
     trailing comma makes a support of one element (``1,``)."""
     if re.fullmatch(r"\d+", spec or ""):
-        idx = int(spec)
-        if not 0 <= idx < len(pts):
-            raise ModelError("point index %d out of range (0..%d)" % (idx, len(pts) - 1))
-        return pts[idx]
+        # compare digit counts first: a long index is never converted
+        idx = spec.lstrip("0") or "0"
+        if len(idx) > len(str(len(pts))) or int(idx) >= len(pts):
+            raise ModelError("point index %s out of range (0..%d)" % (idx, len(pts) - 1))
+        return pts[int(idx)]
     body = spec[:-1] if spec.endswith(",") else spec
     try:
         support = tuple(sorted(int(x) - 1 for x in body.split(",")))
@@ -463,17 +468,31 @@ def _check_weyl_invariant(alg: CoulombAlgebra, tau: Descendent, text: str):
 # reports
 # ---------------------------------------------------------------------------
 
-def _series_report(alg, series: QSeries, as_json: bool):
-    table = alg.table
-    items = sorted(series.coeffs.items())
+def _degree_report(table, terms: dict, as_json: bool, line: str, head: str):
+    """The values of ``terms``, a dict from degree to scalar, in degree order:
+    a list of ``{"degree", "value"}`` records, or the text ``head`` followed by
+    ``line`` formatted with each degree ``d`` and value ``v``."""
+    items = sorted(terms.items())
     if as_json:
-        return {"order": series.order,
-                "coefficients": [{"degree": list(d), "value": scalar_structured(f)}
-                                 for d, f in items]}
-    lines = ["order %d" % series.order]
-    for d, f in items:
-        lines.append("Q^(%s): %s" % (",".join(str(x) for x in d), scalar_str(table, f)))
-    return "\n".join(lines) + "\n"
+        return [{"degree": list(d), "value": scalar_structured(f)} for d, f in items]
+    return head + "".join(line.format(d=_vector(d), v=scalar_str(table, f))
+                          for d, f in items)
+
+
+def _verdict_report(out, records: list, as_json: bool, line) -> int:
+    """Print one record per check, each with a ``"passed"`` entry: as a JSON
+    list, or as ``line(record, "PASS" or "FAIL")`` each.  The exit code is 0
+    when every check passed, else 1."""
+    if as_json:
+        _print(out, records)
+    else:
+        for r in records:
+            _print(out, line(r, "PASS" if r["passed"] else "FAIL"))
+    return 0 if all(r["passed"] for r in records) else 1
+
+
+def _vector(v) -> str:
+    return ",".join(map(str, v))
 
 
 def _cone_json(c: Cone):
@@ -516,7 +535,7 @@ def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
         else:
             for idx, c in enumerate(cs):
                 _print(out, "rho[%d] = (%s)  wall rows {%s}\n" % (
-                    idx, ",".join(str(x) for x in c.vector),
+                    idx, _vector(c.vector),
                     ",".join(str(i + 1) for i in sorted(c.wall_rows))))
         return 0
 
@@ -547,11 +566,11 @@ def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
         _print(out, "model: n=%d k=%d%s\n" % (
             data.n, data.k, " blocks=%r" % (list(data.blocks),) if data.blocks else ""))
         for idx, c in enumerate(cs):
-            _print(out, "rho[%d] = (%s)\n" % (idx, ",".join(str(x) for x in c.vector)))
+            _print(out, "rho[%d] = (%s)\n" % (idx, _vector(c.vector)))
         _print(out, "effective cone generators: %s\n"
-               % "; ".join("(%s)" % ",".join(str(x) for x in g) for g in cone.generators))
+               % "; ".join("(%s)" % _vector(g) for g in cone.generators))
         _print(out, "chamber of theta generated by: %s\n"
-               % "; ".join("(%s)" % ",".join(str(x) for x in f) for f in cone.facet_normals))
+               % "; ".join("(%s)" % _vector(f) for f in cone.facet_normals))
         for idx, p in enumerate(pts):
             _print(out, _point_text(table, idx, p))
         return 0
@@ -563,21 +582,17 @@ def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
         if data.blocks:
             _check_weyl_invariant(alg, tau, args.descendent)
         series = vertex_fp_nonab(alg, p, tau, args.order)
-        _print(out, _series_report(alg, series, args.json))
+        report = _degree_report(table, series.coeffs, args.json, "Q^({d}): {v}\n",
+                                "order %d\n" % series.order)
+        _print(out, {"order": series.order, "coefficients": report} if args.json else report)
         return 0
 
     if args.command == "whittaker":
         p = _select_lift(alg, fixed_points(data), args.point)
         module = alg.verma_module(p)
         w = module.whittaker_vector(args.order)
-        items = sorted(w.terms.items())
-        if args.json:
-            _print(out, [{"degree": list(d), "value": scalar_structured(f)} for d, f in items])
-        else:
-            lines = ["order %d" % args.order]
-            for d, f in items:
-                lines.append("[%s]: %s" % (",".join(str(x) for x in d), scalar_str(table, f)))
-            _print(out, "\n".join(lines) + "\n")
+        _print(out, _degree_report(table, w.terms, args.json, "[{d}]: {v}\n",
+                                   "order %d\n" % args.order))
         return 0
 
     if args.command == "qde-check":
@@ -589,15 +604,11 @@ def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
         pts = fixed_points(data)
         sel = [_select_lift(alg, pts, args.point)] if args.point else \
             [p for p in pts if is_lift(alg, p)]
-        results = [(p, qde_check(alg, p, tau, cs[args.circuit].vector, args.order)) for p in sel]
-        if args.json:
-            _print(out, [{"circuit": list(r.circuit), "point": p.label(), "passed": r.passed}
-                         for p, r in results])
-        else:
-            for p, r in results:
-                _print(out, "%s circuit (%s) at %s\n" % (
-                    "PASS" if r.passed else "FAIL", ",".join(str(x) for x in r.circuit), p.label()))
-        return 0 if all(r.passed for _, r in results) else 1
+        rho = cs[args.circuit].vector
+        records = [{"circuit": list(rho), "point": p.label(),
+                    "passed": qde_check(alg, p, tau, rho, args.order).passed} for p in sel]
+        return _verdict_report(out, records, args.json, lambda r, verdict: (
+            "%s circuit (%s) at %s\n" % (verdict, _vector(rho), r["point"])))
 
     if args.command == "bethe":
         rels = bethe_relations_q1(alg) if args.q1 else dmodule_relations(alg)
@@ -607,15 +618,8 @@ def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
 
     if args.command == "mul":
         element = parse_generator_word(args.word, alg)
-        if args.json:
-            _print(out, [{"degree": list(d), "value": scalar_structured(f)}
-                         for d, f in sorted(element.terms.items())])
-        else:
-            if element.is_zero():
-                _print(out, "0\n")
-            for d, f in sorted(element.terms.items()):
-                _print(out, "(%s) r[%s]\n" % (scalar_str(table, f),
-                                              ",".join(str(x) for x in d)))
+        _print(out, _degree_report(table, element.terms, args.json, "({v}) r[{d}]\n",
+                                   "0\n" if element.is_zero() else ""))
         return 0
 
     if args.command == "wallcross":
@@ -626,22 +630,14 @@ def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
         if len(theta2) != data.k:
             raise ModelError("--theta2 must have %d entries" % data.k)
         scn = make_scenario(alg, theta2)
-        ok = True
-        results = []
-        for rho in list(scn.reversing) + list(scn.kept):
-            rep = check_reversal(scn, rho)
-            match = dmodule_match(scn, rho)
-            ok = ok and rep.passed and match.passed
-            results.append((rho, rho in scn.reversing, rep.passed and match.passed))
-        if args.json:
-            _print(out, [{"circuit": list(r), "reversing": rev, "passed": okc}
-                         for r, rev, okc in results])
-        else:
-            for r, rev, okc in results:
-                _print(out, "%s circuit (%s): %s\n" % (
-                    "reversing" if rev else "kept", ",".join(str(x) for x in r),
-                    "PASS" if okc else "FAIL"))
-        return 0 if ok else 1
+        # a list, not a generator, in all(): both checks run for every circuit
+        records = [{"circuit": list(rho), "reversing": rho in scn.reversing,
+                    "passed": all([check_reversal(scn, rho).passed,
+                                   dmodule_match(scn, rho).passed])}
+                   for rho in list(scn.reversing) + list(scn.kept)]
+        return _verdict_report(out, records, args.json, lambda r, verdict: (
+            "%s circuit (%s): %s\n" % ("reversing" if r["reversing"] else "kept",
+                                       _vector(r["circuit"]), verdict)))
 
     raise ModelError("unknown command %r" % args.command)
 
@@ -667,7 +663,7 @@ def _point_text(table, idx, p, lift=None):
         idx, p.label() + (" lift" if lift else ""),
         ",".join(str(i + 1) for i in sorted(p.plus)),
         ",".join(str(i + 1) for i in sorted(p.minus)),
-        "; ".join("(%s)" % ",".join(str(x) for x in r) for r in p.rays),
+        "; ".join("(%s)" % _vector(r) for r in p.rays),
         rest)
 
 

@@ -238,10 +238,7 @@ class VariableTable:
 
     def packed(self, entries: dict) -> int:
         """:meth:`mono` as a packed monomial."""
-        for idx, e in entries.items():
-            if not -EXPONENT_BOUND <= e < EXPONENT_BOUND:
-                raise ExponentOverflowError(idx, e)
-        return sum(packed_power(self.width, idx, e) for idx, e in entries.items())
+        return pack(self.mono(entries))
 
     def x_mono(self, i: int, chi_row) -> tuple:
         """The monomial a_i * s^{chi_i} attached to the i-th matter row."""
@@ -409,6 +406,19 @@ def _exact_terms(terms: dict) -> dict:
     return terms
 
 
+def _accumulate(terms: dict, items) -> dict:
+    """terms, with each (packed monomial, coefficient) pair of ``items``
+    added in place; a monomial whose sum is zero is left out."""
+    for m, c in items:
+        acc = terms.get(m)
+        nc = c if acc is None else acc + c
+        if nc:
+            terms[m] = nc
+        elif acc is not None:
+            del terms[m]
+    return _exact_terms(terms)
+
+
 def _atom_key(gm):
     """Graded-lex key of a pair whose first entry is a packed monomial."""
     return (_degree(gm[0]), gm[0])
@@ -457,19 +467,7 @@ class Poly:
     @classmethod
     def from_terms(cls, width: int, items) -> "Poly":
         """The sum of the (exponent tuple, coefficient) pairs."""
-        terms = {}
-        for m, c in items:
-            c = exact_coeff(c)
-            if c == 0:
-                continue
-            m = pack(m)
-            acc = terms.get(m)
-            nc = c if acc is None else acc + c
-            if nc:
-                terms[m] = nc
-            elif acc is not None:
-                del terms[m]
-        return _poly(width, _exact_terms(terms))
+        return _poly(width, _accumulate({}, ((pack(m), exact_coeff(c)) for m, c in items)))
 
     def tuple_terms(self) -> dict:
         """``{exponent tuple: coefficient}``."""
@@ -495,15 +493,7 @@ class Poly:
             return other
         if other.is_zero():
             return self
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            nc = c if acc is None else acc + c
-            if nc:
-                terms[m] = nc
-            elif acc is not None:
-                del terms[m]
-        return _poly(self.w, _exact_terms(terms))
+        return _poly(self.w, _accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Poly":
         return _poly(self.w, {m: -c for m, c in self.terms.items()})
@@ -584,16 +574,8 @@ class Poly:
         """The image under a :class:`RingMap`, or under a dict
         ``{variable index: image monomial}`` into ``target_width`` variables."""
         ring = ring_map(images, target_width, self.w)
-        terms = {}
-        for m, c in self.terms.items():
-            im = ring.mono(m)
-            acc = terms.get(im)
-            nc = c if acc is None else acc + c
-            if nc:
-                terms[im] = nc
-            elif acc is not None:
-                del terms[im]
-        return _poly(ring.width, _exact_terms(terms))
+        return _poly(ring.width, _accumulate({}, zip(map(ring.mono, self.terms),
+                                                     self.terms.values())))
 
     def _chains(self, r: int):
         """The terms split into chains ``m + k*r``, as ``{base: {k: coefficient}}``
@@ -655,13 +637,6 @@ class Poly:
                 if c:
                     quot[base + j * r] = c
         return _poly(self.w, _exact_terms(quot))
-
-    def sorted_terms(self):
-        """(exponent tuple, coefficient) pairs in ascending graded-lex order
-        (the canonical print order)."""
-        w = self.w
-        return sorted(((unpack(m, w), c) for m, c in self.terms.items()),
-                      key=lambda mc: (sum(mc[0]), mc[0]))
 
     def __repr__(self):
         return "Poly(%r)" % (self.tuple_terms(),)
@@ -1226,7 +1201,8 @@ def scalar_structured(x: Scalar):
     head, sign, atoms = _factored(x)
     return {
         "pre": list(unpack(head, w)),
-        "num": [[str(c), list(m)] for m, c in (x.num if sign > 0 else -x.num).sorted_terms()],
+        "num": [[str(sign * c), list(unpack(m, w))]
+                for m, c in sorted(x.num.terms.items(), key=_atom_key)],
         "atoms": [[list(unpack(g, w)), mult] for g, mult in sorted(atoms.items(), key=_atom_key)],
     }
 

@@ -137,6 +137,8 @@ class GaugeData:
             if big is not None:
                 raise ModelError("row chi_%d has the entry %d, above the limit %d"
                                  % (i + 1, big, MAX_WEIGHT))
+        if not k:
+            raise ModelError("theta is empty: the gauge torus has rank 0")
         subsets = comb(n, k)
         if subsets > MAX_ROW_SUBSETS:
             raise ModelError("the model has C(%d, %d) = %d candidate row subsets, more than "
@@ -266,33 +268,32 @@ def circuits(data: GaugeData):
     return [found[v] for v in sorted(found)]
 
 
-def fixed_points(data: GaugeData, table: VariableTable | None = None):
+def fixed_points(data: GaugeData):
     """All torus-fixed points with sign splits, restriction maps and cone rays."""
-    table = table or data.table()
+    table = data.table()
     k = data.k
     out = []
     for subset in itertools.combinations(range(data.n), k):
         rows = [data.chi[i] for i in subset]
-        d = det_int(rows)
-        if d == 0:
+        # one elimination of [rows | I]: the rows are independent exactly when
+        # their own columns are the pivots, and then the right half, each row
+        # divided by its pivot entry (+-1 once the determinant is), is the
+        # integer inverse
+        pivots, mat, d = _eliminate([list(rows[l]) + [int(l == t) for t in range(k)]
+                                     for l in range(k)])
+        if pivots[-1] >= k:
             continue
         if abs(d) != 1:
             raise ModelError("non-unimodular subset {%s} encountered"
                              % ",".join(str(i + 1) for i in subset))
-        # theta = sum_j c_j chi_j, then the integer inverse of the rows; each
-        # row is divided by its pivot entry (+-1), which row swaps do not
-        # flip the way they flip the sign of the determinant
-        _, mat, _ = _eliminate([[rows[t][l] for t in range(k)] + [data.theta[l]]
-                                for l in range(k)])
-        c = [mat[t][k] // mat[t][t] for t in range(k)]
+        binv = [[mat[l][k + t] // mat[l][l] for t in range(k)] for l in range(k)]
+        # theta = sum_t c_t chi_{subset[t]}
+        c = [sum(data.theta[l] * binv[l][t] for l in range(k)) for t in range(k)]
         if any(v == 0 for v in c):
             raise ThetaOnWallError("theta on wall of subset {%s}"
                                    % ",".join(str(i + 1) for i in subset))
         plus = frozenset(subset[t] for t in range(k) if c[t] > 0)
         minus = frozenset(subset[t] for t in range(k) if c[t] < 0)
-        _, mat, _ = _eliminate([list(rows[l]) + [int(l == t) for t in range(k)]
-                                for l in range(k)])
-        binv = [[mat[l][k + t] // mat[l][l] for t in range(k)] for l in range(k)]
         restriction = {}
         for l in range(k):
             mono = [0] * table.width

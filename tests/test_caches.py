@@ -11,7 +11,7 @@ import coulombkit.coulomb
 import coulombkit.exactring
 from coulombkit import (Descendent, PoleEvaluationError, Poly, fixed_points, vertex_fp,
                         vertex_fp_nonab, whittaker_function)
-from coulombkit.cli import _series_report, parse_descendent
+from coulombkit.cli import _degree_report, parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import shift_s_by_degree
 from coulombkit.hypertoric import enumerate_degrees, pair
@@ -26,7 +26,8 @@ DESCENDENTS = ["1", "s1", "a1*s1 - h", "2*a2*s1^2 + 3*h"]
 
 
 def _render(alg, series):
-    return _series_report(alg, series, False), _series_report(alg, series, True)
+    return tuple(_degree_report(alg.table, series.coeffs, as_json, "Q^({d}): {v}\n",
+                                "order %d\n" % series.order) for as_json in (False, True))
 
 
 @pytest.mark.parametrize("model", ["tp2", "a2"])

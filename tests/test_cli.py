@@ -314,6 +314,7 @@ def test_main_error_exit_code(tmp_path):
      "'a_specialization' must be a JSON object of strings"),
     ('{"chi": [[1], [1]], "theta": [1], "a_specialization": {"a1": 5}}',
      "'a_specialization' must be a JSON object of strings"),
+    ('{"chi": [], "theta": []}', "theta is empty: the gauge torus has rank 0"),
 ])
 def test_main_rejects_malformed_model(tmp_path, capsys, raw, message):
     from coulombkit.cli import main
@@ -364,6 +365,14 @@ MAX_INT = "9" * 4300
      "a number in the expression has more than 2150 digits"),
     (["vertex", "tp1", "--descendent=%s*%s" % (MAX_INT, MAX_INT)],
      "a number in the expression has more than 2150 digits"),
+    (["circuits", "s1"], "a_specialization 'a1': the image 's1' names a gauge variable; "
+                         "an image is a monomial in the a_i and h"),
+    # a point index is refused before it is converted; leading zeros do not count
+    (["vertex", "tp1", "--point", LONG_INT], "point index %s out of range (0..1)" % LONG_INT),
+    (["whittaker", "tp1", "--point", LONG_INT], "point index %s out of range (0..1)" % LONG_INT),
+    (["qde-check", "tp1", "--circuit", "0", "--point", LONG_INT],
+     "point index %s out of range (0..1)" % LONG_INT),
+    (["vertex", "tp1", "--point", "0" * 5000 + "2"], "point index 2 out of range (0..1)"),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main

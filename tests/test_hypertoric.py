@@ -10,7 +10,7 @@ from coulombkit import (GaugeData, ModelError, Scalar, ThetaOnWallError,
                         fixed_points, mixed_polarization, separating_circuits)
 from coulombkit.hypertoric import pair
 
-from conftest import rng_for, tpn
+from conftest import rng_for, tgr_model, tpn
 
 
 # -- independent oracles ----------------------------------------------------
@@ -288,10 +288,11 @@ def test_elimination_against_sympy():
     assert min(seen.values()) >= 20, seen
 
 
-@pytest.mark.parametrize("name", ["a2", "tgr24", "tp3"])
+@pytest.mark.parametrize("name", ["a2", "tgr24", "tp3", "tgr32"])
 def test_fixed_points_against_sympy_inverse(name, request):
     Matrix = pytest.importorskip("sympy").Matrix
-    data = tpn(3) if name == "tp3" else request.getfixturevalue(name)
+    data = {"tp3": lambda: tpn(3), "tgr32": lambda: tgr_model(3, 2)}.get(
+        name, lambda: request.getfixturevalue(name))()
     t = data.table()
     k = data.k
     pts = fixed_points(data)
