@@ -166,11 +166,12 @@ class _ExprParser:
             self.next()
             return -self.nested(self.factor)
         p, is_var = self.atom()
-        while self.peek() == "^":
+        if self.peek() == "^":
             self.next()
             num, den = self.exponent()
+            if self.peek() == "^":
+                raise ExprError("chained power at position %d: write (x^a)^b" % self._pos())
             p = self._power(p, is_var, num, den)
-            is_var = False
         return p
 
     def exponent(self):
@@ -404,14 +405,13 @@ def load_model(path: str) -> GaugeData:
                 raise ModelError("a_specialization %r: the image %r names a gauge variable; "
                                  "an image is a monomial in the a_i and h" % (name, expr))
             aspec[int(m.group(1)) - 1] = image
-    return GaugeData.create(raw["chi"], raw["theta"], blocks=blocks, labels=labels,
-                            a_specialization=aspec)
+    return GaugeData.create(raw["chi"], raw["theta"], blocks=blocks, a_specialization=aspec)
 
 
 def _select_point(pts: list, spec: str):
     """The point an index (``1``) or a 1-based support (``1,3``) names; a
     trailing comma makes a support of one element (``1,``)."""
-    if re.fullmatch(r"\d+", spec or ""):
+    if re.fullmatch(r"\d+", spec):
         # compare digit counts first: a long index is never converted
         idx = spec.lstrip("0") or "0"
         if len(idx) > len(str(len(pts))) or int(idx) >= len(pts):
@@ -436,7 +436,7 @@ def _select_lift(alg: CoulombAlgebra, pts: list, spec: str | None):
     first = next((p for p in pts if is_lift(alg, p)), None)
     if spec is None and first is not None:
         return first
-    p = _select_point(pts, spec or "0")
+    p = _select_point(pts, "0" if spec is None else spec)
     if not is_lift(alg, p):
         hint = "; the first lift is %s (--point %s)" % (
             first.label(), ",".join(str(i + 1) for i in first.support)) if first else ""
@@ -602,11 +602,11 @@ def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
         tau = parse_descendent(args.descendent, table) if args.descendent else \
             Descendent(Poly.one(table.width))
         pts = fixed_points(data)
-        sel = [_select_lift(alg, pts, args.point)] if args.point else \
+        sel = [_select_lift(alg, pts, args.point)] if args.point is not None else \
             [p for p in pts if is_lift(alg, p)]
         rho = cs[args.circuit].vector
         records = [{"circuit": list(rho), "point": p.label(),
-                    "passed": qde_check(alg, p, tau, rho, args.order).passed} for p in sel]
+                    "passed": not qde_check(alg, p, tau, rho, args.order)} for p in sel]
         return _verdict_report(out, records, args.json, lambda r, verdict: (
             "%s circuit (%s) at %s\n" % (verdict, _vector(rho), r["point"])))
 
@@ -632,8 +632,7 @@ def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
         scn = make_scenario(alg, theta2)
         # a list, not a generator, in all(): both checks run for every circuit
         records = [{"circuit": list(rho), "reversing": rho in scn.reversing,
-                    "passed": all([check_reversal(scn, rho).passed,
-                                   dmodule_match(scn, rho).passed])}
+                    "passed": all([check_reversal(scn, rho), dmodule_match(scn, rho)])}
                    for rho in list(scn.reversing) + list(scn.kept)]
         return _verdict_report(out, records, args.json, lambda r, verdict: (
             "%s circuit (%s): %s\n" % ("reversing" if r["reversing"] else "kept",
@@ -716,15 +715,15 @@ def main(argv=None) -> int:
         code = dispatch(args)
         sys.stdout.flush()
         return code
-    except (ModelError, ExprError, UsageError, FileNotFoundError,
-            PoleEvaluationError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
     except BrokenPipeError:
         # the reader closed stdout: send what is still buffered to os.devnull,
         # so the interpreter's final flush cannot raise, and report it as exit 1
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (ModelError, ExprError, UsageError, OSError, PoleEvaluationError) as exc:
+        # OSError: a model path that is missing, a directory or unreadable
+        sys.stderr.write("error: %s\n" % exc)
+        return 2
 
 
 if __name__ == "__main__":

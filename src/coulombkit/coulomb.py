@@ -341,21 +341,19 @@ class CoulombAlgebra:
 
     # -- right module -------------------------------------------------------
 
-    def module_factor(self, c, d, pol: frozenset | None = None) -> Scalar:
-        """Scalar with t_c(Pol) r_d(Pol) = factor * t_{c+d}(Pol)."""
-        pol = self.canonical_pol if pol is None else frozenset(pol)
+    def module_factor(self, c, d) -> Scalar:
+        """Scalar with t_c r_d = factor * t_{c+d}, in the canonical polarization."""
         factors = []
-        for i, (chi, x, sign) in enumerate(self.rows):
+        for chi, x, sign in self.rows:
             di = pair(chi, d)
-            if di and (di < 0) == (i in pol):
+            if di < 0:
                 factors.append((x - pair(chi, c) * self.q, -di, -sign))
         return hq_product(self.table.width, factors)
 
-    def module_act(self, t: ModuleElement, a: AlgebraElement,
-                   pol: frozenset | None = None) -> ModuleElement:
+    def module_act(self, t: ModuleElement, a: AlgebraElement) -> ModuleElement:
         return ModuleElement(self, (
             (tuple(x + y for x, y in zip(c, d)),
-             g * self.shift_coefficient(f, c) * self.module_factor(c, d, pol))
+             g * self.shift_coefficient(f, c) * self.module_factor(c, d))
             for c, g in t.terms.items() for d, f in a.terms.items()))
 
     def verma_module(self, p: FixedPoint):

@@ -119,11 +119,10 @@ class GaugeData:
     chi: tuple
     theta: tuple
     blocks: tuple | None = None
-    labels: tuple | None = None
     a_specialization: dict | None = field(default=None, compare=False)
 
     @classmethod
-    def create(cls, chi, theta, blocks=None, labels=None, a_specialization=None):
+    def create(cls, chi, theta, blocks=None, a_specialization=None):
         chi = tuple(tuple(int(x) for x in row) for row in chi)
         theta = tuple(int(x) for x in theta)
         n = len(chi)
@@ -157,7 +156,6 @@ class GaugeData:
                 raise ModelError("blocks %r do not partition 1..%d" % (blocks, k))
             _check_block_symmetry(chi, theta, blocks)
         data = cls(n=n, k=k, chi=chi, theta=theta, blocks=blocks,
-                   labels=tuple(labels) if labels else None,
                    a_specialization=dict(a_specialization) if a_specialization else None)
         circuits(data)  # raises if theta is on a wall
         return data

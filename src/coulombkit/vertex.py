@@ -11,8 +11,6 @@ compare their series by one rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coulomb import Combination, CoulombAlgebra
 from .exactring import HBAR_HALF, Poly, Scalar, packed_power
 from .hypertoric import FixedPoint, enumerate_degrees, pair
@@ -98,23 +96,17 @@ def _strip_kahler_power(table, value: Scalar, d) -> Scalar:
 # q-difference checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QdeReport:
-    circuit: tuple
-    passed: bool
-    residuals: dict  # degree -> nonzero residual, for the failing degrees only
-
-
 def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
-              circuit, order: int) -> QdeReport:
-    """Apply the annihilating operator of one circuit to the vertex series.
+              circuit, order: int) -> dict:
+    """Apply the annihilating operator of one circuit to the vertex series, and
+    return the nonzero residuals by degree: empty when it annihilates the series.
 
     The shift operator attached to a matter row acts on the degree-d
     coefficient by the eigenvalue q^{<chi_i, d>} times the restriction of
     the row monomial, matching the convention in which the operator also
     shifts the row monomial.  Annihilation holds for insertions free of the
     gauge variables; a decorated series picks up a conjugated relation and
-    the report comes back failed, which is the honest answer.
+    leaves residuals, which is the honest answer.
     """
     c = tuple(circuit)
     series = vertex_fp(alg, p, tau, order)
@@ -147,7 +139,7 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
                - sign * eigen(dmc, -1) * series.coefficient(dmc, w))
         if not res.is_zero():
             residuals[d] = res
-    return QdeReport(circuit=c, passed=not residuals, residuals=residuals)
+    return residuals
 
 
 def kaehler_relation_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,

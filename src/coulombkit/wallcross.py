@@ -19,7 +19,6 @@ from .hypertoric import GaugeData, separating_circuits
 class WallCrossScenario:
     algebra: CoulombAlgebra
     algebra2: CoulombAlgebra
-    theta2: tuple
     reversing: tuple
     kept: tuple
 
@@ -28,9 +27,8 @@ def make_scenario(alg: CoulombAlgebra, theta2) -> WallCrossScenario:
     theta2 = tuple(int(x) for x in theta2)
     reversing, kept = separating_circuits(alg.data, theta2)
     data2 = GaugeData.create(alg.data.chi, theta2, blocks=alg.data.blocks,
-                             labels=alg.data.labels,
                              a_specialization=alg.data.a_specialization)
-    return WallCrossScenario(algebra=alg, algebra2=CoulombAlgebra(data2), theta2=theta2,
+    return WallCrossScenario(algebra=alg, algebra2=CoulombAlgebra(data2),
                              reversing=tuple(c.vector for c in reversing),
                              kept=tuple(c.vector for c in kept))
 
@@ -41,14 +39,7 @@ def primed_generator(scn: WallCrossScenario, d) -> AlgebraElement:
     return scn.algebra.r(tuple(d), scn.algebra2.mixed_coefficient(d))
 
 
-@dataclass
-class ReversalReport:
-    circuit: tuple
-    reversing: bool
-    passed: bool
-
-
-def check_reversal(scn: WallCrossScenario, rho) -> ReversalReport:
+def check_reversal(scn: WallCrossScenario, rho) -> bool:
     """For a reversing circuit the primed generators invert; otherwise they agree."""
     alg = scn.algebra
     rho = tuple(rho)
@@ -59,16 +50,9 @@ def check_reversal(scn: WallCrossScenario, rho) -> ReversalReport:
             opposite = tuple(-x for x in sign_d)
             prod = alg.mul(alg.mixed_generator(opposite), primed_generator(scn, sign_d))
             ok = ok and (prod == alg.one())
-        return ReversalReport(circuit=rho, reversing=True, passed=ok)
-    ok = (primed_generator(scn, rho) == alg.mixed_generator(rho)
-          and primed_generator(scn, nrho) == alg.mixed_generator(nrho))
-    return ReversalReport(circuit=rho, reversing=False, passed=ok)
-
-
-@dataclass
-class DmoduleMatchReport:
-    circuit: tuple
-    passed: bool
+        return ok
+    return (primed_generator(scn, rho) == alg.mixed_generator(rho)
+            and primed_generator(scn, nrho) == alg.mixed_generator(nrho))
 
 
 def _relation_apply(scn: WallCrossScenario, wc, insertion: Scalar,
@@ -82,19 +66,17 @@ def _relation_apply(scn: WallCrossScenario, wc, insertion: Scalar,
     return prod.scalar_part()
 
 
-def dmodule_match(scn: WallCrossScenario, c, insertions=None) -> DmoduleMatchReport:
+def dmodule_match(scn: WallCrossScenario, c) -> bool:
     """Invert the first relation and land exactly on the second side's relation.
 
     Applying the reversing relation of the first stability condition and then
-    the relation of the second one at the opposite circuit must return every
-    test insertion unchanged (the two Kahler shifts cancel).
+    the relation of the second one at the opposite circuit must return each
+    test insertion, 1 and s1, unchanged (the two Kahler shifts cancel).
     """
     alg = scn.algebra
     c = tuple(c)
     table = alg.table
-    if insertions is None:
-        insertions = [Scalar.one(table.width),
-                      Scalar.monomial(table.mono({table.s(0): 1}))]
+    insertions = (Scalar.one(table.width), Scalar.monomial(table.mono({table.s(0): 1})))
     passed = True
     for w in alg.weyl_elements():
         wc = alg.weyl_on_degree(w, c)
@@ -108,4 +90,4 @@ def dmodule_match(scn: WallCrossScenario, c, insertions=None) -> DmoduleMatchRep
                 first = _relation_apply(scn, wc, insertion, primed=False)
                 second = _relation_apply(scn, wc, insertion, primed=True)
                 passed = passed and (first == second)
-    return DmoduleMatchReport(circuit=c, passed=passed)
+    return passed

@@ -236,7 +236,7 @@ def test_criterion_09_qde_and_kaehler(tp1_alg, a2_alg):
         taus = _acceptance_descendents(alg.table)
         for p in fixed_points(alg.data):
             for circ in circuits(alg.data):
-                ok = ok and qde_check(alg, p, bare, circ.vector, order).passed
+                ok = ok and not qde_check(alg, p, bare, circ.vector, order)
                 for tau in taus[:2]:
                     ok = ok and kaehler_relation_check(alg, p, tau, circ.vector, order)
     report(9, "difference-operator annihilation + Kahler step", ok)
@@ -256,11 +256,11 @@ def test_criterion_11_wallcross(a2_alg, sqed11):
     prod = a2_alg.mul(a2_alg.mixed_generator(tuple(-x for x in rho3)),
                       a2_alg.r(rho3, scn.algebra2.mixed_coefficient(rho3)))
     ok = ok and prod == a2_alg.one()
-    ok = ok and check_reversal(scn, rho3).passed
-    ok = ok and dmodule_match(scn, rho3).passed
+    ok = ok and check_reversal(scn, rho3)
+    ok = ok and dmodule_match(scn, rho3)
     alg1 = CoulombAlgebra(sqed11)
     scn1 = make_scenario(alg1, (-1,))
-    ok = ok and check_reversal(scn1, (1,)).passed and dmodule_match(scn1, (1,)).passed
+    ok = ok and check_reversal(scn1, (1,)) and dmodule_match(scn1, (1,))
     report(11, "generator inversion across the wall", ok)
 
 

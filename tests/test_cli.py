@@ -92,6 +92,11 @@ def test_parse_descendent_rejects_division():
         parse_descendent("s1 + + s2", TABLE)
 
 
+def test_parenthesized_power_of_a_power_multiplies_the_exponents():
+    assert parse_descendent("(a1^2)^3", TABLE).poly == Poly.monomial(TABLE.mono({TABLE.a(0): 6}))
+    assert parse_descendent("(h^(1/2))^3", TABLE).poly == Poly.monomial(TABLE.mono({1: 3}))
+
+
 def test_parse_scalar_expr_allows_q():
     p = parse_scalar_expr("q^(1/2)*s1^-2", TABLE)
     assert p == Poly.monomial(TABLE.mono({0: 1, TABLE.s(0): -2}))
@@ -298,6 +303,7 @@ def test_main_error_exit_code(tmp_path):
     bad.write_text("{not json")
     assert main(["circuits", str(bad)]) == 2
     assert main(["circuits", str(tmp_path / "missing.json")]) == 2
+    assert main(["circuits", str(tmp_path)]) == 2
     assert main(["circuits", model_path("bad_wall")]) == 2
 
 
@@ -373,6 +379,16 @@ MAX_INT = "9" * 4300
     (["qde-check", "tp1", "--circuit", "0", "--point", LONG_INT],
      "point index %s out of range (0..1)" % LONG_INT),
     (["vertex", "tp1", "--point", "0" * 5000 + "2"], "point index 2 out of range (0..1)"),
+    # a chained power is refused rather than read in either associativity
+    (["vertex", "tp1", "--descendent=a1^2^3"], "chained power at position 4: write (x^a)^b"),
+    (["vertex", "tp1", "--descendent=h^(1/2)^2"], "chained power at position 7: write (x^a)^b"),
+    (["vertex", "tp1", "--descendent=h^(3/2)^(1/2)"],
+     "chained power at position 7: write (x^a)^b"),
+    (["mul", "tp1", "r[1] a1^2^3"], "chained power at position 4: write (x^a)^b"),
+    # an empty --point names no point
+    (["vertex", "tp1", "--point="], "bad --point ''"),
+    (["whittaker", "tp1", "--point="], "bad --point ''"),
+    (["qde-check", "tp1", "--circuit", "0", "--point="], "bad --point ''"),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main
