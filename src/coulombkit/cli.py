@@ -12,6 +12,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .bethe import bethe_relations_q1, dmodule_relations, render_bethe_system
 from .coulomb import CoulombAlgebra
@@ -72,24 +73,27 @@ def _tokenize(text: str):
     return out
 
 
+_power_of_ten = lru_cache(maxsize=None)((10).__pow__)
+
+
 def _check_digits(*numbers):
     """Refuse a number with more than half the digits an integer literal may
     have.  The rest is headroom: evaluation adds coefficients, and every
     number must print."""
     digits = sys.get_int_max_str_digits() // 2
-    if digits and max(map(abs, numbers)) >= 10 ** digits:
+    if digits and max(map(abs, numbers)) >= _power_of_ten(digits):
         raise ExprError("a number in the expression has more than %d digits" % digits)
 
 
 def _checked_monomial(table: VariableTable, m: tuple) -> tuple:
     """m, once every exponent has passed :func:`_check_digits` and is at
-    most ``MAX_EXPONENT`` in size."""
+    most ``MAX_EXPONENT`` in size (a half-variable exponent counts halved)."""
     _check_digits(*m)
     for idx, e in enumerate(m):
-        exponent = Fraction(e, 2) if table.is_half_variable(idx) else e
-        if abs(exponent) > MAX_EXPONENT:
-            raise ExprError("exponent %s of %s exceeds the limit %d"
-                            % (exponent, table.var_label(idx), MAX_EXPONENT))
+        half = table.is_half_variable(idx)
+        if abs(e) > (2 * MAX_EXPONENT if half else MAX_EXPONENT):
+            raise ExprError("exponent %s of %s exceeds the limit %d" % (
+                Fraction(e, 2) if half else e, table.var_label(idx), MAX_EXPONENT))
     return m
 
 
@@ -577,7 +581,7 @@ def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
 
     if args.command == "vertex":
         p = _select_lift(alg, fixed_points(data), args.point)
-        tau = parse_descendent(args.descendent, table) if args.descendent else \
+        tau = parse_descendent(args.descendent, table) if args.descendent is not None else \
             Descendent(Poly.one(table.width))
         if data.blocks:
             _check_weyl_invariant(alg, tau, args.descendent)
@@ -599,7 +603,7 @@ def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
         cs = circuits(data)
         if not 0 <= args.circuit < len(cs):
             raise ModelError("circuit index %d out of range" % args.circuit)
-        tau = parse_descendent(args.descendent, table) if args.descendent else \
+        tau = parse_descendent(args.descendent, table) if args.descendent is not None else \
             Descendent(Poly.one(table.width))
         pts = fixed_points(data)
         sel = [_select_lift(alg, pts, args.point)] if args.point is not None else \

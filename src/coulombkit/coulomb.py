@@ -173,14 +173,11 @@ class CoulombAlgebra:
         self._modules = {}
         self._eval_maps = {}
         self._shift_maps = {}
-        self._eff = None
 
     # -- basic builders -------------------------------------------------
 
     def eff(self):
-        if self._eff is None:
-            self._eff = eff_cone(self.data)
-        return self._eff
+        return eff_cone(self.data)
 
     def zero_degree(self):
         return (0,) * self.data.k

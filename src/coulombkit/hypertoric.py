@@ -1,18 +1,21 @@
 """Lattice combinatorics of the character arrangement.
 
-Everything here is exact: walls, circuits, fixed points, effective cones,
-mixed polarizations, degree enumeration and restriction maps are computed
-with one fraction-free (Bareiss) integer elimination, ``_eliminate``; no
-floating point is used anywhere.  Dimensions are desk scale (n <= 16, k <= 8):
-a model is refused when it has more than ``MAX_ROW_SUBSETS`` candidate row
-subsets C(n, k), which every loop over supports and walls walks, or a
-weight entry above ``MAX_WEIGHT`` in size.
+Everything here is exact integer arithmetic; no floating point is used.
+:meth:`GaugeData.create` walks the row subsets once, keeping the cofactor
+vector c_S of every (k-1)-subset S of rank k-1 from one fraction-free
+(Bareiss) elimination, ``_eliminate``: <chi_i, c_S> is a k-minor, the
+circuits are the primitive c_S signed by theta, and the inverse of a
+k-subset's rows, hence each fixed point, is read off the c_S of its faces.
+Dimensions are desk scale (n <= 16, k <= 8): a model is refused when it has
+more than ``MAX_ROW_SUBSETS`` candidate row subsets C(n, k), which every
+loop over supports and walls walks, or a weight entry above ``MAX_WEIGHT``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb, gcd
 from operator import mul
 
@@ -89,11 +92,12 @@ def primitive(vec):
     return tuple(v // g for v in vec)
 
 
-def kernel_normal(rows, k):
-    """Primitive generator of the 1-dim kernel of <row, .> = 0 (rank k-1 rows),
-    positive in its non-pivot coordinate."""
+def _cofactor(rows, k):
+    """The kernel of <row, .> = 0 for k-1 rows of rank k-1 (else None) as the
+    integer vector +- the signed maximal minors of the rows (Bareiss), so that
+    <chi, result> is +- the determinant of the rows with chi added."""
     if k == 1:
-        return (1,)
+        return [1]
     pivots, mat, _ = _eliminate(rows)
     if len(pivots) != k - 1:
         return None
@@ -103,7 +107,14 @@ def kernel_normal(rows, k):
     sol[free] = abs(p)
     for r, col in enumerate(pivots):
         sol[col] = -mat[r][free] if p > 0 else mat[r][free]
-    return primitive(sol)
+    return sol
+
+
+def kernel_normal(rows, k):
+    """Primitive generator of the 1-dim kernel of <row, .> = 0 (rank k-1 rows),
+    positive in its non-pivot coordinate."""
+    c = _cofactor(rows, k)
+    return None if c is None else primitive(c)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +123,9 @@ def kernel_normal(rows, k):
 
 @dataclass(frozen=True)
 class GaugeData:
-    """Integer model datum: weight rows chi, stability theta, optional GL blocks."""
+    """Integer model datum: weight rows chi, stability theta, optional GL blocks.
+    ``create`` keeps ``cofactors``, c_S for each (k-1)-subset S of rank k-1, and
+    the circuits, ``walls``; ``points`` and ``cone`` are built on first use."""
 
     n: int
     k: int
@@ -120,6 +133,8 @@ class GaugeData:
     theta: tuple
     blocks: tuple | None = None
     a_specialization: dict | None = field(default=None, compare=False)
+    cofactors: dict | None = field(default=None, compare=False, repr=False)
+    walls: tuple | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def create(cls, chi, theta, blocks=None, a_specialization=None):
@@ -145,20 +160,73 @@ class GaugeData:
         if _rank(chi) != k:
             raise ModelError("chi has rank %d < %d; the gauge torus does not act with finite kernel"
                              % (_rank(chi), k))
-        for subset in itertools.combinations(range(n), k):
-            d = det_int([chi[i] for i in subset])
-            if d != 0 and abs(d) != 1:
-                raise ModelError("subset {%s} non-unimodular (det %d); model rejected as non-smooth"
-                                 % (",".join(str(i + 1) for i in subset), d))
+        # <chi_i, c_S> = +-det(S + {i}), and the pairs (S, i > max S) meet the
+        # k-subsets in lexicographic order
+        cofactors = {}
+        for subset in itertools.combinations(range(n), k - 1):
+            c = _cofactor([chi[i] for i in subset], k)
+            if c is None:
+                continue
+            cofactors[subset] = c
+            for i in range(max(subset, default=-1) + 1, n):
+                if abs(pair(chi[i], c)) > 1:
+                    bad = subset + (i,)
+                    raise ModelError("subset {%s} non-unimodular (det %d); model rejected as "
+                                     "non-smooth" % (",".join(str(j + 1) for j in bad),
+                                                     det_int([chi[j] for j in bad])))
         if blocks is not None:
             blocks = tuple(int(b) for b in blocks)
             if sum(blocks) != k or any(b <= 0 for b in blocks):
                 raise ModelError("blocks %r do not partition 1..%d" % (blocks, k))
             _check_block_symmetry(chi, theta, blocks)
-        data = cls(n=n, k=k, chi=chi, theta=theta, blocks=blocks,
-                   a_specialization=dict(a_specialization) if a_specialization else None)
-        circuits(data)  # raises if theta is on a wall
-        return data
+        walls = {}
+        for subset, c in cofactors.items():
+            rho = primitive(c)
+            t = pair(theta, rho)
+            if t == 0:
+                raise ThetaOnWallError("theta lies on wall spanned by {%s}"
+                                       % ",".join("chi_%d" % (i + 1) for i in subset))
+            if t < 0:
+                rho = tuple(-x for x in rho)
+            if rho not in walls:
+                wall = frozenset(i for i in range(n) if pair(chi[i], rho) == 0)
+                walls[rho] = Circuit(vector=rho, wall_rows=wall)
+        return cls(n=n, k=k, chi=chi, theta=theta, blocks=blocks,
+                   a_specialization=dict(a_specialization) if a_specialization else None,
+                   cofactors=cofactors, walls=tuple(walls[v] for v in sorted(walls)))
+
+    @cached_property
+    def points(self) -> tuple:
+        """The torus-fixed points: column t of the inverse of the rows of a
+        k-subset T is c_{T-t} <chi_{T_t}, c_{T-t}>, the pairing being +-1."""
+        table = self.table()
+        k = self.k
+        out = []
+        for subset in itertools.combinations(range(self.n), k):
+            faces = [self.cofactors.get(subset[:t] + subset[t + 1:]) for t in range(k)]
+            if None in faces or not pair(self.chi[subset[0]], faces[0]):
+                continue  # the rows are dependent
+            cols = [[pair(self.chi[i], c) * x for x in c] for i, c in zip(subset, faces)]
+            # theta = sum_t c_t chi_{subset[t]}
+            c = [pair(self.theta, col) for col in cols]
+            plus = frozenset(subset[t] for t in range(k) if c[t] > 0)
+            minus = frozenset(subset[t] for t in range(k) if c[t] < 0)
+            restriction = {}
+            for l in range(k):
+                mono = [0] * table.width
+                for i, col in zip(subset, cols):
+                    mono[table.a(i)] -= col[l]
+                    mono[HBAR_HALF] -= 2 * col[l] if i in minus else 0
+                restriction[l] = tuple(mono)
+            rays = tuple(tuple(x if i in plus else -x for x in col) for i, col in zip(subset, cols))
+            out.append(FixedPoint(support=subset, plus=plus, minus=minus, coeffs=tuple(c),
+                                  restriction=restriction, rays=rays))
+        return tuple(out)
+
+    @cached_property
+    def cone(self) -> Cone:
+        gens = tuple(c.vector for c in self.walls)
+        return Cone(generators=gens, facet_normals=_facets_from_generators(gens, self.k))
 
     def table(self) -> VariableTable:
         return VariableTable(self.n, self.k)
@@ -247,66 +315,12 @@ class Cone:
 
 def circuits(data: GaugeData):
     """One circuit per wall, signed by theta, deduplicated."""
-    k = data.k
-    found = {}
-    for subset in itertools.combinations(range(data.n), k - 1):
-        rows = [data.chi[i] for i in subset]
-        rho = kernel_normal(rows, k)
-        if rho is None:
-            continue
-        t = pair(data.theta, rho)
-        if t == 0:
-            raise ThetaOnWallError(
-                "theta lies on wall spanned by {%s}" % ",".join("chi_%d" % (i + 1) for i in subset))
-        if t < 0:
-            rho = tuple(-x for x in rho)
-        if rho not in found:
-            wall = frozenset(i for i in range(data.n) if data.pairing(i, rho) == 0)
-            found[rho] = Circuit(vector=rho, wall_rows=wall)
-    return [found[v] for v in sorted(found)]
+    return list(data.walls)
 
 
 def fixed_points(data: GaugeData):
     """All torus-fixed points with sign splits, restriction maps and cone rays."""
-    table = data.table()
-    k = data.k
-    out = []
-    for subset in itertools.combinations(range(data.n), k):
-        rows = [data.chi[i] for i in subset]
-        # one elimination of [rows | I]: the rows are independent exactly when
-        # their own columns are the pivots, and then the right half, each row
-        # divided by its pivot entry (+-1 once the determinant is), is the
-        # integer inverse
-        pivots, mat, d = _eliminate([list(rows[l]) + [int(l == t) for t in range(k)]
-                                     for l in range(k)])
-        if pivots[-1] >= k:
-            continue
-        if abs(d) != 1:
-            raise ModelError("non-unimodular subset {%s} encountered"
-                             % ",".join(str(i + 1) for i in subset))
-        binv = [[mat[l][k + t] // mat[l][l] for t in range(k)] for l in range(k)]
-        # theta = sum_t c_t chi_{subset[t]}
-        c = [sum(data.theta[l] * binv[l][t] for l in range(k)) for t in range(k)]
-        if any(v == 0 for v in c):
-            raise ThetaOnWallError("theta on wall of subset {%s}"
-                                   % ",".join(str(i + 1) for i in subset))
-        plus = frozenset(subset[t] for t in range(k) if c[t] > 0)
-        minus = frozenset(subset[t] for t in range(k) if c[t] < 0)
-        restriction = {}
-        for l in range(k):
-            mono = [0] * table.width
-            for t in range(k):
-                mono[table.a(subset[t])] -= binv[l][t]
-                if subset[t] in minus:
-                    mono[HBAR_HALF] -= 2 * binv[l][t]
-            restriction[l] = tuple(mono)
-        rays = []
-        for t in range(k):
-            sign = 1 if subset[t] in plus else -1
-            rays.append(tuple(sign * binv[l][t] for l in range(k)))
-        out.append(FixedPoint(support=tuple(subset), plus=plus, minus=minus,
-                              coeffs=tuple(c), restriction=restriction, rays=tuple(rays)))
-    return out
+    return list(data.points)
 
 
 def _facets_from_generators(gens, k):
@@ -330,8 +344,7 @@ def _facets_from_generators(gens, k):
 
 def eff_cone(data: GaugeData) -> Cone:
     """The effective cone, generated by the circuits."""
-    gens = tuple(c.vector for c in circuits(data))
-    return Cone(generators=gens, facet_normals=_facets_from_generators(gens, data.k))
+    return data.cone
 
 
 def eff_cone_fp(data: GaugeData, p: FixedPoint) -> Cone:

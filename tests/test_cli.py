@@ -250,6 +250,13 @@ GOLDEN = [
      ["vertex", "tp1", "--order", "1", "--descendent", "(a1*s1)^-2"]),
     ("vertex_tp1_order2_rational.json",
      ["vertex", "tp1", "--order", "2", "--descendent", "1/2*a1*s1-3/2*h", "--json"]),
+    # the combinatorics read off the cofactors of the row subsets
+    ("fixed_points_a2.txt", ["fixed-points", "a2"]),
+    ("fixed_points_tgr24.txt", ["fixed-points", "tgr24"]),
+    ("circuits_a2.txt", ["circuits", "a2"]),
+    ("circuits_tgr24.txt", ["circuits", "tgr24"]),
+    ("analyze_a2.json", ["analyze", "a2", "--json"]),
+    ("analyze_tgr24.json", ["analyze", "tgr24", "--json"]),
 ]
 
 
@@ -389,6 +396,10 @@ MAX_INT = "9" * 4300
     (["vertex", "tp1", "--point="], "bad --point ''"),
     (["whittaker", "tp1", "--point="], "bad --point ''"),
     (["qde-check", "tp1", "--circuit", "0", "--point="], "bad --point ''"),
+    # an empty --descendent is no descendent, not the descendent 1
+    (["vertex", "tp1", "--order", "1", "--descendent="], "unexpected end of expression"),
+    (["qde-check", "tp1", "--circuit", "0", "--order", "1", "--descendent="],
+     "unexpected end of expression"),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main
@@ -398,6 +409,24 @@ def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
         argv = [argv[0], model_path(argv[1])] + argv[2:]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_digit_bound_follows_the_limit_at_run_time(capsys):
+    """The digit bound is built once per limit value: a limit lowered while
+    the process runs lowers the bound with it."""
+    from coulombkit.cli import main
+    argv = ["vertex", model_path("tp1"), "--descendent=s1^" + "9" * 400]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: exponent %s of s1 exceeds the limit %d\n" % (
+        "9" * 400, 1 << 20)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(argv) == 2
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().err == \
+        "error: a number in the expression has more than 320 digits\n"
 
 
 def test_mul_generator_degrees_are_capped(capsys):

@@ -309,3 +309,34 @@ def test_fixed_points_against_sympy_inverse(name, request):
         for l in range(k):
             for u, i in enumerate(p.support):
                 assert p.restriction[l][t.a(i)] == -inv[l, u]
+
+
+# -- the one pass over row subsets ----------------------------------------------
+
+def test_returned_lists_are_fresh(a2):
+    """A caller may change the list it gets; the model keeps its own."""
+    for fn in (fixed_points, circuits):
+        expected = list(fn(a2))
+        got = fn(a2)
+        got.clear()
+        assert fn(a2) == expected
+        got = fn(a2)
+        got.pop()
+        assert fn(a2) == expected
+    assert eff_cone(a2) is eff_cone(a2)
+
+
+def test_each_row_subset_is_eliminated_once(tgr24, monkeypatch):
+    """create eliminates chi once for its rank and each (k-1)-subset once;
+    the k-minors, circuits and fixed points are read off those cofactors."""
+    from coulombkit import hypertoric
+    sizes = []
+    eliminate = hypertoric._eliminate
+    monkeypatch.setattr(hypertoric, "_eliminate", lambda rows: sizes.append(len(rows))
+                        or eliminate(rows))
+    data = GaugeData.create(tgr24.chi, tgr24.theta, blocks=tgr24.blocks)
+    assert sizes == [tgr24.n] + [tgr24.k - 1] * tgr24.n
+    points = fixed_points(data)
+    assert len(sizes) == 1 + tgr24.n
+    assert points == fixed_points(tgr24)
+    assert circuits(data) == circuits(tgr24)
