@@ -2,6 +2,10 @@
 
 Exit codes: 0 success / checks passed, 1 a verification command failed,
 2 malformed input (model file, expression, flags).
+
+The module keeps two per-process caches, and neither holds a model value:
+the one argument parser (:func:`build_parser`) and the powers of ten of the
+digit limit (``_power_of_ten``).
 """
 
 from __future__ import annotations
@@ -107,13 +111,18 @@ def _bounded(p: Poly, table: VariableTable) -> Poly:
 
 
 class _ExprParser:
-    """Recursive descent over +, -, *, ^ with rational literals and variables."""
+    """Recursive descent over +, -, *, ^ with rational literals and variables.
 
-    def __init__(self, table: VariableTable, tokens, allow_q: bool):
+    ``refusal`` maps the rule a division, or a q where ``allow_q`` is false,
+    breaks to the message that refuses it."""
+
+    def __init__(self, table: VariableTable, tokens, allow_q: bool,
+                 refusal=lambda rule: "%s in descendents" % rule):
         self.table = table
         self.tokens = tokens
         self.i = 0
         self.allow_q = allow_q
+        self.refusal = refusal
         self.depth = 0
 
     def peek(self):
@@ -161,7 +170,7 @@ class _ExprParser:
                 self.next()
                 p = self._product(p, self.factor())
             elif self.peek() == "/":
-                raise ExprError("division not allowed in descendents")
+                raise ExprError(self.refusal("division not allowed"))
             else:
                 return p
 
@@ -223,7 +232,7 @@ class _ExprParser:
         if den == 2:
             raise ExprError("half powers only allowed on single variables")
         if num < 0 and not (p.is_monomial() and next(iter(p.terms.values())) == 1):
-            raise ExprError("division not allowed in descendents")
+            raise ExprError(self.refusal("division not allowed"))
         if num > MAX_SUM_POWER and not (p.is_monomial() and abs(next(iter(p.terms.values()))) == 1):
             raise ExprError("power %d of %s exceeds the limit %d" % (
                 num, "a sum" if len(p.terms) > 1 else "a coefficient", MAX_SUM_POWER))
@@ -278,7 +287,7 @@ class _ExprParser:
             return 1
         if name == "q":
             if not self.allow_q:
-                raise ExprError("the variable q is not allowed in descendents")
+                raise ExprError(self.refusal("the variable q is not allowed"))
             return 0
         m = re.fullmatch(r"a(\d+)", name)
         if m and 1 <= int(m.group(1)) <= table.n:
@@ -301,8 +310,10 @@ def parse_scalar_expr(text: str, table: VariableTable) -> Poly:
     return _ExprParser(table, _tokenize(text), allow_q=True).parse()
 
 
-def _parse_monomial_image(text: str, table: VariableTable) -> tuple:
-    poly = _ExprParser(table, _tokenize(text), allow_q=False).parse()
+def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
+    """The exponents of ``text``, the image of the flavor variable ``name``."""
+    poly = _ExprParser(table, _tokenize(text), allow_q=False, refusal=lambda rule: (
+        "a_specialization %r: %s in the image %r" % (name, rule, text))).parse()
     if not poly.is_monomial():
         raise ExprError("expected a monomial, got %r" % text)
     (m, c), = poly.tuple_terms().items()
@@ -404,7 +415,7 @@ def load_model(path: str) -> GaugeData:
             m = re.fullmatch(r"a(\d+)", name)
             if not m or not 1 <= int(m.group(1)) <= table.n:
                 raise ModelError("a_specialization key %r is not a flavor variable" % name)
-            image = _parse_monomial_image(expr, table)
+            image = _parse_monomial_image(name, expr, table)
             if any(image[table.s(j)] for j in range(table.k)):
                 raise ModelError("a_specialization %r: the image %r names a gauge variable; "
                                  "an image is a monomial in the a_i and h" % (name, expr))
@@ -670,7 +681,11 @@ def _point_text(table, idx, p, lift=None):
         rest)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on the first call.  Nothing
+    in it depends on a request, and parsing does not change it, so every
+    command shares it; callers must not add arguments to it."""
     ap = argparse.ArgumentParser(prog="coulombkit",
                                  description="exact engine for convolution-algebra models")
     sub = ap.add_subparsers(dest="command", required=True)

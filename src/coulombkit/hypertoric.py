@@ -389,6 +389,6 @@ def separating_circuits(data: GaugeData, theta2):
     for c in circuits(data):
         t2 = pair(theta2, c.vector)
         if t2 == 0:
-            raise ThetaOnWallError("theta2 on wall with normal %r" % (c.vector,))
+            raise ThetaOnWallError("theta2 on wall with normal (%s)" % ",".join(map(str, c.vector)))
         (reversing if t2 < 0 else kept).append(c)
     return reversing, kept

@@ -288,6 +288,64 @@ def test_fixed_points_computed_once_per_command(argv, monkeypatch):
     assert len(calls) == 1
 
 
+# -- one process, many commands -------------------------------------------------
+
+def test_one_process_runs_the_golden_commands_forward_and_back(capsys):
+    """Commands that share the process's parser print what they print alone:
+    every golden command, forward and then in reverse, each followed by a
+    usage error and an expression error whose stderr never changes."""
+    from coulombkit.cli import main
+    first_err = {}
+    for name, argv in GOLDEN + GOLDEN[::-1]:
+        assert main([argv[0], model_path(argv[1])] + argv[2:]) == 0
+        with open(os.path.join(DATA, "golden", name), encoding="utf-8", newline="") as fh:
+            assert capsys.readouterr() == (fh.read(), "")
+        for bad in (["vertex", "--order"],
+                    ["vertex", model_path("tp1"), "--descendent=s1/2"]):
+            assert main(bad) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert first_err.setdefault(bad[-1], err) == err
+    assert first_err["--order"].endswith(
+        "coulombkit vertex: error: argument --order: expected one argument\n")
+    assert first_err["--descendent=s1/2"] == "error: division not allowed in descendents\n"
+
+
+COMMANDS = ["analyze", "circuits", "fixed-points", "vertex", "whittaker", "qde-check",
+            "bethe", "mul", "wallcross"]
+
+
+@pytest.mark.parametrize("columns", ["80", "43"])
+def test_the_shared_parser_prints_the_help_of_a_fresh_one(monkeypatch, capsys, columns):
+    from coulombkit.cli import main
+    monkeypatch.setenv("COLUMNS", columns)
+    assert build_parser() is build_parser()
+    for argv in [["--help"]] + [[c, "--help"] for c in COMMANDS]:
+        with pytest.raises(SystemExit) as exc:
+            build_parser.__wrapped__().parse_args(argv)
+        assert exc.value.code == 0
+        fresh = capsys.readouterr().out
+        for _ in range(2):
+            assert main(argv) == 0
+            assert capsys.readouterr() == (fresh, "")
+
+
+def test_commands_after_the_first_build_no_parser(monkeypatch, capsys):
+    """Counted, not timed: the parser is built once per process."""
+    import argparse
+    from coulombkit.cli import main
+    argvs = [["circuits", model_path("tp1")], ["fixed-points", model_path("a2")],
+             ["vertex", "--order"], ["vertex", model_path("tp1"), "--descendent=s1/2"]]
+    main(argvs[0])
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    for i in range(19):
+        main(argvs[i % len(argvs)])
+    assert built == []
+
+
 def test_mul_command():
     code, text = run_cli(["mul", model_path("tp1"), "r[1] r[-1]"])
     assert code == 0
@@ -400,6 +458,15 @@ MAX_INT = "9" * 4300
     (["vertex", "tp1", "--order", "1", "--descendent="], "unexpected end of expression"),
     (["qde-check", "tp1", "--circuit", "0", "--order", "1", "--descendent="],
      "unexpected end of expression"),
+    # a flavor image that names q or divides is refused by its key
+    (["circuits", "q"], "a_specialization 'a1': the variable q is not allowed in the image 'q'"),
+    (["circuits", "a2^-1*q"],
+     "a_specialization 'a1': the variable q is not allowed in the image 'a2^-1*q'"),
+    (["circuits", "a2/3"], "a_specialization 'a1': division not allowed in the image 'a2/3'"),
+    (["circuits", "(a2+1)^-1"],
+     "a_specialization 'a1': division not allowed in the image '(a2+1)^-1'"),
+    # a second stability vector on a wall is refused by the wall's normal
+    (["wallcross", "a2", "--theta2=-1,-1"], "theta2 on wall with normal (1,-1)"),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main
