@@ -3,7 +3,7 @@ integer gauge data, their modules, vertex series and difference relations."""
 
 from .exactring import (PoleEvaluationError, Poly, Scalar, SumInverseError, VariableTable,
                         scalar_str, scalar_structured, scalar_from_structured,
-                        specialize_q1, substitute_monomials)
+                        specialize_q1)
 from .hypertoric import (Circuit, Cone, FixedPoint, GaugeData, ModelError,
                          ThetaOnWallError, circuits, eff_cone, eff_cone_fp,
                          enumerate_degrees, fixed_points, mixed_polarization,
@@ -28,8 +28,7 @@ __all__ = [
     "make_scenario", "mixed_polarization", "poch", "poch_qinv", "qde_check",
     "render_bethe_system", "scalar_from_structured", "scalar_str",
     "scalar_structured", "separating_circuits", "sign_kernel",
-    "specialize_q1", "substitute_monomials", "vertex_fp", "vertex_fp_nonab",
-    "whittaker_function",
+    "specialize_q1", "vertex_fp", "vertex_fp_nonab", "whittaker_function",
 ]
 
 __version__ = "0.1.0"

@@ -113,11 +113,14 @@ def _bounded(p: Poly, table: VariableTable) -> Poly:
 class _ExprParser:
     """Recursive descent over +, -, *, ^ with rational literals and variables.
 
-    ``refusal`` maps the rule a division, or a q where ``allow_q`` is false,
-    breaks to the message that refuses it."""
+    ``refusal(rule, where)`` words the message that refuses an input breaking
+    ``rule``: a division, a q where ``allow_q`` is false, an unknown variable
+    or a half power of a variable that has none.  ``where`` is the place the
+    default message names: " in descendents" for a division or a q, else
+    nothing."""
 
     def __init__(self, table: VariableTable, tokens, allow_q: bool,
-                 refusal=lambda rule: "%s in descendents" % rule):
+                 refusal=lambda rule, where="": rule + where):
         self.table = table
         self.tokens = tokens
         self.i = 0
@@ -170,7 +173,7 @@ class _ExprParser:
                 self.next()
                 p = self._product(p, self.factor())
             elif self.peek() == "/":
-                raise ExprError(self.refusal("division not allowed"))
+                raise ExprError(self.refusal("division not allowed", " in descendents"))
             else:
                 return p
 
@@ -224,7 +227,7 @@ class _ExprParser:
             idx, half_units = is_var
             if den == 2:
                 if not self.table.is_half_variable(idx):
-                    raise ExprError("half powers only allowed on q, h, Q variables")
+                    raise ExprError(self.refusal("half powers only allowed on q, h, Q variables"))
                 e = num
             else:
                 e = num * half_units
@@ -232,7 +235,7 @@ class _ExprParser:
         if den == 2:
             raise ExprError("half powers only allowed on single variables")
         if num < 0 and not (p.is_monomial() and next(iter(p.terms.values())) == 1):
-            raise ExprError(self.refusal("division not allowed"))
+            raise ExprError(self.refusal("division not allowed", " in descendents"))
         if num > MAX_SUM_POWER and not (p.is_monomial() and abs(next(iter(p.terms.values()))) == 1):
             raise ExprError("power %d of %s exceeds the limit %d" % (
                 num, "a sum" if len(p.terms) > 1 else "a coefficient", MAX_SUM_POWER))
@@ -287,7 +290,7 @@ class _ExprParser:
             return 1
         if name == "q":
             if not self.allow_q:
-                raise ExprError(self.refusal("the variable q is not allowed"))
+                raise ExprError(self.refusal("the variable q is not allowed", " in descendents"))
             return 0
         m = re.fullmatch(r"a(\d+)", name)
         if m and 1 <= int(m.group(1)) <= table.n:
@@ -298,7 +301,7 @@ class _ExprParser:
         m = re.fullmatch(r"Q(\d+)", name)
         if m and self.allow_q and 1 <= int(m.group(1)) <= table.k:
             return table.qvar(int(m.group(1)) - 1)
-        raise ExprError("unknown variable %r" % name)
+        raise ExprError(self.refusal("unknown variable %r" % name))
 
 
 def parse_descendent(text: str, table: VariableTable) -> Descendent:
@@ -312,13 +315,15 @@ def parse_scalar_expr(text: str, table: VariableTable) -> Poly:
 
 def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
     """The exponents of ``text``, the image of the flavor variable ``name``."""
-    poly = _ExprParser(table, _tokenize(text), allow_q=False, refusal=lambda rule: (
-        "a_specialization %r: %s in the image %r" % (name, rule, text))).parse()
+    def refusal(rule, where=""):
+        return "a_specialization %r: %s in the image %r" % (name, rule, text)
+
+    poly = _ExprParser(table, _tokenize(text), allow_q=False, refusal=refusal).parse()
     if not poly.is_monomial():
-        raise ExprError("expected a monomial, got %r" % text)
+        raise ExprError(refusal("expected a monomial"))
     (m, c), = poly.tuple_terms().items()
     if c != 1:
-        raise ExprError("expected a monomial with coefficient 1, got %r" % text)
+        raise ExprError(refusal("expected a monomial with coefficient 1"))
     return m
 
 

@@ -32,7 +32,8 @@ the cone are degreewise trivial, which is what the Verma and vertex layers
 are built on.  Structure constants are memoized per (c, d, polarization),
 matter kernels per degree, Verma modules per fixed point, evaluation ring
 maps per (fixed point, flavor specialization, shift degree) and shift ring
-maps s_j -> q^{d_j} s_j per degree, all on the algebra instance and dropped
+maps s_j -> q^{d_j} s_j per degree (:meth:`CoulombAlgebra.shift_map`, the
+one place such a map is built), all on the algebra instance and dropped
 with it; :meth:`CoulombAlgebra.evaluate` is the one evaluation at a fixed
 point, for the closed series and the Verma modules alike.  Cached values
 are immutable and a :class:`~coulombkit.exactring.RingMap` only grows memos
@@ -45,7 +46,7 @@ from __future__ import annotations
 import itertools
 
 from .exactring import (PoleEvaluationError, Q_HALF, RingMap, Scalar, VariableTable, atom_str,
-                        pack, packed_power, q_shift_map, unpack)
+                        pack, packed_power, unpack)
 from .hypertoric import FixedPoint, GaugeData, eff_cone, mixed_polarization, pair
 from .pochhammer import hq_product
 
@@ -269,11 +270,13 @@ class CoulombAlgebra:
                                       atom=exc.atom)
 
     def shift_map(self, d) -> RingMap:
-        """The ring map s_j -> q^{d_j} s_j; one per degree."""
+        """The ring map s_j -> q^{d_j} s_j, built here once per degree."""
         d = tuple(d)
         got = self._shift_maps.get(d)
         if got is None:
-            got = self._shift_maps[d] = q_shift_map(self.table, d)
+            w, s = self.table.width, self.table.s
+            got = self._shift_maps[d] = RingMap(
+                {s(j): packed_power(w, s(j), 1) + dj * self.q for j, dj in enumerate(d) if dj}, w)
         return got
 
     def shift(self, f: Scalar, d) -> Scalar:

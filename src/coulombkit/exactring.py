@@ -269,34 +269,6 @@ def mono_mul(m1: tuple, m2: tuple) -> tuple:
     return tuple(map(add, m1, m2))
 
 
-def mono_inv(m: tuple) -> tuple:
-    return tuple(-a for a in m)
-
-
-def mono_pow(m: tuple, e: int) -> tuple:
-    if e == 1:
-        return m
-    return tuple(a * e for a in m)
-
-
-def mono_subs(m: tuple, images: dict, width: int) -> tuple:
-    """Image of a monomial under a ring map ``{variable index: image monomial}``.
-
-    A variable absent from ``images`` is fixed; ``width`` is the target's.
-    """
-    out = [0] * width
-    for idx, e in enumerate(m):
-        if not e:
-            continue
-        img = images.get(idx)
-        if img is None:
-            out[idx] += e
-        else:
-            for t, x in enumerate(img):
-                out[t] += x * e
-    return tuple(out)
-
-
 def q_shifted(m: tuple, k: int) -> tuple:
     """The monomial q^k * m."""
     if k == 0:
@@ -642,14 +614,6 @@ class Poly:
         return "Poly(%r)" % (self.tuple_terms(),)
 
 
-def one_minus(g: tuple) -> Poly:
-    """The atom polynomial 1 - g."""
-    w = len(g)
-    if not any(g):
-        return Poly.zero(w)
-    return _poly(w, {0: 1, pack(g): -1})
-
-
 def _content(g: int, width: int) -> int:
     """The gcd of the exponents of g != 1.  It divides g itself and the
     lowest nonzero exponent, read from the lowest set bit; when those two are
@@ -851,11 +815,6 @@ class Scalar:
     def monomial(cls, m: tuple, coeff=1) -> "Scalar":
         return cls(len(m), Poly.monomial((0,) * len(m), coeff), pre=m)
 
-    @classmethod
-    def atom_inverse(cls, g: tuple, mult: int = 1) -> "Scalar":
-        """1 / (1 - g)^mult."""
-        return cls(len(g), Poly.one(len(g)), atoms={g: mult})
-
     # -- tuple views -----------------------------------------------------
 
     def tuple_atoms(self) -> dict:
@@ -1001,13 +960,6 @@ class Scalar:
                                {k: m for k, m in keys.items() if m})
         return Scalar._of(width, self.num.subs(ring).scale(coeff), pre, keys)
 
-    def q_shift(self, var_idx: int, m: int) -> "Scalar":
-        """Replace the variable by q^m * itself (exponent e adds 2*m*e to q^(1/2))."""
-        if m == 0:
-            return self
-        image = packed_power(self.w, var_idx, 1) + packed_power(self.w, Q_HALF, 2 * m)
-        return self.subs(RingMap({var_idx: image}, self.w))
-
     def uses(self, indices) -> bool:
         """Whether a variable of the sequence ``indices`` occurs in the
         prefactor, the sum part or an atom root; stops at the first hit."""
@@ -1020,32 +972,6 @@ class Scalar:
     def __repr__(self):
         return "Scalar(num=%r, pre=%r, atoms=%r)" % (
             self.num.tuple_terms(), unpack(self.pre, self.w), self.tuple_atoms())
-
-
-def substitute_monomials(x: Scalar, table: VariableTable, s_images: dict) -> Scalar:
-    """Homomorphic image replacing each gauge variable s_j by a monomial.
-
-    ``s_images`` maps 0-based gauge indices to monomial tuples of the same
-    table; every s_j occurring in x must be covered.
-    """
-    for j in range(table.k):
-        if j not in s_images and x.uses((table.s(j),)):
-            raise ValueError("substitution does not cover s%d" % (j + 1))
-    return x.subs({table.s(j): m for j, m in s_images.items()}, table.width)
-
-
-def q_shift_map(table: VariableTable, dvec) -> RingMap:
-    """The ring map shifting every gauge variable: s_j -> q^{d_j} s_j."""
-    w = table.width
-    return RingMap({table.s(j): packed_power(w, table.s(j), 1) + packed_power(w, Q_HALF, 2 * dj)
-                    for j, dj in enumerate(dvec) if dj}, w)
-
-
-def shift_s_by_degree(x: Scalar, table: VariableTable, dvec) -> Scalar:
-    """x under :func:`q_shift_map`, through a throwaway map."""
-    if not any(dvec):
-        return x
-    return x.subs(q_shift_map(table, dvec))
 
 
 def specialize_q1(x: Scalar, table: VariableTable) -> Scalar:
@@ -1145,11 +1071,6 @@ def _binomials(x: Scalar) -> dict:
                 else:
                     mults.pop(d, None)
     return out
-
-
-def binomial_atoms(x: Scalar) -> dict:
-    """:func:`_binomials` keyed by exponent tuples."""
-    return {unpack(g, x.w): mult for g, mult in _binomials(x).items()}
 
 
 def _factored(x: Scalar):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from coulombkit import GaugeData, VariableTable, fixed_points
+from coulombkit import GaugeData, Poly, VariableTable, fixed_points
 from coulombkit.coulomb import CoulombAlgebra
+from coulombkit.exactring import _binomials, unpack
 
 
 @pytest.fixture(scope="session")
@@ -94,8 +95,38 @@ def rand_mono(rng, table, span=2, vars_=None):
     return tuple(m)
 
 
+def mono_pow(m, e):
+    """The monomial m^e, as an exponent tuple."""
+    return tuple(a * e for a in m)
+
+
+def mono_subs(m, images, width):
+    """Reference image of the exponent tuple m under the ring map
+    ``{variable index: image tuple}`` into ``width`` variables, computed
+    exponent by exponent; a variable absent from ``images`` is fixed."""
+    out = [0] * width
+    for idx, e in enumerate(m):
+        img = images.get(idx)
+        if img is None:
+            out[idx] += e
+        else:
+            for t, x in enumerate(img):
+                out[t] += x * e
+    return tuple(out)
+
+
+def one_minus(g):
+    """The polynomial 1 - g of an exponent tuple g; zero when g is the unit."""
+    return Poly.from_terms(len(g), [((0,) * len(g), 1), (g, -1)])
+
+
+def binomial_atoms(x):
+    """The atoms of x regrouped into binomials, as the renderer groups them:
+    ``{exponent tuple g: mult}`` for the factor (1 - g)^(-mult)."""
+    return {unpack(g, x.w): mult for g, mult in _binomials(x).items()}
+
+
 def rand_poly(rng, table, terms=3, span=2, vars_=None):
-    from coulombkit import Poly
     items = []
     for _ in range(rng.randint(1, terms)):
         items.append((rand_mono(rng, table, span, vars_), rng.randint(-4, 4)))

@@ -13,7 +13,6 @@ from coulombkit import (Descendent, PoleEvaluationError, Poly, fixed_points, ver
                         vertex_fp_nonab, whittaker_function)
 from coulombkit.cli import _degree_report, parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
-from coulombkit.exactring import shift_s_by_degree
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.pochhammer import hq_ratio
 from coulombkit.verma import VermaModule
@@ -202,7 +201,7 @@ def test_cached_evaluation_map_raises_the_pole_of_a_fresh_one(tgr24):
 def _nonab_rebuilt(alg, p, tau, order):
     """vertex_fp_nonab with the kernel of every signed row built afresh per degree."""
     def coeff(d):
-        weight = shift_s_by_degree(tau.as_scalar(), alg.table, d)
+        weight = alg.shift(tau.as_scalar(), d)
         for i, (chi, _, sign) in enumerate(alg.rows):
             m = pair(chi, d)
             if m:

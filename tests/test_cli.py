@@ -467,6 +467,13 @@ MAX_INT = "9" * 4300
      "a_specialization 'a1': division not allowed in the image '(a2+1)^-1'"),
     # a second stability vector on a wall is refused by the wall's normal
     (["wallcross", "a2", "--theta2=-1,-1"], "theta2 on wall with normal (1,-1)"),
+    # every other refusal of a flavor image names its key too
+    (["circuits", "a2+1"], "a_specialization 'a1': expected a monomial in the image 'a2+1'"),
+    (["circuits", "2*a2"],
+     "a_specialization 'a1': expected a monomial with coefficient 1 in the image '2*a2'"),
+    (["circuits", "b1"], "a_specialization 'a1': unknown variable 'b1' in the image 'b1'"),
+    (["circuits", "a2^(1/2)"], "a_specialization 'a1': half powers only allowed on q, h, Q "
+                               "variables in the image 'a2^(1/2)'"),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main

@@ -7,11 +7,11 @@ import pytest
 from coulombkit import GaugeData, Poly, Scalar, specialize_q1
 from coulombkit.coulomb import (AlgebraElement, CoulombAlgebra, ModuleElement, collect, delta,
                                epsilon)
-from coulombkit.exactring import mono_mul, one_minus
+from coulombkit.exactring import mono_mul
 from coulombkit.hypertoric import pair
 from coulombkit.pochhammer import hq_ratio, hq_ratio_inv, poch, q_shifted, sign_kernel
 
-from conftest import rng_for, tgr_model, tpn
+from conftest import one_minus, rng_for, tgr_model, tpn
 
 
 def test_structure_constant_identity(a2_alg):
@@ -71,8 +71,17 @@ def test_shift_lemma_as_elements(a2_alg):
         j = rng.randint(0, 1)
         sj = Scalar.monomial(t.mono({t.s(j): 1}))
         lhs = a2_alg.mul(a2_alg.r(d), a2_alg.cartan(sj))
-        rhs = a2_alg.mul(a2_alg.cartan(sj.q_shift(t.s(j), -d[j])), a2_alg.r(d))
+        shifted = Scalar.monomial(t.mono({t.s(j): 1, 0: -2 * d[j]}))
+        rhs = a2_alg.mul(a2_alg.cartan(shifted), a2_alg.r(d))
         assert lhs == rhs, (d, j)
+
+
+def test_shift_matches_manual():
+    alg = CoulombAlgebra(GaugeData.create([[1, 0], [0, 1]], [1, 1]))
+    t = alg.table
+    f = Scalar(t.width, one_minus(t.mono({t.a(0): 1, t.s(0): 1, t.s(1): -1})))
+    g = alg.shift(f, (2, 1))
+    assert g == Scalar(t.width, one_minus(t.mono({0: 2, t.a(0): 1, t.s(0): 1, t.s(1): -1})))
 
 
 def _random_element(alg, rng, span=3, with_coeff=False):

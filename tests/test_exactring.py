@@ -8,14 +8,12 @@ import pytest
 import coulombkit.exactring
 from coulombkit import Poly, PoleEvaluationError, Scalar, VariableTable
 from coulombkit.exactring import (ExponentOverflowError, RingMap, SumInverseError, _degree,
-                                  _direction,
-                                  _orient_factor, binomial_atoms, mono_inv, mono_mul,
-                                  mono_pow, mono_str, mono_subs, one_minus, pack,
-                                  scalar_str, scalar_from_structured, scalar_structured,
-                                  shift_s_by_degree, substitute_monomials, unpack)
+                                  _direction, _orient_factor, mono_mul, mono_str, pack,
+                                  scalar_str, scalar_from_structured, scalar_structured, unpack)
 from coulombkit.pochhammer import poch, poch_product
 
-from conftest import rand_mono, rand_poly, rng_for
+from conftest import (binomial_atoms, mono_pow, mono_subs, one_minus, rand_mono, rand_poly,
+                      rng_for)
 
 T = VariableTable(2, 2)
 W = T.width
@@ -51,13 +49,13 @@ def test_poly_ring_axioms_random():
 def test_scalar_add_identity_and_telescoping():
     x = mono(s1=1)
     zero = Scalar.zero(W)
-    f = Scalar.atom_inverse(mono(q=1, s1=1))
+    f = Scalar(W, Poly.one(W), atoms={mono(q=1, s1=1): 1})
     assert zero + f == f
     # 1/(1-qx) + (-qx)/(1-qx) = 1
     g = Scalar(W, Poly.monomial(mono(q=1, s1=1), -1), atoms={mono(q=1, s1=1): 1})
     assert f + g == Scalar.one(W)
     # 1/(1-x) + 1/(1-qx) = (2 - x - qx)/((1-x)(1-qx))
-    lhs = Scalar.atom_inverse(x) + Scalar.atom_inverse(mono(q=1, s1=1))
+    lhs = Scalar(W, Poly.one(W), atoms={x: 1}) + f
     num = Poly.from_terms(W, [(T.unit(), 2), (x, -1), (mono(q=1, s1=1), -1)])
     rhs = Scalar(W, num, atoms={x: 1, mono(q=1, s1=1): 1})
     assert lhs == rhs
@@ -68,7 +66,7 @@ def test_scalar_mul_and_inv():
     m = mono(s1=1)
     x = Scalar(W, Poly.one(W), atoms={mono(h=1, s1=1): -1, mono(q=1, s1=1): 1})
     assert x * x.inv() == Scalar.one(W)
-    sq = Scalar.atom_inverse(m) * Scalar.atom_inverse(m)
+    sq = Scalar(W, Poly.one(W), atoms={m: 1}) * Scalar(W, Poly.one(W), atoms={m: 1})
     assert binomial_atoms(sq) == {m: 2}
     # inv((-q^(1/2)h^(-1/2)) (1-x)/(1-hx)) = (-q^(-1/2)h^(1/2)) (1-hx)/(1-x)
     k = Scalar(W, Poly.one(W), pre=T.mono({0: 1, 1: -1}),
@@ -99,21 +97,22 @@ def test_inv_of_a_sum_part_raises():
 
 def test_non_primitive_atoms_cancel_to_their_value():
     s1 = mono(s1=1)
+    at_one = {T.s(0): T.unit(), T.s(1): T.unit()}
     # (1 - s1) / (1 - s1^2) = 1 / (1 + s1), which is 1/2 at s1 = 1
     x = Scalar(W, one_minus(s1), atoms={mono_pow(s1, 2): 1})
-    half = substitute_monomials(x, T, {0: T.unit(), 1: T.unit()})
+    half = x.subs(at_one, W)
     assert half == Scalar.monomial(T.unit(), Fraction(1, 2))
     # (1 - s1^-2) / (1 - s1)^2 at s1 -> 1 is a true pole, named by its root
     y = Scalar(W, Poly.one(W), atoms={mono_pow(s1, -2): -1, s1: 2})
     with pytest.raises(PoleEvaluationError) as exc:
-        substitute_monomials(y, T, {0: T.unit(), 1: T.unit()})
+        y.subs(at_one, W)
     assert exc.value.atom == s1
     # (1 - s1^6)(1 - s1) / ((1 - s1^2)(1 - s1^3)) at s1 -> 1 is 6 / (2 * 3)
     z = Scalar(W, Poly.one(W), atoms={mono_pow(s1, 6): -1, s1: -1, mono_pow(s1, 2): 1,
                                       mono_pow(s1, 3): 1})
-    assert substitute_monomials(z, T, {0: T.unit(), 1: T.unit()}) == Scalar.one(W)
+    assert z.subs(at_one, W) == Scalar.one(W)
     # and under s1 -> s2^-2 the factors land on psi_d(s2)
-    w = substitute_monomials(z, T, {0: mono(s2=-2)})
+    w = z.subs({T.s(0): mono(s2=-2)}, W)
     assert w == Scalar(W, Poly.one(W), atoms={mono(s2=-12): -1, mono(s2=-2): -1,
                                               mono(s2=-4): 1, mono(s2=-6): 1})
 
@@ -146,19 +145,19 @@ def test_pure_products_multiply_without_polynomials(monkeypatch):
     assert calls == []
 
 
-def test_substitute_monomials_pole_and_cancellation():
+def test_subs_pole_and_cancellation():
     x = Scalar(W, one_minus(mono(a1=1, s1=1)))
+    pole = Scalar(W, Poly.one(W), atoms={mono(a1=1, s1=1): 1})
     # numerator (1 - a1 s1) with s1 -> a1^-1 must cancel exactly when dividing itself
-    out = Scalar.atom_inverse(mono(a1=1, s1=1)) * x
-    got = substitute_monomials(out, T, {0: mono(a1=-1)})
+    got = (pole * x).subs({T.s(0): mono(a1=-1)}, W)
     assert got == Scalar.one(W)
     # but a true pole raises
     with pytest.raises(PoleEvaluationError) as exc:
-        substitute_monomials(Scalar.atom_inverse(mono(a1=1, s1=1)), T, {0: mono(a1=-1)})
+        pole.subs({T.s(0): mono(a1=-1)}, W)
     assert exc.value.atom == mono(a1=1, s1=1)
     # plain evaluation: (1-q s1)/(1-h s1) at s1 -> 1
     f = Scalar(W, one_minus(mono(q=1, s1=1)), atoms={mono(h=1, s1=1): 1})
-    got = substitute_monomials(f, T, {0: T.unit(), 1: T.unit()})
+    got = f.subs({T.s(0): T.unit(), T.s(1): T.unit()}, W)
     expected = Scalar(W, one_minus(mono(q=1)), atoms={mono(h=1): 1})
     assert got == expected
 
@@ -167,23 +166,18 @@ def test_uses_reads_every_part():
     s1, s2 = T.s(0), T.s(1)
     for x in (Scalar.monomial(mono(a1=1, s1=-1)),
               Scalar(W, one_minus(mono(s1=1, a2=1)) * one_minus(mono(a1=1))),
-              Scalar.atom_inverse(mono(q=1, s1=2))):
+              Scalar(W, Poly.one(W), atoms={mono(q=1, s1=2): 1})):
         assert x.uses((s1,)) and x.uses((s2, s1)) and not x.uses((s2,)), x
     assert not Scalar.one(W).uses(range(W))
-    # an uncovered gauge variable is named, the first one when several are
-    x = Scalar.atom_inverse(mono(s1=1, s2=-1))
-    for s_images, label in (({0: mono(a1=1)}, "s2"), ({}, "s1")):
-        with pytest.raises(ValueError, match="substitution does not cover %s$" % label):
-            substitute_monomials(x, T, s_images)
 
 
 def test_substitution_is_ring_homomorphism():
     rng = rng_for("subs-hom")
-    smap = {0: mono(a1=1, h=-1), 1: mono(a2=-2)}
+    smap = {T.s(0): mono(a1=1, h=-1), T.s(1): mono(a2=-2)}
     for _ in range(30):
         f = Scalar.from_poly(rand_poly(rng, T, terms=4))
         g = Scalar.from_poly(rand_poly(rng, T, terms=4))
-        sub = lambda z: substitute_monomials(z, T, smap)
+        sub = lambda z: z.subs(smap, W)
         assert sub(f * g) == sub(f) * sub(g)
         assert sub(f + g) == sub(f) + sub(g)
 
@@ -201,17 +195,17 @@ def test_poly_pow_is_the_repeated_product(monkeypatch):
     assert calls == []
 
 
-def test_mono_subs_fixes_absent_variables():
+def test_ring_map_fixes_absent_variables():
     m = mono(q=1, a1=2, s1=-1, s2=3)
-    assert mono_subs(m, {}, W) == m
+    assert unpack(RingMap({}, W).mono(pack(m)), W) == m
     # s1 -> a2 * h, s2 -> 1; the rest stay
     images = {T.s(0): mono(a2=1, h=1), T.s(1): T.unit()}
-    assert mono_subs(m, images, W) == mono(q=1, a1=2, a2=-1, h=-1)
+    assert unpack(RingMap(images, W).mono(pack(m)), W) == mono(q=1, a1=2, a2=-1, h=-1)
     # into a narrower table whose q, h and flavors have the same indices
     narrow = VariableTable(2, 1)
     images = {T.s(0): narrow.mono({narrow.s(0): 1}), T.s(1): narrow.unit()}
     expected = narrow.mono({0: 2, narrow.a(0): 2, narrow.s(0): -1})
-    assert mono_subs(m, images, narrow.width) == expected
+    assert unpack(RingMap(images, narrow.width, W).mono(pack(m)), narrow.width) == expected
     f = Scalar(W, one_minus(mono(a1=1, s1=1)), atoms={mono(q=1, s2=1): 1})
     assert f.subs({}, W) == f
 
@@ -236,7 +230,7 @@ def test_cached_ring_map_raises_the_same_pole_every_time(monkeypatch):
     with the message and atom of a fresh map; the memo is not a way round it."""
     g = mono(a1=1, s1=1)
     images = {T.s(0): mono(a1=-1)}
-    pole = Scalar.atom_inverse(g) * Scalar.from_poly(one_minus(mono(s2=1)))
+    pole = Scalar(W, one_minus(mono(s2=1)), atoms={g: 1})
     ring = RingMap(images, W)
     seen = []
     for subs in (lambda: pole.subs(ring), lambda: pole.subs(ring), lambda: pole.subs(images, W)):
@@ -245,22 +239,24 @@ def test_cached_ring_map_raises_the_same_pole_every_time(monkeypatch):
         seen.append((str(exc.value), exc.value.atom))
     assert seen == [("pole at evaluation point: atom (1 - %r) vanishes" % (g,), g)] * 3
     # a numerator atom sent to 1 gives zero, cached or not
-    zero = Scalar.atom_inverse(g).inv()
+    zero = Scalar(W, Poly.one(W), atoms={g: -1})
     assert zero.subs(ring).is_zero() and zero.subs(ring).is_zero()
 
 
 def test_q_shift():
+    up, down = RingMap({T.s(0): mono(q=1, s1=1)}, W), RingMap({T.s(0): mono(q=-1, s1=1)}, W)
+    up2 = RingMap({T.s(1): mono(q=2, s2=1)}, W)
     s = Scalar.monomial(mono(s1=1))
-    assert s.q_shift(T.s(0), 1) == Scalar.monomial(mono(q=1, s1=1))
+    assert s.subs(up) == Scalar.monomial(mono(q=1, s1=1))
     core = Scalar(W, one_minus(mono(a1=1, s1=1)))
-    shifted = core.q_shift(T.s(0), -1)
+    shifted = core.subs(down)
     assert shifted == Scalar(W, one_minus(mono(q=-1, a1=1, s1=1)))
     rng = rng_for("q-shift")
     for _ in range(20):
         f = Scalar.from_poly(rand_poly(rng, T, terms=5))
-        assert f.q_shift(T.s(0), 1).q_shift(T.s(0), -1) == f
+        assert f.subs(up).subs(down) == f
         g = Scalar.from_poly(rand_poly(rng, T, terms=5))
-        assert (f * g).q_shift(T.s(1), 2) == f.q_shift(T.s(1), 2) * g.q_shift(T.s(1), 2)
+        assert (f * g).subs(up2) == f.subs(up2) * g.subs(up2)
 
 
 def test_cross_multiplication_equality_routes():
@@ -301,7 +297,7 @@ def test_cross_multiplication_equality_routes():
     zero = Scalar.zero(W)
     assert zero == Scalar.zero(W)
     assert not zero == u and not u == zero
-    assert not zero == Scalar.atom_inverse(mono(s1=1))
+    assert not zero == Scalar(W, Poly.one(W), atoms={mono(s1=1): 1})
 
 
 def test_exact_div():
@@ -324,7 +320,7 @@ def test_exact_div():
         if not any(g):
             g = mono(q=2)  # q^2 is exponent 4 on q^(1/2): not primitive
         r = tuple(e // abs(sympy.igcd(*g)) for e in g)
-        r = r if next(e for e in r if e) > 0 else mono_inv(r)
+        r = r if next(e for e in r if e) > 0 else mono_pow(r, -1)
         d = 1 + trial % 6
         x = sympy.Symbol("x")
         cyclo = 1 - x if d == 1 else sympy.cyclotomic_poly(d, x)
@@ -407,12 +403,6 @@ def test_canonical_rendering_deterministic():
     assert scalar_str(T, g) == "-q^(1/2)*h^(-1/2)"
 
 
-def test_shift_s_by_degree_matches_manual():
-    f = Scalar(W, one_minus(mono(a1=1, s1=1, s2=-1)))
-    g = shift_s_by_degree(f, T, (2, 1))
-    assert g == Scalar(W, one_minus(mono(q=1, a1=1, s1=1, s2=-1)))
-
-
 # -- the short path of primitive roots -------------------------------------
 
 def _lead(m):
@@ -460,7 +450,7 @@ def test_primitive_binomials_map_to_keys_without_psi_image(monkeypatch):
         assert all(d == 1 for _, d in x.atoms)
     assert calls == []
     # a binomial that is a proper power still splits through psi_image
-    Scalar.atom_inverse(mono(s1=2))
+    Scalar(W, Poly.one(W), atoms={mono(s1=2): 1})
     assert calls == [(1, 2)]
 
 
@@ -512,7 +502,7 @@ def test_orient_factor_keeps_the_value_of_the_binomial(mult):
         signs.add((total > 0) - (total < 0))
         g2, unit, sign = _orient_factor(pack(g), mult)
         g2, unit = unpack(g2, W), unpack(unit, W)
-        assert sum(g2) > 0 or (sum(g2) == 0 and g2 <= mono_inv(g2))
+        assert sum(g2) > 0 or (sum(g2) == 0 and g2 <= mono_pow(g2, -1))
         lhs, rhs = Poly.monomial(unit, sign), Poly.one(W)
         if mult >= 0:
             lhs, rhs = lhs * one_minus(g2) ** mult, rhs * one_minus(g) ** mult
@@ -544,7 +534,7 @@ def test_pack_round_trips_and_keeps_the_order_of_the_tuples(width):
     small = [tuple(rng.randint(-9, 9) for _ in range(width)) for _ in range(50)]
     for a, b in zip(small, small[1:]):
         assert unpack(pack(a) + pack(b), width) == mono_mul(a, b)
-        assert unpack(-pack(a), width) == mono_inv(a)
+        assert unpack(-pack(a), width) == mono_pow(a, -1)
         assert unpack(-3 * pack(a), width) == mono_pow(a, -3)
 
 

@@ -1,9 +1,10 @@
 """Source hygiene: no module imports a name at top level that it never uses,
-no private module-level function or class of the package goes unused, and
-the package has no floating point."""
+no module-level function or class of the package goes unused, the package
+has no floating point, and the README's library quick tour runs."""
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -63,26 +64,58 @@ def test_no_unused_top_level_imports(path):
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def test_private_definitions_are_referenced():
-    """Every module-level ``_name`` function or class in the package is read
-    somewhere in ``src/``, so a helper orphaned by a refactor fails here."""
-    defined, referenced = {}, set()
+def _package_definitions():
+    """({name: (node, where)} for each module-level function and class of the
+    package, the names ``src/`` reads: loaded names, attributes and
+    ``__all__`` entries)."""
+    defined, read = {}, set()
     for path in PACKAGE:
         with open(path) as fh:
             tree = ast.parse(fh.read(), filename=path)
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")):
-                defined[node.name] = "%s (line %d)" % (os.path.relpath(path, ROOT), node.lineno)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                where = "%s (line %d)" % (os.path.relpath(path, ROOT), node.lineno)
+                defined[node.name] = node, where
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
+                read.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    assert defined
-    orphans = ["%s %s" % (name, where) for name, where in sorted(defined.items())
-               if name not in referenced]
+                read.add(node.attr)
+    return defined, read
+
+
+def test_private_definitions_are_referenced():
+    """Every module-level ``_name`` function or class in the package is read
+    somewhere in ``src/``, so a helper orphaned by a refactor fails here."""
+    defined, read = _package_definitions()
+    private = {name: where for name, (_, where) in defined.items()
+               if name.startswith("_") and not name.startswith("__")}
+    assert private
+    orphans = ["%s %s" % (name, where) for name, where in sorted(private.items())
+               if name not in read]
     assert not orphans, "unreferenced private definitions: " + ", ".join(orphans)
+
+
+def test_public_functions_have_a_caller():
+    """Every public module-level function in the package is read somewhere
+    in ``src/``, named in ``perfbench/``, or listed in ``__all__``, so a
+    library function that only tests call fails here."""
+    bench = ""
+    for name in sorted(os.listdir(os.path.join(ROOT, "perfbench"))):
+        if name.endswith(".py"):
+            with open(os.path.join(ROOT, "perfbench", name)) as fh:
+                bench += fh.read()
+    defined, read = _package_definitions()
+    public = {name: where for name, (node, where) in defined.items()
+              if not name.startswith("_") and not isinstance(node, ast.ClassDef)}
+    assert public
+    orphans = ["%s %s" % (name, where) for name, where in sorted(public.items())
+               if name not in read and not re.search(r"\b%s\b" % name, bench)]
+    assert not orphans, "public functions nothing in src/ or perfbench/ reads: " \
+        + ", ".join(orphans)
 
 
 def test_package_has_no_floating_point():
@@ -105,3 +138,14 @@ def test_package_has_no_floating_point():
                 continue
             hits.append("%s (line %d): %s" % (os.path.relpath(path, ROOT), node.lineno, what))
     assert not hits, "floating point in the package: " + ", ".join(hits)
+
+
+def test_readme_quick_tour_runs():
+    """The ``python`` block under "Library quick tour" in README.md runs as
+    written, so the documented public API cannot drift unnoticed."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("\n## Library quick tour\n")[1].split("\n## ")[0]
+    tour = re.search(r"^```python\n(.*?)^```$", section, re.M | re.S)
+    assert tour, "README.md has no python block under '## Library quick tour'"
+    exec(compile(tour.group(1), "README.md quick tour", "exec"), {})

@@ -6,11 +6,10 @@ import itertools
 import pytest
 
 from coulombkit import Scalar, circuits, fixed_points
-from coulombkit.exactring import binomial_atoms
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.verma import VermaModule, VermaVector
 
-from conftest import rng_for
+from conftest import binomial_atoms, rng_for
 
 
 @pytest.fixture(scope="module")

@@ -8,12 +8,12 @@ from coulombkit import (GaugeData, Poly, Scalar, circuits, fixed_points,
                         vertex_fp_nonab, whittaker_function)
 from coulombkit.cli import parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
-from coulombkit.exactring import mono_mul, one_minus, shift_s_by_degree
+from coulombkit.exactring import mono_mul
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.pochhammer import sign_kernel
 from coulombkit.vertex import Descendent, QSeries, is_lift, weyl_collapse
 
-from conftest import point_by_support, tgr_model, weyl_image
+from conftest import one_minus, point_by_support, tgr_model, weyl_image
 
 
 def _descendents(table):
@@ -95,8 +95,7 @@ def test_descendent_shift_identity(a2_alg):
         for j in range(a2_alg.data.k):
             shifted = vertex_fp(a2_alg, p, Descendent(Poly.monomial(t.mono({t.s(j): 1}))), 2)
             for d, coeff in base.coeffs.items():
-                eig = Scalar.monomial(p.restriction[j]).q_shift(0, 0) \
-                    * Scalar.monomial(t.mono({0: 2 * d[j]}))
+                eig = Scalar.monomial(p.restriction[j]) * Scalar.monomial(t.mono({0: 2 * d[j]}))
                 got = shifted.coeffs.get(d, Scalar.zero(w))
                 assert got == coeff * eig, (p.label(), j, d)
 
@@ -228,7 +227,7 @@ def test_nonabelian_kaehler_recursion(tgr24_alg):
             if pair(alg.data.theta, down) < 0:
                 continue
             lhs = coeff(down) if alg.eff().contains(down) else Scalar.zero(w)
-            eig = shift_s_by_degree(rel, t, d).subs(images, w)
+            eig = alg.shift(rel, d).subs(images, w)
             assert lhs == ad * eig, (d, wc)
             checked += 1
     assert checked >= 6
