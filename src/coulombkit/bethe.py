@@ -12,22 +12,21 @@ file gives blocks: then each relation also shows its Weyl element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coulomb import CoulombAlgebra
-from .exactring import Q_HALF, Scalar, mono_str, scalar_str, scalar_structured, specialize_q1
-from .hypertoric import circuits
+from .exactring import Q_HALF, mono_str, scalar_str, scalar_structured, specialize_q1
+from .hypertoric import _Record, circuits
 
 
-@dataclass(frozen=True)
-class Relation:
-    """One relation: lhs scalar = Kahler monomial of degree rhs_degree."""
+class Relation(_Record):
+    """One relation: lhs scalar = Kahler monomial of degree rhs_degree; ``kind``
+    is "dmodule" or "bethe_q1".  Unhashable, as a Scalar is."""
 
-    lhs: Scalar
-    rhs_degree: tuple
-    kind: str  # "dmodule" | "bethe_q1"
-    circuit: tuple
-    weyl_rep: tuple
+    __slots__ = _compared = ("lhs", "rhs_degree", "kind", "circuit", "weyl_rep")
+    __hash__ = None
+
+    def __init__(self, lhs, rhs_degree, kind, circuit, weyl_rep):
+        self._set(lhs=lhs, rhs_degree=rhs_degree, kind=kind, circuit=circuit,
+                  weyl_rep=weyl_rep)
 
 
 def dmodule_relations(alg: CoulombAlgebra):

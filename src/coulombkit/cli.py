@@ -10,7 +10,6 @@ digit limit (``_power_of_ten``).
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -119,10 +118,11 @@ class _ExprParser:
     default message names: " in descendents" for a division or a q, else
     nothing."""
 
-    def __init__(self, table: VariableTable, tokens, allow_q: bool,
+    def __init__(self, table: VariableTable, text: str, allow_q: bool,
                  refusal=lambda rule, where="": rule + where):
         self.table = table
-        self.tokens = tokens
+        self.tokens = _tokenize(text)
+        self.end = len(text)
         self.i = 0
         self.allow_q = allow_q
         self.refusal = refusal
@@ -142,7 +142,7 @@ class _ExprParser:
         return self.next()
 
     def _pos(self):
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else -1
+        return self.tokens[self.i][1] if self.i < len(self.tokens) else self.end
 
     def nested(self, parse) -> Poly:
         if self.depth >= MAX_NESTING:
@@ -305,12 +305,12 @@ class _ExprParser:
 
 
 def parse_descendent(text: str, table: VariableTable) -> Descendent:
-    poly = _ExprParser(table, _tokenize(text), allow_q=False).parse()
+    poly = _ExprParser(table, text, allow_q=False).parse()
     return Descendent(poly)
 
 
 def parse_scalar_expr(text: str, table: VariableTable) -> Poly:
-    return _ExprParser(table, _tokenize(text), allow_q=True).parse()
+    return _ExprParser(table, text, allow_q=True).parse()
 
 
 def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
@@ -318,7 +318,7 @@ def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
     def refusal(rule, where=""):
         return "a_specialization %r: %s in the image %r" % (name, rule, text)
 
-    poly = _ExprParser(table, _tokenize(text), allow_q=False, refusal=refusal).parse()
+    poly = _ExprParser(table, text, allow_q=False, refusal=refusal).parse()
     if not poly.is_monomial():
         raise ExprError(refusal("expected a monomial"))
     (m, c), = poly.tuple_terms().items()
@@ -687,10 +687,11 @@ def _point_text(table, idx, p, lift=None):
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The process's one argument parser, built on the first call.  Nothing
-    in it depends on a request, and parsing does not change it, so every
-    command shares it; callers must not add arguments to it."""
+def build_parser():
+    """The process's one argument parser, built (and ``argparse`` imported) on
+    the first call.  Nothing in it depends on a request, and parsing does not
+    change it, so every command shares it; callers must not add arguments to it."""
+    import argparse
     ap = argparse.ArgumentParser(prog="coulombkit",
                                  description="exact engine for convolution-algebra models")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -9,12 +9,15 @@ k-subset's rows, hence each fixed point, is read off the c_S of its faces.
 Dimensions are desk scale (n <= 16, k <= 8): a model is refused when it has
 more than ``MAX_ROW_SUBSETS`` candidate row subsets C(n, k), which every
 loop over supports and walls walks, or a weight entry above ``MAX_WEIGHT``.
+
+The records here, ``bethe.Relation`` and ``wallcross.WallCrossScenario`` are
+plain immutable classes on one base, ``_Record``: importing the package loads
+no standard data-class module, nor the ``inspect`` such a module imports.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb, gcd
 from operator import mul
@@ -121,20 +124,48 @@ def kernel_normal(rows, k):
 # model data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaugeData:
+class _Record:
+    """An immutable record whose ``__init__`` hands every field to ``_set``.
+    Records of one class are equal when their fields named in ``_compared``
+    are, and hash them once, in ``_set``, as fixed points key the evaluation
+    caches; a record with an unhashable field sets ``__hash__ = None``."""
+
+    __slots__ = ("_key", "_hash")
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", tuple(map(fields.__getitem__, self._compared)))
+        if type(self).__hash__ is not None:
+            object.__setattr__(self, "_hash", hash(self._key))
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._compared))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s.%s is read-only" % (type(self).__name__, name))
+
+    __delattr__ = __setattr__
+
+
+class GaugeData(_Record):
     """Integer model datum: weight rows chi, stability theta, optional GL blocks.
     ``create`` keeps ``cofactors``, c_S for each (k-1)-subset S of rank k-1, and
     the circuits, ``walls``; ``points`` and ``cone`` are built on first use."""
 
-    n: int
-    k: int
-    chi: tuple
-    theta: tuple
-    blocks: tuple | None = None
-    a_specialization: dict | None = field(default=None, compare=False)
-    cofactors: dict | None = field(default=None, compare=False, repr=False)
-    walls: tuple | None = field(default=None, compare=False, repr=False)
+    _compared = ("n", "k", "chi", "theta", "blocks")
+
+    def __init__(self, n, k, chi, theta, blocks=None, a_specialization=None, cofactors=None,
+                 walls=None):
+        self._set(n=n, k=k, chi=chi, theta=theta, blocks=blocks,
+                  a_specialization=a_specialization, cofactors=cofactors, walls=walls)
 
     @classmethod
     def create(cls, chi, theta, blocks=None, a_specialization=None):
@@ -265,16 +296,16 @@ def _check_block_symmetry(chi, theta, blocks):
         start += b
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(_Record):
     """Primitive cowall normal, oriented positively against theta."""
 
-    vector: tuple
-    wall_rows: frozenset
+    __slots__ = _compared = ("vector", "wall_rows")
+
+    def __init__(self, vector, wall_rows):
+        self._set(vector=vector, wall_rows=wall_rows)
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(_Record):
     """Unimodular size-k support with sign split and monomial restriction.
 
     ``restriction`` maps 0-based gauge indices j to the monomial value of
@@ -282,28 +313,27 @@ class FixedPoint:
     is the Z-basis of the effective cone of the point.
     """
 
-    support: tuple
-    plus: frozenset
-    minus: frozenset
-    coeffs: tuple
-    restriction: dict = field(compare=False)
-    rays: tuple = ()
+    __slots__ = ("support", "plus", "minus", "coeffs", "restriction", "rays")
+    _compared = ("support", "plus", "minus", "coeffs", "rays")
+
+    def __init__(self, support, plus, minus, coeffs, restriction, rays=()):
+        self._set(support=support, plus=plus, minus=minus, coeffs=coeffs,
+                  restriction=restriction, rays=rays)
 
     def label(self) -> str:
         return "p{%s}" % ",".join(str(i + 1) for i in self.support)
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(_Record):
     """Rational polyhedral cone with both generator and facet descriptions."""
 
-    generators: tuple
-    facet_normals: tuple
+    __slots__ = _compared = ("generators", "facet_normals")
 
-    def __post_init__(self):
-        for g in self.generators:
-            if any(pair(f, g) < 0 for f in self.facet_normals):
+    def __init__(self, generators, facet_normals):
+        for g in generators:
+            if any(pair(f, g) < 0 for f in facet_normals):
                 raise ModelError("cone descriptions disagree on generator %r" % (g,))
+        self._set(generators=generators, facet_normals=facet_normals)
 
     def contains(self, d) -> bool:
         return all(pair(f, d) >= 0 for f in self.facet_normals)

@@ -8,19 +8,19 @@ after inverting the relation, which is verified symbolically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coulomb import AlgebraElement, CoulombAlgebra
 from .exactring import Scalar
-from .hypertoric import GaugeData, separating_circuits
+from .hypertoric import GaugeData, _Record, separating_circuits
 
 
-@dataclass
-class WallCrossScenario:
-    algebra: CoulombAlgebra
-    algebra2: CoulombAlgebra
-    reversing: tuple
-    kept: tuple
+class WallCrossScenario(_Record):
+    """The algebras of theta and theta2, and the circuits reversed or kept."""
+
+    __slots__ = _compared = ("algebra", "algebra2", "reversing", "kept")
+    __hash__ = None
+
+    def __init__(self, algebra, algebra2, reversing, kept):
+        self._set(algebra=algebra, algebra2=algebra2, reversing=reversing, kept=kept)
 
 
 def make_scenario(alg: CoulombAlgebra, theta2) -> WallCrossScenario:

@@ -474,6 +474,12 @@ MAX_INT = "9" * 4300
     (["circuits", "b1"], "a_specialization 'a1': unknown variable 'b1' in the image 'b1'"),
     (["circuits", "a2^(1/2)"], "a_specialization 'a1': half powers only allowed on q, h, Q "
                                "variables in the image 'a2^(1/2)'"),
+    # an expression cut short names the position just past its end
+    (["vertex", "tp1", "--descendent=(s1"], "expected ')' at position 3"),
+    (["vertex", "tp1", "--descendent=s1^("], "expected integer at position 4"),
+    (["vertex", "tp1", "--descendent=s1^ "], "expected integer at position 4"),
+    (["mul", "tp1", "r[1] (a1"], "expected ')' at position 3"),
+    (["circuits", "((a2"], "expected ')' at position 4"),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main
