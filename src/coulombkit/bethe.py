@@ -3,11 +3,12 @@
 Relations are emitted as scalar data tagged by the Kahler degree they are
 set equal to; quotient-module arithmetic is out of scope.  Every model is a
 block model, an abelian one having blocks of size 1: one relation is produced
-per (dominant circuit, Weyl element) pair of the virtual abelian model, whose
-virtual rows supply the Weyl correction through the product itself, under
-the flavor specialization the model records.  The degree tag records the
-per-block totals of the circuit.  Only the rendering asks whether the model
-file gives blocks: then each relation also shows its Weyl element.
+per (dominant circuit, Weyl element) pair of ``GaugeData``, the virtual
+abelian model's ``CoulombAlgebra.relation``, whose virtual rows supply the
+Weyl correction through the product itself, under the flavor specialization
+the model records.  The degree tag records the per-block totals of the
+circuit.  Only the rendering asks whether the model file gives blocks: then
+each relation also shows its Weyl element.
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ def dmodule_relations(alg: CoulombAlgebra):
     out = []
     for circ in circuits(alg.data):
         c = circ.vector
-        if not alg.is_dominant(c):
+        if not alg.data.is_dominant(c):
             continue
-        for w in alg.weyl_elements():
-            wc = alg.weyl_on_degree(w, c)
-            nwc = tuple(-x for x in wc)
-            lhs = alg.mul(alg.mixed_generator(wc), alg.mixed_generator(nwc)).scalar_part()
+        for w in alg.data.weyl_elements():
+            lhs = alg.relation(alg.data.weyl_on_degree(w, c))
             if alg.flavor_images:
                 lhs = lhs.subs(alg.flavor_images, alg.table.width)
             out.append(Relation(lhs=lhs, rhs_degree=alg.data.block_sums(c),

@@ -112,20 +112,18 @@ def _bounded(p: Poly, table: VariableTable) -> Poly:
 class _ExprParser:
     """Recursive descent over +, -, *, ^ with rational literals and variables.
 
-    ``refusal(rule, where)`` words the message that refuses an input breaking
-    ``rule``: a division, a q where ``allow_q`` is false, an unknown variable
-    or a half power of a variable that has none.  ``where`` is the place the
-    default message names: " in descendents" for a division or a q, else
-    nothing."""
+    ``where`` ends the message that refuses a division, or a q where
+    ``allow_q`` is false: " in descendents", or "" for a caller that names
+    the place itself."""
 
     def __init__(self, table: VariableTable, text: str, allow_q: bool,
-                 refusal=lambda rule, where="": rule + where):
+                 where: str = " in descendents"):
         self.table = table
         self.tokens = _tokenize(text)
         self.end = len(text)
         self.i = 0
         self.allow_q = allow_q
-        self.refusal = refusal
+        self.where = where
         self.depth = 0
 
     def peek(self):
@@ -173,7 +171,7 @@ class _ExprParser:
                 self.next()
                 p = self._product(p, self.factor())
             elif self.peek() == "/":
-                raise ExprError(self.refusal("division not allowed", " in descendents"))
+                raise ExprError("division not allowed" + self.where)
             else:
                 return p
 
@@ -227,7 +225,7 @@ class _ExprParser:
             idx, half_units = is_var
             if den == 2:
                 if not self.table.is_half_variable(idx):
-                    raise ExprError(self.refusal("half powers only allowed on q, h, Q variables"))
+                    raise ExprError("half powers only allowed on q, h, Q variables")
                 e = num
             else:
                 e = num * half_units
@@ -235,7 +233,7 @@ class _ExprParser:
         if den == 2:
             raise ExprError("half powers only allowed on single variables")
         if num < 0 and not (p.is_monomial() and next(iter(p.terms.values())) == 1):
-            raise ExprError(self.refusal("division not allowed", " in descendents"))
+            raise ExprError("division not allowed" + self.where)
         if num > MAX_SUM_POWER and not (p.is_monomial() and abs(next(iter(p.terms.values()))) == 1):
             raise ExprError("power %d of %s exceeds the limit %d" % (
                 num, "a sum" if len(p.terms) > 1 else "a coefficient", MAX_SUM_POWER))
@@ -290,7 +288,7 @@ class _ExprParser:
             return 1
         if name == "q":
             if not self.allow_q:
-                raise ExprError(self.refusal("the variable q is not allowed", " in descendents"))
+                raise ExprError("the variable q is not allowed" + self.where)
             return 0
         m = re.fullmatch(r"a(\d+)", name)
         if m and 1 <= int(m.group(1)) <= table.n:
@@ -301,7 +299,7 @@ class _ExprParser:
         m = re.fullmatch(r"Q(\d+)", name)
         if m and self.allow_q and 1 <= int(m.group(1)) <= table.k:
             return table.qvar(int(m.group(1)) - 1)
-        raise ExprError(self.refusal("unknown variable %r" % name))
+        raise ExprError("unknown variable %r" % name)
 
 
 def parse_descendent(text: str, table: VariableTable) -> Descendent:
@@ -314,16 +312,17 @@ def parse_scalar_expr(text: str, table: VariableTable) -> Poly:
 
 
 def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
-    """The exponents of ``text``, the image of the flavor variable ``name``."""
-    def refusal(rule, where=""):
-        return "a_specialization %r: %s in the image %r" % (name, rule, text)
-
-    poly = _ExprParser(table, text, allow_q=False, refusal=refusal).parse()
-    if not poly.is_monomial():
-        raise ExprError(refusal("expected a monomial"))
-    (m, c), = poly.tuple_terms().items()
-    if c != 1:
-        raise ExprError(refusal("expected a monomial with coefficient 1"))
+    """The exponents of ``text``, the image of the flavor variable ``name``;
+    every refusal names the key and the image."""
+    try:
+        poly = _ExprParser(table, text, allow_q=False, where="").parse()
+        if not poly.is_monomial():
+            raise ExprError("expected a monomial")
+        (m, c), = poly.tuple_terms().items()
+        if c != 1:
+            raise ExprError("expected a monomial with coefficient 1")
+    except ExprError as exc:
+        raise ExprError("a_specialization %r: %s in the image %r" % (name, exc, text))
     return m
 
 
@@ -471,17 +470,13 @@ def _check_weyl_invariant(alg: CoulombAlgebra, tau: Descendent, text: str):
     a nonabelian descendent is a Weyl-invariant class, and the series of one
     that is not would depend on the lift.  The swaps of neighbouring s_j in
     a block generate the Weyl group, so they are the ones tried."""
-    table, k = alg.table, alg.data.k
+    table = alg.table
     poly = tau.poly.subs(RingMap(alg.flavor_images, table.width))
-    for a, b in alg.data.block_slices():
-        for u in range(a, b - 1):
-            swap = {table.s(u): table.packed({table.s(u + 1): 1}),
-                    table.s(u + 1): table.packed({table.s(u): 1})}
-            if poly.subs(swap, table.width) != poly:
-                w = [j + 1 for j in range(k)]
-                w[u], w[u + 1] = w[u + 1], w[u]
-                raise ExprError("descendent %r is not Weyl-invariant: w=(%s) changes it"
-                                % (text, ",".join(map(str, w))))
+    for w in alg.data.weyl_swaps():
+        swap = {table.s(j): table.packed({table.s(dst): 1}) for j, dst in enumerate(w) if j != dst}
+        if poly.subs(swap, table.width) != poly:
+            raise ExprError("descendent %r is not Weyl-invariant: w=(%s) changes it"
+                            % (text, ",".join(str(j + 1) for j in w)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,16 +29,17 @@ Pochhammer builder.
 Mixed generators rescale r_d by an explicit kernel coefficient depending on
 which side of the effective cone d lies; products of mixed generators inside
 the cone are degreewise trivial, which is what the Verma and vertex layers
-are built on.  Structure constants are memoized per (c, d, polarization),
-matter kernels per degree, Verma modules per fixed point, evaluation ring
-maps per (fixed point, flavor specialization, shift degree) and shift ring
-maps s_j -> q^{d_j} s_j per degree (:meth:`CoulombAlgebra.shift_map`, the
-one place such a map is built), all on the algebra instance and dropped
-with it; :meth:`CoulombAlgebra.evaluate` is the one evaluation at a fixed
-point, for the closed series and the Verma modules alike.  Cached values
-are immutable and a :class:`~coulombkit.exactring.RingMap` only grows memos
-that never change a result, so concurrent identical insertions are
-harmless.
+are built on.  :meth:`CoulombAlgebra.relation` builds every two-sided
+product R_c f R_{-c} of them.  Structure constants are memoized per
+(c, d, polarization), matter kernels per degree, Verma modules per fixed
+point, evaluation ring maps per (fixed point, flavor specialization, shift
+degree) and shift ring maps s_j -> q^{d_j} s_j per degree
+(:meth:`CoulombAlgebra.shift_map`, the one place such a map is built), all
+on the algebra instance and dropped with it; :meth:`CoulombAlgebra.evaluate`
+is the one evaluation at a fixed point, for the closed series and the Verma
+modules alike.  Cached values are immutable and a
+:class:`~coulombkit.exactring.RingMap` only grows memos that never change a
+result, so concurrent identical insertions are harmless.
 """
 
 from __future__ import annotations
@@ -323,21 +324,30 @@ class CoulombAlgebra:
         side = d if eff.contains(d) else tuple(-x for x in d)
         pol = mixed_polarization([chi for chi, _, _ in self.rows], side) \
             if eff.contains(side) else self.canonical_pol
-        out = self.xi_phi_coefficient(d, pol)
-        self._mixed_cache[d] = out
+        out = self._mixed_cache[d] = self.xi_phi_coefficient(d, pol)
         return out
 
     def mixed_coefficient_inv(self, d) -> Scalar:
         d = tuple(d)
         got = self._mixed_inv_cache.get(d)
         if got is None:
-            got = self.mixed_coefficient(d).inv()
-            self._mixed_inv_cache[d] = got
+            got = self._mixed_inv_cache[d] = self.mixed_coefficient(d).inv()
         return got
 
     def mixed_generator(self, d) -> AlgebraElement:
         d = tuple(d)
         return self.r(d, self.mixed_coefficient(d))
+
+    def relation(self, c, f: Scalar | None = None, other: "CoulombAlgebra | None" = None) -> Scalar:
+        """The scalar part of R_c f R_{-c}, R being the mixed generators of
+        ``other`` (by default this algebra) multiplied in this algebra; the
+        one place the product is built, by :meth:`mul`."""
+        other = self if other is None else other
+        nc = tuple(-x for x in c)
+        prod = self.r(c, other.mixed_coefficient(c))
+        if f is not None:
+            prod = self.mul(prod, self.cartan(f))
+        return self.mul(prod, self.r(nc, other.mixed_coefficient(nc))).scalar_part()
 
     # -- right module -------------------------------------------------------
 
@@ -402,32 +412,3 @@ class CoulombAlgebra:
                   for i, row in enumerate(self.data.chi)}
         images.update({ab.table.qvar(i): t.unit() for i in range(self.data.n)})
         return f.subs(images, t.width)
-
-    # -- Weyl machinery -------------------------------------------------------
-
-    def weyl_elements(self):
-        """All block permutations, as index tuples acting on degree vectors."""
-        slices = self.data.block_slices()
-        pools = [itertools.permutations(range(a, b)) for a, b in slices]
-        out = []
-        for combo in itertools.product(*pools):
-            perm = []
-            for part in combo:
-                perm.extend(part)
-            out.append(tuple(perm))
-        return out
-
-    def weyl_on_degree(self, w, d):
-        """Permute a degree vector: entry w[j] of the image is entry j of d, so
-        on three entries w = (1, 2, 0) sends (10, 20, 30) to (30, 10, 20)."""
-        out = [0] * len(w)
-        for j, dst in enumerate(w):
-            out[dst] = d[j]
-        return tuple(out)
-
-    def is_dominant(self, d) -> bool:
-        for a, b in self.data.block_slices():
-            for j in range(a, b - 1):
-                if d[j] < d[j + 1]:
-                    return False
-        return True

@@ -10,6 +10,9 @@ Dimensions are desk scale (n <= 16, k <= 8): a model is refused when it has
 more than ``MAX_ROW_SUBSETS`` candidate row subsets C(n, k), which every
 loop over supports and walls walks, or a weight entry above ``MAX_WEIGHT``.
 
+The Weyl group of the GL blocks lives on :class:`GaugeData`, all of it read
+off one ``_block_slices``; ``create`` checks the model against its swaps.
+
 The records here, ``bethe.Relation`` and ``wallcross.WallCrossScenario`` are
 plain immutable classes on one base, ``_Record``: importing the package loads
 no standard data-class module, nor the ``inspect`` such a module imports.
@@ -263,14 +266,26 @@ class GaugeData(_Record):
         return VariableTable(self.n, self.k)
 
     def block_slices(self):
-        if self.blocks is None:
-            return [(j, j + 1) for j in range(self.k)]
-        out = []
-        start = 0
-        for b in self.blocks:
-            out.append((start, start + b))
-            start += b
-        return out
+        return _block_slices(self.k, self.blocks)
+
+    def weyl_swaps(self):
+        return _weyl_swaps(self.k, self.blocks)
+
+    def weyl_elements(self):
+        """All block permutations, as index tuples acting on degree vectors:
+        the identity first, then ``itertools.product`` order over the blocks."""
+        pools = [itertools.permutations(range(a, b)) for a, b in self.block_slices()]
+        return [sum(combo, ()) for combo in itertools.product(*pools)]
+
+    @staticmethod
+    def weyl_on_degree(w, d):
+        """Permute a degree vector: entry w[j] of the image is entry j of d, so
+        on three entries w = (1, 2, 0) sends (10, 20, 30) to (30, 10, 20)."""
+        return tuple(d[w.index(j)] for j in range(len(w)))
+
+    def is_dominant(self, d) -> bool:
+        """Whether d is non-increasing inside each block."""
+        return all(d[u] >= d[u + 1] for a, b in self.block_slices() for u in range(a, b - 1))
 
     def block_sums(self, d) -> tuple:
         """The per-block totals of a degree vector: its image in the cocharacters
@@ -281,19 +296,25 @@ class GaugeData(_Record):
         return pair(self.chi[i], d)
 
 
+def _block_slices(k, blocks):
+    """The coordinate ranges [a, b) of the GL blocks, of size 1 without blocks."""
+    sizes = (1,) * k if blocks is None else blocks
+    return [(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
+
+
+def _weyl_swaps(k, blocks):
+    """The swaps of neighbouring coordinates in a block; they generate W."""
+    return [(*range(u), u + 1, u, *range(u + 2, k))
+            for a, b in _block_slices(k, blocks) for u in range(a, b - 1)]
+
+
 def _check_block_symmetry(chi, theta, blocks):
-    start = 0
     rows = sorted(chi)
-    for b in blocks:
-        for u in range(start, start + b - 1):
-            perm = list(range(len(theta)))
-            perm[u], perm[u + 1] = perm[u + 1], perm[u]
-            swapped = sorted(tuple(row[p] for p in perm) for row in chi)
-            if swapped != rows:
-                raise ModelError("rows are not invariant under within-block permutations")
-            if theta[u] != theta[u + 1]:
-                raise ModelError("theta is not constant on a GL block")
-        start += b
+    for w in _weyl_swaps(len(theta), blocks):
+        if sorted(GaugeData.weyl_on_degree(w, row) for row in chi) != rows:
+            raise ModelError("rows are not invariant under within-block permutations")
+        if GaugeData.weyl_on_degree(w, theta) != theta:
+            raise ModelError("theta is not constant on a GL block")
 
 
 class Circuit(_Record):

@@ -85,14 +85,9 @@ class VermaModule:
         """The diagonal value of the contravariant form on the basis vector at d."""
         d = tuple(d)
         got = self._norm_cache.get(d)
-        if got is not None:
-            return got
-        alg = self.algebra
-        nd = tuple(-x for x in d)
-        prod = alg.mul(alg.mixed_generator(nd), alg.mixed_generator(d))
-        out = self.evaluate(prod.scalar_part())
-        self._norm_cache[d] = out
-        return out
+        if got is None:
+            got = self._norm_cache[d] = self.evaluate(self.algebra.relation(tuple(-x for x in d)))
+        return got
 
     def contravariant_form(self, u: VermaVector, w: VermaVector) -> Scalar:
         out = Scalar.zero(self.algebra.table.width)

@@ -45,11 +45,14 @@ class QSeries(Combination):
 
 
 def is_lift(alg: CoulombAlgebra, p: FixedPoint) -> bool:
-    """Whether p lifts an isolated fixed point: no virtual row's monomial
-    s_u s_v^-1 restricts to 1 there, under the flavor specialization.  Every
-    fixed point of an abelian model is one."""
+    """Whether p lifts an isolated fixed point: no virtual row's kernel factor
+    vanishes there under the flavor specialization.  A virtual row x = s_u/s_v
+    enters inverted: (1 - q^m h x) and (1 - q^-m x), m >= 0, are denominators.
+    A restriction is free of q, so only m = 0 can vanish, and x^-1 is a row
+    too: no x may restrict to 1, h or h^-1.  Abelian points are all lifts."""
     ring = alg.evaluation_map(p, specialize=True)
-    return not any(sign < 0 and not ring.mono(x) for _, x, sign in alg.rows)
+    h = packed_power(alg.table.width, HBAR_HALF, 2)
+    return not any(sign < 0 and ring.mono(x) in (0, h, -h) for _, x, sign in alg.rows)
 
 
 def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
@@ -147,17 +150,11 @@ def kaehler_relation_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent |
     """Multiplying by one Kahler monomial equals conjugating the insertion."""
     c = tuple(circuit)
     insertion = tau.as_scalar() if isinstance(tau, Descendent) else tau
-    nc = tuple(-x for x in c)
-    conjugated = alg.mul(alg.mul(alg.mixed_generator(c), alg.cartan(insertion)),
-                         alg.mixed_generator(nc)).scalar_part()
-    lhs = vertex_fp(alg, p, conjugated, order)
+    lhs = vertex_fp(alg, p, alg.relation(c, insertion), order)
     rhs = vertex_fp(alg, p, insertion, order)
     w = alg.table.width
-    for d in enumerate_degrees(alg.eff(), alg.data.theta, order):
-        dmc = tuple(x - y for x, y in zip(d, c))
-        if not (lhs.coefficient(d, w) == rhs.coefficient(dmc, w)):
-            return False
-    return True
+    return all(lhs.coefficient(d, w) == rhs.coefficient(tuple(x - y for x, y in zip(d, c)), w)
+               for d in enumerate_degrees(alg.eff(), alg.data.theta, order))
 
 
 # ---------------------------------------------------------------------------

@@ -55,17 +55,6 @@ def check_reversal(scn: WallCrossScenario, rho) -> bool:
             and primed_generator(scn, nrho) == alg.mixed_generator(nrho))
 
 
-def _relation_apply(scn: WallCrossScenario, wc, insertion: Scalar,
-                    primed: bool) -> Scalar:
-    """Scalar of (generator at wc) insertion (generator at -wc)."""
-    alg = scn.algebra
-    nwc = tuple(-x for x in wc)
-    gen_plus = primed_generator(scn, wc) if primed else alg.mixed_generator(wc)
-    gen_minus = primed_generator(scn, nwc) if primed else alg.mixed_generator(nwc)
-    prod = alg.mul(alg.mul(gen_plus, alg.cartan(insertion)), gen_minus)
-    return prod.scalar_part()
-
-
 def dmodule_match(scn: WallCrossScenario, c) -> bool:
     """Invert the first relation and land exactly on the second side's relation.
 
@@ -77,17 +66,14 @@ def dmodule_match(scn: WallCrossScenario, c) -> bool:
     c = tuple(c)
     table = alg.table
     insertions = (Scalar.one(table.width), Scalar.monomial(table.mono({table.s(0): 1})))
-    passed = True
-    for w in alg.weyl_elements():
-        wc = alg.weyl_on_degree(w, c)
-        nwc = tuple(-x for x in wc)
+    checks = []
+    for w in alg.data.weyl_elements():
+        wc = alg.data.weyl_on_degree(w, c)
         for insertion in insertions:
+            first = alg.relation(wc, insertion)
             if c in scn.reversing:
-                forward = _relation_apply(scn, wc, insertion, primed=False)
-                back = _relation_apply(scn, nwc, forward, primed=True)
-                passed = passed and (back == insertion)
+                back = alg.relation(tuple(-x for x in wc), first, other=scn.algebra2)
+                checks.append(back == insertion)
             else:
-                first = _relation_apply(scn, wc, insertion, primed=False)
-                second = _relation_apply(scn, wc, insertion, primed=True)
-                passed = passed and (first == second)
-    return passed
+                checks.append(first == alg.relation(wc, insertion, other=scn.algebra2))
+    return all(checks)

@@ -1,8 +1,10 @@
+import os
 import random
 
 import pytest
 
 from coulombkit import GaugeData, Poly, VariableTable, fixed_points
+from coulombkit.cli import load_model
 from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import _binomials, unpack
 
@@ -56,6 +58,11 @@ def tgr24():
     return tgr_model(2, 4)
 
 
+def data_model(name):
+    """The model of ``tests/data/<name>.json``, read as the command line reads it."""
+    return load_model(os.path.join(os.path.dirname(__file__), "data", name + ".json"))
+
+
 @pytest.fixture(scope="session")
 def tgr24_alg(tgr24):
     return CoulombAlgebra(tgr24)
@@ -79,7 +86,7 @@ def weyl_image(alg, w, p):
     data = alg.data
 
     def image(i):
-        chi = alg.weyl_on_degree(w, data.chi[i])
+        chi = data.weyl_on_degree(w, data.chi[i])
         return next(j for j in range(data.n) if data.chi[j] == chi
                     and data.a_specialization[j] == data.a_specialization[i])
 

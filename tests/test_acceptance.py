@@ -276,7 +276,7 @@ def test_criterion_12_nonabelian_consistency(tgr24_alg):
     lifts = [p for p in fixed_points(tgr24_alg.data) if is_lift(tgr24_alg, p)]
     series = {p: vertex_fp_nonab(tgr24_alg, p, tau, 2) for p in lifts}
     for p in lifts:
-        for w in tgr24_alg.weyl_elements():
+        for w in tgr24_alg.data.weyl_elements():
             wp = weyl_image(tgr24_alg, w, p)
             ok = ok and (wp == p) == (w == (0, 1)) and series[wp] == series[p]
     report(12, "block models: trivial blocks and lift independence", ok)

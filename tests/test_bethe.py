@@ -101,10 +101,10 @@ def test_q0_limit_cuts_kring_ideal(tp1_alg, a2_alg, sqed11):
 
 def test_weyl_equivariance_nonabelian(tgr24_alg):
     rels = dmodule_relations(tgr24_alg)
-    assert len(rels) == len(tgr24_alg.weyl_elements())
+    assert len(rels) == len(tgr24_alg.data.weyl_elements())
     lhs_set = [r.lhs for r in rels]
     # acting by the transposition permutes the two relations
-    w = tgr24_alg.weyl_elements()[1]
+    w = tgr24_alg.data.weyl_elements()[1]
     # w moves the gauge and Kahler variables of index j to index w[j], as
     # weyl_on_degree moves degree entries
     t = tgr24_alg.table

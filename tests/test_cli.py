@@ -16,6 +16,8 @@ from coulombkit.cli import (ExprError, build_parser, dispatch, load_model,
 from coulombkit.exactring import scalar_from_structured
 from coulombkit.hypertoric import ModelError
 
+from conftest import weyl_image
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -257,6 +259,10 @@ GOLDEN = [
     ("circuits_tgr24.txt", ["circuits", "tgr24"]),
     ("analyze_a2.json", ["analyze", "a2", "--json"]),
     ("analyze_tgr24.json", ["analyze", "tgr24", "--json"]),
+    # T*Fl(3), blocks GL(1) x GL(2): 12 lifts, one series per Weyl orbit
+    ("fixed_points_fl3.txt", ["fixed-points", "fl3"]),
+    ("vertex_fl3_point157_order2.txt", ["vertex", "fl3", "--point", "1,5,7", "--order", "2"]),
+    ("bethe_fl3.txt", ["bethe", "fl3"]),
 ]
 
 
@@ -421,8 +427,11 @@ MAX_INT = "9" * 4300
     (["vertex", "tp1", "--descendent=" + DEEP_MINUS], "nesting deeper than 100 at position 101"),
     (["mul", "tp1", "r[1] " + DEEP_PARENS], "nesting deeper than 100 at position 101"),
     (["mul", "tp1", "r[1] " + DEEP_MINUS], "nesting deeper than 100 at position 101"),
-    (["circuits", DEEP_PARENS], "nesting deeper than 100 at position 101"),
-    (["circuits", DEEP_MINUS], "nesting deeper than 100 at position 101"),
+    # a flavor image too deep to parse is refused by its key
+    (["circuits", DEEP_PARENS], "a_specialization 'a1': nesting deeper than 100 at position 101 "
+                                "in the image %r" % DEEP_PARENS),
+    (["circuits", DEEP_MINUS], "a_specialization 'a1': nesting deeper than 100 at position 101 "
+                               "in the image %r" % DEEP_MINUS),
     (["vertex", "tp1", "--descendent=" + LONG_INT],
      "integer at position 0 has more than 4300 digits"),
     (["vertex", "tp1", "--descendent=s1^" + LONG_INT],
@@ -479,7 +488,14 @@ MAX_INT = "9" * 4300
     (["vertex", "tp1", "--descendent=s1^("], "expected integer at position 4"),
     (["vertex", "tp1", "--descendent=s1^ "], "expected integer at position 4"),
     (["mul", "tp1", "r[1] (a1"], "expected ')' at position 3"),
-    (["circuits", "((a2"], "expected ')' at position 4"),
+    (["circuits", "((a2"], "a_specialization 'a1': expected ')' at position 4 in the image '((a2'"),
+    # and so is an image refused by any other rule of the grammar
+    (["circuits", "(a2)^(1/2)"], "a_specialization 'a1': half powers only allowed on single "
+                                 "variables in the image '(a2)^(1/2)'"),
+    (["circuits", "a2^(1/3)"], "a_specialization 'a1': only integer or half exponents are "
+                               "supported in the image 'a2^(1/3)'"),
+    (["circuits", "a2^99999999"], "a_specialization 'a1': exponent 99999999 of a2 exceeds the "
+                                  "limit 1048576 in the image 'a2^99999999'"),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main
@@ -643,7 +659,8 @@ def test_model_with_too_many_row_subsets_exits_2_at_once(tmp_path):
     (["vertex", "tp1", "--descendent=s1^1000000*a2*s1^100000"],
      "exponent 1100000 of s1 exceeds the limit 1048576"),
     (["mul", "tp1", "Q1^2000000 r[1]"], "exponent 2000000 of Q1 exceeds the limit 1048576"),
-    (["circuits", "a1^-1048577"], "exponent -1048577 of a1 exceeds the limit 1048576"),
+    (["circuits", "a1^-1048577"], "a_specialization 'a1': exponent -1048577 of a1 exceeds the "
+                                  "limit 1048576 in the image 'a1^-1048577'"),
 ])
 def test_exponents_above_the_slot_limit_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main
@@ -759,6 +776,42 @@ def test_fixed_points_marks_exactly_the_points_vertex_accepts(tmp_path, k, n):
             accepted = False
         assert accepted == p["lift"], support
     assert any(p["lift"] for p in points) and not all(p["lift"] for p in points)
+
+
+@pytest.mark.parametrize("model, lifts", [("fl3", 12), ((2, 4), 12), ((2, 5), 20), ((3, 4), 24)],
+                         ids=["fl3", "tgr24", "tgr25", "tgr34"])
+def test_lifts_number_the_weyl_order_times_the_fixed_points(tmp_path, model, lifts):
+    """|W| x chi(X) lifts: T*Fl(3) has 2 x 6, and Gr(k, n) has k! x C(n, k).
+    A point where a virtual row restricts to h or h^-1 is no lift: there the
+    inverted root factor (1 - h s_u/s_v) of the kernel has a pole."""
+    if model == "fl3":
+        path = model_path(model)
+    else:
+        path = tmp_path / "tgr.json"
+        path.write_text(json.dumps(_tgr(*model)))
+    code, text = run_cli(["fixed-points", str(path)])
+    assert code == 0 and text.count(" lift ") == lifts
+
+
+def test_fl3_lifts_print_the_series_of_their_weyl_image():
+    """Every lift of T*Fl(3) prints its series, and the image of a lift under
+    the swap of s2 and s3 prints the same bytes, as p{1,5,7} and p{2,4,8}."""
+    from coulombkit import CoulombAlgebra, fixed_points
+    from coulombkit.vertex import is_lift
+    data = load_model(model_path("fl3"))
+    alg = CoulombAlgebra(data)
+    swap = data.weyl_elements()[1]
+    assert swap == (0, 2, 1)
+    lifts = [p for p in fixed_points(data) if is_lift(alg, p)]
+    outs = {}
+    for p in lifts:
+        code, outs[p] = run_cli(["vertex", model_path("fl3"), "--order", "2",
+                                 "--point", ",".join(str(i + 1) for i in p.support)])
+        assert code == 0, p.label()
+    for p in lifts:
+        image = weyl_image(alg, swap, p)
+        assert image != p and outs[image] == outs[p], (p.label(), image.label())
+    assert {p.label() for p in lifts if outs[p] == outs[lifts[0]]} == {"p{1,5,7}", "p{2,4,8}"}
 
 
 # tp1 with its flavors inverted; once with blocks of size 1, once without blocks

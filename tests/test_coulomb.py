@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from coulombkit import GaugeData, Poly, Scalar, specialize_q1
+from coulombkit import GaugeData, Poly, Scalar, circuits, specialize_q1
 from coulombkit.coulomb import (AlgebraElement, CoulombAlgebra, ModuleElement, collect, delta,
                                epsilon)
 from coulombkit.exactring import mono_mul
@@ -299,25 +299,49 @@ def test_weyl_on_degree_moves_entry_j_to_position_w_j():
     """On tgr(3,4) the Weyl group is S_3, with 3-cycles: entry j of d lands at
     position w[j], and w composed with its inverse is the identity."""
     alg = CoulombAlgebra(tgr_model(3, 4))
-    ws = alg.weyl_elements()
+    ws = alg.data.weyl_elements()
     assert len(ws) == 6 and (1, 2, 0) in ws
-    assert alg.weyl_on_degree((1, 2, 0), (10, 20, 30)) == (30, 10, 20)
-    assert alg.weyl_on_degree((2, 0, 1), (10, 20, 30)) == (20, 30, 10)
+    assert alg.data.weyl_on_degree((1, 2, 0), (10, 20, 30)) == (30, 10, 20)
+    assert alg.data.weyl_on_degree((2, 0, 1), (10, 20, 30)) == (20, 30, 10)
     d = (10, 20, 30)
     for w in ws:
         inverse = tuple(w.index(j) for j in range(3))
         assert inverse in ws
-        assert alg.weyl_on_degree(inverse, alg.weyl_on_degree(w, d)) == d
-        assert alg.weyl_on_degree(w, alg.weyl_on_degree(inverse, d)) == d
+        assert alg.data.weyl_on_degree(inverse, alg.data.weyl_on_degree(w, d)) == d
+        assert alg.data.weyl_on_degree(w, alg.data.weyl_on_degree(inverse, d)) == d
         # block sums do not see the permutation
-        assert alg.data.block_sums(alg.weyl_on_degree(w, d)) == (60,)
+        assert alg.data.block_sums(alg.data.weyl_on_degree(w, d)) == (60,)
+
+
+@pytest.mark.parametrize("name, theta2", [("a2", (1, 2)), ("tgr24", (-1, -1))])
+def test_relation_is_the_two_sided_product(name, theta2, request):
+    """relation(c, f, other) is the scalar part of R_c f R_{-c}, R being the
+    mixed generators of ``other`` multiplied in the algebra itself."""
+    alg = request.getfixturevalue(name + "_alg")
+    data = alg.data
+    other = CoulombAlgebra(GaugeData.create(data.chi, theta2, blocks=data.blocks,
+                                            a_specialization=data.a_specialization))
+    t = alg.table
+    f = Scalar.from_poly(Poly.from_terms(t.width, [(t.mono({t.s(0): 1}), 1),
+                                                   (t.mono({t.a(0): 1}), -2)]))
+    checked = 0
+    for circ in circuits(data):
+        for c in (circ.vector, tuple(-x for x in circ.vector)):
+            nc = tuple(-x for x in c)
+            for g, kw in ((alg, {}), (other, {"other": other})):
+                left, right = alg.r(c, g.mixed_coefficient(c)), alg.r(nc, g.mixed_coefficient(nc))
+                assert alg.relation(c, **kw) == alg.mul(left, right).scalar_part()
+                assert alg.relation(c, f, **kw) == \
+                    alg.mul(alg.mul(left, alg.cartan(f)), right).scalar_part()
+                checked += 1
+    assert checked == 4 * len(circuits(data))
 
 
 def test_abelian_model_is_the_trivial_block_case(a2_alg):
     """Blocks of size 1: one Weyl element, the identity; every degree is
     dominant; the block sums of a degree are the degree."""
-    assert a2_alg.weyl_elements() == [(0, 1)]
+    assert a2_alg.data.weyl_elements() == [(0, 1)]
     assert len(a2_alg.rows) == a2_alg.data.n
     for d in itertools.product(range(-2, 3), repeat=2):
-        assert a2_alg.is_dominant(d)
+        assert a2_alg.data.is_dominant(d)
         assert a2_alg.data.block_sums(d) == d

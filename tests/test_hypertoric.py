@@ -1,6 +1,7 @@
 """Arrangement combinatorics against brute-force oracles."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -246,6 +247,62 @@ def test_block_symmetry_validation():
     with pytest.raises(ModelError):
         GaugeData.create([[1, 0], [1, 1]], [1, 1], blocks=[2])
     GaugeData.create([[1, 0], [0, 1]], [1, 1], blocks=[2])  # symmetric: fine
+
+
+def test_block_symmetry_refuses_the_rows_before_theta():
+    """Each in-block swap is tried in turn, the rows before theta."""
+    with pytest.raises(ModelError, match="^rows are not invariant under within-block "
+                                         "permutations$"):
+        GaugeData.create([[1, 0], [1, 1]], [1, 2], blocks=[2])
+    with pytest.raises(ModelError, match="^theta is not constant on a GL block$"):
+        GaugeData.create([[1, 0], [0, 1]], [1, 2], blocks=[2])
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    with pytest.raises(ModelError, match="^theta is not constant on a GL block$"):
+        GaugeData.create(identity, [2, 1, 3], blocks=[1, 2])
+    GaugeData.create(identity, [2, 1, 1], blocks=[1, 2])
+
+
+@pytest.mark.parametrize("blocks", [(1,), (3,), (1, 2), (2, 2), (1, 1, 1), (2, 1, 3)],
+                         ids=lambda blocks: "-".join(map(str, blocks)))
+def test_weyl_group_of_the_blocks(blocks):
+    """On identity rows, W is the product of the symmetric groups of the
+    blocks: identity first, each block fixed setwise, acting on degrees, and
+    generated by the swaps; a degree is dominant when it is non-increasing
+    inside each block."""
+    k = sum(blocks)
+    data = GaugeData.create([[int(i == j) for j in range(k)] for i in range(k)], [1] * k,
+                            blocks=blocks)
+    slices, start = [], 0
+    for b in blocks:
+        slices.append((start, start + b))
+        start += b
+    assert data.block_slices() == slices
+    ws = data.weyl_elements()
+    assert len(ws) == len(set(ws)) == math.prod(math.factorial(b) for b in blocks)
+    assert ws[0] == tuple(range(k))
+    for w in ws:
+        assert all(set(w[a:b]) == set(range(a, b)) for a, b in slices), w
+    d = tuple(10 * (j + 1) for j in range(k))
+    for w in ws:
+        for v in ws:
+            # entry j goes to v[j] under v, then to w[v[j]] under w
+            wv = tuple(w[v[j]] for j in range(k))
+            assert wv in ws
+            assert data.weyl_on_degree(w, data.weyl_on_degree(v, d)) == data.weyl_on_degree(wv, d)
+    swaps = data.weyl_swaps()
+    assert len(swaps) == k - len(blocks) and set(swaps) <= set(ws)
+    group, todo = {ws[0]}, [ws[0]]
+    while todo:
+        v = todo.pop()
+        for s in swaps:
+            sv = tuple(s[v[j]] for j in range(k))
+            if sv not in group:
+                group.add(sv)
+                todo.append(sv)
+    assert group == set(ws)
+    for d in itertools.product(range(-1, 2), repeat=k):
+        descending = all(list(d[a:b]) == sorted(d[a:b], reverse=True) for a, b in slices)
+        assert data.is_dominant(d) == descending, d
 
 
 # -- the integer elimination against sympy -------------------------------------

@@ -13,7 +13,7 @@ from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.pochhammer import sign_kernel
 from coulombkit.vertex import Descendent, QSeries, is_lift, weyl_collapse
 
-from conftest import one_minus, point_by_support, tgr_model, weyl_image
+from conftest import data_model, one_minus, point_by_support, tgr_model, weyl_image
 
 
 def _descendents(table):
@@ -170,14 +170,14 @@ def test_weyl_lift_independence_tgr12(tgr12):
     p = point_by_support(tgr12, (0,))
     for tau in _descendents(alg.table):
         s1 = vertex_fp_nonab(alg, p, tau, 3)
-        for w in alg.weyl_elements():
+        for w in alg.data.weyl_elements():
             assert s1 == vertex_fp_nonab(alg, weyl_image(alg, w, p), tau, 3), w
 
 
 def test_weyl_lift_independence_tgr24(tgr24_alg):
     """The series of every lift equals that of its image under the block swap."""
     alg = tgr24_alg
-    swap = alg.weyl_elements()[1]
+    swap = alg.data.weyl_elements()[1]
     assert weyl_image(alg, swap, point_by_support(alg.data, (0, 5))) \
         == point_by_support(alg.data, (1, 4))
     lifts = [p for p in fixed_points(alg.data) if is_lift(alg, p)]
@@ -186,7 +186,7 @@ def test_weyl_lift_independence_tgr24(tgr24_alg):
     taus = [parse_descendent(text, alg.table) for text in ("1", "s1 + s2")]
     series = {p: [vertex_fp_nonab(alg, p, tau, 2) for tau in taus] for p in lifts}
     for p in lifts:
-        for w in alg.weyl_elements():
+        for w in alg.data.weyl_elements():
             wp = weyl_image(alg, w, p)
             assert (wp == p) == (w == (0, 1)), (p.label(), w)
             assert series[p] == series[wp], (p.label(), wp.label())
@@ -213,8 +213,8 @@ def test_nonabelian_kaehler_recursion(tgr24_alg):
         return alg.matter_kernel(d).subs(images, w)
 
     rels = {}
-    for wp in alg.weyl_elements():
-        wc = alg.weyl_on_degree(wp, c)
+    for wp in alg.data.weyl_elements():
+        wc = alg.data.weyl_on_degree(wp, c)
         nwc = tuple(-x for x in wc)
         rels[wc] = alg.mul(alg.mixed_generator(wc), alg.mixed_generator(nwc)).scalar_part()
 
@@ -233,11 +233,16 @@ def test_nonabelian_kaehler_recursion(tgr24_alg):
     assert checked >= 6
 
 
-@pytest.mark.parametrize("k, n, top", [(2, 4, 2), (3, 4, 1)])
-def test_weyl_collapsed_pairing_equals_vertex_fp_nonab(k, n, top):
+@pytest.mark.parametrize("model, top", [
+    pytest.param(lambda: tgr_model(2, 4), 2, id="2-4-2"),
+    pytest.param(lambda: tgr_model(3, 4), 1, id="3-4-1"),
+    # two blocks, GL(1) x GL(2): a lift must keep s2/s3 off 1, h and h^-1
+    pytest.param(lambda: data_model("fl3"), 1, id="fl3-1"),
+])
+def test_weyl_collapsed_pairing_equals_vertex_fp_nonab(model, top):
     """The second route for block models: the virtual model's module pairing,
     flavor-specialized and Weyl-collapsed, is the closed series."""
-    data = tgr_model(k, n)
+    data = model()
     alg = CoulombAlgebra(data)
     t = alg.table
     spec = {t.a(row): mono for row, mono in data.a_specialization.items()}
