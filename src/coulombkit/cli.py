@@ -45,6 +45,8 @@ MAX_TERMS = 100_000
 # its fraction): 2^20, far inside the 2^31 bound of a packed exponent slot,
 # with room for the degree shifts and products a command applies
 MAX_EXPONENT = 1 << 20
+# most characters of a flavor image that a refusal quotes
+MAX_IMAGE_QUOTE = 40
 
 
 class ExprError(ValueError):
@@ -311,9 +313,14 @@ def parse_scalar_expr(text: str, table: VariableTable) -> Poly:
     return _ExprParser(table, text, allow_q=True).parse()
 
 
+def _image_quote(text: str) -> str:
+    """``text`` quoted, cut after MAX_IMAGE_QUOTE characters with ``...``."""
+    return repr(text if len(text) <= MAX_IMAGE_QUOTE else text[:MAX_IMAGE_QUOTE] + "...")
+
+
 def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
     """The exponents of ``text``, the image of the flavor variable ``name``;
-    every refusal names the key and the image."""
+    every refusal names the key and the start of the image."""
     try:
         poly = _ExprParser(table, text, allow_q=False, where="").parse()
         if not poly.is_monomial():
@@ -322,7 +329,8 @@ def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
         if c != 1:
             raise ExprError("expected a monomial with coefficient 1")
     except ExprError as exc:
-        raise ExprError("a_specialization %r: %s in the image %r" % (name, exc, text))
+        raise ExprError("a_specialization %r: %s in the image %s"
+                        % (name, exc, _image_quote(text)))
     return m
 
 
@@ -421,8 +429,9 @@ def load_model(path: str) -> GaugeData:
                 raise ModelError("a_specialization key %r is not a flavor variable" % name)
             image = _parse_monomial_image(name, expr, table)
             if any(image[table.s(j)] for j in range(table.k)):
-                raise ModelError("a_specialization %r: the image %r names a gauge variable; "
-                                 "an image is a monomial in the a_i and h" % (name, expr))
+                raise ModelError("a_specialization %r: the image %s names a gauge variable; "
+                                 "an image is a monomial in the a_i and h"
+                                 % (name, _image_quote(expr)))
             aspec[int(m.group(1)) - 1] = image
     return GaugeData.create(raw["chi"], raw["theta"], blocks=blocks, a_specialization=aspec)
 

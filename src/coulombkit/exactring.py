@@ -680,31 +680,63 @@ def _psi_image(d: int, p: int):
     return [e for e in _divisors(d * p) if e // gcd(e, p) == d]
 
 
-def _mapped_keys(atoms: dict, ring: RingMap | None, width: int):
+def _pole(g: int, width: int) -> PoleEvaluationError:
+    """The error for a denominator atom with root g whose value is 1."""
+    atom = unpack(g, width)
+    return PoleEvaluationError("pole at evaluation point: atom (1 - %r) vanishes" % (atom,),
+                               atom=atom)
+
+
+def _binomial_keys(binomials: dict, width: int):
+    """(sign, monomial, keys) with prod (1 - g)^(-mult) over ``binomials``
+    ``{g: mult}``, g packed, equal to sign * monomial * prod over the
+    canonical keys; a key whose multiplicities cancel is left out.
+
+    g = r^n with r primitive (:func:`_direction`) is the one key (r, 1) when
+    n = 1 and splits into the (r, e), e | n, otherwise; for n < 0 the sign
+    and monomial of 1 - r^-|n| = -r^-|n| (1 - r^|n|) move out.  A unit
+    binomial (g = 1) is 0: as a denominator factor it is a
+    :class:`PoleEvaluationError`, as a numerator factor it makes the sign 0.
+    """
+    sign, pre, keys = 1, 0, {}
+    for g, mult in binomials.items():
+        if not mult:
+            continue
+        if not g:
+            if mult > 0:
+                raise _pole(g, width)
+            sign = 0
+            continue
+        u, n = _direction(g, width)
+        if n < 0:
+            n = -n
+            pre += u * (n * mult)
+            if mult % 2:
+                sign = -sign
+        for e in (1,) if n == 1 else _psi_image(1, n):
+            keys[(u, e)] = keys.get((u, e), 0) + mult
+    return sign, pre, {k: m for k, m in keys.items() if m}
+
+
+def _mapped_keys(atoms: dict, ring: RingMap):
     """(coefficient, monomial, keys) with prod psi_d(g)^(-mult) over ``atoms``
     ``{(g, d): mult}``, each g sent through ``ring``, equal to coefficient *
     monomial * prod over the canonical keys.
 
-    g maps to u^p with u primitive (:meth:`RingMap.root`); ``ring=None`` is
-    the identity map.  When the image is 1, psi_d(1) is a number, zero only
-    for d = 1: a denominator factor there is a :class:`PoleEvaluationError`,
-    however often the map has seen g, and a numerator factor makes the
-    coefficient 0.
+    g maps to u^p with u primitive (:meth:`RingMap.root`).  When the image
+    is 1, psi_d(1) is a number, zero only for d = 1: a denominator factor
+    there is a :class:`PoleEvaluationError`, however often the map has seen
+    g, and a numerator factor makes the coefficient 0.
     """
     coeff, pre, keys, vanished = 1, 0, {}, False
     for (g, d), mult in atoms.items():
-        if ring is not None:
-            root = ring.root(g)
-        else:
-            root = _direction(g, width) if g else None
+        root = ring.root(g)
         if root is None:
             if d > 1:
                 # psi_d(1) is the prime l for d a power of l, else 1
                 coeff = exact_coeff(coeff * Fraction(sum(_psi(d))) ** -mult)
             elif mult > 0:
-                atom = unpack(g, width if ring is None else ring.source)
-                raise PoleEvaluationError(
-                    "pole at evaluation point: atom (1 - %r) vanishes" % (atom,), atom=atom)
+                raise _pole(g, ring.source)
             else:
                 vanished = True
             continue
@@ -743,12 +775,13 @@ class Scalar:
     def __init__(self, width, num: Poly, pre=None, atoms: dict | None = None):
         """``pre`` is a monomial and ``atoms`` are binomials ``{g: mult}``,
         the factor (1 - g)^(-mult), each monomial an exponent tuple or packed;
-        the binomials are converted once to cyclotomic keys."""
+        :func:`_binomial_keys` converts the binomials to cyclotomic keys, and
+        :meth:`_of` normalizes the result against ``num``."""
         if type(pre) is tuple:
             pre = pack(pre)
         if atoms:
-            atoms = {(pack(g) if type(g) is tuple else g, 1): m for g, m in atoms.items() if m}
-            coeff, unit, keys = _mapped_keys(atoms, None, width)
+            coeff, unit, keys = _binomial_keys(
+                {pack(g) if type(g) is tuple else g: m for g, m in atoms.items()}, width)
         else:
             coeff, unit, keys = 1, 0, {}
         x = Scalar._of(width, num.scale(coeff), unit if pre is None else pre + unit, keys)
@@ -949,7 +982,7 @@ class Scalar:
         """
         ring = ring_map(images, target_width, self.w)
         width = ring.width
-        coeff, unit, keys = _mapped_keys(self.atoms, ring, width) if self.atoms else (1, 0, {})
+        coeff, unit, keys = _mapped_keys(self.atoms, ring) if self.atoms else (1, 0, {})
         if coeff == 0:
             return Scalar.zero(width)
         pre = ring.mono(self.pre) + unit

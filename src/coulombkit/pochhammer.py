@@ -6,20 +6,24 @@ The convention is (x; q)_d = (x; q)_inf / (q^d x; q)_inf, made finite:
     d = 0:  1
     d < 0:  1 / ((1 - q^{-1} x)(1 - q^{-2} x) ... (1 - q^d x))
 
-Every product of symbols is built by the one routine ``poch_product``: each
-binomial of each symbol is added to one atom dict and one scalar is built
-from it, so nothing is multiplied out and the factored form survives
-evaluation.  ``hq_product`` is the product of kernel factors that the
-convolution relations, vertex coefficients and module actions use; the
-other functions here are single-symbol cases of the two.  The two builders
-take packed monomials (:mod:`coulombkit.exactring`), so a q-shift is one
-addition; the single-symbol cases take exponent tuples.  Infinite symbols
-and theta functions are deliberately not represented.
+Every product of symbols is built by the one routine ``poch_product``, in
+one pass: each binomial of each symbol is added to one dict ``{g: mult}``,
+which one conversion turns into the sign, the prefactor and the cyclotomic
+keys of the result.  Its sum part is the constant 1 or -1, so the fields
+are the normal form as they stand; nothing is multiplied out or divided,
+and the factored form survives evaluation.  ``hq_product`` is the product
+of kernel factors that the convolution relations, vertex coefficients and
+module actions use; the other functions here are single-symbol cases of
+the two.  The two builders take packed monomials
+(:mod:`coulombkit.exactring`), so a q-shift is one addition; the
+single-symbol cases take exponent tuples.  Infinite symbols and theta
+functions are deliberately not represented.
 """
 
 from __future__ import annotations
 
-from .exactring import HBAR_HALF, Poly, Q_HALF, Scalar, pack, packed_power, q_shifted
+from .exactring import (HBAR_HALF, Poly, Q_HALF, Scalar, _binomial_keys, pack, packed_power,
+                        q_shifted)
 
 
 def poch_product(width: int, symbols, e: int = 0) -> Scalar:
@@ -37,8 +41,12 @@ def poch_product(width: int, symbols, e: int = 0) -> Scalar:
         for m in shifts:
             g = x + m * q
             atoms[g] = atoms.get(g, 0) + mult
-    pre = packed_power(width, Q_HALF, e) - packed_power(width, HBAR_HALF, e)
-    return Scalar(width, Poly(width, {0: -1 if e % 2 else 1}), pre=pre, atoms=atoms)
+    sign, unit, keys = _binomial_keys(atoms, width)
+    if not sign:
+        return Scalar.zero(width)
+    pre = packed_power(width, Q_HALF, e) - packed_power(width, HBAR_HALF, e) + unit
+    # a product of atoms: no key divides the constant sum part
+    return Scalar._raw(width, Poly(width, {0: -sign if e % 2 else sign}), pre, keys)
 
 
 def hq_product(width: int, factors) -> Scalar:

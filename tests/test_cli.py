@@ -428,10 +428,11 @@ MAX_INT = "9" * 4300
     (["mul", "tp1", "r[1] " + DEEP_PARENS], "nesting deeper than 100 at position 101"),
     (["mul", "tp1", "r[1] " + DEEP_MINUS], "nesting deeper than 100 at position 101"),
     # a flavor image too deep to parse is refused by its key
+    # and quotes at most its first 40 characters
     (["circuits", DEEP_PARENS], "a_specialization 'a1': nesting deeper than 100 at position 101 "
-                                "in the image %r" % DEEP_PARENS),
+                                "in the image '%s...'" % ("(" * 40)),
     (["circuits", DEEP_MINUS], "a_specialization 'a1': nesting deeper than 100 at position 101 "
-                               "in the image %r" % DEEP_MINUS),
+                               "in the image '%s...'" % ("-" * 40)),
     (["vertex", "tp1", "--descendent=" + LONG_INT],
      "integer at position 0 has more than 4300 digits"),
     (["vertex", "tp1", "--descendent=s1^" + LONG_INT],
@@ -496,6 +497,14 @@ MAX_INT = "9" * 4300
                                "supported in the image 'a2^(1/3)'"),
     (["circuits", "a2^99999999"], "a_specialization 'a1': exponent 99999999 of a2 exceeds the "
                                   "limit 1048576 in the image 'a2^99999999'"),
+    # an image of 40 characters is quoted whole, a longer one cut after 40
+    (["circuits", "a2+" + "1" * 37],
+     "a_specialization 'a1': expected a monomial in the image 'a2+%s'" % ("1" * 37)),
+    (["circuits", "a2+" + "1" * 38],
+     "a_specialization 'a1': expected a monomial in the image 'a2+%s...'" % ("1" * 37)),
+    (["circuits", "s1" + "*a2" * 20], "a_specialization 'a1': the image 's1%s...' names a gauge "
+                                      "variable; an image is a monomial in the a_i and h"
+                                      % ("*a2" * 20)[:38]),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main

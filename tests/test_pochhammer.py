@@ -1,12 +1,17 @@
 """Appendix identity kernel: shift, inversion, base-inversion, cocycle."""
 
 import itertools
+from fractions import Fraction
 
-from coulombkit import GaugeData, Poly, Scalar, VariableTable, poch, poch_qinv, sign_kernel
+import pytest
+import sympy
+
+from coulombkit import (GaugeData, PoleEvaluationError, Poly, Scalar, VariableTable, poch,
+                        poch_qinv, sign_kernel)
 from coulombkit.coulomb import CoulombAlgebra
-from coulombkit.exactring import mono_mul, pack
+from coulombkit.exactring import mono_mul, pack, unpack
 from coulombkit.hypertoric import pair
-from coulombkit.pochhammer import hq_ratio, hq_ratio_inv, poch_product, q_shifted
+from coulombkit.pochhammer import hq_product, hq_ratio, hq_ratio_inv, poch_product, q_shifted
 
 from conftest import binomial_atoms, mono_pow, one_minus, rand_mono, rng_for
 
@@ -160,3 +165,144 @@ def test_virtual_rows_invert_genuine_rows(tgr24):
         for d in near:
             assert cancels("structure_constant", c, d), (c, d)
             assert cancels("module_factor", c, d), (c, d)
+
+
+# -- the one-pass builder against plain Fractions ---------------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+def _rational_point(rng):
+    """A positive rational per variable slot, each a ratio of two primes used
+    nowhere else, so a monomial evaluates to 1 only when it is the unit."""
+    primes = rng.sample(PRIMES, 2 * W)
+    return [Fraction(primes[2 * i], primes[2 * i + 1]) for i in range(W)]
+
+
+def _at(m, pt):
+    value = Fraction(1)
+    for v, e in zip(pt, m):
+        value *= v ** e
+    return value
+
+
+def _psi_at(d, t):
+    """1 - t for d = 1, else the cyclotomic polynomial Phi_d at t, from sympy."""
+    if d == 1:
+        return 1 - t
+    x = sympy.Symbol("x")
+    value = Fraction(0)
+    for c in sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs():
+        value = value * t + int(c)
+    return value
+
+
+def _scalar_at(x, pt):
+    """The value of x's fields at pt: prefactor, sum part and every key."""
+    value = _at(unpack(x.pre, W), pt) * sum(c * _at(unpack(m, W), pt)
+                                            for m, c in x.num.terms.items())
+    for (r, d), mult in x.atoms.items():
+        value *= _psi_at(d, _at(unpack(r, W), pt)) ** -mult
+    return value
+
+
+def _symbol_binomials(symbols):
+    """``{g: mult}`` for the binomials (1 - q^m x)^(-mult) of the symbols
+    (x, d, power), collected by their exponent tuples."""
+    mults = {}
+    for x, d, power in symbols:
+        shifts, mult = (range(d), -power) if d >= 0 else (range(-1, d - 1, -1), power)
+        for m in shifts:
+            g = q_shifted(x, m)
+            mults[g] = mults.get(g, 0) + mult
+    return mults
+
+
+def _oracle(binomials, e, pt):
+    """sign_kernel(e) * prod (1 - g(pt))^(-mult) over ``binomials``; None for
+    a pole."""
+    value = (-pt[0] / pt[1]) ** e
+    for g, mult in binomials.items():
+        if mult and not any(g):
+            return None if mult > 0 else Fraction(0)
+        value *= (1 - _at(g, pt)) ** -mult
+    return value
+
+
+def _special_symbols(rng):
+    """Symbols that reach each branch of the key conversion."""
+    x = _nonunit_mono(rng)
+    return rng.choice([
+        # content 2 and 3: binomials that split into several keys
+        [(mono_pow(x, 2), rng.randint(-3, 3), 1)],
+        [(mono_pow(x, 3), rng.choice([-3, 1, 3]), rng.choice([1, -1]))],
+        # the first nonzero exponent negative: sign and monomial move out
+        [(mono_pow(T.mono({T.a(0): 1, T.s(1): 2}), -1), rng.randint(-3, 3), 1)],
+        # the binomial 1 - q x of both symbols cancels
+        [(x, 2, 1), (q_shifted(x, 1), 1, -1)],
+        # the unit binomial (1 - 1): a numerator factor, then a denominator one
+        [(T.unit(), rng.randint(1, 3), 1), (x, 1, 1)],
+        [(q_shifted(T.unit(), 1), -1, 1)],
+    ])
+
+
+def test_poch_product_matches_fraction_oracle():
+    rng = rng_for("poch-oracle")
+    kinds = set()
+    for trial in range(120):
+        pt = _rational_point(rng)
+        symbols = [(_nonunit_mono(rng), rng.randint(-3, 3), rng.choice([-2, -1, 1, 2]))
+                   for _ in range(rng.randint(0, 2))]
+        symbols += _special_symbols(rng)
+        rng.shuffle(symbols)
+        e = rng.randint(-3, 3)
+        binomials = _symbol_binomials(symbols)
+        expected = _oracle(binomials, e, pt)
+        packed = [(pack(x), d, power) for x, d, power in symbols]
+        if expected is None:
+            kinds.add("pole")
+            with pytest.raises(PoleEvaluationError) as info:
+                poch_product(W, packed, e)
+            assert str(info.value) == \
+                "pole at evaluation point: atom (1 - %r) vanishes" % (T.unit(),)
+            assert info.value.atom == T.unit()
+            continue
+        got = poch_product(W, packed, e)
+        kinds.add("zero" if expected == 0 else "value")
+        assert got.is_zero() == (expected == 0), symbols
+        assert _scalar_at(got, pt) == expected, (symbols, e)
+        # a key whose multiplicities cancel is dropped
+        assert 0 not in got.atoms.values(), symbols
+        # the same fields, keys in the same order, as the public constructor
+        # builds from the binomials
+        sign = Poly.monomial(T.unit(), -1 if e % 2 else 1)
+        reference = Scalar(W, sign, pre=T.mono({0: e, 1: -e}), atoms=binomials)
+        assert (got.num.terms, got.pre, list(got.atoms.items())) == \
+            (reference.num.terms, reference.pre, list(reference.atoms.items())), symbols
+    assert kinds == {"pole", "zero", "value"}
+
+
+def test_kernel_products_skip_the_generic_constructor(monkeypatch):
+    """poch_product and hq_product build their normal form in one pass:
+    neither Scalar.__init__ nor Scalar._of runs."""
+    rng = rng_for("poch-one-pass")
+    calls = []
+    init, of = Scalar.__init__, Scalar._of
+    monkeypatch.setattr(Scalar, "__init__",
+                        lambda self, *a, **k: calls.append("__init__") or init(self, *a, **k))
+    monkeypatch.setattr(Scalar, "_of",
+                        classmethod(lambda cls, *a, **k: calls.append("_of") or of(*a, **k)))
+    built = 0
+    for _ in range(60):
+        symbols = [(pack(x), d, power) for x, d, power in _special_symbols(rng)]
+        symbols.append((pack(_nonunit_mono(rng)), rng.randint(-3, 3), rng.choice([-1, 1])))
+        try:
+            poch_product(W, symbols, rng.randint(-3, 3))
+            hq_product(W, symbols)
+        except PoleEvaluationError:
+            continue
+        built += 1
+    assert built and calls == []
+    # the counters see the generic path
+    Scalar(W, Poly.one(W), atoms={T.mono({T.s(0): 1}): 1})
+    assert calls == ["__init__", "_of"]
