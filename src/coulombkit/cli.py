@@ -329,8 +329,8 @@ def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
         if c != 1:
             raise ExprError("expected a monomial with coefficient 1")
     except ExprError as exc:
-        raise ExprError("a_specialization %r: %s in the image %s"
-                        % (name, exc, _image_quote(text)))
+        raise ExprError("a_specialization %s: %s in the image %s"
+                        % (_image_quote(name), exc, _image_quote(text)))
     return m
 
 
@@ -425,14 +425,17 @@ def load_model(path: str) -> GaugeData:
         aspec = {}
         for name, expr in aspec_raw.items():
             m = re.fullmatch(r"a(\d+)", name)
-            if not m or not 1 <= int(m.group(1)) <= table.n:
-                raise ModelError("a_specialization key %r is not a flavor variable" % name)
+            # compare digit counts first: a long index is never converted
+            row = m.group(1).lstrip("0") if m else ""
+            if not row or len(row) > len(str(table.n)) or int(row) > table.n:
+                raise ModelError("a_specialization key %s is not a flavor variable"
+                                 % _image_quote(name))
             image = _parse_monomial_image(name, expr, table)
             if any(image[table.s(j)] for j in range(table.k)):
-                raise ModelError("a_specialization %r: the image %s names a gauge variable; "
+                raise ModelError("a_specialization %s: the image %s names a gauge variable; "
                                  "an image is a monomial in the a_i and h"
-                                 % (name, _image_quote(expr)))
-            aspec[int(m.group(1)) - 1] = image
+                                 % (_image_quote(name), _image_quote(expr)))
+            aspec[int(row) - 1] = image
     return GaugeData.create(raw["chi"], raw["theta"], blocks=blocks, a_specialization=aspec)
 
 
@@ -449,7 +452,7 @@ def _select_point(pts: list, spec: str):
     try:
         support = tuple(sorted(int(x) - 1 for x in body.split(",")))
     except ValueError:
-        raise ModelError("bad --point %r" % spec)
+        raise ModelError("bad --point %s" % _image_quote(spec))
     for p in pts:
         if p.support == support:
             return p
@@ -650,7 +653,8 @@ def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
         try:
             theta2 = tuple(int(x) for x in args.theta2.split(","))
         except ValueError:
-            raise UsageError("--theta2 must be comma-separated integers, got %r" % args.theta2)
+            raise UsageError("--theta2 must be comma-separated integers, got %s"
+                             % _image_quote(args.theta2))
         if len(theta2) != data.k:
             raise ModelError("--theta2 must have %d entries" % data.k)
         scn = make_scenario(alg, theta2)

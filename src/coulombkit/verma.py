@@ -2,11 +2,13 @@
 indexed by the effective cone of the point, the contravariant form, and the
 eigenvector generating function in half-powers of the Kahler parameters.
 
-The action of an algebra element on a basis vector is computed through the
-algebra normal form plus evaluation, never through an abstract quotient:
-rewrite r_c * (mixed generator at e) as a left scalar times r_{c+e}, convert
-back to the mixed generator at c+e, then evaluate the total left scalar with
-the gauge variables sent to q^{(c+e)_j} times their restriction at the point.
+The Cartan part of an algebra element acts on the basis vector at e by its
+weight: its value with the gauge variables sent to q^{e_j} times their
+restriction at the point.  Every other term is computed through the algebra
+normal form plus evaluation, never through an abstract quotient: rewrite
+r_c * (mixed generator at e) as a left scalar times r_{c+e}, convert back to
+the mixed generator at c+e, then evaluate the total left scalar with the
+gauge variables sent to q^{(c+e)_j} times their restriction at the point.
 The scalars are kernel products, each built by one
 :func:`~coulombkit.pochhammer.poch_product` call, and the evaluation is the
 algebra's: :meth:`~coulombkit.coulomb.CoulombAlgebra.evaluation_map` keeps
@@ -66,10 +68,22 @@ class VermaModule:
         return VermaVector(self, {self.algebra.zero_degree(): Scalar.one(self.algebra.table.width)})
 
     def act(self, a: AlgebraElement, u: VermaVector) -> VermaVector:
+        """The vector a * u, u having its degrees in the cone.
+
+        The Cartan part f of ``a`` keeps the basis vector at e and scales it
+        by the weight ``evaluate(f, shift_degree=e)``.  A term at a nonzero
+        degree c goes through the normal form to the basis vector at c + e,
+        and contributes zero when c + e leaves the cone.
+        """
         alg = self.algebra
+        zero = alg.zero_degree()
 
         def pairs():
             for c, f in a.terms.items():
+                if c == zero:
+                    for e, g in u.terms.items():
+                        yield e, g * self.evaluate(f, shift_degree=e)
+                    continue
                 for e, g in u.terms.items():
                     target = tuple(x + y for x, y in zip(c, e))
                     if not self.cone.contains(target):

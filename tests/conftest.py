@@ -145,3 +145,17 @@ def rand_poly(rng, table, terms=3, span=2, vars_=None):
 
 def rng_for(name):
     return random.Random("coulombkit:" + name)
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` for the test; the returned list gets the
+    positional arguments of every call."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls

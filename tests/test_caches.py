@@ -18,7 +18,7 @@ from coulombkit.pochhammer import hq_ratio
 from coulombkit.verma import VermaModule
 from coulombkit.vertex import QSeries
 
-from conftest import point_by_support, tpn
+from conftest import counting, point_by_support, tpn
 
 # the three acceptance descendents plus one more
 DESCENDENTS = ["1", "s1", "a1*s1 - h", "2*a2*s1^2 + 3*h"]
@@ -45,20 +45,8 @@ def test_shared_algebra_matches_a_fresh_algebra_per_call(a2, model):
                 == whittaker_function(shared, p, parse_descendent(text, shared.table), order)
 
 
-def _counting(monkeypatch, owner, name):
-    calls = []
-    fn = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
-
-
 def test_second_descendent_builds_no_kernel(a2, monkeypatch):
-    calls = _counting(monkeypatch, coulombkit.coulomb, "hq_product")
+    calls = counting(monkeypatch, coulombkit.coulomb, "hq_product")
     alg = CoulombAlgebra(a2)
     p = fixed_points(a2)[0]
     vertex_fp(alg, p, parse_descendent("s1", alg.table), 2)
@@ -72,7 +60,7 @@ def test_second_descendent_builds_no_kernel(a2, monkeypatch):
 
 
 def test_second_whittaker_function_builds_no_module(a2, monkeypatch):
-    built = _counting(monkeypatch, VermaModule, "__init__")
+    built = counting(monkeypatch, VermaModule, "__init__")
     alg = CoulombAlgebra(a2)
     p = fixed_points(a2)[0]
     whittaker_function(alg, p, parse_descendent("s1", alg.table), 2)
@@ -100,8 +88,8 @@ def test_algebras_share_no_cached_values(a2, monkeypatch):
     vertex_fp(first, p, tau, 2)
     whittaker_function(first, p, tau, 2)
     # a fresh algebra starts cold: it builds every kernel and the module again
-    kernels = _counting(monkeypatch, coulombkit.coulomb, "hq_product")
-    built = _counting(monkeypatch, VermaModule, "__init__")
+    kernels = counting(monkeypatch, coulombkit.coulomb, "hq_product")
+    built = counting(monkeypatch, VermaModule, "__init__")
     vertex_fp(second, p, tau, 2)
     whittaker_function(second, p, tau, 2)
     assert kernels and len(built) == 1
@@ -122,7 +110,7 @@ def test_second_descendent_maps_no_atom_root_again(a2, monkeypatch):
     p = fixed_points(a2)[0]
     first = parse_descendent("a1*s1 - h", alg.table)
     assert vertex_fp(alg, p, first, 2) == whittaker_function(alg, p, first, 2)
-    roots = _counting(monkeypatch, coulombkit.exactring, "_direction")
+    roots = counting(monkeypatch, coulombkit.exactring, "_direction")
     for text in ("s1", "2*a2*s1^2"):
         tau = parse_descendent(text, alg.table)
         assert vertex_fp(alg, p, tau, 2) == whittaker_function(alg, p, tau, 2)
@@ -222,7 +210,7 @@ def test_root_factors_are_built_once_per_degree(tgr24, monkeypatch):
     alg = CoulombAlgebra(tgr24)
     lifts = [point_by_support(tgr24, (0, 5)), point_by_support(tgr24, (1, 4))]
     taus = [parse_descendent(text, alg.table) for text in ("1", "a1*s1 - h")]
-    builds = _counting(monkeypatch, coulombkit.coulomb, "hq_product")
+    builds = counting(monkeypatch, coulombkit.coulomb, "hq_product")
 
     def factors(power):
         return sum(1 for _, fs in builds for _, _, pw in fs if pw == power)

@@ -403,6 +403,18 @@ def test_main_rejects_malformed_model(tmp_path, capsys, raw, message):
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("key", ["a" + "1" * 5000, "b" * 5000], ids=["digits", "letters"])
+def test_long_a_specialization_key_exits_2(tmp_path, capsys, key):
+    """A refused key is quoted by its first 40 characters, and its digits
+    are counted before any is converted."""
+    from coulombkit.cli import main
+    path = tmp_path / "aspec.json"
+    path.write_text(json.dumps({"chi": [[1], [1]], "theta": [1], "a_specialization": {key: "a2"}}))
+    assert main(["circuits", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: a_specialization key '%s...' is not a flavor variable\n" % key[:40]
+
+
 def test_main_writes_to_the_current_stdout(capsys):
     from coulombkit.cli import main
     assert main(["circuits", model_path("tp1")]) == 0
@@ -505,6 +517,10 @@ MAX_INT = "9" * 4300
     (["circuits", "s1" + "*a2" * 20], "a_specialization 'a1': the image 's1%s...' names a gauge "
                                       "variable; an image is a monomial in the a_i and h"
                                       % ("*a2" * 20)[:38]),
+    # a refused --theta2 or --point support is quoted by its first 40 characters
+    (["wallcross", "a2", "--theta2=" + "1" * 5000],
+     "--theta2 must be comma-separated integers, got '%s...'" % ("1" * 40)),
+    (["vertex", "tp1", "--point", "1" * 5000 + ","], "bad --point '%s...'" % ("1" * 40)),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main

@@ -6,10 +6,12 @@ import itertools
 import pytest
 
 from coulombkit import Scalar, circuits, fixed_points
+from coulombkit.cli import parse_descendent
+from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.verma import VermaModule, VermaVector
 
-from conftest import binomial_atoms, rng_for
+from conftest import binomial_atoms, counting, rng_for
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +56,55 @@ def test_cartan_acts_by_restriction(tp1_module, a2_modules):
             got = module.act(alg.cartan(sj), v)
             assert set(got.terms) == {alg.zero_degree()}
             assert got.terms[alg.zero_degree()] == Scalar.monomial(module.point.restriction[j])
+
+
+CARTAN_TEXTS = ("1", "s1", "a1*s1 - h", "1 - a1*s1")
+
+
+def test_cartan_part_reads_no_structure_constant(a2_alg, monkeypatch):
+    """The Cartan part acts diagonally: it looks up no structure constant
+    and no inverse mixed coefficient."""
+    gammas = counting(monkeypatch, CoulombAlgebra, "structure_constant")
+    inverses = counting(monkeypatch, CoulombAlgebra, "mixed_coefficient_inv")
+    for p in fixed_points(a2_alg.data):
+        module = VermaModule(a2_alg, p)
+        w = module.whittaker_vector(3)
+        del gammas[:], inverses[:]
+        for text in CARTAN_TEXTS:
+            f = parse_descendent(text, a2_alg.table).as_scalar()
+            assert set(module.act(a2_alg.cartan(f), w).terms) <= set(w.terms)
+        assert (len(gammas), len(inverses)) == (0, 0), p.label()
+
+
+def test_cartan_part_acts_by_its_shifted_weight(tp1_module, a2_modules):
+    """At every degree e the Cartan part f scales the basis vector by the
+    normal-form scalar f * M(e) * gamma(0, e) * M(e)^-1 evaluated at the
+    point shifted by e, M(e) being the mixed coefficient and gamma(0, e) = 1."""
+    for module in [tp1_module] + a2_modules:
+        alg = module.algebra
+        w = module.whittaker_vector(3)
+        for text in CARTAN_TEXTS:
+            f = parse_descendent(text, alg.table).as_scalar()
+            got = module.act(alg.cartan(f), w)
+            for e, g in w.terms.items():
+                m = alg.mixed_coefficient(e)
+                want = g * module.evaluate(f * m * m.inv(), shift_degree=e)
+                assert got.terms.get(e, Scalar.zero(alg.table.width)) == want, \
+                    (module.point.label(), text, e)
+            assert set(got.terms) <= set(w.terms)
+
+
+def test_cartan_part_and_generators_act_additively(tp1_module, a2_modules):
+    for module in [tp1_module] + a2_modules:
+        alg = module.algebra
+        rng = rng_for("cartan-additive-" + module.point.label())
+        for text in CARTAN_TEXTS:
+            cartan = alg.cartan(parse_descendent(text, alg.table).as_scalar())
+            for c in module.point.rays:
+                for r_c in (alg.mixed_generator(c), alg.mixed_generator(tuple(-x for x in c))):
+                    u = _random_vector(module, rng, max_level=2)
+                    assert module.act(cartan + r_c, u) \
+                        == module.act(cartan, u) + module.act(r_c, u), (module.point.label(), c)
 
 
 def _random_valuation_element(module, rng, level=2):

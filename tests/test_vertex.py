@@ -248,7 +248,8 @@ def test_weyl_collapsed_pairing_equals_vertex_fp_nonab(model, top):
     spec = {t.a(row): mono for row, mono in data.a_specialization.items()}
     lifts = [p for p in fixed_points(data) if is_lift(alg, p)]
     for p in (lifts[0], lifts[-1]):
-        for text in ("1", "s1", "a1*s1 - h"):
+        # "s2 - h*s1" shares the factor 1 - h*s1/s2 with mixed coefficients
+        for text in ("1", "s1", "a1*s1 - h", "s2 - h*s1"):
             tau = parse_descendent(text, t)
             for order in range(top + 1):
                 pairing = whittaker_function(alg, p, tau, order)
