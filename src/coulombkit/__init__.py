@@ -11,8 +11,8 @@ from .hypertoric import (Circuit, Cone, FixedPoint, GaugeData, ModelError,
 from .pochhammer import poch, poch_qinv, sign_kernel
 from .coulomb import AlgebraElement, CoulombAlgebra, ModuleElement
 from .verma import VermaModule, VermaVector
-from .vertex import (Descendent, QSeries, kaehler_relation_check, qde_check,
-                     vertex_fp, vertex_fp_nonab, whittaker_function)
+from .vertex import (Descendent, QSeries, qde_check, vertex_fp, vertex_fp_nonab,
+                     whittaker_function)
 from .bethe import Relation, bethe_relations_q1, dmodule_relations, render_bethe_system
 from .wallcross import (WallCrossScenario, check_reversal, dmodule_match,
                         make_scenario)
@@ -24,9 +24,8 @@ __all__ = [
     "ThetaOnWallError", "VariableTable", "VermaModule", "VermaVector",
     "WallCrossScenario", "bethe_relations_q1", "check_reversal", "circuits",
     "dmodule_match", "dmodule_relations", "eff_cone", "eff_cone_fp",
-    "enumerate_degrees", "fixed_points", "kaehler_relation_check",
-    "make_scenario", "mixed_polarization", "poch", "poch_qinv", "qde_check",
-    "render_bethe_system", "scalar_from_structured", "scalar_str",
+    "enumerate_degrees", "fixed_points", "make_scenario", "mixed_polarization",
+    "poch", "poch_qinv", "qde_check", "render_bethe_system", "scalar_from_structured", "scalar_str",
     "scalar_structured", "separating_circuits", "sign_kernel",
     "specialize_q1", "vertex_fp", "vertex_fp_nonab", "whittaker_function",
 ]

@@ -313,9 +313,14 @@ def parse_scalar_expr(text: str, table: VariableTable) -> Poly:
     return _ExprParser(table, text, allow_q=True).parse()
 
 
+def _cap(text: str) -> str:
+    """``text`` cut after MAX_IMAGE_QUOTE characters with ``...``."""
+    return text if len(text) <= MAX_IMAGE_QUOTE else text[:MAX_IMAGE_QUOTE] + "..."
+
+
 def _image_quote(text: str) -> str:
-    """``text`` quoted, cut after MAX_IMAGE_QUOTE characters with ``...``."""
-    return repr(text if len(text) <= MAX_IMAGE_QUOTE else text[:MAX_IMAGE_QUOTE] + "...")
+    """``text`` quoted, cut as :func:`_cap` cuts it."""
+    return repr(_cap(text))
 
 
 def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
@@ -422,7 +427,7 @@ def load_model(path: str) -> GaugeData:
     aspec = None
     if aspec_raw:
         table = VariableTable(len(raw["chi"]), len(raw["theta"]))
-        aspec = {}
+        aspec, names = {}, {}
         for name, expr in aspec_raw.items():
             m = re.fullmatch(r"a(\d+)", name)
             # compare digit counts first: a long index is never converted
@@ -430,6 +435,10 @@ def load_model(path: str) -> GaugeData:
             if not row or len(row) > len(str(table.n)) or int(row) > table.n:
                 raise ModelError("a_specialization key %s is not a flavor variable"
                                  % _image_quote(name))
+            if row in names:
+                raise ModelError("a_specialization keys %s and %s both name a%s"
+                                 % (_image_quote(names[row]), _image_quote(name), row))
+            names[row] = name
             image = _parse_monomial_image(name, expr, table)
             if any(image[table.s(j)] for j in range(table.k)):
                 raise ModelError("a_specialization %s: the image %s names a gauge variable; "
@@ -446,7 +455,7 @@ def _select_point(pts: list, spec: str):
         # compare digit counts first: a long index is never converted
         idx = spec.lstrip("0") or "0"
         if len(idx) > len(str(len(pts))) or int(idx) >= len(pts):
-            raise ModelError("point index %s out of range (0..%d)" % (idx, len(pts) - 1))
+            raise ModelError("point index %s out of range (0..%d)" % (_cap(idx), len(pts) - 1))
         return pts[int(idx)]
     body = spec[:-1] if spec.endswith(",") else spec
     try:
@@ -456,7 +465,7 @@ def _select_point(pts: list, spec: str):
     for p in pts:
         if p.support == support:
             return p
-    raise ModelError("no fixed point with support {%s}" % body)
+    raise ModelError("no fixed point with support {%s}" % _cap(body))
 
 
 def _select_lift(alg: CoulombAlgebra, pts: list, spec: str | None):

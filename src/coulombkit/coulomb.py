@@ -31,15 +31,16 @@ which side of the effective cone d lies; products of mixed generators inside
 the cone are degreewise trivial, which is what the Verma and vertex layers
 are built on.  :meth:`CoulombAlgebra.relation` builds every two-sided
 product R_c f R_{-c} of them.  Structure constants are memoized per
-(c, d, polarization), matter kernels per degree, Verma modules per fixed
-point, evaluation ring maps per (fixed point, flavor specialization, shift
-degree) and shift ring maps s_j -> q^{d_j} s_j per degree
-(:meth:`CoulombAlgebra.shift_map`, the one place such a map is built), all
-on the algebra instance and dropped with it; :meth:`CoulombAlgebra.evaluate`
-is the one evaluation at a fixed point, for the closed series and the Verma
-modules alike.  Cached values are immutable and a
-:class:`~coulombkit.exactring.RingMap` only grows memos that never change a
-result, so concurrent identical insertions are harmless.
+(c, d, polarization), matter kernels per degree, effective degree lists
+per order (:meth:`CoulombAlgebra.degrees`), Verma modules per fixed point,
+evaluation ring maps per (fixed point, flavor specialization, shift degree),
+a shifted one copied from the unshifted map of its point, and shift ring
+maps s_j -> q^{d_j} s_j per degree (:meth:`CoulombAlgebra.shift_map`, the
+one place such a map is built), all on the algebra instance and dropped
+with it; :meth:`CoulombAlgebra.evaluate` is the one evaluation at a fixed
+point, for the closed series and the Verma modules alike.  Cached values are
+immutable and a :class:`~coulombkit.exactring.RingMap` only grows memos that
+never change a result, so concurrent identical insertions are harmless.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ import itertools
 
 from .exactring import (PoleEvaluationError, Q_HALF, RingMap, Scalar, VariableTable, atom_str,
                         pack, packed_power, unpack)
-from .hypertoric import FixedPoint, GaugeData, eff_cone, mixed_polarization, pair
+from .hypertoric import (FixedPoint, GaugeData, eff_cone, enumerate_degrees, mixed_polarization,
+                         pair)
 from .pochhammer import hq_product
 
 
@@ -175,11 +177,21 @@ class CoulombAlgebra:
         self._modules = {}
         self._eval_maps = {}
         self._shift_maps = {}
+        self._degrees = {}
 
     # -- basic builders -------------------------------------------------
 
     def eff(self):
         return eff_cone(self.data)
+
+    def degrees(self, order: int) -> tuple:
+        """The effective degrees d with <theta, d> <= order, sorted by (level,
+        lex): :func:`~coulombkit.hypertoric.enumerate_degrees` once per order."""
+        got = self._degrees.get(order)
+        if got is None:
+            got = self._degrees[order] = tuple(enumerate_degrees(self.eff(), self.data.theta,
+                                                                 order))
+        return got
 
     def zero_degree(self):
         return (0,) * self.data.k
@@ -243,18 +255,23 @@ class CoulombAlgebra:
         """The ring map of evaluation at the fixed point p, optionally composed
         with the model's flavor specialization, with s_j sent to q^{shift_j}
         times its restriction; one per (point, specialize, shift), a zero
-        shift being the unshifted map."""
+        shift being the unshifted map, from whose images a shifted map is
+        copied."""
         shift = tuple(shift) if any(shift) else ()
         key = (p, specialize, shift)
         got = self._eval_maps.get(key)
         if got is None:
-            width = self.table.width
-            flavor = RingMap(self.flavor_images if specialize else {}, width)
-            images = dict(flavor.images)
-            for j, mono in p.restriction.items():
-                images[self.table.s(j)] = (flavor.mono(pack(mono))
-                                           + (shift[j] if shift else 0) * self.q)
-            got = self._eval_maps[key] = RingMap(images, width)
+            if shift:
+                # the unshifted map's images, each s_j image times q^{shift_j}
+                images = dict(self.evaluation_map(p, specialize).images)
+                for j in p.restriction:
+                    images[self.table.s(j)] += shift[j] * self.q
+            else:
+                flavor = RingMap(self.flavor_images if specialize else {}, self.table.width)
+                images = dict(flavor.images)
+                for j, mono in p.restriction.items():
+                    images[self.table.s(j)] = flavor.mono(pack(mono))
+            got = self._eval_maps[key] = RingMap(images, self.table.width)
         return got
 
     def evaluate(self, p: FixedPoint, f: Scalar, specialize: bool = False, shift=()) -> Scalar:

@@ -2,9 +2,12 @@
 
 Coefficients are computed directly from the closed localization product --
 never through the module pairing -- so that the pairing route implemented in
-:mod:`coulombkit.verma` is a genuinely independent cross-check.  A series is
-stored degreewise: the key carries the Kahler power, the value is a scalar
-in the residue variables only; :class:`QSeries` is a
+:mod:`coulombkit.verma` is a genuinely independent cross-check.  The
+degree-d coefficient at a fixed point p is the kernel's weight at p times
+the insertion's value at p shifted by d, each evaluated on its own through
+the algebra's ring maps, over the algebra's degree list for the order.  A
+series is stored degreewise: the key carries the Kahler power, the value is
+a scalar in the residue variables only; :class:`QSeries` is a
 :class:`~coulombkit.coulomb.Combination`, so both routes build, sum and
 compare their series by one rule.
 """
@@ -13,12 +16,13 @@ from __future__ import annotations
 
 from .coulomb import Combination, CoulombAlgebra
 from .exactring import HBAR_HALF, Poly, Scalar, packed_power
-from .hypertoric import FixedPoint, enumerate_degrees, pair
+from .hypertoric import FixedPoint, pair
 from .pochhammer import poch_product, sign_kernel
 
 
 class Descendent:
-    """Polynomial insertion in the gauge variables (no denominators allowed)."""
+    """Polynomial insertion in the gauge variables (no denominators allowed:
+    the closed series refuses a scalar insertion with a denominator atom)."""
 
     __slots__ = ("poly",)
 
@@ -58,11 +62,19 @@ def is_lift(alg: CoulombAlgebra, p: FixedPoint) -> bool:
 def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
                   order: int, specialize: bool):
     """(degree, coefficient) pairs of the closed localization product at p:
-    the signed-row kernel times the shifted insertion, evaluated at p."""
+    the signed-row kernel evaluated at p times the insertion evaluated at p
+    shifted by d, over the algebra's degree list for ``order``.
+
+    Evaluation is a ring map, so this is the product evaluated at p, as long
+    as neither factor has a pole there on its own: the kernel has none at a
+    lift, and an insertion with a denominator atom is refused, before any
+    degree, with :class:`ValueError`."""
     insertion = tau.as_scalar() if isinstance(tau, Descendent) else tau
-    for d in enumerate_degrees(alg.eff(), alg.data.theta, order):
-        weight = alg.matter_kernel(d) * alg.shift(insertion, d)
-        yield d, alg.evaluate(p, weight, specialize)
+    if any(m > 0 for m in insertion.atoms.values()):
+        raise ValueError("the insertion has a denominator; a descendent is a polynomial")
+    return ((d, alg.evaluate(p, alg.matter_kernel(d), specialize)
+             * alg.evaluate(p, insertion, specialize, d))
+            for d in alg.degrees(order))
 
 
 def vertex_fp(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
@@ -132,7 +144,7 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
         return poch_product(w, symbols)
 
     theta = alg.data.theta
-    degrees = set(enumerate_degrees(alg.eff(), theta, order))
+    degrees = set(alg.degrees(order))
     degrees |= {tuple(x + y for x, y in zip(d, c))
                 for d in degrees if pair(theta, d) + pair(theta, c) <= order}
     residuals = {}
@@ -143,18 +155,6 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
         if not res.is_zero():
             residuals[d] = res
     return residuals
-
-
-def kaehler_relation_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
-                           circuit, order: int) -> bool:
-    """Multiplying by one Kahler monomial equals conjugating the insertion."""
-    c = tuple(circuit)
-    insertion = tau.as_scalar() if isinstance(tau, Descendent) else tau
-    lhs = vertex_fp(alg, p, alg.relation(c, insertion), order)
-    rhs = vertex_fp(alg, p, insertion, order)
-    w = alg.table.width
-    return all(lhs.coefficient(d, w) == rhs.coefficient(tuple(x - y for x, y in zip(d, c)), w)
-               for d in enumerate_degrees(alg.eff(), alg.data.theta, order))
 
 
 # ---------------------------------------------------------------------------

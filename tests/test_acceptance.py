@@ -8,9 +8,8 @@ import itertools
 import os
 
 from coulombkit import (GaugeData, Poly, Scalar, circuits, eff_cone_fp,
-                        fixed_points, poch, poch_qinv, sign_kernel,
-                        kaehler_relation_check, qde_check, vertex_fp,
-                        vertex_fp_nonab, whittaker_function)
+                        fixed_points, poch, poch_qinv, sign_kernel, qde_check,
+                        vertex_fp, vertex_fp_nonab, whittaker_function)
 from coulombkit.bethe import bethe_relations_q1, render_bethe_system
 from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import mono_mul
@@ -21,6 +20,7 @@ from coulombkit.vertex import Descendent, is_lift
 from coulombkit.wallcross import check_reversal, dmodule_match, make_scenario
 
 from conftest import mono_pow, one_minus, rand_mono, rng_for, tpn, weyl_image
+from oracles import kaehler_relation_check
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

@@ -4,13 +4,15 @@ maps.  Cached results must equal, and render exactly as, the same calls on a
 fresh algebra, and no two algebras may share a cached value."""
 
 import itertools
+import sys
 
 import pytest
 
 import coulombkit.coulomb
 import coulombkit.exactring
-from coulombkit import (Descendent, PoleEvaluationError, Poly, fixed_points, vertex_fp,
-                        vertex_fp_nonab, whittaker_function)
+import coulombkit.hypertoric
+from coulombkit import (Descendent, PoleEvaluationError, Poly, fixed_points, qde_check,
+                        vertex_fp, vertex_fp_nonab, whittaker_function)
 from coulombkit.cli import _degree_report, parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.hypertoric import enumerate_degrees, pair
@@ -228,3 +230,48 @@ def test_root_factors_are_built_once_per_degree(tgr24, monkeypatch):
     assert got == want
     for d in degrees:
         assert alg.matter_kernel(d) is alg.matter_kernel(d)
+
+
+def test_degrees_are_enumerated_once_per_order(a2, monkeypatch):
+    """Every vertex series and q-difference check of an algebra reads one
+    degree list per order."""
+    orders = []
+    walk = coulombkit.hypertoric.enumerate_degrees
+
+    def counted(cone, theta, order):
+        orders.append(order)
+        return walk(cone, theta, order)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("coulombkit")]:
+        for name, value in list(vars(mod).items()):
+            if value is walk:
+                monkeypatch.setattr(mod, name, counted)
+    alg = CoulombAlgebra(a2)
+    for p in fixed_points(a2):
+        for text in ("1", "s1", "a1*s1 - h"):
+            vertex_fp(alg, p, parse_descendent(text, alg.table), 2)
+    qde_check(alg, fixed_points(a2)[0], parse_descendent("1", alg.table), (1, 0), 2)
+    vertex_fp(alg, fixed_points(a2)[0], parse_descendent("s1", alg.table), 1)
+    assert sorted(orders) == [1, 2]
+
+
+@pytest.mark.parametrize("model", ["a2", "tgr24"])
+def test_shifted_map_is_copied_from_the_unshifted_one(model, request, monkeypatch):
+    """Once the unshifted map of a point exists, a shifted map is the one
+    RingMap built from its images, each s_j image times q^{shift_j}."""
+    data = request.getfixturevalue(model)
+    alg = CoulombAlgebra(data)
+    built = counting(monkeypatch, coulombkit.coulomb, "RingMap")
+    for p in fixed_points(data):
+        for specialize in (False, True):
+            ring = alg.evaluation_map(p, specialize)
+            del built[:]
+            for shift in itertools.product(range(-1, 2), repeat=data.k):
+                if any(shift):
+                    shifted = alg.evaluation_map(p, specialize, shift)
+                    assert len(built) == 1, (p.label(), specialize, shift)
+                    del built[:]
+                    want = dict(ring.images)
+                    for j in p.restriction:
+                        want[alg.table.s(j)] += shift[j] * alg.q
+                    assert shifted.images == want

@@ -415,6 +415,26 @@ def test_long_a_specialization_key_exits_2(tmp_path, capsys, key):
         "error: a_specialization key '%s...' is not a flavor variable\n" % key[:40]
 
 
+@pytest.mark.parametrize("keys, message", [
+    (["a1", "a01"], "a_specialization keys 'a1' and 'a01' both name a1"),
+    (["a002", "a2"], "a_specialization keys 'a002' and 'a2' both name a2"),
+    (["a" + "0" * 50 + "1", "a1"],
+     "a_specialization keys '%s...' and 'a1' both name a1" % ("a" + "0" * 39)),
+])
+def test_two_a_specialization_keys_of_one_row_exit_2(tmp_path, capsys, keys, message):
+    """Two keys that name one flavor variable are refused, naming both,
+    rather than the later one winning."""
+    from coulombkit.cli import main
+    path = tmp_path / "aspec.json"
+    path.write_text(json.dumps({"chi": [[1], [1]], "theta": [1],
+                                "a_specialization": dict(zip(keys, ["a2", "h"]))}))
+    with pytest.raises(ModelError, match="both name"):
+        load_model(str(path))
+    for command in ("analyze", "circuits"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_main_writes_to_the_current_stdout(capsys):
     from coulombkit.cli import main
     assert main(["circuits", model_path("tp1")]) == 0
@@ -460,11 +480,14 @@ MAX_INT = "9" * 4300
      "a number in the expression has more than 2150 digits"),
     (["circuits", "s1"], "a_specialization 'a1': the image 's1' names a gauge variable; "
                          "an image is a monomial in the a_i and h"),
-    # a point index is refused before it is converted; leading zeros do not count
-    (["vertex", "tp1", "--point", LONG_INT], "point index %s out of range (0..1)" % LONG_INT),
-    (["whittaker", "tp1", "--point", LONG_INT], "point index %s out of range (0..1)" % LONG_INT),
+    # a point index is refused before it is converted, and printed by its
+    # first 40 characters; leading zeros do not count
+    (["vertex", "tp1", "--point", LONG_INT],
+     "point index %s... out of range (0..1)" % LONG_INT[:40]),
+    (["whittaker", "tp1", "--point", LONG_INT],
+     "point index %s... out of range (0..1)" % LONG_INT[:40]),
     (["qde-check", "tp1", "--circuit", "0", "--point", LONG_INT],
-     "point index %s out of range (0..1)" % LONG_INT),
+     "point index %s... out of range (0..1)" % LONG_INT[:40]),
     (["vertex", "tp1", "--point", "0" * 5000 + "2"], "point index 2 out of range (0..1)"),
     # a chained power is refused rather than read in either associativity
     (["vertex", "tp1", "--descendent=a1^2^3"], "chained power at position 4: write (x^a)^b"),
@@ -521,6 +544,13 @@ MAX_INT = "9" * 4300
     (["wallcross", "a2", "--theta2=" + "1" * 5000],
      "--theta2 must be comma-separated integers, got '%s...'" % ("1" * 40)),
     (["vertex", "tp1", "--point", "1" * 5000 + ","], "bad --point '%s...'" % ("1" * 40)),
+    # so is a support that names no fixed point
+    (["vertex", "tp1", "--point", "1" * 4000 + ","],
+     "no fixed point with support {%s...}" % ("1" * 40)),
+    # an index of 40 digits is printed whole, one of 41 cut after 40
+    (["vertex", "tp1", "--point", "9" * 40], "point index %s out of range (0..1)" % ("9" * 40)),
+    (["vertex", "tp1", "--point", "9" * 41],
+     "point index %s... out of range (0..1)" % ("9" * 40)),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main

@@ -3,17 +3,18 @@ block models through the abelianized sum of their virtual abelian model."""
 
 import pytest
 
-from coulombkit import (GaugeData, Poly, Scalar, circuits, fixed_points,
-                        kaehler_relation_check, qde_check, vertex_fp,
-                        vertex_fp_nonab, whittaker_function)
+import coulombkit.coulomb
+from coulombkit import (GaugeData, Poly, Scalar, circuits, fixed_points, qde_check,
+                        vertex_fp, vertex_fp_nonab, whittaker_function)
 from coulombkit.cli import parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
-from coulombkit.exactring import mono_mul
+from coulombkit.exactring import mono_mul, scalar_str
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.pochhammer import sign_kernel
-from coulombkit.vertex import Descendent, QSeries, is_lift, weyl_collapse
+from coulombkit.vertex import Descendent, QSeries, _coefficients, is_lift, weyl_collapse
 
-from conftest import data_model, one_minus, point_by_support, tgr_model, weyl_image
+from conftest import counting, data_model, one_minus, point_by_support, tgr_model, weyl_image
+from oracles import closed_coefficient, kaehler_relation_check
 
 
 def _descendents(table):
@@ -284,3 +285,61 @@ def test_weyl_collapse_sums_each_key_as_a_left_fold_would(tgr24_alg):
             key = alg.data.block_sums(d)
             folded[key] = folded[key] + f if key in folded else f
         assert weyl_collapse(alg, terms, 3) == QSeries(3, folded), text
+
+
+# the closed route evaluates the kernel at p and the insertion at p shifted by
+# d; these descendents include ones a kernel factor divides
+SPLIT_DESCENDENTS = ["1", "s1", "1 - a1*s1", "(s1 - h*s2)^2", "(s1 - s2)^2"]
+
+
+@pytest.mark.parametrize("model, order, blocks", [
+    ("tp1", 4, False), ("a2", 3, False), ("tgr24", 2, True), ("fl3", 2, True)])
+def test_split_evaluation_equals_the_evaluated_product(model, order, blocks):
+    """At every lift, each coefficient equals the kernel times the shifted
+    insertion evaluated at p as one product, and renders the same."""
+    alg = CoulombAlgebra(data_model(model))
+    texts = [t for t in SPLIT_DESCENDENTS if alg.data.k > 1 or "s2" not in t]
+    lifts = [p for p in fixed_points(alg.data) if is_lift(alg, p)]
+    assert lifts
+    for p in lifts:
+        for text in texts:
+            tau = parse_descendent(text, alg.table)
+            want = [(d, closed_coefficient(alg, p, tau.as_scalar(), d, specialize=blocks))
+                    for d in enumerate_degrees(alg.eff(), alg.data.theta, order)]
+            if blocks:
+                got = vertex_fp_nonab(alg, p, tau, order)
+                # the abelian summands are equal too; they are never printed,
+                # and a few render a factor as a sum part where the product
+                # kept a numerator atom, while their Weyl sums render alike
+                for (d, f), (_, g) in zip(_coefficients(alg, p, tau, order, True), want):
+                    assert f == g, (model, p.label(), text, d)
+                want = weyl_collapse(alg, want, order)
+            else:
+                got = vertex_fp(alg, p, tau, order)
+                want = QSeries(order, want)
+            assert got.coeffs.keys() == want.coeffs.keys(), (model, p.label(), text)
+            for d, f in want.coeffs.items():
+                assert got.coeffs[d] == f, (model, p.label(), text, d)
+                assert scalar_str(alg.table, got.coeffs[d]) == scalar_str(alg.table, f), \
+                    (model, p.label(), text, d)
+
+
+@pytest.mark.parametrize("model", ["a2", "tgr24"])
+def test_insertion_with_a_denominator_is_refused(model, monkeypatch):
+    """A Scalar insertion with a denominator atom raises ValueError from both
+    closed routes before any kernel is built; a numerator atom is a
+    polynomial and is accepted."""
+    alg = CoulombAlgebra(data_model(model))
+    w = alg.table.width
+    s1 = alg.table.mono({alg.table.s(0): 1})
+    p = next(p for p in fixed_points(alg.data) if is_lift(alg, p))
+    kernels = counting(monkeypatch, coulombkit.coulomb, "hq_product")
+    for bad in (Scalar(w, Poly.one(w), atoms={s1: 1}),
+                Scalar(w, parse_descendent("1 + s1", alg.table).poly, atoms={s1: 2})):
+        for fn in (vertex_fp, vertex_fp_nonab):
+            with pytest.raises(ValueError, match="denominator"):
+                fn(alg, p, bad, 2)
+    assert kernels == []
+    numerator = Scalar(w, Poly.one(w), atoms={s1: -1})
+    for fn in (vertex_fp, vertex_fp_nonab):
+        assert fn(alg, p, numerator, 2) == fn(alg, p, parse_descendent("1 - s1", alg.table), 2)
