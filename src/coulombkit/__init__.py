@@ -9,7 +9,7 @@ from .hypertoric import (Circuit, Cone, FixedPoint, GaugeData, ModelError,
                          enumerate_degrees, fixed_points, mixed_polarization,
                          separating_circuits)
 from .pochhammer import poch, poch_qinv, sign_kernel
-from .coulomb import AlgebraElement, CoulombAlgebra, ModuleElement
+from .coulomb import AlgebraElement, CoulombAlgebra
 from .verma import VermaModule, VermaVector
 from .vertex import (Descendent, QSeries, qde_check, vertex_fp, vertex_fp_nonab,
                      whittaker_function)
@@ -19,7 +19,7 @@ from .wallcross import (WallCrossScenario, check_reversal, dmodule_match,
 
 __all__ = [
     "AlgebraElement", "Circuit", "Cone", "CoulombAlgebra", "Descendent",
-    "FixedPoint", "GaugeData", "ModelError", "ModuleElement",
+    "FixedPoint", "GaugeData", "ModelError",
     "PoleEvaluationError", "Poly", "QSeries", "Relation", "Scalar", "SumInverseError",
     "ThetaOnWallError", "VariableTable", "VermaModule", "VermaVector",
     "WallCrossScenario", "bethe_relations_q1", "check_reversal", "circuits",

@@ -301,7 +301,7 @@ class _ExprParser:
         m = re.fullmatch(r"Q(\d+)", name)
         if m and self.allow_q and 1 <= int(m.group(1)) <= table.k:
             return table.qvar(int(m.group(1)) - 1)
-        raise ExprError("unknown variable %r" % name)
+        raise ExprError("unknown variable %s" % _image_quote(name))
 
 
 def parse_descendent(text: str, table: VariableTable) -> Descendent:
@@ -366,16 +366,16 @@ def parse_generator_word(text: str, alg: CoulombAlgebra):
             typed = m.group(0).strip()
             entries = [e for e in re.split(r"[,\s]+", m.group(2)) if e]
             if not all(re.fullmatch(r"-?\d+", e) for e in entries):
-                raise ExprError("generator %s: degree entries must be integers" % typed)
+                raise ExprError("generator %s: degree entries must be integers" % _cap(typed))
             # compare digit counts first: a long entry is never converted
             if any(len(e.lstrip("-0")) > len(str(MAX_GENERATOR_DEGREE))
                    or abs(int(e)) > MAX_GENERATOR_DEGREE for e in entries):
                 raise ExprError("generator %s: degree entry above the limit %d"
-                                % (typed, MAX_GENERATOR_DEGREE))
+                                % (_cap(typed), MAX_GENERATOR_DEGREE))
             d = tuple(int(e) for e in entries)
             if len(d) != alg.data.k:
-                raise ExprError("generator degree %r has length %d, expected %d"
-                                % (typed, len(d), alg.data.k))
+                raise ExprError("generator degree %s has length %d, expected %d"
+                                % (_image_quote(typed), len(d), alg.data.k))
             gen = alg.r(d) if m.group(1) == "r" else alg.mixed_generator(d)
             element = alg.mul(element, gen)
             pos = m.end()
@@ -397,10 +397,20 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key it writes twice."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ModelError("the key %s is repeated in one object" % _image_quote(key))
+        out[key] = value
+    return out
+
+
 def load_model(path: str) -> GaugeData:
     with open(path, "r") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:  # bad JSON, or an over-long integer
             raise ModelError("parse error in %s: %s" % (path, exc))
     if not isinstance(raw, dict):
@@ -496,8 +506,8 @@ def _check_weyl_invariant(alg: CoulombAlgebra, tau: Descendent, text: str):
     for w in alg.data.weyl_swaps():
         swap = {table.s(j): table.packed({table.s(dst): 1}) for j, dst in enumerate(w) if j != dst}
         if poly.subs(swap, table.width) != poly:
-            raise ExprError("descendent %r is not Weyl-invariant: w=(%s) changes it"
-                            % (text, ",".join(str(j + 1) for j in w)))
+            raise ExprError("descendent %s is not Weyl-invariant: w=(%s) changes it"
+                            % (_image_quote(text), ",".join(str(j + 1) for j in w)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The convolution algebra on cocharacter generators, in left-coefficient normal form.
 
 Every finite sum over degrees the engine builds is a :class:`Combination`:
-algebra elements, module elements, Verma vectors and the vertex series.  It
-maps degrees to nonzero scalar coefficients; :func:`collect` is the one
-routine that sums them by degree, and the base class owns ``+`` and ``==``.
+algebra elements, Verma vectors and the vertex series.  It maps degrees to
+nonzero scalar coefficients; :func:`collect` is the one routine that sums
+them by degree, and the base class owns ``+`` and ``==``.
 An :class:`AlgebraElement` is the combination sum_d f_d(a, s, q, h) * r_d
 with every coefficient on the LEFT of its generator.  Moving a generator
 past a gauge variable costs a q-shift:
@@ -149,15 +149,8 @@ class AlgebraElement(Combination):
         return self.terms.get(zero, Scalar.zero(self.algebra.table.width))
 
 
-class ModuleElement(Combination):
-    """Combination sum_c f_c * t_c of the right-module basis."""
-
-    __slots__ = ()
-    algebra = property(lambda self: self.owner)
-
-
 class CoulombAlgebra:
-    """Model-bound algebra: structure constants, mixed generators, module action."""
+    """Model-bound algebra: structure constants, mixed generators, Verma modules."""
 
     def __init__(self, data: GaugeData):
         self.data = data
@@ -172,7 +165,6 @@ class CoulombAlgebra:
         self.canonical_pol = frozenset(range(len(self.rows)))
         self._sc_cache = {}
         self._mixed_cache = {}
-        self._mixed_inv_cache = {}
         self._kernel_cache = {}
         self._modules = {}
         self._eval_maps = {}
@@ -205,10 +197,6 @@ class CoulombAlgebra:
 
     def cartan(self, f: Scalar) -> AlgebraElement:
         return AlgebraElement(self, {self.zero_degree(): f})
-
-    def t(self, c, coeff: Scalar | None = None) -> ModuleElement:
-        c = tuple(c)
-        return ModuleElement(self, {c: coeff if coeff is not None else Scalar.one(self.table.width)})
 
     def x_mono(self, i: int) -> tuple:
         """The monomial of row i, as an exponent tuple."""
@@ -312,11 +300,6 @@ class CoulombAlgebra:
              f * self.shift_coefficient(g, c) * self.structure_constant(c, d, pol))
             for c, f in first.terms.items() for d, g in second.terms.items()))
 
-    def tau(self, a: AlgebraElement) -> AlgebraElement:
-        """Anti-automorphism fixing the Cartan and sending r_d to r_{-d}."""
-        return AlgebraElement(self, ((tuple(-x for x in d), self.shift(f, d))
-                                     for d, f in a.terms.items()))
-
     # -- mixed generators --------------------------------------------------
 
     def xi_phi_coefficient(self, d, pol: frozenset) -> Scalar:
@@ -327,9 +310,6 @@ class CoulombAlgebra:
             if di and i not in pol:
                 factors.append((x, -di, -sign if di > 0 else sign))
         return hq_product(self.table.width, factors)
-
-    def xi_phi_generator(self, d, pol: frozenset) -> AlgebraElement:
-        return self.r(d, self.xi_phi_coefficient(d, pol))
 
     def mixed_coefficient(self, d) -> Scalar:
         """Left coefficient of the mixed generator at degree d."""
@@ -345,11 +325,7 @@ class CoulombAlgebra:
         return out
 
     def mixed_coefficient_inv(self, d) -> Scalar:
-        d = tuple(d)
-        got = self._mixed_inv_cache.get(d)
-        if got is None:
-            got = self._mixed_inv_cache[d] = self.mixed_coefficient(d).inv()
-        return got
+        return self.mixed_coefficient(d).inv()
 
     def mixed_generator(self, d) -> AlgebraElement:
         d = tuple(d)
@@ -366,23 +342,6 @@ class CoulombAlgebra:
             prod = self.mul(prod, self.cartan(f))
         return self.mul(prod, self.r(nc, other.mixed_coefficient(nc))).scalar_part()
 
-    # -- right module -------------------------------------------------------
-
-    def module_factor(self, c, d) -> Scalar:
-        """Scalar with t_c r_d = factor * t_{c+d}, in the canonical polarization."""
-        factors = []
-        for chi, x, sign in self.rows:
-            di = pair(chi, d)
-            if di < 0:
-                factors.append((x - pair(chi, c) * self.q, -di, -sign))
-        return hq_product(self.table.width, factors)
-
-    def module_act(self, t: ModuleElement, a: AlgebraElement) -> ModuleElement:
-        return ModuleElement(self, (
-            (tuple(x + y for x, y in zip(c, d)),
-             g * self.shift_coefficient(f, c) * self.module_factor(c, d))
-            for c, g in t.terms.items() for d, f in a.terms.items()))
-
     def verma_module(self, p: FixedPoint):
         """The :class:`~coulombkit.verma.VermaModule` at the fixed point p.
 
@@ -394,38 +353,3 @@ class CoulombAlgebra:
             from .verma import VermaModule  # verma builds on this module
             module = self._modules[p] = VermaModule(self, p)
         return module
-
-    # -- quantum Hamiltonian reduction oracle ---------------------------------
-
-    def abelian_point_algebra(self) -> "CoulombAlgebra":
-        """The rank-n model where every row acts by its own coordinate."""
-        n = self.data.n
-        chi = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        return CoulombAlgebra(GaugeData.create(chi, (1,) * n))
-
-    def abelian_point_lift(self, d, ab: "CoulombAlgebra | None" = None) -> AlgebraElement:
-        """The generator word in the rank-n model whose image is r_d."""
-        ab = ab or self.abelian_point_algebra()
-        word = ab.one()
-        for i in range(self.data.n):
-            di = self.data.pairing(i, d)
-            if di > 0:
-                b = tuple(1 if j == i else 0 for j in range(self.data.n))
-                for _ in range(di):
-                    word = ab.mul(word, ab.r(b))
-        for i in range(self.data.n):
-            di = self.data.pairing(i, d)
-            if di < 0:
-                b = tuple(-1 if j == i else 0 for j in range(self.data.n))
-                for _ in range(-di):
-                    word = ab.mul(word, ab.r(b))
-        return word
-
-    def project_lift_scalar(self, f: Scalar, ab: "CoulombAlgebra") -> Scalar:
-        """Send the lift's gauge variables to s^{chi_i} (the reduction map) and
-        its Kahler variables to 1; q, h and the flavors share their indices."""
-        t = self.table
-        images = {ab.table.s(i): t.mono({t.s(j): cij for j, cij in enumerate(row)})
-                  for i, row in enumerate(self.data.chi)}
-        images.update({ab.table.qvar(i): t.unit() for i in range(self.data.n)})
-        return f.subs(images, t.width)

@@ -950,11 +950,6 @@ class Scalar:
             return self
         return Scalar._raw(self.w, self.num, self.pre + m, self.atoms)
 
-    def scale(self, c) -> "Scalar":
-        if c == 0:
-            return Scalar.zero(self.w)
-        return Scalar._raw(self.w, self.num.scale(c), self.pre, self.atoms)
-
     def inv(self) -> "Scalar":
         """The inverse of a nonzero value whose sum part is a monomial."""
         if self.is_zero():

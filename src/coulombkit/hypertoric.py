@@ -191,9 +191,9 @@ class GaugeData(_Record):
         if subsets > MAX_ROW_SUBSETS:
             raise ModelError("the model has C(%d, %d) = %d candidate row subsets, more than "
                              "the limit %d" % (n, k, subsets, MAX_ROW_SUBSETS))
-        if _rank(chi) != k:
+        if (rank := _rank(chi)) != k:
             raise ModelError("chi has rank %d < %d; the gauge torus does not act with finite kernel"
-                             % (_rank(chi), k))
+                             % (rank, k))
         # <chi_i, c_S> = +-det(S + {i}), and the pairs (S, i > max S) meet the
         # k-subsets in lexicographic order
         cofactors = {}
@@ -291,9 +291,6 @@ class GaugeData(_Record):
         """The per-block totals of a degree vector: its image in the cocharacters
         of the block torus, and ``d`` itself when every block has size 1."""
         return tuple(sum(d[a:b]) for a, b in self.block_slices())
-
-    def pairing(self, i: int, d) -> int:
-        return pair(self.chi[i], d)
 
 
 def _block_slices(k, blocks):

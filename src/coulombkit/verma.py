@@ -1,5 +1,5 @@
 """Lowest-level representation theory at a fixed point: the module with basis
-indexed by the effective cone of the point, the contravariant form, and the
+indexed by the effective cone of the point, its contravariant norms, and the
 eigenvector generating function in half-powers of the Kahler parameters.
 
 The Cartan part of an algebra element acts on the basis vector at e by its
@@ -31,15 +31,6 @@ class VermaVector(Combination):
     __slots__ = ()
     module = property(lambda self: self.owner)
 
-    def scale(self, f: Scalar) -> "VermaVector":
-        return VermaVector(self.module, {d: g * f for d, g in self.terms.items()})
-
-    def truncate(self, order: int) -> "VermaVector":
-        theta = self.module.algebra.data.theta
-        return VermaVector(self.module, {
-            d: f for d, f in self.terms.items()
-            if sum(t * x for t, x in zip(theta, d)) <= order})
-
 
 class VermaModule:
     """The module attached to one fixed point of one model.
@@ -61,11 +52,6 @@ class VermaModule:
     def evaluate(self, f: Scalar, shift_degree=None) -> Scalar:
         """Evaluate at the point, with s_j sent to q^{shift_j} times its restriction."""
         return self.algebra.evaluate(self.point, f, shift=shift_degree or ())
-
-    # -- module structure ----------------------------------------------------
-
-    def highest_weight(self) -> VermaVector:
-        return VermaVector(self, {self.algebra.zero_degree(): Scalar.one(self.algebra.table.width)})
 
     def act(self, a: AlgebraElement, u: VermaVector) -> VermaVector:
         """The vector a * u, u having its degrees in the cone.
@@ -102,15 +88,6 @@ class VermaModule:
         if got is None:
             got = self._norm_cache[d] = self.evaluate(self.algebra.relation(tuple(-x for x in d)))
         return got
-
-    def contravariant_form(self, u: VermaVector, w: VermaVector) -> Scalar:
-        out = Scalar.zero(self.algebra.table.width)
-        for d, f in u.terms.items():
-            g = w.terms.get(d)
-            if g is None:
-                continue
-            out = out + f * g * self.norm(d)
-        return out
 
     def whittaker_vector(self, order: int) -> VermaVector:
         """Truncated eigenvector: coefficient Q^{d/2} / norm(d) on the basis vector at d."""

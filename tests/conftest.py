@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from coulombkit import GaugeData, Poly, VariableTable, fixed_points
+from coulombkit import GaugeData, Poly, Scalar, VariableTable, VermaVector, fixed_points
 from coulombkit.cli import load_model
 from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import _binomials, unpack
+from coulombkit.hypertoric import pair
 
 
 @pytest.fixture(scope="session")
@@ -91,6 +92,18 @@ def weyl_image(alg, w, p):
                     and data.a_specialization[j] == data.a_specialization[i])
 
     return point_by_support(data, [image(i) for i in p.support])
+
+
+def highest_weight(module):
+    """The cyclic vector of a Verma module: its basis vector at degree 0."""
+    alg = module.algebra
+    return VermaVector(module, {alg.zero_degree(): Scalar.one(alg.table.width)})
+
+
+def truncate(u, order: int) -> dict:
+    """The terms of the Verma vector u at degrees of level at most ``order``."""
+    theta = u.module.algebra.data.theta
+    return {d: f for d, f in u.terms.items() if pair(theta, d) <= order}
 
 
 def rand_mono(rng, table, span=2, vars_=None):

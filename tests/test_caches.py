@@ -20,7 +20,7 @@ from coulombkit.pochhammer import hq_ratio
 from coulombkit.verma import VermaModule
 from coulombkit.vertex import QSeries
 
-from conftest import counting, point_by_support, tpn
+from conftest import counting, point_by_support, tpn, truncate
 
 # the three acceptance descendents plus one more
 DESCENDENTS = ["1", "s1", "a1*s1 - h", "2*a2*s1^2 + 3*h"]
@@ -78,7 +78,7 @@ def test_whittaker_vector_is_memoized_per_order(a2):
     module = CoulombAlgebra(a2).verma_module(fixed_points(a2)[0])
     w2 = module.whittaker_vector(2)
     assert module.whittaker_vector(2) is w2
-    assert module.whittaker_vector(1) == w2.truncate(1)
+    assert module.whittaker_vector(1).terms == truncate(w2, 1)
     with pytest.raises(ValueError):
         module.whittaker_vector(-1)
 

@@ -551,6 +551,17 @@ MAX_INT = "9" * 4300
     (["vertex", "tp1", "--point", "9" * 40], "point index %s out of range (0..1)" % ("9" * 40)),
     (["vertex", "tp1", "--point", "9" * 41],
      "point index %s... out of range (0..1)" % ("9" * 40)),
+    # an unknown variable, a generator degree of the wrong length and a
+    # descendent that is not Weyl-invariant are quoted by their first 40
+    (["vertex", "tp1", "--descendent=" + "b" * 5000], "unknown variable '%s...'" % ("b" * 40)),
+    (["circuits", "b" * 5000], "a_specialization 'a1': unknown variable '%s...' in the image "
+                               "'%s...'" % ("b" * 40, "b" * 40)),
+    (["mul", "tp1", "r[%s1]" % ("1," * 2000)],
+     "generator degree '%s...' has length 2001, expected 1" % ("r[" + "1," * 19)),
+    (["vertex", "tgr24", "--descendent=s1" + "+s1" * 2000],
+     "descendent '%s...' is not Weyl-invariant: w=(2,1) changes it" % ("s1" + "+s1" * 13)[:40]),
+    (["mul", "tp1", "r[%s1]" % ("1-" * 3000)],
+     "generator %s...: degree entries must be integers" % ("r[" + "1-" * 19)),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main
@@ -589,7 +600,9 @@ def test_mul_generator_degrees_are_capped(capsys):
             ("r[3000] r[-3000]", "generator r[3000]: degree entry above the limit %d" % cap),
             ("r[1] R[-%d]" % (cap + 1), "generator R[-%d]: degree entry above the limit %d"
              % (cap + 1, cap)),
-            ("r[%s]" % MAX_INT, "generator r[%s]: degree entry above the limit %d" % (MAX_INT, cap)),
+            # a long entry is quoted by the first 40 characters of its generator
+            ("r[%s]" % MAX_INT, "generator r[%s...: degree entry above the limit %d"
+             % (MAX_INT[:38], cap)),
             ("r[1-2]", "generator r[1-2]: degree entries must be integers")]:
         assert main(["mul", model_path("tp1"), word]) == 2
         assert capsys.readouterr().err == "error: %s\n" % message
@@ -602,6 +615,24 @@ def test_model_file_with_an_overlong_integer_exits_2(tmp_path, capsys):
     assert main(["circuits", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: parse error in ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"chi": [[1], [1]], "theta": [1], "chi": [[1], [1], [1]]}', "'chi'"),
+    ('{"chi": [[1], [1]], "theta": [1], "a_specialization": {"a1": "a2", "a1": "h"}}', "'a1'"),
+    ('{"chi": [[1], [1]], "theta": [1], "%s": 1, "%s": 2}' % ("b" * 5000, "b" * 5000),
+     "'%s...'" % ("b" * 40)),
+], ids=["top-level", "nested", "long"])
+def test_repeated_json_key_exits_2(tmp_path, capsys, text, key):
+    """A key written twice in one JSON object is refused by name, whichever
+    of its values would be read."""
+    from coulombkit.cli import main
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    for command in ("analyze", "circuits"):
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: parse error in %s: the key %s is repeated in one object\n" % (path, key)
 
 
 def test_deeply_nested_model_file_exits_2(tmp_path, capsys):

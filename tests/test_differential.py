@@ -39,6 +39,11 @@ BASES = [(0, 0, 0, 1, 0), (2, 0, 0, 1, 0), (0, 0, 1, -1, 0), (0, 2, 1, 0, 0), (1
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
+def scaled(x: Scalar, c) -> Scalar:
+    """x times the rational constant c, by the engine's product."""
+    return x * Scalar.monomial(UNIT, c)
+
+
 def mono_expr(m):
     return sympy.Mul(*[z ** e for z, e in zip(Z, m) if e])
 
@@ -251,10 +256,10 @@ def test_psi_image_matches_sympy_cyclotomic_polynomials():
 def test_no_denominator_atom_divides_the_sum_part(xa, ya, data):
     """Every operation returns the normal form, ``+`` included, which offers
     only the denominator atoms both summands share for cancellation, and the
-    results that skip renormalization (``-x``, scaling, ``inv``, products of
-    atoms)."""
+    results that skip renormalization (``-x``, ``inv``, products by a
+    constant and of atoms)."""
     (x, _), (y, _) = xa, ya
-    results = [x, y, x + y, x - y, x + x, y + x * y, x * y, -x, x.scale(Fraction(-2, 3))]
+    results = [x, y, x + y, x - y, x + x, y + x * y, x * y, -x, scaled(x, Fraction(-2, 3))]
     if not y.is_zero() and y.num.is_monomial():
         results += [y.inv(), x / y, x + y.inv()]
     images = {i: data.draw(st.tuples(*[st.integers(-1, 1)] * W)) for i in range(W)}
@@ -346,8 +351,9 @@ def test_coefficients_are_int_when_integral(xa, ya, text, data):
     coefficient an ``int`` when integral and never make a float."""
     (x, _), (y, _) = xa, ya
     half = Fraction(1, 2)
-    assert_exact(x, y, x + y, x - y, x * y, -x, x.scale(Fraction(2, 3)), x.scale(Fraction(4, 2)),
-                 x.scale(half) + x.scale(half), x.scale(half) * y.scale(2))
+    assert_exact(x, y, x + y, x - y, x * y, -x, scaled(x, Fraction(2, 3)),
+                 scaled(x, Fraction(4, 2)), scaled(x, half) + scaled(x, half),
+                 scaled(x, half) * scaled(y, 2))
     if not y.is_zero() and y.num.is_monomial():
         assert_exact(x / y, y.inv(), y.inv().inv())
     images = {i: data.draw(st.tuples(*[st.integers(-1, 1)] * W)) for i in range(W)}
@@ -370,7 +376,7 @@ def test_coefficient_invariant_cases():
     third = Scalar.monomial(m, 3).inv()
     assert third.num.tuple_terms() == {UNIT: Fraction(1, 3)}
     assert type(third.num.tuple_terms()[UNIT]) is Fraction
-    assert_exact(third, third.inv(), third * Scalar.monomial(m, 3), third.scale(3))
+    assert_exact(third, third.inv(), third * Scalar.monomial(m, 3), scaled(third, 3))
     assert type((third * Scalar.monomial(UNIT, 3)).num.tuple_terms()[UNIT]) is int
     for d in range(-3, 4):
         (c,) = sign_kernel(d, W).num.terms.values()

@@ -69,15 +69,15 @@ def test_scalar_mul_and_inv():
     sq = Scalar(W, Poly.one(W), atoms={m: 1}) * Scalar(W, Poly.one(W), atoms={m: 1})
     assert binomial_atoms(sq) == {m: 2}
     # inv((-q^(1/2)h^(-1/2)) (1-x)/(1-hx)) = (-q^(-1/2)h^(1/2)) (1-hx)/(1-x)
-    k = Scalar(W, Poly.one(W), pre=T.mono({0: 1, 1: -1}),
-               atoms={m: -1, mono(h=1, s1=1): 1}).scale(-1)
+    k = -Scalar(W, Poly.one(W), pre=T.mono({0: 1, 1: -1}),
+                atoms={m: -1, mono(h=1, s1=1): 1})
     ki = k.inv()
-    expected = Scalar(W, one_minus(mono(h=1, s1=1)), pre=T.mono({0: -1, 1: 1}),
-                      atoms={m: 1}).scale(-1)
+    expected = -Scalar(W, one_minus(mono(h=1, s1=1)), pre=T.mono({0: -1, 1: 1}),
+                       atoms={m: 1})
     assert ki == expected
     # a numerator binomial given as a sum part equals the same binomial as an atom
-    assert Scalar(W, one_minus(m), pre=T.mono({0: 1, 1: -1}),
-                  atoms={mono(h=1, s1=1): 1}).scale(-1) == k
+    assert -Scalar(W, one_minus(m), pre=T.mono({0: 1, 1: -1}),
+                   atoms={mono(h=1, s1=1): 1}) == k
     with pytest.raises(ZeroDivisionError):
         Scalar.zero(W).inv()
 

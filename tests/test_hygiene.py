@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name at top level that it never uses,
-no module-level function or class of the package goes unused, the package
-has no floating point, and the README's library quick tour runs."""
+no module-level function or class and no public method of the package goes
+unused, the package has no floating point, and the README's library quick
+tour runs."""
 
 import ast
 import os
@@ -99,10 +100,58 @@ def test_private_definitions_are_referenced():
     assert not orphans, "unreferenced private definitions: " + ", ".join(orphans)
 
 
+def _attributes(node, skip=()):
+    """The attribute names read under ``node``, not looking inside ``skip``."""
+    names, todo = set(), [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        todo.extend(child for child in ast.iter_child_nodes(node) if child not in skip)
+    return names
+
+
+def _unreached_methods(bench):
+    """The public, non-dunder methods of the package's classes that nothing
+    reaches: ``src/`` reads no attribute of that name outside the bodies of
+    such methods (a method read only by unreached ones is unreached too), and
+    ``perfbench/`` never writes ``.name``.  Names are matched, not receivers,
+    so a method that shares its name with one the engine calls counts as
+    reached."""
+    methods, read = {}, set()  # name -> [(where, attributes its body reads)]
+    for path in PACKAGE:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        bodies = set()
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not node.name.startswith("_"):
+                    where = "%s.%s %s (line %d)" % (cls.name, node.name,
+                                                    os.path.relpath(path, ROOT), node.lineno)
+                    methods.setdefault(node.name, []).append((where, _attributes(node)))
+                    bodies.add(node)
+        read |= _attributes(tree, skip=bodies)
+    assert methods
+    reached = set()
+    todo = list(read) + [name for name in methods if re.search(r"\.%s\b" % name, bench)]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo.extend(attr for _, attrs in methods.get(name, ()) for attr in attrs)
+    return sorted(where for name, defs in methods.items() if name not in reached
+                  for where, _ in defs)
+
+
 def test_public_functions_have_a_caller():
     """Every public module-level function in the package is read somewhere
-    in ``src/``, named in ``perfbench/``, or listed in ``__all__``, so a
-    library function that only tests call fails here."""
+    in ``src/``, named in ``perfbench/``, or listed in ``__all__``, and every
+    public method is reached from ``src/`` or ``perfbench/``
+    (:func:`_unreached_methods`), so library code that only tests call fails
+    here."""
     bench = ""
     for name in sorted(os.listdir(os.path.join(ROOT, "perfbench"))):
         if name.endswith(".py"):
@@ -114,8 +163,9 @@ def test_public_functions_have_a_caller():
     assert public
     orphans = ["%s %s" % (name, where) for name, where in sorted(public.items())
                if name not in read and not re.search(r"\b%s\b" % name, bench)]
-    assert not orphans, "public functions nothing in src/ or perfbench/ reads: " \
-        + ", ".join(orphans)
+    orphans += _unreached_methods(bench)
+    assert not orphans, "public functions and methods nothing in src/ or perfbench/ " \
+        "reaches: " + ", ".join(orphans)
 
 
 def test_package_has_no_floating_point():
