@@ -98,7 +98,7 @@ def _checked_monomial(table: VariableTable, m: tuple) -> tuple:
         half = table.is_half_variable(idx)
         if abs(e) > (2 * MAX_EXPONENT if half else MAX_EXPONENT):
             raise ExprError("exponent %s of %s exceeds the limit %d" % (
-                Fraction(e, 2) if half else e, table.var_label(idx), MAX_EXPONENT))
+                _cap(str(Fraction(e, 2) if half else e)), table.var_label(idx), MAX_EXPONENT))
     return m
 
 
@@ -760,7 +760,9 @@ def build_parser():
 def main(argv=None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args, extra = ap.parse_known_args(argv)
+        if extra:
+            ap.error("unrecognized arguments: %s" % _cap(" ".join(extra)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -272,7 +272,7 @@ class CoulombAlgebra:
             return f.subs(self.evaluation_map(p, specialize, shift))
         except PoleEvaluationError as exc:
             raise PoleEvaluationError("pole at fixed point %s: atom %s vanishes"
-                                      % (p.label(), atom_str(self.table, exc.atom)),
+                                      % (p.label(), atom_str(self.table, pack(exc.atom))),
                                       atom=exc.atom)
 
     def shift_map(self, d) -> RingMap:

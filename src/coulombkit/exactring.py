@@ -59,9 +59,11 @@ raises :class:`SumInverseError`), and two products of atoms are equal
 exactly when their fields are.  Construction divides the sum part by every
 denominator atom it can, through its chains of terms ``m + k*r``, and moves
 its monomial content to the prefactor.  Equality with a sum part is
-cross-multiplication after cancelling the shared atoms.  Rendering regroups
-the atoms of each root r into binomials ``(1 - r^n)``, largest n first;
-nothing is multiplied out to print.  All values are immutable.
+cross-multiplication after cancelling the shared atoms.  Rendering prints a
+root whose one key is psi_1(r) as ``(1 - r)`` and regroups the keys of other
+roots into binomials ``(1 - r^n)``, largest n first; nothing is multiplied
+out, and each fragment, monomial and binomial is formatted once per
+:class:`VariableTable`.  All values are immutable.
 
 Every substitution goes through a :class:`RingMap`: the images of the
 variables plus memos of the image of each monomial and the direction of the
@@ -194,11 +196,12 @@ class VariableTable:
     """Canonical, totally ordered variable layout for a rank-k model with n matter rows.
 
     ``labels`` holds, per variable index, the pair ``(var_label(idx),
-    is_half_variable(idx))``, built once for the renderer, and ``strings``
-    the text of each packed monomial :meth:`packed_str` has printed.
+    is_half_variable(idx))``, built once for the renderer, ``fragments`` the
+    text of each (variable index, exponent), ``strings`` of each packed
+    monomial (:meth:`packed_str`), and ``binomials`` of each ``(1 - g)``.
     """
 
-    __slots__ = ("n", "k", "width", "labels", "strings")
+    __slots__ = ("n", "k", "width", "labels", "fragments", "strings", "binomials")
 
     def __init__(self, n: int, k: int):
         self.n = n
@@ -206,13 +209,21 @@ class VariableTable:
         self.width = 2 + n + 2 * k
         self.labels = tuple((self.var_label(i), self.is_half_variable(i))
                             for i in range(self.width))
-        self.strings = {}
+        self.fragments, self.strings, self.binomials = {}, {0: "1"}, {}
 
     def packed_str(self, m: int) -> str:
-        """:func:`mono_str` of a packed monomial, remembered per table."""
+        """:func:`mono_str` of a packed monomial, remembered per table: the
+        fragment of its first nonzero slot, then the text of the rest."""
         got = self.strings.get(m)
         if got is None:
-            got = self.strings[m] = mono_str(self, unpack(m, self.width))
+            # that slot is bit_length(|m|) // 64 from the end, and its exponent
+            # is m over its weight, rounded: later slots add under half of that
+            shift = SLOT_BITS * (abs(m).bit_length() // SLOT_BITS)
+            e = (m + ((1 << shift) >> 1)) >> shift
+            key = (self.width - 1 - shift // SLOT_BITS, e)
+            text = self.fragments.get(key) or _exp_str(self, *key)
+            rest = m - (e << shift)
+            got = self.strings[m] = text + "*" + self.packed_str(rest) if rest else text
         return got
 
     def a(self, i: int) -> int:
@@ -1012,23 +1023,21 @@ def specialize_q1(x: Scalar, table: VariableTable) -> Scalar:
 # ---------------------------------------------------------------------------
 
 def _exp_str(table: VariableTable, idx: int, e: int) -> str:
+    """The text of variable ``idx`` to the raw exponent e, kept in ``table.fragments``."""
     label, half = table.labels[idx]
-    if half:
-        if e % 2 == 0:
-            e //= 2
-            if e == 1:
-                return label
-            return "%s^%d" % (label, e)
-        sign = "-" if e < 0 else ""
-        return "%s^(%s%d/2)" % (label, sign, abs(e))
-    if e == 1:
-        return label
-    return "%s^%d" % (label, e)
+    if half and e % 2:
+        text = "%s^(%d/2)" % (label, e)
+    else:
+        p = e // 2 if half else e
+        text = label if p == 1 else "%s^%d" % (label, p)
+    table.fragments[idx, e] = text
+    return text
 
 
 def mono_str(table: VariableTable, m: tuple) -> str:
-    parts = [_exp_str(table, idx, e) for idx, e in enumerate(m) if e]
-    return "*".join(parts) if parts else "1"
+    """The text of an exponent tuple, joined from the table's fragments."""
+    return "*".join([table.fragments.get(p) or _exp_str(table, *p)
+                     for p in enumerate(m) if p[1]]) or "1"
 
 
 def _term_str(table: VariableTable, m: int, c) -> str:
@@ -1043,26 +1052,19 @@ def _term_str(table: VariableTable, m: int, c) -> str:
 
 
 def poly_str(table: VariableTable, p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for m, c in sorted(p.terms.items(), key=_atom_key):
-        t = _term_str(table, m, c)
-        if not parts:
-            parts.append(t)
-        elif t.startswith("-"):
-            parts.append("- " + t[1:])
-        else:
-            parts.append("+ " + t)
-    return " ".join(parts)
+    """The terms in graded-lex order; no term's text has a space, so " + -"
+    only joins a negative term."""
+    text = " + ".join([_term_str(table, m, c)
+                       for m, c in sorted(p.terms.items(), key=_atom_key)])
+    return text.replace(" + -", " - ") or "0"
 
 
-def atom_str(table: VariableTable, g, mult: int = 1) -> str:
-    """The binomial (1 - g)^mult, g an exponent tuple or packed."""
-    body = "(1 - %s)" % (table.packed_str(g) if type(g) is int else mono_str(table, g))
-    if mult != 1:
-        body += "^%d" % mult
-    return body
+def atom_str(table: VariableTable, g: int, mult: int = 1) -> str:
+    """The binomial (1 - g)^mult, g packed."""
+    body = table.binomials.get(g)
+    if body is None:
+        body = table.binomials[g] = "(1 - %s)" % table.packed_str(g)
+    return body if mult == 1 else "%s^%d" % (body, mult)
 
 
 def _orient_factor(g: int, mult: int):
@@ -1070,24 +1072,28 @@ def _orient_factor(g: int, mult: int):
 
     Prefers the representative with positive total degree, then the
     lexicographically smaller exponent vector (g < g^-1 exactly when g is a
-    negative int); returns (g', unit monomial, sign) with (1 - g)^mult =
-    sign * unit * (1 - g')^mult.
+    negative int); returns (degree of g', g', unit monomial, sign) with
+    (1 - g)^mult = sign * unit * (1 - g')^mult.
     """
     total = _degree(g)
     if total > 0 or (total == 0 and g < 0):
-        return g, 0, 1
+        return total, g, 0, 1
     # (1 - g) = (-g) (1 - g^{-1})
-    return -g, g * mult, -1 if mult % 2 else 1
+    return -total, -g, g * mult, -1 if mult % 2 else 1
 
 
 def _binomials(x: Scalar) -> dict:
     """The atoms regrouped into binomials ``{r^n: mult}``, packed, the factor
-    (1 - r^n)^(-mult): per root r, the largest n left with a nonzero
-    multiplicity first, which inverts 1 - r^n = prod_{d|n} psi_d(r)."""
-    by_root = {}
+    (1 - r^n)^(-mult).  A root whose only key has d = 1 is its own binomial;
+    the keys of a root with some d > 1 are taken largest n first, which
+    inverts 1 - r^n = prod_{d|n} psi_d(r)."""
+    split = {r for r, d in x.atoms if d > 1}
+    out, by_root = {}, {}
     for (r, d), mult in x.atoms.items():
-        by_root.setdefault(r, {})[d] = mult
-    out = {}
+        if r in split:
+            by_root.setdefault(r, {})[d] = mult
+        else:
+            out[r] = mult
     for r, mults in by_root.items():
         while mults:
             n = max(mults)
@@ -1103,13 +1109,14 @@ def _binomials(x: Scalar) -> dict:
 
 def _factored(x: Scalar):
     """(head, sign, binomials) with x = sign * head * x.num * prod (1 - g)^(-mult)
-    over the binomials {g: mult}, each oriented by :func:`_orient_factor`;
-    monomials packed."""
-    head, sign, out = x.pre, 1, {}
+    over the binomials, a list of (degree of g, g, mult) in graded-lex order,
+    each g oriented by :func:`_orient_factor`; monomials packed."""
+    head, sign, out = x.pre, 1, []
     for g, mult in _binomials(x).items():
-        g, unit, s = _orient_factor(g, -mult)
+        deg, g, unit, s = _orient_factor(g, -mult)
         head, sign = head + unit, sign * s
-        out[g] = mult
+        out.append((deg, g, mult))
+    out.sort()
     return head, sign, out
 
 
@@ -1130,9 +1137,8 @@ def scalar_str(table: VariableTable, x: Scalar) -> str:
         head_str = _term_str(table, head, sign)
         parts = [head_str] if head_str != "1" else []
         parts.append("(%s)" % poly_str(table, x.num))
-    ordered = sorted(atoms.items(), key=_atom_key)
-    parts += [atom_str(table, g, -mult) for g, mult in ordered if mult < 0]
-    denom = [atom_str(table, g, mult) for g, mult in ordered if mult > 0]
+    parts += [atom_str(table, g, -mult) for _, g, mult in atoms if mult < 0]
+    denom = [atom_str(table, g, mult) for _, g, mult in atoms if mult > 0]
     if denom:
         return "%s / ( %s )" % (" * ".join(parts), " * ".join(denom))
     return " * ".join(parts)
@@ -1152,7 +1158,7 @@ def scalar_structured(x: Scalar):
         "pre": list(unpack(head, w)),
         "num": [[str(sign * c), list(unpack(m, w))]
                 for m, c in sorted(x.num.terms.items(), key=_atom_key)],
-        "atoms": [[list(unpack(g, w)), mult] for g, mult in sorted(atoms.items(), key=_atom_key)],
+        "atoms": [[list(unpack(g, w)), mult] for _, g, mult in atoms],
     }
 
 

@@ -28,11 +28,19 @@ reverses products and that it swaps the mixed generators at d and -d.
 :func:`contravariant_form` pairs two Verma vectors by the engine's diagonal
 norms.  Its tests check that a mixed generator and its opposite are adjoint
 for it, and that it is diagonal on the basis with the norms on the diagonal.
+
+The reference renderer prints a scalar from exponent tuples, with no memo:
+each monomial formatted from its variable labels, the atoms of every root
+regrouped into binomials by a divisor walk, oriented, and then sorted in
+graded-lex order.  The engine's rendering must equal it byte for byte.
 """
+
+from fractions import Fraction
 
 from coulombkit import (AlgebraElement, CoulombAlgebra, Descendent, GaugeData, Scalar,
                         enumerate_degrees)
 from coulombkit.coulomb import Combination
+from coulombkit.exactring import unpack
 from coulombkit.hypertoric import pair
 from coulombkit.pochhammer import hq_product
 
@@ -145,3 +153,106 @@ def contravariant_form(module, u, w) -> Scalar:
         if g is not None:
             out = out + f * g * module.norm(d)
     return out
+
+
+# -- the reference renderer ---------------------------------------------------
+
+def mono_str_reference(table, m: tuple) -> str:
+    """An exponent tuple as text, each power read off the variable labels."""
+    parts = []
+    for idx, e in enumerate(m):
+        if not e:
+            continue
+        label = table.var_label(idx)
+        power = Fraction(e, 2) if table.is_half_variable(idx) else e
+        if power == 1:
+            parts.append(label)
+        elif power.denominator == 1:
+            parts.append("%s^%d" % (label, power))
+        else:
+            parts.append("%s^(%s)" % (label, power))
+    return "*".join(parts) or "1"
+
+
+def _graded(item):
+    """Graded-lex key of a pair whose first entry is an exponent tuple."""
+    return sum(item[0]), item[0]
+
+
+def _term_reference(table, m: tuple, c) -> str:
+    text = mono_str_reference(table, m)
+    if text == "1":
+        return str(c)
+    return text if c == 1 else "-" + text if c == -1 else "%s*%s" % (c, text)
+
+
+def factored_reference(x: Scalar):
+    """(head, sign, {g: mult}) with x = sign * head * x.num * prod (1 - g)^(-mult):
+    per root r, the largest n left with a nonzero multiplicity first, which
+    inverts 1 - r^n = prod_{d|n} psi_d(r); then each (1 - g) oriented to a
+    positive total degree, or degree 0 and g lexicographically below g^-1.
+    Monomials are exponent tuples."""
+    by_root = {}
+    for (r, d), mult in x.tuple_atoms().items():
+        by_root.setdefault(r, {})[d] = mult
+    head, sign, out = list(unpack(x.pre, x.w)), 1, {}
+    for r, mults in by_root.items():
+        while mults:
+            n = max(mults)
+            c = mults[n]
+            g = tuple(n * e for e in r)
+            inv = tuple(-e for e in g)
+            if sum(g) < 0 or (sum(g) == 0 and inv < g):
+                # (1 - g)^(-c) = (-g)^(-c) (1 - g^-1)^(-c)
+                head = [h - c * e for h, e in zip(head, g)]
+                sign *= -1 if c % 2 else 1
+                g = inv
+            out[g] = c
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    left = mults.get(d, 0) - c
+                    if left:
+                        mults[d] = left
+                    else:
+                        mults.pop(d, None)
+    return tuple(head), sign, out
+
+
+def scalar_str_reference(table, x: Scalar) -> str:
+    """:func:`coulombkit.exactring.scalar_str`, from :func:`factored_reference`."""
+    if x.is_zero():
+        return "0"
+    head, sign, binomials = factored_reference(x)
+    terms = x.num.tuple_terms()
+    if len(terms) == 1:
+        parts = [_term_reference(table, head, sign * next(iter(terms.values())))]
+    else:
+        head_str = _term_reference(table, head, sign)
+        parts = [head_str] if head_str != "1" else []
+        body = ""
+        for m, c in sorted(terms.items(), key=_graded):
+            t = _term_reference(table, m, c)
+            body += t if not body else " - " + t[1:] if t.startswith("-") else " + " + t
+        parts.append("(%s)" % body)
+    ordered = sorted(binomials.items(), key=_graded)
+
+    def atom(g, mult):
+        text = "(1 - %s)" % mono_str_reference(table, g)
+        return text if mult == 1 else "%s^%d" % (text, mult)
+
+    parts += [atom(g, -mult) for g, mult in ordered if mult < 0]
+    denom = [atom(g, mult) for g, mult in ordered if mult > 0]
+    if denom:
+        return "%s / ( %s )" % (" * ".join(parts), " * ".join(denom))
+    return " * ".join(parts)
+
+
+def scalar_structured_reference(x: Scalar) -> dict:
+    """:func:`coulombkit.exactring.scalar_structured`, from :func:`factored_reference`."""
+    head, sign, binomials = factored_reference(x)
+    return {
+        "pre": list(head),
+        "num": [[str(sign * c), list(m)] for m, c in sorted(x.num.tuple_terms().items(),
+                                                            key=_graded)],
+        "atoms": [[list(g), mult] for g, mult in sorted(binomials.items(), key=_graded)],
+    }

@@ -562,6 +562,9 @@ MAX_INT = "9" * 4300
      "descendent '%s...' is not Weyl-invariant: w=(2,1) changes it" % ("s1" + "+s1" * 13)[:40]),
     (["mul", "tp1", "r[%s1]" % ("1-" * 3000)],
      "generator %s...: degree entries must be integers" % ("r[" + "1-" * 19)),
+    # an exponent over the limit is quoted by its first 40 digits
+    (["vertex", "tp1", "--descendent=s1^" + "9" * 2000],
+     "exponent %s... of s1 exceeds the limit 1048576" % ("9" * 40)),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main
@@ -579,8 +582,8 @@ def test_digit_bound_follows_the_limit_at_run_time(capsys):
     from coulombkit.cli import main
     argv = ["vertex", model_path("tp1"), "--descendent=s1^" + "9" * 400]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: exponent %s of s1 exceeds the limit %d\n" % (
-        "9" * 400, 1 << 20)
+    assert capsys.readouterr().err == "error: exponent %s... of s1 exceeds the limit %d\n" % (
+        "9" * 40, 1 << 20)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -1003,6 +1006,38 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path, unbuffered):
     assert proc.wait(timeout=120) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+def test_unrecognized_arguments_are_quoted_by_their_first_40_characters(capsys):
+    """argparse's refusal of extra arguments, with their text cut by ``_cap``;
+    a short one reads as argparse prints it."""
+    from coulombkit.cli import main
+    argv = ["vertex", model_path("tp1"), "--descendent=s1"]
+    assert main(argv + ["b" * 5000]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith("coulombkit: error: unrecognized arguments: %s...\n" % ("b" * 40))
+    assert len(err) < 400
+    with pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(argv + ["x", "--y"])
+    fresh = capsys.readouterr().err
+    assert fresh.endswith("unrecognized arguments: x --y\n")
+    assert main(argv + ["x", "--y"]) == 2
+    assert capsys.readouterr().err == fresh
+
+
+def test_rendering_formats_each_fragment_once_per_table(monkeypatch, capsys):
+    """Counted, not timed: the text of each (variable, exponent) pair is
+    formatted once per variable table, however many monomials share it."""
+    import coulombkit.exactring
+    from coulombkit.cli import main
+    calls = []
+    exp_str = coulombkit.exactring._exp_str
+    monkeypatch.setattr(coulombkit.exactring, "_exp_str",
+                        lambda table, idx, e: calls.append((table, idx, e)) or exp_str(table, idx, e))
+    assert main(["vertex", model_path("a2"), "--order", "4"]) == 0
+    with open(os.path.join(DATA, "golden", "vertex_a2_order4.txt")) as fh:
+        assert capsys.readouterr().out == fh.read()
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_factored_output_stays_small(tmp_path, capsys):

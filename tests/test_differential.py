@@ -30,6 +30,7 @@ from coulombkit.pochhammer import (hq_product, hq_ratio, hq_ratio_inv, poch,  # 
                                    poch_product, sign_kernel)
 
 from conftest import binomial_atoms, mono_pow, mono_subs  # noqa: E402
+from oracles import scalar_str_reference, scalar_structured_reference  # noqa: E402
 
 T = VariableTable(1, 1)  # q^(1/2), h^(1/2), a1, s1, Q1^(1/2)
 W = T.width
@@ -151,6 +152,34 @@ def values(draw):
         return draw(sums())
     (x, ex), (y, ey) = draw(factored()), draw(st.one_of(sums(), factored()))
     return (x * y, ex * ey) if kind == "product" else (x + y, ex + ey)
+
+
+@SETTINGS
+@given(values())
+def test_rendering_matches_the_reference(xa):
+    """Text and structured form as the reference renderer gives them."""
+    x, _ = xa
+    assert scalar_str(T, x) == scalar_str_reference(T, x)
+    assert scalar_structured(x) == scalar_structured_reference(x)
+
+
+S1, QS1, A1S1 = BASES[0], BASES[1], BASES[2]
+
+
+@pytest.mark.parametrize("num, ats", [
+    # a root whose one key has d = 2: (1 - s1) / (1 - s1^2)
+    ({UNIT: 1}, {mono_pow(S1, 2): 1, S1: -1}),
+    # one root with keys d = 1, 2, 3 and 6
+    ({UNIT: 1}, {mono_pow(QS1, 6): 1, mono_pow(QS1, 2): -1, mono_pow(QS1, 3): 2}),
+    # total degree 0: each binomial prints with its negative lead a1^-1*s1
+    ({UNIT: 1}, {mono_pow(A1S1, 2): -1, mono_pow(A1S1, -1): 1, S1: 1}),
+    # a negative power, and a sum part with a negative coefficient
+    ({S1: 1, BASES[4]: Fraction(-2, 3)}, {mono_pow(S1, -3): 2, mono_pow(QS1, 2): -1}),
+])
+def test_regrouped_atoms_render_as_the_reference(num, ats):
+    x = Scalar(W, Poly.from_terms(W, num.items()), pre=UNIT, atoms=ats)
+    assert scalar_str(T, x) == scalar_str_reference(T, x)
+    assert scalar_structured(x) == scalar_structured_reference(x)
 
 
 OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,

@@ -14,6 +14,7 @@ from coulombkit.pochhammer import poch, poch_product
 
 from conftest import (binomial_atoms, mono_pow, mono_subs, one_minus, rand_mono, rand_poly,
                       rng_for)
+from oracles import mono_str_reference
 
 T = VariableTable(2, 2)
 W = T.width
@@ -454,22 +455,6 @@ def test_primitive_binomials_map_to_keys_without_psi_image(monkeypatch):
     assert calls == [(1, 2)]
 
 
-def _mono_str_reference(table, m):
-    parts = []
-    for idx, e in enumerate(m):
-        if not e:
-            continue
-        label = table.var_label(idx)
-        power = Fraction(e, 2) if table.is_half_variable(idx) else e
-        if power == 1:
-            parts.append(label)
-        elif power.denominator == 1:
-            parts.append("%s^%d" % (label, power))
-        else:
-            parts.append("%s^(%s)" % (label, power))
-    return "*".join(parts) or "1"
-
-
 @pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (5, 3)])
 def test_variable_table_labels_pair_label_and_half_flag(n, k):
     table = VariableTable(n, k)
@@ -482,9 +467,12 @@ def test_mono_str_matches_a_reference_from_the_variable_labels(n, k):
     table = VariableTable(n, k)
     rng = rng_for("mono-str-%d-%d" % (n, k))
     for _ in range(100):
-        # odd exponents on half variables too, and many zero exponents
-        m = tuple(rng.choice([0, 0, 1, -1, 2, -2, 3, -4]) for _ in range(table.width))
-        assert mono_str(table, m) == _mono_str_reference(table, m), m
+        # odd exponents on half variables too, many zero exponents, and the
+        # ends of the exponent bound
+        m = tuple(rng.choice([0, 0, 1, -1, 2, -2, 3, -4, (1 << 31) - 1, -1 << 31])
+                  for _ in range(table.width))
+        assert mono_str(table, m) == mono_str_reference(table, m), m
+        assert table.packed_str(pack(m)) == mono_str_reference(table, m), m
 
 
 @pytest.mark.parametrize("mult", range(-3, 4))
@@ -500,9 +488,9 @@ def test_orient_factor_keeps_the_value_of_the_binomial(mult):
             continue
         total = sum(g)
         signs.add((total > 0) - (total < 0))
-        g2, unit, sign = _orient_factor(pack(g), mult)
+        degree, g2, unit, sign = _orient_factor(pack(g), mult)
         g2, unit = unpack(g2, W), unpack(unit, W)
-        assert sum(g2) > 0 or (sum(g2) == 0 and g2 <= mono_pow(g2, -1))
+        assert degree == sum(g2) and (degree > 0 or (degree == 0 and g2 <= mono_pow(g2, -1)))
         lhs, rhs = Poly.monomial(unit, sign), Poly.one(W)
         if mult >= 0:
             lhs, rhs = lhs * one_minus(g2) ** mult, rhs * one_minus(g) ** mult
