@@ -14,7 +14,7 @@ each relation also shows its Weyl element.
 from __future__ import annotations
 
 from .coulomb import CoulombAlgebra
-from .exactring import Q_HALF, mono_str, scalar_str, scalar_structured, specialize_q1
+from .exactring import Q_HALF, scalar_str, scalar_structured, specialize_q1
 from .hypertoric import _Record, circuits
 
 
@@ -70,9 +70,8 @@ def _rhs_str(alg: CoulombAlgebra, rel: Relation) -> str:
     the Q variable of its first coordinate."""
     table = alg.table
     slices = alg.data.block_slices()
-    mono = table.mono({table.qvar(slices[b][0]): 2 * cb
-                       for b, cb in enumerate(rel.rhs_degree) if cb})
-    return mono_str(table, mono)
+    return table.packed_str(table.packed({table.qvar(slices[b][0]): 2 * cb
+                                          for b, cb in enumerate(rel.rhs_degree) if cb}))
 
 
 def _relation_tag(alg: CoulombAlgebra, rel: Relation) -> str:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from .bethe import bethe_relations_q1, dmodule_relations, render_bethe_system
 from .coulomb import CoulombAlgebra
 from .exactring import (ExponentOverflowError, PoleEvaluationError, Poly, RingMap, Scalar,
-                        VariableTable, mono_str, scalar_str, scalar_structured)
+                        VariableTable, pack, scalar_str, scalar_structured)
 from .hypertoric import (Cone, GaugeData, ModelError, circuits, eff_cone,
                          fixed_points)
 from .vertex import Descendent, is_lift, qde_check, vertex_fp_nonab
@@ -323,6 +323,11 @@ def _image_quote(text: str) -> str:
     return repr(_cap(text))
 
 
+# a value (a repr) of more than MAX_IMAGE_QUOTE characters in an argparse refusal
+_LONG_QUOTE = re.compile(r"""(['"])((?:\\.|(?!\1)[^\\]){%d})(?:\\.|(?!\1)[^\\])+\1"""
+                         % MAX_IMAGE_QUOTE)
+
+
 def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
     """The exponents of ``text``, the image of the flavor variable ``name``;
     every refusal names the key and the start of the image."""
@@ -347,22 +352,12 @@ _GEN = re.compile(r"\s*([rR])\[([-0-9,\s]*)\]")
 
 
 def parse_generator_word(text: str, alg: CoulombAlgebra):
-    """Juxtaposed product of r[d...], R[d...] and scalar prefixes."""
+    """Juxtaposed product of r[d...], R[d...] and scalar chunks, multiplied in as read."""
     element = alg.one()
     pos = 0
-    pending = []
-
-    def flush():
-        nonlocal element, pending
-        for chunk in pending:
-            poly = parse_scalar_expr(chunk, alg.table)
-            element = alg.mul(element, alg.cartan(Scalar.from_poly(poly)))
-        pending = []
-
     while pos < len(text):
         m = _GEN.match(text, pos)
         if m:
-            flush()
             typed = m.group(0).strip()
             entries = [e for e in re.split(r"[,\s]+", m.group(2)) if e]
             if not all(re.fullmatch(r"-?\d+", e) for e in entries):
@@ -381,11 +376,11 @@ def parse_generator_word(text: str, alg: CoulombAlgebra):
             pos = m.end()
             continue
         nxt = _GEN.search(text, pos)
-        chunk = text[pos:nxt.start()] if nxt else text[pos:]
-        if chunk.strip():
-            pending.append(chunk.strip())
-        pos = nxt.start() if nxt else len(text)
-    flush()
+        end = nxt.start() if nxt else len(text)
+        if text[pos:end].strip():
+            poly = parse_scalar_expr(text[pos:end].strip(), alg.table)
+            element = alg.mul(element, alg.cartan(Scalar.from_poly(poly)))
+        pos = end
     return element
 
 
@@ -565,8 +560,9 @@ def dispatch(args, out=None) -> int:
     try:
         return _run(args, out, data, alg)
     except ExponentOverflowError as exc:
-        raise UsageError("%s leaves the exponent bound 2^31 of a packed slot" % mono_str(
-            alg.table, alg.table.mono({exc.index: exc.exponent})))
+        # the exponent is out of bounds, so it is not packed to be printed
+        raise UsageError("%s leaves the exponent bound 2^31 of a packed slot"
+                         % alg.table.power_str(exc.index, exc.exponent))
 
 
 def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
@@ -694,7 +690,7 @@ def _point_json(table, p, lift=None):
            "plus": sorted(i + 1 for i in p.plus),
            "minus": sorted(i + 1 for i in p.minus),
            "rays": [list(r) for r in p.rays],
-           "restriction": {"s%d" % (j + 1): mono_str(table, m)
+           "restriction": {"s%d" % (j + 1): table.packed_str(pack(m))
                            for j, m in sorted(p.restriction.items())}}
     if lift is not None:
         out["lift"] = lift
@@ -703,7 +699,7 @@ def _point_json(table, p, lift=None):
 
 def _point_text(table, idx, p, lift=None):
     """Two lines per point; ``lift`` follows the label of a lift."""
-    rest = "  ".join("s%d -> %s" % (j + 1, mono_str(table, m))
+    rest = "  ".join("s%d -> %s" % (j + 1, table.packed_str(pack(m)))
                      for j, m in sorted(p.restriction.items()))
     return "p[%d] %s  plus={%s} minus={%s}  rays: %s\n  %s\n" % (
         idx, p.label() + (" lift" if lift else ""),
@@ -719,8 +715,13 @@ def build_parser():
     the first call.  Nothing in it depends on a request, and parsing does not
     change it, so every command shares it; callers must not add arguments to it."""
     import argparse
-    ap = argparse.ArgumentParser(prog="coulombkit",
-                                 description="exact engine for convolution-algebra models")
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # a refused value cut as _cap cuts; the subparsers share this class
+            super().error(_LONG_QUOTE.sub(r"\1\2...\1", message))
+
+    ap = Parser(prog="coulombkit", description="exact engine for convolution-algebra models")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, order=True, point=False):
@@ -775,7 +776,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ModelError, ExprError, UsageError, OSError, PoleEvaluationError) as exc:
-        # OSError: a model path that is missing, a directory or unreadable
+        if isinstance(exc, OSError) and exc.filename is not None:
+            # a model path that is missing, a directory, unreadable or too long
+            exc = "[Errno %s] %s: %s" % (exc.errno, exc.strerror, _image_quote(exc.filename))
         sys.stderr.write("error: %s\n" % exc)
         return 2
 

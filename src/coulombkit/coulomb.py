@@ -49,8 +49,7 @@ import itertools
 
 from .exactring import (PoleEvaluationError, Q_HALF, RingMap, Scalar, VariableTable, atom_str,
                         pack, packed_power, unpack)
-from .hypertoric import (FixedPoint, GaugeData, eff_cone, enumerate_degrees, mixed_polarization,
-                         pair)
+from .hypertoric import FixedPoint, GaugeData, enumerate_degrees, mixed_polarization, pair
 from .pochhammer import hq_product
 
 
@@ -173,16 +172,13 @@ class CoulombAlgebra:
 
     # -- basic builders -------------------------------------------------
 
-    def eff(self):
-        return eff_cone(self.data)
-
     def degrees(self, order: int) -> tuple:
         """The effective degrees d with <theta, d> <= order, sorted by (level,
         lex): :func:`~coulombkit.hypertoric.enumerate_degrees` once per order."""
         got = self._degrees.get(order)
         if got is None:
-            got = self._degrees[order] = tuple(enumerate_degrees(self.eff(), self.data.theta,
-                                                                 order))
+            got = self._degrees[order] = tuple(enumerate_degrees(self.data.cone,
+                                                                 self.data.theta, order))
         return got
 
     def zero_degree(self):
@@ -317,7 +313,7 @@ class CoulombAlgebra:
         got = self._mixed_cache.get(d)
         if got is not None:
             return got
-        eff = self.eff()
+        eff = self.data.cone
         side = d if eff.contains(d) else tuple(-x for x in d)
         pol = mixed_polarization([chi for chi, _, _ in self.rows], side) \
             if eff.contains(side) else self.canonical_pol

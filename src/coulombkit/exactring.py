@@ -18,8 +18,8 @@ power is ``*``, the unit is 0, and integer order is the lexicographic order
 of the exponent tuples.  :func:`pack` and :func:`unpack` convert (the latter
 in one ``struct`` call), and the public face -- ``Poly(w, {tuple: c})``,
 ``Poly.monomial``, ``Scalar(w, num, pre=tuple, atoms={tuple: mult})``,
-:func:`mono_str`, :func:`scalar_structured`, the ``tuple_*`` views --
-takes and returns tuples.
+:func:`scalar_structured`, the ``tuple_*`` views -- takes and returns
+tuples.
 
 Why no value leaves its slot.  A slot holds exponents below 2^63 in size,
 and the engine keeps every exponent that comes from outside below 2^31:
@@ -47,11 +47,11 @@ exponent positive (a positive packed int).  A positive multiplicity is a
 denominator factor, a negative one a numerator factor.  A binomial is
 ``1 - r^n = prod_{d|n} psi_d(r)`` for n > 0; for n < 0 its sign and monomial
 move into the prefactor.  The psi_d(r) are irreducible and pairwise not
-associate, so a product of atoms factors one way only.  A binomial whose g
-is already such a root (the usual ``1 - q^m x`` of a Pochhammer kernel)
-keeps g itself as its key, and a root whose image is ``u^1`` maps ``psi_d``
-to the one key ``(u, d)``; only an image ``u^p`` with p > 1 splits into
-several keys.
+associate, so a product of atoms factors one way only.  One conversion
+makes keys of binomials and of mapped atoms alike: (1 - g) is the atom
+``(g, 1)`` under the identity map, and an atom whose root maps to ``u^1``
+(a Pochhammer binomial ``1 - q^m x`` maps to itself) is the one key
+``(u, d)``; only an image ``u^p`` with p > 1 splits into several keys.
 
 No multivariate gcd is ever computed.  Multiplying adds the atom dicts,
 inverting negates them (the inverse of a sum part that is not a monomial
@@ -212,8 +212,8 @@ class VariableTable:
         self.fragments, self.strings, self.binomials = {}, {0: "1"}, {}
 
     def packed_str(self, m: int) -> str:
-        """:func:`mono_str` of a packed monomial, remembered per table: the
-        fragment of its first nonzero slot, then the text of the rest."""
+        """The text of a packed monomial, remembered per table: the fragment
+        of its first nonzero slot, then the text of the rest."""
         got = self.strings.get(m)
         if got is None:
             # that slot is bit_length(|m|) // 64 from the end, and its exponent
@@ -221,10 +221,21 @@ class VariableTable:
             shift = SLOT_BITS * (abs(m).bit_length() // SLOT_BITS)
             e = (m + ((1 << shift) >> 1)) >> shift
             key = (self.width - 1 - shift // SLOT_BITS, e)
-            text = self.fragments.get(key) or _exp_str(self, *key)
+            text = self.fragments.get(key) or self.power_str(*key)
             rest = m - (e << shift)
             got = self.strings[m] = text + "*" + self.packed_str(rest) if rest else text
         return got
+
+    def power_str(self, idx: int, e: int) -> str:
+        """The text of variable ``idx`` to the raw exponent e, kept in ``fragments``."""
+        label, half = self.labels[idx]
+        if half and e % 2:
+            text = "%s^(%d/2)" % (label, e)
+        else:
+            p = e // 2 if half else e
+            text = label if p == 1 else "%s^%d" % (label, p)
+        self.fragments[idx, e] = text
+        return text
 
     def a(self, i: int) -> int:
         """Index of the flavor variable a_{i+1} (0-based i)."""
@@ -356,8 +367,7 @@ class RingMap:
         try:
             return self._roots[g]
         except KeyError:
-            u = self.mono(g)
-            got = self._roots[g] = _direction(u, self.width) if u else None
+            got = self._roots[g] = _direction(self.mono(g), self.width)
             return got
 
 
@@ -639,7 +649,9 @@ def _content(g: int, width: int) -> int:
 def _direction(g: int, width: int):
     """(r, n) with g = r^n, r primitive and its first nonzero exponent
     positive; r is g itself when g already is such a root.  The sign of the
-    first nonzero exponent is the sign of g."""
+    first nonzero exponent is the sign of g.  None for the unit g = 1."""
+    if not g:
+        return None
     n = _content(g, width)
     if g < 0:
         return -g // n, -n
@@ -698,56 +710,30 @@ def _pole(g: int, width: int) -> PoleEvaluationError:
                                atom=atom)
 
 
-def _binomial_keys(binomials: dict, width: int):
-    """(sign, monomial, keys) with prod (1 - g)^(-mult) over ``binomials``
-    ``{g: mult}``, g packed, equal to sign * monomial * prod over the
-    canonical keys; a key whose multiplicities cancel is left out.
-
-    g = r^n with r primitive (:func:`_direction`) is the one key (r, 1) when
-    n = 1 and splits into the (r, e), e | n, otherwise; for n < 0 the sign
-    and monomial of 1 - r^-|n| = -r^-|n| (1 - r^|n|) move out.  A unit
-    binomial (g = 1) is 0: as a denominator factor it is a
-    :class:`PoleEvaluationError`, as a numerator factor it makes the sign 0.
-    """
-    sign, pre, keys = 1, 0, {}
-    for g, mult in binomials.items():
-        if not mult:
-            continue
-        if not g:
-            if mult > 0:
-                raise _pole(g, width)
-            sign = 0
-            continue
-        u, n = _direction(g, width)
-        if n < 0:
-            n = -n
-            pre += u * (n * mult)
-            if mult % 2:
-                sign = -sign
-        for e in (1,) if n == 1 else _psi_image(1, n):
-            keys[(u, e)] = keys.get((u, e), 0) + mult
-    return sign, pre, {k: m for k, m in keys.items() if m}
-
-
-def _mapped_keys(atoms: dict, ring: RingMap):
+def _mapped_keys(atoms: dict, ring: RingMap | None, width: int):
     """(coefficient, monomial, keys) with prod psi_d(g)^(-mult) over ``atoms``
-    ``{(g, d): mult}``, each g sent through ``ring``, equal to coefficient *
-    monomial * prod over the canonical keys.
+    ``{(g, d): mult}``, g sent through ``ring`` (None: the identity) from a
+    ring of ``width`` variables, equal to coefficient * monomial * prod over
+    the canonical keys; a binomial (1 - g) is the atom (g, 1).  A key whose
+    multiplicities cancel is left out.
 
-    g maps to u^p with u primitive (:meth:`RingMap.root`).  When the image
-    is 1, psi_d(1) is a number, zero only for d = 1: a denominator factor
-    there is a :class:`PoleEvaluationError`, however often the map has seen
-    g, and a numerator factor makes the coefficient 0.
+    g maps to u^p with u primitive (:func:`_direction`, memoized by
+    :meth:`RingMap.root`).  When the image is 1, psi_d(1) is a number, zero
+    only for d = 1: a denominator factor there is a
+    :class:`PoleEvaluationError`, however often the map has seen g, and a
+    numerator factor makes the coefficient 0.
     """
     coeff, pre, keys, vanished = 1, 0, {}, False
     for (g, d), mult in atoms.items():
-        root = ring.root(g)
+        if not mult:
+            continue
+        root = _direction(g, width) if ring is None else ring.root(g)
         if root is None:
             if d > 1:
                 # psi_d(1) is the prime l for d a power of l, else 1
                 coeff = exact_coeff(coeff * Fraction(sum(_psi(d))) ** -mult)
             elif mult > 0:
-                raise _pole(g, ring.source)
+                raise _pole(g, width)
             else:
                 vanished = True
             continue
@@ -760,7 +746,7 @@ def _mapped_keys(atoms: dict, ring: RingMap):
                 coeff = -coeff
         for e in (d,) if p == 1 else _psi_image(d, p):
             keys[(u, e)] = keys.get((u, e), 0) + mult
-    return (0 if vanished else coeff), pre, keys
+    return (0 if vanished else coeff), pre, {k: m for k, m in keys.items() if m}
 
 
 class SumInverseError(ArithmeticError):
@@ -786,15 +772,12 @@ class Scalar:
     def __init__(self, width, num: Poly, pre=None, atoms: dict | None = None):
         """``pre`` is a monomial and ``atoms`` are binomials ``{g: mult}``,
         the factor (1 - g)^(-mult), each monomial an exponent tuple or packed;
-        :func:`_binomial_keys` converts the binomials to cyclotomic keys, and
+        :func:`_mapped_keys` converts the binomials to cyclotomic keys, and
         :meth:`_of` normalizes the result against ``num``."""
         if type(pre) is tuple:
             pre = pack(pre)
-        if atoms:
-            coeff, unit, keys = _binomial_keys(
-                {pack(g) if type(g) is tuple else g: m for g, m in atoms.items()}, width)
-        else:
-            coeff, unit, keys = 1, 0, {}
+        coeff, unit, keys = (1, 0, {}) if not atoms else _mapped_keys(
+            {(pack(g) if type(g) is tuple else g, 1): m for g, m in atoms.items()}, None, width)
         x = Scalar._of(width, num.scale(coeff), unit if pre is None else pre + unit, keys)
         self.w, self.num, self.pre, self.atoms = width, x.num, x.pre, x.atoms
 
@@ -988,15 +971,15 @@ class Scalar:
         """
         ring = ring_map(images, target_width, self.w)
         width = ring.width
-        coeff, unit, keys = _mapped_keys(self.atoms, ring) if self.atoms else (1, 0, {})
+        coeff, unit, keys = _mapped_keys(self.atoms, ring, ring.source) if self.atoms \
+            else (1, 0, {})
         if coeff == 0:
             return Scalar.zero(width)
         pre = ring.mono(self.pre) + unit
         if len(self.num.terms) == 1:
             # the constant term of a product of atoms, which no key divides
             (c,) = self.num.terms.values()
-            return Scalar._raw(width, _poly(width, {0: exact_coeff(c * coeff)}), pre,
-                               {k: m for k, m in keys.items() if m})
+            return Scalar._raw(width, _poly(width, {0: exact_coeff(c * coeff)}), pre, keys)
         return Scalar._of(width, self.num.subs(ring).scale(coeff), pre, keys)
 
     def uses(self, indices) -> bool:
@@ -1021,24 +1004,6 @@ def specialize_q1(x: Scalar, table: VariableTable) -> Scalar:
 # ---------------------------------------------------------------------------
 # canonical text rendering
 # ---------------------------------------------------------------------------
-
-def _exp_str(table: VariableTable, idx: int, e: int) -> str:
-    """The text of variable ``idx`` to the raw exponent e, kept in ``table.fragments``."""
-    label, half = table.labels[idx]
-    if half and e % 2:
-        text = "%s^(%d/2)" % (label, e)
-    else:
-        p = e // 2 if half else e
-        text = label if p == 1 else "%s^%d" % (label, p)
-    table.fragments[idx, e] = text
-    return text
-
-
-def mono_str(table: VariableTable, m: tuple) -> str:
-    """The text of an exponent tuple, joined from the table's fragments."""
-    return "*".join([table.fragments.get(p) or _exp_str(table, *p)
-                     for p in enumerate(m) if p[1]]) or "1"
-
 
 def _term_str(table: VariableTable, m: int, c) -> str:
     mstr = table.packed_str(m)

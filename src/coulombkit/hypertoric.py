@@ -81,14 +81,6 @@ def _eliminate(rows):
     return pivots, mat, sign * prev if len(pivots) == len(mat) else 0
 
 
-def _rank(rows) -> int:
-    return len(_eliminate(rows)[0])
-
-
-def det_int(rows) -> int:
-    return _eliminate(rows)[2]
-
-
 def primitive(vec):
     g = 0
     for v in vec:
@@ -114,13 +106,6 @@ def _cofactor(rows, k):
     for r, col in enumerate(pivots):
         sol[col] = -mat[r][free] if p > 0 else mat[r][free]
     return sol
-
-
-def kernel_normal(rows, k):
-    """Primitive generator of the 1-dim kernel of <row, .> = 0 (rank k-1 rows),
-    positive in its non-pivot coordinate."""
-    c = _cofactor(rows, k)
-    return None if c is None else primitive(c)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +176,7 @@ class GaugeData(_Record):
         if subsets > MAX_ROW_SUBSETS:
             raise ModelError("the model has C(%d, %d) = %d candidate row subsets, more than "
                              "the limit %d" % (n, k, subsets, MAX_ROW_SUBSETS))
-        if (rank := _rank(chi)) != k:
+        if (rank := len(_eliminate(chi)[0])) != k:
             raise ModelError("chi has rank %d < %d; the gauge torus does not act with finite kernel"
                              % (rank, k))
         # <chi_i, c_S> = +-det(S + {i}), and the pairs (S, i > max S) meet the
@@ -207,7 +192,7 @@ class GaugeData(_Record):
                     bad = subset + (i,)
                     raise ModelError("subset {%s} non-unimodular (det %d); model rejected as "
                                      "non-smooth" % (",".join(str(j + 1) for j in bad),
-                                                     det_int([chi[j] for j in bad])))
+                                                     _eliminate([chi[j] for j in bad])[2]))
         if blocks is not None:
             blocks = tuple(int(b) for b in blocks)
             if sum(blocks) != k or any(b <= 0 for b in blocks):
@@ -378,9 +363,10 @@ def _facets_from_generators(gens, k):
     facets = set()
     for subset in itertools.combinations(range(len(gens)), k - 1):
         rows = [gens[i] for i in subset]
-        f = kernel_normal(rows, k)
+        f = _cofactor(rows, k)
         if f is None:
             continue
+        f = primitive(f)
         pos = sum(1 for g in gens if pair(f, g) > 0)
         neg = sum(1 for g in gens if pair(f, g) < 0)
         if neg == 0 and pos > 0:

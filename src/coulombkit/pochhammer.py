@@ -7,14 +7,14 @@ The convention is (x; q)_d = (x; q)_inf / (q^d x; q)_inf, made finite:
     d < 0:  1 / ((1 - q^{-1} x)(1 - q^{-2} x) ... (1 - q^d x))
 
 Every product of symbols is built by the one routine ``poch_product``, in
-one pass: each binomial of each symbol is added to one dict ``{g: mult}``,
-which one conversion turns into the sign, the prefactor and the cyclotomic
-keys of the result.  Its sum part is the constant 1 or -1, so the fields
-are the normal form as they stand; nothing is multiplied out or divided,
-and the factored form survives evaluation.  ``hq_product`` is the product
-of kernel factors that the convolution relations, vertex coefficients and
-module actions use; the other functions here are single-symbol cases of
-the two.  The two builders take packed monomials
+one pass: each binomial (1 - g) of each symbol is added to one dict
+``{(g, 1): mult}``, which one conversion turns into the sign, the prefactor
+and the cyclotomic keys of the result.  Its sum part is the constant 1 or
+-1, so the fields are the normal form as they stand; nothing is multiplied
+out or divided, and the factored form survives evaluation.  ``hq_product``
+is the product of kernel factors that the convolution relations, vertex
+coefficients and module actions use; the other functions here are
+single-symbol cases of the two.  Both take packed monomials
 (:mod:`coulombkit.exactring`), so a q-shift is one addition; the
 single-symbol cases take exponent tuples.  Infinite symbols and theta
 functions are deliberately not represented.
@@ -22,7 +22,7 @@ functions are deliberately not represented.
 
 from __future__ import annotations
 
-from .exactring import (HBAR_HALF, Poly, Q_HALF, Scalar, _binomial_keys, pack, packed_power,
+from .exactring import (HBAR_HALF, Poly, Q_HALF, Scalar, _mapped_keys, pack, packed_power,
                         q_shifted)
 
 
@@ -39,9 +39,9 @@ def poch_product(width: int, symbols, e: int = 0) -> Scalar:
     for x, d, power in symbols:
         shifts, mult = (range(d), -power) if d >= 0 else (range(-1, d - 1, -1), power)
         for m in shifts:
-            g = x + m * q
-            atoms[g] = atoms.get(g, 0) + mult
-    sign, unit, keys = _binomial_keys(atoms, width)
+            key = (x + m * q, 1)
+            atoms[key] = atoms.get(key, 0) + mult
+    sign, unit, keys = _mapped_keys(atoms, None, width)
     if not sign:
         return Scalar.zero(width)
     pre = packed_power(width, Q_HALF, e) - packed_power(width, HBAR_HALF, e) + unit

@@ -59,7 +59,7 @@ def kaehler_relation_check(alg, p, descendent, circuit, order: int) -> bool:
     insertion = descendent.as_scalar() if isinstance(descendent, Descendent) \
         else descendent
     relation = alg.relation(c, insertion)
-    degrees = enumerate_degrees(alg.eff(), alg.data.theta, order)
+    degrees = enumerate_degrees(alg.data.cone, alg.data.theta, order)
     rhs = {d: closed_coefficient(alg, p, insertion, d) for d in degrees}
     zero = Scalar.zero(alg.table.width)
     return all(closed_coefficient(alg, p, relation, d)

@@ -115,7 +115,7 @@ def test_criterion_04_mixed_generator_laws(a2_alg):
     alg = a2_alg
     w = alg.table.width
     ok = True
-    degs = enumerate_degrees(alg.eff(), alg.data.theta, 3)
+    degs = enumerate_degrees(alg.data.cone, alg.data.theta, 3)
     for c in degs:
         for d in degs:
             s = tuple(x + y for x, y in zip(c, d))

@@ -64,10 +64,10 @@ def test_relations_match_vertex_recursion(tp1_alg, a2_alg):
             series = vertex_fp(alg, p, Descendent(Poly.one(w)), order)
             for rel in rels:
                 c = rel.circuit
-                for d in enumerate_degrees(alg.eff(), alg.data.theta, order):
+                for d in enumerate_degrees(alg.data.cone, alg.data.theta, order):
                     down = tuple(x - y for x, y in zip(d, c))
                     vdc = series.coeffs.get(down, Scalar.zero(w)) \
-                        if alg.eff().contains(down) else Scalar.zero(w)
+                        if alg.data.cone.contains(down) else Scalar.zero(w)
                     # assemble the stepped coefficient before restriction:
                     # the relation eigenvalue can carry the pole that kills
                     # a vanishing coefficient

@@ -53,7 +53,7 @@ def test_second_descendent_builds_no_kernel(a2, monkeypatch):
     p = fixed_points(a2)[0]
     vertex_fp(alg, p, parse_descendent("s1", alg.table), 2)
     # one kernel product per degree
-    assert len(calls) == len(enumerate_degrees(alg.eff(), a2.theta, 2))
+    assert len(calls) == len(enumerate_degrees(alg.data.cone, a2.theta, 2))
     del calls[:]
     vertex_fp(alg, p, parse_descendent("a1*s1 - h", alg.table), 2)
     # another point shares the unevaluated kernels too
@@ -95,7 +95,7 @@ def test_algebras_share_no_cached_values(a2, monkeypatch):
     vertex_fp(second, p, tau, 2)
     whittaker_function(second, p, tau, 2)
     assert kernels and len(built) == 1
-    for d in enumerate_degrees(first.eff(), a2.theta, 2):
+    for d in enumerate_degrees(first.data.cone, a2.theta, 2):
         assert first.matter_kernel(d) == second.matter_kernel(d)
         assert first.matter_kernel(d) is not second.matter_kernel(d)
     m1, m2 = first.verma_module(p), second.verma_module(p)
@@ -199,7 +199,7 @@ def _nonab_rebuilt(alg, p, tau, order):
                 weight = weight * (hq_ratio(x, m) if sign > 0 else hq_ratio(x, m).inv())
         return alg.evaluate(p, weight, specialize=True)
 
-    degrees = enumerate_degrees(alg.eff(), alg.data.theta, order)
+    degrees = enumerate_degrees(alg.data.cone, alg.data.theta, order)
     return QSeries(order, ((tuple(sum(d[a:b]) for a, b in alg.data.block_slices()), coeff(d))
                            for d in degrees))
 
@@ -217,7 +217,7 @@ def test_root_factors_are_built_once_per_degree(tgr24, monkeypatch):
     def factors(power):
         return sum(1 for _, fs in builds for _, _, pw in fs if pw == power)
 
-    degrees = enumerate_degrees(alg.eff(), tgr24.theta, 1)
+    degrees = enumerate_degrees(alg.data.cone, tgr24.theta, 1)
     per_degree = [sum(1 for chi, _, _ in alg.rows if pair(chi, d)) for d in degrees]
     assert per_degree == [0, 6, 6]
     got = [vertex_fp_nonab(alg, p, taus[0], 1) for p in lifts]

@@ -244,6 +244,8 @@ GOLDEN = [
     ("whittaker_tgr24_order1.txt", ["whittaker", "tgr24", "--order", "1"]),
     ("mul_a2.txt", ["mul", "a2", "r[1,0]r[-1,1]r[0,-1]"]),
     ("mul_a2.json", ["mul", "a2", "r[1,0]r[-1,1]r[0,-1]", "--json"]),
+    # scalar chunks between generators, each multiplied in where it stands
+    ("mul_a2_scalar_chunks.txt", ["mul", "a2", "r[1,0](1+s1)r[-1,1]2/3*s2r[0,-1]"]),
     # structure constants and mixed coefficients with virtual rows
     ("mul_tgr24.json", ["mul", "tgr24", "r[1,0] R[0,1] r[-1,1]", "--json"]),
     ("qde_check_a2_circuit0_order2.txt", ["qde-check", "a2", "--circuit", "0", "--order", "2"]),
@@ -1025,15 +1027,53 @@ def test_unrecognized_arguments_are_quoted_by_their_first_40_characters(capsys):
     assert capsys.readouterr().err == fresh
 
 
+@pytest.mark.parametrize("argv, last", [
+    (["b" * 5000], "coulombkit: error: argument command: invalid choice: '%s...'" % ("b" * 40)),
+    (["vertex", model_path("tp1"), "--order", "9" * 5000],
+     "coulombkit vertex: error: argument --order: invalid int value: '%s...'" % ("9" * 40)),
+    # a value with a quote is printed in double quotes
+    (["vertex", model_path("tp1"), "--order", "'" + "9" * 5000],
+     "coulombkit vertex: error: argument --order: invalid int value: \"'%s...\"" % ("9" * 39)),
+    # an escape is one character, and the cut never splits one
+    (["vertex", model_path("tp1"), "--order", "\\" * 5000 + "'\""],
+     "coulombkit vertex: error: argument --order: invalid int value: '%s...'" % ("\\" * 80)),
+    (["frob"], "coulombkit: error: argument command: invalid choice: 'frob' (choose from "),
+    (["vertex", model_path("tp1"), "--order", "abc"],
+     "coulombkit vertex: error: argument --order: invalid int value: 'abc'"),
+], ids=["command", "order", "quote", "escapes", "short-command", "short-order"])
+def test_argparse_quotes_a_refused_value_by_its_first_40_characters(capsys, argv, last):
+    """Every parser refusal goes through the parser class's ``error``, which
+    cuts each value argparse quotes after 40 characters; the choices that
+    follow an invalid command are printed as argparse prints them."""
+    from coulombkit.cli import main
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(last) and len(err) < 600
+
+
+def test_a_long_model_path_is_quoted_by_its_first_40_characters(capsys, monkeypatch, tmp_path):
+    import errno
+    from coulombkit.cli import main
+    assert main(["vertex", "b" * 5000]) == 2
+    assert capsys.readouterr().err == "error: [Errno %d] %s: '%s...'\n" % (
+        errno.ENAMETOOLONG, os.strerror(errno.ENAMETOOLONG), "b" * 40)
+    # a short path, missing or a directory, reads as the OSError prints it
+    monkeypatch.chdir(tmp_path)
+    for path in ("missing.json", "."):
+        with pytest.raises(OSError) as exc:
+            open(path)
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % exc.value
+
+
 def test_rendering_formats_each_fragment_once_per_table(monkeypatch, capsys):
     """Counted, not timed: the text of each (variable, exponent) pair is
     formatted once per variable table, however many monomials share it."""
-    import coulombkit.exactring
     from coulombkit.cli import main
     calls = []
-    exp_str = coulombkit.exactring._exp_str
-    monkeypatch.setattr(coulombkit.exactring, "_exp_str",
-                        lambda table, idx, e: calls.append((table, idx, e)) or exp_str(table, idx, e))
+    power_str = VariableTable.power_str
+    monkeypatch.setattr(VariableTable, "power_str", lambda table, idx, e:
+                        calls.append((table, idx, e)) or power_str(table, idx, e))
     assert main(["vertex", model_path("a2"), "--order", "4"]) == 0
     with open(os.path.join(DATA, "golden", "vertex_a2_order4.txt")) as fh:
         assert capsys.readouterr().out == fh.read()

@@ -164,7 +164,7 @@ def test_mixed_generator_zero(a2_alg):
 
 def _effective_degrees(alg, order):
     from coulombkit.hypertoric import enumerate_degrees
-    return enumerate_degrees(alg.eff(), alg.data.theta, order)
+    return enumerate_degrees(alg.data.cone, alg.data.theta, order)
 
 
 def test_mixed_product_law(a2_alg):

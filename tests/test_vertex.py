@@ -219,7 +219,7 @@ def test_nonabelian_kaehler_recursion(tgr24_alg):
         nwc = tuple(-x for x in wc)
         rels[wc] = alg.mul(alg.mixed_generator(wc), alg.mixed_generator(nwc)).scalar_part()
 
-    degrees = enumerate_degrees(alg.eff(), alg.data.theta, 2)
+    degrees = enumerate_degrees(alg.data.cone, alg.data.theta, 2)
     checked = 0
     for d in degrees:
         ad = coeff(d)
@@ -227,7 +227,7 @@ def test_nonabelian_kaehler_recursion(tgr24_alg):
             down = tuple(x - y for x, y in zip(d, wc))
             if pair(alg.data.theta, down) < 0:
                 continue
-            lhs = coeff(down) if alg.eff().contains(down) else Scalar.zero(w)
+            lhs = coeff(down) if alg.data.cone.contains(down) else Scalar.zero(w)
             eig = alg.shift(rel, d).subs(images, w)
             assert lhs == ad * eig, (d, wc)
             checked += 1
@@ -279,7 +279,7 @@ def test_weyl_collapse_sums_each_key_as_a_left_fold_would(tgr24_alg):
     for text in ("1", "s1", "a1*s1 - h"):
         tau = parse_descendent(text, alg.table)
         terms = [(d, alg.evaluate(p, alg.matter_kernel(d) * alg.shift(tau.as_scalar(), d), True))
-                 for d in enumerate_degrees(alg.eff(), alg.data.theta, 3)]
+                 for d in enumerate_degrees(alg.data.cone, alg.data.theta, 3)]
         folded = {}
         for d, f in terms:
             key = alg.data.block_sums(d)
@@ -305,7 +305,7 @@ def test_split_evaluation_equals_the_evaluated_product(model, order, blocks):
         for text in texts:
             tau = parse_descendent(text, alg.table)
             want = [(d, closed_coefficient(alg, p, tau.as_scalar(), d, specialize=blocks))
-                    for d in enumerate_degrees(alg.eff(), alg.data.theta, order)]
+                    for d in enumerate_degrees(alg.data.cone, alg.data.theta, order)]
             if blocks:
                 got = vertex_fp_nonab(alg, p, tau, order)
                 # the abelian summands are equal too; they are never printed,
