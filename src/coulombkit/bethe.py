@@ -42,8 +42,8 @@ def dmodule_relations(alg: CoulombAlgebra):
             continue
         for w in alg.data.weyl_elements():
             lhs = alg.relation(alg.data.weyl_on_degree(w, c))
-            if alg.flavor_images:
-                lhs = lhs.subs(alg.flavor_images, alg.table.width)
+            if alg.data.a_specialization:
+                lhs = lhs.subs(alg.flavor_map)
             out.append(Relation(lhs=lhs, rhs_degree=alg.data.block_sums(c),
                                 kind="dmodule", circuit=c, weyl_rep=w))
     return out

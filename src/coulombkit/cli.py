@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .bethe import bethe_relations_q1, dmodule_relations, render_bethe_system
 from .coulomb import CoulombAlgebra
-from .exactring import (ExponentOverflowError, PoleEvaluationError, Poly, RingMap, Scalar,
+from .exactring import (ExponentOverflowError, PoleEvaluationError, Poly, Scalar,
                         VariableTable, pack, scalar_str, scalar_structured)
 from .hypertoric import (Cone, GaugeData, ModelError, circuits, eff_cone,
                          fixed_points)
@@ -310,7 +310,8 @@ def parse_descendent(text: str, table: VariableTable) -> Descendent:
 
 
 def parse_scalar_expr(text: str, table: VariableTable) -> Poly:
-    return _ExprParser(table, text, allow_q=True).parse()
+    """A scalar chunk of a generator word, in which q may occur."""
+    return _ExprParser(table, text, allow_q=True, where=" in generator words").parse()
 
 
 def _cap(text: str) -> str:
@@ -432,7 +433,7 @@ def load_model(path: str) -> GaugeData:
     aspec = None
     if aspec_raw:
         table = VariableTable(len(raw["chi"]), len(raw["theta"]))
-        aspec, names = {}, {}
+        aspec, names, images = {}, {}, {}
         for name, expr in aspec_raw.items():
             m = re.fullmatch(r"a(\d+)", name)
             # compare digit counts first: a long index is never converted
@@ -444,11 +445,13 @@ def load_model(path: str) -> GaugeData:
                 raise ModelError("a_specialization keys %s and %s both name a%s"
                                  % (_image_quote(names[row]), _image_quote(name), row))
             names[row] = name
-            image = _parse_monomial_image(name, expr, table)
-            if any(image[table.s(j)] for j in range(table.k)):
-                raise ModelError("a_specialization %s: the image %s names a gauge variable; "
-                                 "an image is a monomial in the a_i and h"
-                                 % (_image_quote(name), _image_quote(expr)))
+            image = images.get(expr)
+            if image is None:  # a new image, parsed and refused under its first key
+                image = images[expr] = _parse_monomial_image(name, expr, table)
+                if any(image[table.s(j)] for j in range(table.k)):
+                    raise ModelError("a_specialization %s: the image %s names a gauge variable; "
+                                     "an image is a monomial in the a_i and h"
+                                     % (_image_quote(name), _image_quote(expr)))
             aspec[int(row) - 1] = image
     return GaugeData.create(raw["chi"], raw["theta"], blocks=blocks, a_specialization=aspec)
 
@@ -497,7 +500,7 @@ def _check_weyl_invariant(alg: CoulombAlgebra, tau: Descendent, text: str):
     that is not would depend on the lift.  The swaps of neighbouring s_j in
     a block generate the Weyl group, so they are the ones tried."""
     table = alg.table
-    poly = tau.poly.subs(RingMap(alg.flavor_images, table.width))
+    poly = tau.poly.subs(alg.flavor_map)
     for w in alg.data.weyl_swaps():
         swap = {table.s(j): table.packed({table.s(dst): 1}) for j, dst in enumerate(w) if j != dst}
         if poly.subs(swap, table.width) != poly:

@@ -46,6 +46,7 @@ never change a result, so concurrent identical insertions are harmless.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .exactring import (PoleEvaluationError, Q_HALF, RingMap, Scalar, VariableTable, atom_str,
                         pack, packed_power, unpack)
@@ -156,9 +157,6 @@ class CoulombAlgebra:
         self.table: VariableTable = data.table()
         # genuine rows first, so row i < data.n is the matter row chi_i
         self.rows = signed_rows(data, self.table)
-        # the model's flavor specialization, as a ring map {a_i: packed image}
-        self.flavor_images = {self.table.a(row): pack(tuple(mono))
-                              for row, mono in (data.a_specialization or {}).items()}
         # the packed monomial q
         self.q = packed_power(self.table.width, Q_HALF, 2)
         self.canonical_pol = frozenset(range(len(self.rows)))
@@ -235,6 +233,12 @@ class CoulombAlgebra:
 
     # -- ring maps ------------------------------------------------------------
 
+    @cached_property
+    def flavor_map(self) -> RingMap:
+        """The model's flavor specialization {a_i: image}, built on first use."""
+        aspec = self.data.a_specialization or {}
+        return RingMap({self.table.a(i): mono for i, mono in aspec.items()}, self.table.width)
+
     def evaluation_map(self, p: FixedPoint, specialize: bool = False, shift=()) -> RingMap:
         """The ring map of evaluation at the fixed point p, optionally composed
         with the model's flavor specialization, with s_j sent to q^{shift_j}
@@ -251,7 +255,7 @@ class CoulombAlgebra:
                 for j in p.restriction:
                     images[self.table.s(j)] += shift[j] * self.q
             else:
-                flavor = RingMap(self.flavor_images if specialize else {}, self.table.width)
+                flavor = self.flavor_map if specialize else RingMap({}, self.table.width)
                 images = dict(flavor.images)
                 for j, mono in p.restriction.items():
                     images[self.table.s(j)] = flavor.mono(pack(mono))

@@ -198,10 +198,11 @@ class VariableTable:
     ``labels`` holds, per variable index, the pair ``(var_label(idx),
     is_half_variable(idx))``, built once for the renderer, ``fragments`` the
     text of each (variable index, exponent), ``strings`` of each packed
-    monomial (:meth:`packed_str`), and ``binomials`` of each ``(1 - g)``.
+    monomial (:meth:`packed_str`), and ``binomials`` of each ``(1 - g)``;
+    ``q1`` is the ring map of :func:`specialize_q1`, built on first use.
     """
 
-    __slots__ = ("n", "k", "width", "labels", "fragments", "strings", "binomials")
+    __slots__ = ("n", "k", "width", "labels", "fragments", "strings", "binomials", "q1")
 
     def __init__(self, n: int, k: int):
         self.n = n
@@ -209,7 +210,7 @@ class VariableTable:
         self.width = 2 + n + 2 * k
         self.labels = tuple((self.var_label(i), self.is_half_variable(i))
                             for i in range(self.width))
-        self.fragments, self.strings, self.binomials = {}, {0: "1"}, {}
+        self.fragments, self.strings, self.binomials, self.q1 = {}, {0: "1"}, {}, None
 
     def packed_str(self, m: int) -> str:
         """The text of a packed monomial, remembered per table: the fragment
@@ -248,6 +249,10 @@ class VariableTable:
     def qvar(self, j: int) -> int:
         """Index of the Kahler half-power variable Q_{j+1}^(1/2) (0-based j)."""
         return 2 + self.n + self.k + j
+
+    def kahler(self, d, step: int = 1) -> int:
+        """The packed monomial with raw exponent step * d_j at each Q_j^(1/2)."""
+        return sum(packed_power(self.width, self.qvar(j), step * dj) for j, dj in enumerate(d))
 
     def unit(self) -> tuple:
         return (0,) * self.width
@@ -997,8 +1002,10 @@ class Scalar:
 
 
 def specialize_q1(x: Scalar, table: VariableTable) -> Scalar:
-    """Set q^(1/2) -> 1 (the commutative limit of the convolution product)."""
-    return x.subs({Q_HALF: 0}, table.width)
+    """Set q^(1/2) -> 1 (the commutative limit of the convolution product),
+    through the one ring map ``table.q1``."""
+    ring = table.q1 = table.q1 or RingMap({Q_HALF: 0}, table.width)
+    return x.subs(ring)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Everything here is exact integer arithmetic; no floating point is used.
 :meth:`GaugeData.create` walks the row subsets once, keeping the cofactor
-vector c_S of every (k-1)-subset S of rank k-1 from one fraction-free
-(Bareiss) elimination, ``_eliminate``: <chi_i, c_S> is a k-minor, the
-circuits are the primitive c_S signed by theta, and the inverse of a
-k-subset's rows, hence each fixed point, is read off the c_S of its faces.
+vector c_S of every (k-1)-subset S of rank k-1, one fraction-free (Bareiss)
+elimination, ``_eliminate``, per distinct tuple of row values of S, shared
+by the subsets with those rows: <chi_i, c_S> is a k-minor, the circuits are
+the primitive c_S signed by theta, and the inverse of a k-subset's rows,
+hence each fixed point, is read off the c_S of its faces.
 Dimensions are desk scale (n <= 16, k <= 8): a model is refused when it has
 more than ``MAX_ROW_SUBSETS`` candidate row subsets C(n, k), which every
 loop over supports and walls walks, or a weight entry above ``MAX_WEIGHT``.
@@ -92,10 +93,10 @@ def primitive(vec):
 
 def _cofactor(rows, k):
     """The kernel of <row, .> = 0 for k-1 rows of rank k-1 (else None) as the
-    integer vector +- the signed maximal minors of the rows (Bareiss), so that
+    integer tuple +- the signed maximal minors of the rows (Bareiss), so that
     <chi, result> is +- the determinant of the rows with chi added."""
     if k == 1:
-        return [1]
+        return (1,)
     pivots, mat, _ = _eliminate(rows)
     if len(pivots) != k - 1:
         return None
@@ -105,7 +106,7 @@ def _cofactor(rows, k):
     sol[free] = abs(p)
     for r, col in enumerate(pivots):
         sol[col] = -mat[r][free] if p > 0 else mat[r][free]
-    return sol
+    return tuple(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -180,26 +181,31 @@ class GaugeData(_Record):
             raise ModelError("chi has rank %d < %d; the gauge torus does not act with finite kernel"
                              % (rank, k))
         # <chi_i, c_S> = +-det(S + {i}), and the pairs (S, i > max S) meet the
-        # k-subsets in lexicographic order
-        cofactors = {}
+        # k-subsets in lexicographic order; both depend on the rows of S alone,
+        # and the first S with given rows has the least max S: only it is walked
+        cofactors, by_rows, first = {}, {}, {}
         for subset in itertools.combinations(range(n), k - 1):
-            c = _cofactor([chi[i] for i in subset], k)
-            if c is None:
-                continue
-            cofactors[subset] = c
-            for i in range(max(subset, default=-1) + 1, n):
-                if abs(pair(chi[i], c)) > 1:
-                    bad = subset + (i,)
-                    raise ModelError("subset {%s} non-unimodular (det %d); model rejected as "
-                                     "non-smooth" % (",".join(str(j + 1) for j in bad),
-                                                     _eliminate([chi[j] for j in bad])[2]))
+            rows = tuple(chi[i] for i in subset)
+            if rows not in by_rows:
+                c = by_rows[rows] = _cofactor(rows, k)
+                if c is None:
+                    continue
+                first.setdefault(c, subset)
+                for i in range(max(subset, default=-1) + 1, n):
+                    if abs(pair(chi[i], c)) > 1:
+                        bad = subset + (i,)
+                        raise ModelError("subset {%s} non-unimodular (det %d); model rejected as "
+                                         "non-smooth" % (",".join(str(j + 1) for j in bad),
+                                                         _eliminate([chi[j] for j in bad])[2]))
+            if by_rows[rows] is not None:
+                cofactors[subset] = by_rows[rows]
         if blocks is not None:
             blocks = tuple(int(b) for b in blocks)
             if sum(blocks) != k or any(b <= 0 for b in blocks):
                 raise ModelError("blocks %r do not partition 1..%d" % (blocks, k))
             _check_block_symmetry(chi, theta, blocks)
         walls = {}
-        for subset, c in cofactors.items():
+        for c, subset in first.items():
             rho = primitive(c)
             t = pair(theta, rho)
             if t == 0:

@@ -99,7 +99,6 @@ class VermaModule:
         table = self.algebra.table
         terms = {}
         for d in enumerate_degrees(self.cone, self.algebra.data.theta, order):
-            terms[d] = self.norm(d).inv().mul_mono(
-                table.packed({table.qvar(j): dj for j, dj in enumerate(d)}))
+            terms[d] = self.norm(d).inv().mul_mono(table.kahler(d))
         out = self._whittaker[order] = VermaVector(self, terms)
         return out

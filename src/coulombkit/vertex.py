@@ -101,8 +101,8 @@ def _strip_kahler_power(table, value: Scalar, d) -> Scalar:
 
     A monomial factor leaves the normal form as it is, so only the prefactor
     changes."""
-    stripped = value.mul_mono(table.packed({table.qvar(j): -2 * dj for j, dj in enumerate(d)}))
-    if stripped.uses([table.qvar(j) for j in range(table.k)]):
+    stripped = value.mul_mono(-table.kahler(d, 2))
+    if stripped.uses(map(table.qvar, range(table.k))):
         raise AssertionError("Kahler power of coefficient at %r is not Q^%r" % (d, d))
     return stripped
 

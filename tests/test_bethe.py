@@ -11,7 +11,7 @@ from coulombkit.exactring import mono_mul, scalar_from_structured, scalar_str
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.vertex import Descendent, vertex_fp
 
-from conftest import binomial_atoms, mono_pow, one_minus
+from conftest import binomial_atoms, mono_pow, one_minus, tgr_model
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "bethe_tgr24_golden.txt")
 
@@ -38,6 +38,25 @@ def test_q1_specialization_commutes(tp1_alg, a2_alg):
         for rel, low in zip(direct, lowered):
             assert rel.lhs == low
             assert rel.kind == "bethe_q1"
+
+
+def test_relations_share_one_flavor_map_and_one_q1_map(monkeypatch):
+    """tgr(3,4) has 6 relations; the ring maps built for them are one flavor
+    map, one q = 1 map and one shift map per shift degree, so none is built
+    per relation, and asking again on the same algebra builds none."""
+    from coulombkit import exactring
+    made = []
+    init = exactring.RingMap.__init__
+    monkeypatch.setattr(exactring.RingMap, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+    alg = CoulombAlgebra(tgr_model(3, 4))
+    relations = bethe_relations_q1(alg)
+    assert len(relations) == 6
+    assert len(made) == 5
+    assert sum(images == {0: 0} for images, _ in made) == 1
+    del made[:]
+    assert [r.lhs for r in bethe_relations_q1(alg)] == [r.lhs for r in relations]
+    assert made == []
 
 
 def test_tp1_bethe_closed_form(tp1_alg):

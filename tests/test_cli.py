@@ -48,6 +48,37 @@ def test_load_tgr24():
     assert len(data.a_specialization) == 8
 
 
+def test_each_distinct_flavor_image_is_parsed_once(monkeypatch):
+    """tgr(2,4) sends a1..a8 to 4 distinct images; rows that share one share its tuple."""
+    import coulombkit.cli
+    calls = []
+    original = coulombkit.cli._parse_monomial_image
+    monkeypatch.setattr(coulombkit.cli, "_parse_monomial_image",
+                        lambda name, text, table: calls.append(name) or original(name, text, table))
+    data = load_model(model_path("tgr24"))
+    assert calls == ["a1", "a2", "a3", "a4"]
+    table = data.table()
+    assert data.a_specialization == {i: table.mono({table.a(i % 4): -1}) for i in range(8)}
+    assert all(data.a_specialization[i + 4] is data.a_specialization[i] for i in range(4))
+
+
+@pytest.mark.parametrize("images, message", [
+    ({"a2": "s1", "a3": "h", "a1": "s1"},
+     "a_specialization 'a2': the image 's1' names a gauge variable; an image is a monomial "
+     "in the a_i and h"),
+    ({"a3": "h", "a2": "a1+1", "a1": "a1+1"},
+     "a_specialization 'a2': expected a monomial in the image 'a1+1'"),
+])
+def test_a_refused_image_is_named_by_its_first_key(tmp_path, capsys, images, message):
+    """An image that several keys carry is refused under the first of them, in file order."""
+    from coulombkit.cli import main
+    path = tmp_path / "aspec.json"
+    path.write_text(json.dumps({"chi": [[1], [1], [1]], "theta": [1],
+                                "a_specialization": images}))
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
 def test_load_rejections():
     with pytest.raises(ModelError, match="chi_2 is zero"):
         load_model(model_path("bad_zero_row"))
@@ -261,6 +292,8 @@ GOLDEN = [
     ("circuits_tgr24.txt", ["circuits", "tgr24"]),
     ("analyze_a2.json", ["analyze", "a2", "--json"]),
     ("analyze_tgr24.json", ["analyze", "tgr24", "--json"]),
+    # the difference relations of a block model under its flavor specialization
+    ("bethe_tgr24.txt", ["bethe", "tgr24"]),
     # T*Fl(3), blocks GL(1) x GL(2): 12 lifts, one series per Weyl orbit
     ("fixed_points_fl3.txt", ["fixed-points", "fl3"]),
     ("vertex_fl3_point157_order2.txt", ["vertex", "fl3", "--point", "1,5,7", "--order", "2"]),
@@ -567,6 +600,10 @@ MAX_INT = "9" * 4300
     # an exponent over the limit is quoted by its first 40 digits
     (["vertex", "tp1", "--descendent=s1^" + "9" * 2000],
      "exponent %s... of s1 exceeds the limit 1048576" % ("9" * 40)),
+    # division in a scalar chunk of a generator word is refused as such
+    (["mul", "a2", "r[1,0] s1/"], "division not allowed in generator words"),
+    (["mul", "a2", "r[1,0] s1/(1-s2)"], "division not allowed in generator words"),
+    (["mul", "a2", "r[1,0] (1+s1)^-1"], "division not allowed in generator words"),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main

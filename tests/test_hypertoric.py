@@ -383,17 +383,41 @@ def test_returned_lists_are_fresh(a2):
     assert eff_cone(a2) is eff_cone(a2)
 
 
-def test_each_row_subset_is_eliminated_once(tgr24, monkeypatch):
-    """create eliminates chi once for its rank and each (k-1)-subset once;
-    the k-minors, circuits and fixed points are read off those cofactors."""
+def _elimination_sizes(monkeypatch, model):
+    """The row counts of the ``_eliminate`` calls of one ``create`` of model."""
     from coulombkit import hypertoric
     sizes = []
     eliminate = hypertoric._eliminate
     monkeypatch.setattr(hypertoric, "_eliminate", lambda rows: sizes.append(len(rows))
                         or eliminate(rows))
-    data = GaugeData.create(tgr24.chi, tgr24.theta, blocks=tgr24.blocks)
-    assert sizes == [tgr24.n] + [tgr24.k - 1] * tgr24.n
+    return GaugeData.create(model.chi, model.theta, blocks=model.blocks), sizes
+
+
+def test_each_row_subset_is_eliminated_once(tgr24, monkeypatch):
+    """create eliminates chi once for its rank and each distinct tuple of
+    k-1 row values once (tgr(2,4) has 8 singletons, 2 of them distinct); the
+    k-minors, circuits and fixed points are read off those cofactors."""
+    data, sizes = _elimination_sizes(monkeypatch, tgr24)
+    assert sizes == [8, 1, 1]
     points = fixed_points(data)
-    assert len(sizes) == 1 + tgr24.n
+    assert len(sizes) == 3
     assert points == fixed_points(tgr24)
     assert circuits(data) == circuits(tgr24)
+
+
+@pytest.mark.parametrize("k, n, calls", [(2, 5, 3), (3, 4, 7)])
+def test_subsets_with_equal_rows_share_one_cofactor(monkeypatch, k, n, calls):
+    """tgr(3,4) has 66 pairs of rows and 6 distinct pairs of row values; every
+    subset keeps its own entry in ``cofactors``, all sharing one tuple."""
+    model = tgr_model(k, n)
+    data, sizes = _elimination_sizes(monkeypatch, model)
+    assert sizes == [k * n] + [k - 1] * (calls - 1)
+    # the rows are unit vectors: k - 1 of them have rank k - 1 when they differ
+    assert list(data.cofactors) == [s for s in itertools.combinations(range(k * n), k - 1)
+                                    if len({data.chi[i] for i in s}) == k - 1]
+    shared = {}
+    for subset, c in data.cofactors.items():
+        assert type(c) is tuple
+        assert shared.setdefault(tuple(data.chi[i] for i in subset), c) is c
+    assert fixed_points(data) == fixed_points(model)
+    assert circuits(data) == circuits(model)

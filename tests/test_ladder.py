@@ -5,6 +5,7 @@ models are the ones ``perfbench/models.py`` writes.
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 
@@ -67,3 +68,28 @@ class _Sink:
 
     def write(self, text):
         self.digest.update(text.encode())
+
+
+def _ladder_script():
+    """tools/ladder.py, loaded by path: it is a script, not a package module."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "tools", "ladder.py")
+    spec = importlib.util.spec_from_file_location("ladder_script", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_ladder_script_runs_its_two_fastest_rungs():
+    """tools/ladder.py runs each rung as a CLI subprocess and reports its
+    bytes, digest, exit code, time and peak memory."""
+    ladder = _ladder_script()
+    fastest = ["a2-whittaker-8", "tgr25-whittaker-p17-3"]
+    report = ladder.run_ladder([r for r in ladder.RUNGS if r[0] in fastest])
+    assert report["timeout_s"] == 120
+    assert [r["name"] for r in report["rungs"]] == fastest
+    assert [r["stdout_bytes"] for r in report["rungs"]] == [8254, 4895]
+    for rung in report["rungs"]:
+        assert (rung["exit_code"], rung["timed_out"], rung["matches_table"]) == (0, False, True)
+        assert rung["sha256"].startswith(rung["table_sha256"])
+        assert rung["wall_s"] > 0 and rung["peak_rss_mb"] > 0

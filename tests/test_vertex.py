@@ -58,6 +58,26 @@ def test_vertex_tp1_degree_one(tp1_alg):
     assert series.coeffs[(1,)] == expected
 
 
+def test_the_kahler_strip_finds_a_q_power_in_every_part(a2_alg):
+    """Q^d leaves the prefactor; a Kahler variable left in the prefactor, a
+    sum-part term or an atom root is refused."""
+    from coulombkit.vertex import _strip_kahler_power
+    table = a2_alg.table
+    d = (2, 1)
+    q_d = table.mono({table.qvar(0): 4, table.qvar(1): 2})
+    s1, q2 = table.mono({table.s(0): 1}), table.mono({table.qvar(1): 1})
+    free = Scalar(table.width, one_minus(s1), atoms={mono_mul(s1, s1): 1})
+    assert _strip_kahler_power(table, free * Scalar.monomial(q_d, 3), d) == \
+        free * Scalar.monomial(table.unit(), 3)
+    for left in (Scalar.monomial(q2),
+                 Scalar.from_poly(Poly.from_terms(table.width, [(table.unit(), 1), (s1, 1),
+                                                                (mono_mul(s1, q2), 1)])),
+                 Scalar(table.width, Poly.one(table.width), atoms={mono_mul(s1, q2): 1})):
+        assert left.uses((table.qvar(1),))
+        with pytest.raises(AssertionError, match=r"is not Q\^\(2, 1\)"):
+            _strip_kahler_power(table, free * left * Scalar.monomial(q_d), d)
+
+
 def test_vertex_equals_whittaker_tp1(tp1_alg):
     for p in fixed_points(tp1_alg.data):
         for tau in _descendents(tp1_alg.table):
