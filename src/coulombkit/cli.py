@@ -500,10 +500,10 @@ def _check_weyl_invariant(alg: CoulombAlgebra, tau: Descendent, text: str):
     that is not would depend on the lift.  The swaps of neighbouring s_j in
     a block generate the Weyl group, so they are the ones tried."""
     table = alg.table
-    poly = tau.poly.subs(alg.flavor_map)
+    x = tau.as_scalar().subs(alg.flavor_map)
     for w in alg.data.weyl_swaps():
         swap = {table.s(j): table.packed({table.s(dst): 1}) for j, dst in enumerate(w) if j != dst}
-        if poly.subs(swap, table.width) != poly:
+        if x.subs(swap, table.width) != x:
             raise ExprError("descendent %s is not Weyl-invariant: w=(%s) changes it"
                             % (_image_quote(text), ",".join(str(j + 1) for j in w)))
 

@@ -30,17 +30,14 @@ Mixed generators rescale r_d by an explicit kernel coefficient depending on
 which side of the effective cone d lies; products of mixed generators inside
 the cone are degreewise trivial, which is what the Verma and vertex layers
 are built on.  :meth:`CoulombAlgebra.relation` builds every two-sided
-product R_c f R_{-c} of them.  Structure constants are memoized per
-(c, d, polarization), matter kernels per degree, effective degree lists
-per order (:meth:`CoulombAlgebra.degrees`), Verma modules per fixed point,
-evaluation ring maps per (fixed point, flavor specialization, shift degree),
-a shifted one copied from the unshifted map of its point, and shift ring
-maps s_j -> q^{d_j} s_j per degree (:meth:`CoulombAlgebra.shift_map`, the
-one place such a map is built), all on the algebra instance and dropped
-with it; :meth:`CoulombAlgebra.evaluate` is the one evaluation at a fixed
-point, for the closed series and the Verma modules alike.  Cached values are
-immutable and a :class:`~coulombkit.exactring.RingMap` only grows memos that
-never change a result, so concurrent identical insertions are harmless.
+product R_c f R_{-c} of them.  The algebra memoizes, and drops with it,
+structure constants, mixed coefficients, kernels at a point
+(:meth:`CoulombAlgebra.point_kernel`), degree lists, Verma modules and ring
+maps: evaluation maps per (point, specialization, shift), which the Verma
+modules read through :meth:`CoulombAlgebra.evaluate` while the closed
+series reads only unshifted ones, and shift maps s_j -> q^{d_j} s_j.
+Cached values are immutable and a RingMap only grows memos that never
+change a result, so concurrent identical insertions are harmless.
 """
 
 from __future__ import annotations
@@ -162,7 +159,7 @@ class CoulombAlgebra:
         self.canonical_pol = frozenset(range(len(self.rows)))
         self._sc_cache = {}
         self._mixed_cache = {}
-        self._kernel_cache = {}
+        self._point_kernels = {}
         self._modules = {}
         self._eval_maps = {}
         self._shift_maps = {}
@@ -215,20 +212,21 @@ class CoulombAlgebra:
         out = self._sc_cache[key] = hq_product(self.table.width, factors)
         return out
 
-    def matter_kernel(self, d) -> Scalar:
-        """The degree-d localization weight, unevaluated: the product of
-        ``hq_ratio(x, <weight, d>)`` over the genuine rows and of its inverse
-        over the virtual ones.
-
-        It depends on the degree alone, so it is built once per degree and
-        shared by every fixed point and descendent of this algebra.
-        """
-        d = tuple(d)
-        got = self._kernel_cache.get(d)
+    def point_kernel(self, p: FixedPoint, d, specialize: bool = False) -> Scalar:
+        """The degree-d localization weight at p, one :func:`hq_product` over
+        the images of the signed rows (a map never moves q or h); one per
+        (point, specialize, degree).  A factor vanishing at p is named, in the
+        model's variables, by evaluating the unevaluated kernel."""
+        key = (p, specialize, tuple(d))
+        got = self._point_kernels.get(key)
         if got is None:
-            got = self._kernel_cache[d] = hq_product(
-                self.table.width,
-                [(x, di, sign) for chi, x, sign in self.rows if (di := pair(chi, d))])
+            ring, w = self.evaluation_map(p, specialize), self.table.width
+            rows = [(x, di, sign) for chi, x, sign in self.rows if (di := pair(chi, d))]
+            try:
+                got = hq_product(w, [(ring.mono(x), di, sign) for x, di, sign in rows])
+            except PoleEvaluationError:
+                got = self.evaluate(p, hq_product(w, rows), specialize)
+            self._point_kernels[key] = got
         return got
 
     # -- ring maps ------------------------------------------------------------
@@ -255,10 +253,10 @@ class CoulombAlgebra:
                 for j in p.restriction:
                     images[self.table.s(j)] += shift[j] * self.q
             else:
-                flavor = self.flavor_map if specialize else RingMap({}, self.table.width)
-                images = dict(flavor.images)
+                images = dict(self.flavor_map.images) if specialize else {}
                 for j, mono in p.restriction.items():
-                    images[self.table.s(j)] = flavor.mono(pack(mono))
+                    x = pack(mono)
+                    images[self.table.s(j)] = self.flavor_map.mono(x) if specialize else x
             got = self._eval_maps[key] = RingMap(images, self.table.width)
         return got
 

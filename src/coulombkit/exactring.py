@@ -65,12 +65,12 @@ roots into binomials ``(1 - r^n)``, largest n first; nothing is multiplied
 out, and each fragment, monomial and binomial is formatted once per
 :class:`VariableTable`.  All values are immutable.
 
-Every substitution goes through a :class:`RingMap`: the images of the
+A substitution is ``Scalar.subs`` of a :class:`RingMap`: the images of the
 variables plus memos of the image of each monomial and the direction of the
-image of each atom root.  A map built once per point or shift and applied
-to many values maps each monomial and root once; a plain dict handed to
-``subs`` becomes a throwaway map.  The memos never change a result, and a
-denominator atom sent to 1 raises on every application.
+image of each atom root, so a map built once per point or shift maps each
+monomial and root once (a plain dict becomes a throwaway map).  The memos
+never change a result, and a denominator atom sent to 1 raises on every
+application.
 
 A coefficient is an ``int`` when it is integral, otherwise a ``Fraction``
 whose denominator is greater than 1; never a float.  :func:`exact_coeff`
@@ -376,12 +376,6 @@ class RingMap:
             return got
 
 
-def ring_map(images, width: int | None, source: int | None = None) -> RingMap:
-    """``images`` itself when it is a :class:`RingMap`, else a throwaway map
-    of the dict from ``source`` into ``width`` variables."""
-    return images if isinstance(images, RingMap) else RingMap(images, width, source)
-
-
 def exact_coeff(c):
     """The rational number c as a stored coefficient: an ``int`` when
     integral, otherwise a ``Fraction``.  Anything else, a float included, is
@@ -568,13 +562,6 @@ class Poly:
                         for m in self.terms])
         return (int.from_bytes(codec.pack(*lo), "big") ^ bias) - bias
 
-    def subs(self, images, target_width: int | None = None) -> "Poly":
-        """The image under a :class:`RingMap`, or under a dict
-        ``{variable index: image monomial}`` into ``target_width`` variables."""
-        ring = ring_map(images, target_width, self.w)
-        return _poly(ring.width, _accumulate({}, zip(map(ring.mono, self.terms),
-                                                     self.terms.values())))
-
     def _chains(self, r: int):
         """The terms split into chains ``m + k*r``, as ``{base: {k: coefficient}}``
         with k read off the pivot slot (the first nonzero exponent of r, which
@@ -715,21 +702,21 @@ def _pole(g: int, width: int) -> PoleEvaluationError:
                                atom=atom)
 
 
-def _mapped_keys(atoms: dict, ring: RingMap | None, width: int):
-    """(coefficient, monomial, keys) with prod psi_d(g)^(-mult) over ``atoms``
-    ``{(g, d): mult}``, g sent through ``ring`` (None: the identity) from a
-    ring of ``width`` variables, equal to coefficient * monomial * prod over
-    the canonical keys; a binomial (1 - g) is the atom (g, 1).  A key whose
-    multiplicities cancel is left out.
+def _mapped_keys(atoms, ring: RingMap | None, width: int):
+    """(coefficient, monomial, keys) with prod psi_d(g)^(-mult) over the pairs
+    ``((g, d), mult)`` in ``atoms``, g sent through ``ring`` (None: the
+    identity) from a ring of ``width`` variables, equal to coefficient *
+    monomial * prod over the canonical keys; a binomial (1 - g) is the atom
+    (g, 1).  A key whose multiplicities cancel is left out.
 
     g maps to u^p with u primitive (:func:`_direction`, memoized by
     :meth:`RingMap.root`).  When the image is 1, psi_d(1) is a number, zero
-    only for d = 1: a denominator factor there is a
-    :class:`PoleEvaluationError`, however often the map has seen g, and a
-    numerator factor makes the coefficient 0.
+    only for d = 1: a denominator pair there is a
+    :class:`PoleEvaluationError`, whatever cancels it, and a numerator pair
+    makes the coefficient 0.
     """
     coeff, pre, keys, vanished = 1, 0, {}, False
-    for (g, d), mult in atoms.items():
+    for (g, d), mult in atoms:
         if not mult:
             continue
         root = _direction(g, width) if ring is None else ring.root(g)
@@ -782,7 +769,7 @@ class Scalar:
         if type(pre) is tuple:
             pre = pack(pre)
         coeff, unit, keys = (1, 0, {}) if not atoms else _mapped_keys(
-            {(pack(g) if type(g) is tuple else g, 1): m for g, m in atoms.items()}, None, width)
+            (((pack(g) if type(g) is tuple else g, 1), m) for g, m in atoms.items()), None, width)
         x = Scalar._of(width, num.scale(coeff), unit if pre is None else pre + unit, keys)
         self.w, self.num, self.pre, self.atoms = width, x.num, x.pre, x.atoms
 
@@ -974,18 +961,24 @@ class Scalar:
         atom (1 - r) whose image is 1 is a :class:`PoleEvaluationError`: the
         normal form has no atom that divides the numerator.
         """
-        ring = ring_map(images, target_width, self.w)
-        width = ring.width
-        coeff, unit, keys = _mapped_keys(self.atoms, ring, ring.source) if self.atoms \
-            else (1, 0, {})
+        ring = images if isinstance(images, RingMap) else RingMap(images, target_width, self.w)
+        mapped = _mapped_keys(self.atoms.items(), ring, ring.source) if self.atoms else (1, 0, {})
+        return self._image(ring.width, ring.mono, mapped)
+
+    def _image(self, width: int, mono, mapped) -> "Scalar":
+        """Each monomial of the prefactor and sum part sent to ``mono`` of it,
+        and the atoms' images converted to ``mapped`` (:func:`_mapped_keys`)."""
+        coeff, unit, keys = mapped
         if coeff == 0:
             return Scalar.zero(width)
-        pre = ring.mono(self.pre) + unit
-        if len(self.num.terms) == 1:
+        pre = mono(self.pre) + unit
+        terms = self.num.terms
+        if len(terms) == 1:
             # the constant term of a product of atoms, which no key divides
-            (c,) = self.num.terms.values()
+            (c,) = terms.values()
             return Scalar._raw(width, _poly(width, {0: exact_coeff(c * coeff)}), pre, keys)
-        return Scalar._of(width, self.num.subs(ring).scale(coeff), pre, keys)
+        num = _poly(width, _accumulate({}, zip(map(mono, terms), terms.values())))
+        return Scalar._of(width, num.scale(coeff), pre, keys)
 
     def uses(self, indices) -> bool:
         """Whether a variable of the sequence ``indices`` occurs in the

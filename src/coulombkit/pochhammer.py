@@ -7,12 +7,12 @@ The convention is (x; q)_d = (x; q)_inf / (q^d x; q)_inf, made finite:
     d < 0:  1 / ((1 - q^{-1} x)(1 - q^{-2} x) ... (1 - q^d x))
 
 Every product of symbols is built by the one routine ``poch_product``, in
-one pass: each binomial (1 - g) of each symbol is added to one dict
-``{(g, 1): mult}``, which one conversion turns into the sign, the prefactor
-and the cyclotomic keys of the result.  Its sum part is the constant 1 or
--1, so the fields are the normal form as they stand; nothing is multiplied
-out or divided, and the factored form survives evaluation.  ``hq_product``
-is the product of kernel factors that the convolution relations, vertex
+one pass: the binomials (1 - g) of every symbol go, as pairs
+``((g, 1), mult)``, through one conversion into the sign, the prefactor and
+the cyclotomic keys of the result.  Its sum part is the constant 1 or -1,
+so the fields are the normal form as they stand; nothing is multiplied out
+or divided, and the factored form survives evaluation.  ``hq_product`` is
+the product of kernel factors that the convolution relations, vertex
 coefficients and module actions use; the other functions here are
 single-symbol cases of the two.  Both take packed monomials
 (:mod:`coulombkit.exactring`), so a q-shift is one addition; the
@@ -32,16 +32,13 @@ def poch_product(width: int, symbols, e: int = 0) -> Scalar:
 
     For d >= 0 the binomials (1 - q^m x), m = 0 .. d-1, enter raised to
     ``power``; for d < 0 the binomials (1 - q^-m x), m = 1 .. -d, enter
-    raised to ``-power``.
+    raised to ``-power``.  A denominator (1 - 1) is a pole, cancelled or not.
     """
     q = packed_power(width, Q_HALF, 2)
-    atoms = {}
-    for x, d, power in symbols:
-        shifts, mult = (range(d), -power) if d >= 0 else (range(-1, d - 1, -1), power)
-        for m in shifts:
-            key = (x + m * q, 1)
-            atoms[key] = atoms.get(key, 0) + mult
-    sign, unit, keys = _mapped_keys(atoms, None, width)
+    sign, unit, keys = _mapped_keys(
+        (((x + m * q, 1), -power if d >= 0 else power)
+         for x, d, power in symbols for m in (range(d) if d >= 0 else range(-1, d - 1, -1))),
+        None, width)
     if not sign:
         return Scalar.zero(width)
     pre = packed_power(width, Q_HALF, e) - packed_power(width, HBAR_HALF, e) + unit

@@ -4,8 +4,8 @@ Coefficients are computed directly from the closed localization product --
 never through the module pairing -- so that the pairing route implemented in
 :mod:`coulombkit.verma` is a genuinely independent cross-check.  The
 degree-d coefficient at a fixed point p is the kernel's weight at p times
-the insertion's value at p shifted by d, each evaluated on its own through
-the algebra's ring maps, over the algebra's degree list for the order.  A
+the insertion's value at p shifted by d, over the algebra's degree list for
+the order, through no shifted ring map (the module route keeps those).  A
 series is stored degreewise: the key carries the Kahler power, the value is
 a scalar in the residue variables only; :class:`QSeries` is a
 :class:`~coulombkit.coulomb.Combination`, so both routes build, sum and
@@ -14,8 +14,10 @@ compare their series by one rule.
 
 from __future__ import annotations
 
+import itertools
+
 from .coulomb import Combination, CoulombAlgebra
-from .exactring import HBAR_HALF, Poly, Scalar, packed_power
+from .exactring import HBAR_HALF, Poly, Scalar, _checked, _mapped_keys, packed_power, unpack
 from .hypertoric import FixedPoint, pair
 from .pochhammer import poch_product, sign_kernel
 
@@ -41,9 +43,6 @@ class QSeries(Combination):
     order = property(lambda self: self.owner)
     coeffs = property(lambda self: self.terms)
 
-    def __init__(self, order: int, coeffs):
-        super().__init__(order, coeffs)
-
     def coefficient(self, d, width: int) -> Scalar:
         return self.coeffs.get(tuple(d), Scalar.zero(width))
 
@@ -61,20 +60,32 @@ def is_lift(alg: CoulombAlgebra, p: FixedPoint) -> bool:
 
 def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
                   order: int, specialize: bool):
-    """(degree, coefficient) pairs of the closed localization product at p:
-    the signed-row kernel evaluated at p times the insertion evaluated at p
-    shifted by d, over the algebra's degree list for ``order``.
+    """(degree, coefficient) pairs of the closed localization product at p,
+    over the algebra's degree list for ``order``: the kernel at p
+    (:meth:`CoulombAlgebra.point_kernel`) times the insertion at p shifted by
+    d.  Each monomial of the insertion is mapped once, keeping its s-exponents
+    e; at d its image gains q^{<e, d>}, as a map never moves q.
 
-    Evaluation is a ring map, so this is the product evaluated at p, as long
-    as neither factor has a pole there on its own: the kernel has none at a
-    lift, and an insertion with a denominator atom is refused, before any
-    degree, with :class:`ValueError`."""
-    insertion = tau.as_scalar() if isinstance(tau, Descendent) else tau
-    if any(m > 0 for m in insertion.atoms.values()):
+    This is the product evaluated at p, as neither factor has a pole there on
+    its own: the kernel has none at a lift, and an insertion with a
+    denominator atom is refused, before any degree, with :class:`ValueError`."""
+    f = tau.as_scalar() if isinstance(tau, Descendent) else tau
+    if any(m > 0 for m in f.atoms.values()):
         raise ValueError("the insertion has a denominator; a descendent is a polynomial")
-    return ((d, alg.evaluate(p, alg.matter_kernel(d), specialize)
-             * alg.evaluate(p, insertion, specialize, d))
-            for d in alg.degrees(order))
+    ring, w, q, s = alg.evaluation_map(p, specialize), alg.table.width, alg.q, alg.table.s(0)
+    images = {m: (ring.mono(m), unpack(m, w)[s:s + alg.data.k])
+              for m in itertools.chain((f.pre,), f.num.terms, (g for g, _ in f.atoms))}
+
+    def value(d):
+        def mono(m):
+            y, e = images[m]
+            step = pair(e, d)
+            return _checked(y + step * q, w) if step else y
+
+        atoms = (((mono(g), e), mult) for (g, e), mult in f.atoms.items())
+        return alg.point_kernel(p, d, specialize) * f._image(w, mono, _mapped_keys(atoms, None, w))
+
+    return ((d, value(d)) for d in alg.degrees(order))
 
 
 def vertex_fp(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
@@ -92,7 +103,8 @@ def whittaker_function(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Sca
     w = module.whittaker_vector(order)
     tw = module.act(alg.cartan(insertion), w)
     table = alg.table
-    return QSeries(order, ((d, _strip_kahler_power(table, u * tw.terms[d] * module.norm(d), d))
+    # u * norm(d), a product of atoms, collapses before it meets a sum part
+    return QSeries(order, ((d, _strip_kahler_power(table, u * module.norm(d) * tw.terms[d], d))
                            for d, u in w.terms.items() if d in tw.terms))
 
 
@@ -150,10 +162,10 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     residuals = {}
     for d in sorted(degrees, key=lambda dd: (pair(theta, dd), dd)):
         dmc = tuple(x - y for x, y in zip(d, c))
-        res = (eigen(d, 1) * series.coefficient(d, w)
-               - sign * eigen(dmc, -1) * series.coefficient(dmc, w))
-        if not res.is_zero():
-            residuals[d] = res
+        lhs = eigen(d, 1) * series.coefficient(d, w)
+        rhs = sign * eigen(dmc, -1) * series.coefficient(dmc, w)
+        if lhs != rhs:
+            residuals[d] = lhs - rhs
     return residuals
 
 

@@ -1,11 +1,13 @@
 """Reference computations kept beside the tests, apart from the engine routes
 they check.
 
-The closed vertex series evaluates the kernel at the point and the insertion
-at the shifted point, each on its own.  The oracle here multiplies first and
-evaluates the unevaluated product once, as the series was defined before it
-was split; it also accepts an insertion with denominators, such as a
-two-sided product R_c f R_{-c}.
+The closed vertex series builds the kernel from the rows' images at the point
+and adds each degree's shift to the insertion's images as a power of q.  The
+oracle here builds the unevaluated kernel (:func:`matter_kernel`), multiplies
+it by the insertion shifted through the algebra's shift map, and evaluates
+the product once through the algebra's evaluation map, as the series was
+defined before it was split; it also accepts an insertion with denominators,
+such as a two-sided product R_c f R_{-c}.
 
 The right module has the basis t_c and the action t_c r_d = F(c, d) t_{c+d},
 F being :func:`module_factor`, a kernel over the rows with <chi, d> < 0 in
@@ -45,10 +47,18 @@ from coulombkit.hypertoric import pair
 from coulombkit.pochhammer import hq_product
 
 
+def matter_kernel(alg, d) -> Scalar:
+    """The degree-d localization weight, unevaluated: the product of
+    ``hq_ratio(x, <weight, d>)`` over the genuine rows and of its inverse over
+    the virtual ones."""
+    return hq_product(alg.table.width,
+                      [(x, di, sign) for chi, x, sign in alg.rows if (di := pair(chi, d))])
+
+
 def closed_coefficient(alg, p, insertion: Scalar, d, specialize: bool = False) -> Scalar:
     """The degree-d coefficient at p: the kernel times the insertion shifted
     by d, evaluated at p as one product."""
-    return alg.evaluate(p, alg.matter_kernel(d) * alg.shift(insertion, d), specialize)
+    return alg.evaluate(p, matter_kernel(alg, d) * alg.shift(insertion, d), specialize)
 
 
 def kaehler_relation_check(alg, p, descendent, circuit, order: int) -> bool:

@@ -12,6 +12,7 @@ from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.vertex import Descendent, vertex_fp
 
 from conftest import binomial_atoms, mono_pow, one_minus, tgr_model
+from oracles import matter_kernel
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "bethe_tgr24_golden.txt")
 
@@ -90,7 +91,7 @@ def test_relations_match_vertex_recursion(tp1_alg, a2_alg):
                     # assemble the stepped coefficient before restriction:
                     # the relation eigenvalue can carry the pole that kills
                     # a vanishing coefficient
-                    stepped = alg.matter_kernel(d) * alg.shift(rel.lhs, d)
+                    stepped = matter_kernel(alg, d) * alg.shift(rel.lhs, d)
                     assert vdc == stepped.subs(images, w), (p.label(), c, d)
 
 

@@ -1,9 +1,12 @@
-"""The per-algebra caches: signed-row kernels per degree, Verma modules per
-fixed point, Whittaker vectors per order, and the evaluation and shift ring
-maps.  Cached results must equal, and render exactly as, the same calls on a
-fresh algebra, and no two algebras may share a cached value."""
+"""The per-algebra caches: signed-row kernels per fixed point and degree,
+Verma modules per fixed point, Whittaker vectors per order, and the
+evaluation and shift ring maps.  Cached results must equal, and render
+exactly as, the same calls on a fresh algebra, and no two algebras may share
+a cached value."""
 
+import io
 import itertools
+import os
 import sys
 
 import pytest
@@ -13,14 +16,16 @@ import coulombkit.exactring
 import coulombkit.hypertoric
 from coulombkit import (Descendent, PoleEvaluationError, Poly, fixed_points, qde_check,
                         vertex_fp, vertex_fp_nonab, whittaker_function)
-from coulombkit.cli import _degree_report, parse_descendent
+from coulombkit.cli import _degree_report, build_parser, dispatch, parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
+from coulombkit.exactring import RingMap
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.pochhammer import hq_ratio
 from coulombkit.verma import VermaModule
-from coulombkit.vertex import QSeries
+from coulombkit.vertex import QSeries, is_lift
 
-from conftest import counting, point_by_support, tpn, truncate
+from conftest import counting, data_model, point_by_support, tpn, truncate
+from oracles import matter_kernel
 
 # the three acceptance descendents plus one more
 DESCENDENTS = ["1", "s1", "a1*s1 - h", "2*a2*s1^2 + 3*h"]
@@ -48,17 +53,22 @@ def test_shared_algebra_matches_a_fresh_algebra_per_call(a2, model):
 
 
 def test_second_descendent_builds_no_kernel(a2, monkeypatch):
+    """One kernel product per (point, degree): a second descendent or a
+    lower order at the point builds none, and another point builds its own."""
     calls = counting(monkeypatch, coulombkit.coulomb, "hq_product")
     alg = CoulombAlgebra(a2)
-    p = fixed_points(a2)[0]
+    p, other = fixed_points(a2)[:2]
+    per_point = len(enumerate_degrees(alg.data.cone, a2.theta, 2))
     vertex_fp(alg, p, parse_descendent("s1", alg.table), 2)
-    # one kernel product per degree
-    assert len(calls) == len(enumerate_degrees(alg.data.cone, a2.theta, 2))
-    del calls[:]
+    assert len(calls) == per_point
     vertex_fp(alg, p, parse_descendent("a1*s1 - h", alg.table), 2)
-    # another point shares the unevaluated kernels too
-    vertex_fp(alg, fixed_points(a2)[1], parse_descendent("1", alg.table), 2)
-    assert calls == []
+    vertex_fp(alg, p, parse_descendent("1", alg.table), 1)
+    assert len(calls) == per_point
+    vertex_fp(alg, other, parse_descendent("1", alg.table), 2)
+    assert len(calls) == 2 * per_point
+    # the specialized kernels of a point are built apart from the plain ones
+    vertex_fp_nonab(alg, p, parse_descendent("1", alg.table), 2)
+    assert len(calls) == 3 * per_point
 
 
 def test_second_whittaker_function_builds_no_module(a2, monkeypatch):
@@ -96,8 +106,8 @@ def test_algebras_share_no_cached_values(a2, monkeypatch):
     whittaker_function(second, p, tau, 2)
     assert kernels and len(built) == 1
     for d in enumerate_degrees(first.data.cone, a2.theta, 2):
-        assert first.matter_kernel(d) == second.matter_kernel(d)
-        assert first.matter_kernel(d) is not second.matter_kernel(d)
+        assert first.point_kernel(p, d) == second.point_kernel(p, d)
+        assert first.point_kernel(p, d) is not second.point_kernel(p, d)
     m1, m2 = first.verma_module(p), second.verma_module(p)
     assert m1 is not m2 and m1.algebra is first and m2.algebra is second
     assert m1.whittaker_vector(2) is not m2.whittaker_vector(2)
@@ -158,7 +168,7 @@ def test_shifted_evaluation_is_shift_then_evaluate(model, request):
     data = request.getfixturevalue(model)
     alg = CoulombAlgebra(data)
     near = list(itertools.product(range(-1, 2), repeat=data.k))
-    kernels = [alg.matter_kernel(d) for d in near] + [alg.mixed_coefficient(d) for d in near]
+    kernels = [matter_kernel(alg, d) for d in near] + [alg.mixed_coefficient(d) for d in near]
 
     def outcome(p, f, specialize, shift=()):
         try:
@@ -204,11 +214,11 @@ def _nonab_rebuilt(alg, p, tau, order):
                            for d in degrees))
 
 
-def test_root_factors_are_built_once_per_degree(tgr24, monkeypatch):
-    """Both lifts of tgr(2,4) at order 1 share the signed-row kernel of each
-    degree, its virtual (root) rows included: one kernel product per degree,
-    with one factor per row with a nonzero pairing and degree, 12 in all,
-    however many calls."""
+def test_root_factors_are_built_once_per_point_and_degree(tgr24, monkeypatch):
+    """Each lift of tgr(2,4) at order 1 builds the signed-row kernel of each
+    degree once, its virtual (root) rows included: one kernel product per
+    lift and degree, with one factor per row with a nonzero pairing and
+    degree, 12 per lift, however many descendents."""
     alg = CoulombAlgebra(tgr24)
     lifts = [point_by_support(tgr24, (0, 5)), point_by_support(tgr24, (1, 4))]
     taus = [parse_descendent(text, alg.table) for text in ("1", "a1*s1 - h")]
@@ -221,15 +231,17 @@ def test_root_factors_are_built_once_per_degree(tgr24, monkeypatch):
     per_degree = [sum(1 for chi, _, _ in alg.rows if pair(chi, d)) for d in degrees]
     assert per_degree == [0, 6, 6]
     got = [vertex_fp_nonab(alg, p, taus[0], 1) for p in lifts]
-    assert len(builds) == len(degrees)
-    assert (factors(1), factors(-1)) == (8, 4)  # genuine rows, virtual rows
+    assert len(builds) == len(lifts) * len(degrees)
+    assert (factors(1), factors(-1)) == (16, 8)  # genuine rows, virtual rows
     got += [vertex_fp_nonab(alg, p, taus[1], 1) for p in lifts]
-    assert len(builds) == len(degrees)
-    assert (factors(1), factors(-1)) == (8, 4)
+    assert len(builds) == len(lifts) * len(degrees)
+    assert (factors(1), factors(-1)) == (16, 8)
     want = [_nonab_rebuilt(CoulombAlgebra(tgr24), p, tau, 1) for tau in taus for p in lifts]
     assert got == want
-    for d in degrees:
-        assert alg.matter_kernel(d) is alg.matter_kernel(d)
+    for p in lifts:
+        for d in degrees:
+            assert alg.point_kernel(p, d, True) is alg.point_kernel(p, d, True)
+    assert len(builds) == len(lifts) * len(degrees)
 
 
 def test_degrees_are_enumerated_once_per_order(a2, monkeypatch):
@@ -275,3 +287,31 @@ def test_shifted_map_is_copied_from_the_unshifted_one(model, request, monkeypatc
                     for j in p.restriction:
                         want[alg.table.s(j)] += shift[j] * alg.q
                     assert shifted.images == want
+
+
+@pytest.mark.parametrize("model", ["tp1", "a2", "tgr24", "fl3"])
+def test_closed_route_builds_no_ring_map_once_its_point_map_exists(model, monkeypatch):
+    """The closed series at a point builds its kernels from the rows' images
+    and adds each degree's shift to the insertion's images as a power of q:
+    once the point's map exists, no descendent and no degree builds a map."""
+    data = data_model(model)
+    alg = CoulombAlgebra(data)
+    closed = vertex_fp_nonab if data.blocks else vertex_fp
+    lifts = [p for p in fixed_points(data) if is_lift(alg, p)]
+    for p in lifts:
+        alg.evaluation_map(p, specialize=bool(data.blocks))
+    built = counting(monkeypatch, RingMap, "__init__")
+    for p in lifts:
+        for text in ("1", "s1", "a1*s1 - h"):
+            closed(alg, p, parse_descendent(text, alg.table), 2)
+    assert built == []
+
+
+def test_point_maps_build_no_empty_ring_map(monkeypatch):
+    """An unspecialized point map takes the packed restrictions as its
+    images: the q-difference check of tgr(2,4) builds no map without images."""
+    built = counting(monkeypatch, RingMap, "__init__")
+    path = os.path.join(os.path.dirname(__file__), "data", "tgr24.json")
+    args = build_parser().parse_args(["qde-check", path, "--circuit", "0", "--order", "3"])
+    assert dispatch(args, out=io.StringIO()) == 0
+    assert built and [args for args in built if not args[1]] == []

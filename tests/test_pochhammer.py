@@ -14,7 +14,7 @@ from coulombkit.hypertoric import pair
 from coulombkit.pochhammer import hq_product, hq_ratio, hq_ratio_inv, poch_product, q_shifted
 
 from conftest import binomial_atoms, mono_pow, one_minus, rand_mono, rng_for
-from oracles import module_factor
+from oracles import matter_kernel, module_factor
 
 T = VariableTable(2, 2)
 W = T.width
@@ -155,12 +155,12 @@ def test_virtual_rows_invert_genuine_rows(tgr24):
 
     degrees = list(itertools.product(range(-3, 4), repeat=2))
     for d in degrees:
-        expected = plain.matter_kernel(d)
+        expected = matter_kernel(plain, d)
         for alpha in roots:
             s_alpha = t.mono({t.s(0): alpha[0], t.s(1): alpha[1]})
             expected = expected * hq_ratio(s_alpha, pair(alpha, d)).inv()
-        assert virtual.matter_kernel(d) == expected, d
-        assert cancels(lambda alg: alg.matter_kernel(d)), d
+        assert matter_kernel(virtual, d) == expected, d
+        assert cancels(lambda alg: matter_kernel(alg, d)), d
     near = list(itertools.product(range(-2, 3), repeat=2))
     for c in near:
         for d in near:
@@ -208,24 +208,24 @@ def _scalar_at(x, pt):
 
 
 def _symbol_binomials(symbols):
-    """``{g: mult}`` for the binomials (1 - q^m x)^(-mult) of the symbols
-    (x, d, power), collected by their exponent tuples."""
-    mults = {}
+    """``[(g, mult)]`` for the binomials (1 - q^m x)^(-mult) of the symbols
+    (x, d, power), g an exponent tuple, in order and not collected."""
+    pairs = []
     for x, d, power in symbols:
         shifts, mult = (range(d), -power) if d >= 0 else (range(-1, d - 1, -1), power)
-        for m in shifts:
-            g = q_shifted(x, m)
-            mults[g] = mults.get(g, 0) + mult
-    return mults
+        pairs += [(q_shifted(x, m), mult) for m in shifts]
+    return pairs
 
 
 def _oracle(binomials, e, pt):
-    """sign_kernel(e) * prod (1 - g(pt))^(-mult) over ``binomials``; None for
-    a pole."""
+    """sign_kernel(e) * prod (1 - g(pt))^(-mult) over the pairs ``binomials``;
+    None for a pole: a denominator binomial (1 - 1), whatever cancels it."""
+    if any(mult > 0 and not any(g) for g, mult in binomials):
+        return None
     value = (-pt[0] / pt[1]) ** e
-    for g, mult in binomials.items():
+    for g, mult in binomials:
         if mult and not any(g):
-            return None if mult > 0 else Fraction(0)
+            return Fraction(0)
         value *= (1 - _at(g, pt)) ** -mult
     return value
 
@@ -241,9 +241,11 @@ def _special_symbols(rng):
         [(mono_pow(T.mono({T.a(0): 1, T.s(1): 2}), -1), rng.randint(-3, 3), 1)],
         # the binomial 1 - q x of both symbols cancels
         [(x, 2, 1), (q_shifted(x, 1), 1, -1)],
-        # the unit binomial (1 - 1): a numerator factor, then a denominator one
+        # the unit binomial (1 - 1): a numerator factor, a denominator one,
+        # and both, which cancel in the product but still make a pole
         [(T.unit(), rng.randint(1, 3), 1), (x, 1, 1)],
         [(q_shifted(T.unit(), 1), -1, 1)],
+        [(T.unit(), 1, 1), (q_shifted(T.unit(), 1), -1, 1)],
     ])
 
 
@@ -259,6 +261,9 @@ def test_poch_product_matches_fraction_oracle():
         e = rng.randint(-3, 3)
         binomials = _symbol_binomials(symbols)
         expected = _oracle(binomials, e, pt)
+        collected = {}
+        for g, mult in binomials:
+            collected[g] = collected.get(g, 0) + mult
         packed = [(pack(x), d, power) for x, d, power in symbols]
         if expected is None:
             kinds.add("pole")
@@ -277,7 +282,7 @@ def test_poch_product_matches_fraction_oracle():
         # the same fields, keys in the same order, as the public constructor
         # builds from the binomials
         sign = Poly.monomial(T.unit(), -1 if e % 2 else 1)
-        reference = Scalar(W, sign, pre=T.mono({0: e, 1: -e}), atoms=binomials)
+        reference = Scalar(W, sign, pre=T.mono({0: e, 1: -e}), atoms=collected)
         assert (got.num.terms, got.pre, list(got.atoms.items())) == \
             (reference.num.terms, reference.pre, list(reference.atoms.items())), symbols
     assert kinds == {"pole", "zero", "value"}

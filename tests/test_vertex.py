@@ -8,13 +8,13 @@ from coulombkit import (GaugeData, Poly, Scalar, circuits, fixed_points, qde_che
                         vertex_fp, vertex_fp_nonab, whittaker_function)
 from coulombkit.cli import parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
-from coulombkit.exactring import mono_mul, scalar_str
+from coulombkit.exactring import ExponentOverflowError, mono_mul, pack, scalar_str, unpack
 from coulombkit.hypertoric import enumerate_degrees, pair
 from coulombkit.pochhammer import sign_kernel
 from coulombkit.vertex import Descendent, QSeries, _coefficients, is_lift, weyl_collapse
 
 from conftest import counting, data_model, one_minus, point_by_support, tgr_model, weyl_image
-from oracles import closed_coefficient, kaehler_relation_check
+from oracles import closed_coefficient, kaehler_relation_check, matter_kernel
 
 
 def _descendents(table):
@@ -231,7 +231,7 @@ def test_nonabelian_kaehler_recursion(tgr24_alg):
     c = (1, 0)
 
     def coeff(d):
-        return alg.matter_kernel(d).subs(images, w)
+        return matter_kernel(alg, d).subs(images, w)
 
     rels = {}
     for wp in alg.data.weyl_elements():
@@ -298,7 +298,7 @@ def test_weyl_collapse_sums_each_key_as_a_left_fold_would(tgr24_alg):
     p = next(p for p in fixed_points(alg.data) if is_lift(alg, p))
     for text in ("1", "s1", "a1*s1 - h"):
         tau = parse_descendent(text, alg.table)
-        terms = [(d, alg.evaluate(p, alg.matter_kernel(d) * alg.shift(tau.as_scalar(), d), True))
+        terms = [(d, alg.evaluate(p, matter_kernel(alg, d) * alg.shift(tau.as_scalar(), d), True))
                  for d in enumerate_degrees(alg.data.cone, alg.data.theta, 3)]
         folded = {}
         for d, f in terms:
@@ -363,3 +363,43 @@ def test_insertion_with_a_denominator_is_refused(model, monkeypatch):
     numerator = Scalar(w, Poly.one(w), atoms={s1: -1})
     for fn in (vertex_fp, vertex_fp_nonab):
         assert fn(alg, p, numerator, 2) == fn(alg, p, parse_descendent("1 - s1", alg.table), 2)
+
+
+@pytest.mark.parametrize("model, order", [("tp1", 3), ("a2", 2), ("tgr24", 2), ("fl3", 1)])
+def test_closed_route_equals_the_oracle_on_atoms_and_colliding_terms(model, order):
+    """At every lift, every coefficient of the closed route equals the
+    oracle's evaluated product, for Scalar insertions with numerator atoms
+    and for descendents whose terms map to one monomial at the point: a
+    support row x and its image y, summed and cancelling."""
+    alg = CoulombAlgebra(data_model(model))
+    t, w = alg.table, alg.table.width
+    blocks = bool(alg.data.blocks)
+    s1 = t.mono({t.s(0): 1})
+    degrees = enumerate_degrees(alg.data.cone, alg.data.theta, order)
+    for p in [p for p in fixed_points(alg.data) if is_lift(alg, p)]:
+        x = alg.x_mono(p.support[0])
+        y = unpack(alg.evaluation_map(p, blocks).mono(pack(x)), w)
+        insertions = [
+            Scalar(w, Poly.one(w), atoms={s1: -1}),
+            Scalar(w, Poly(w, {s1: 2, t.unit(): -1}), pre=s1, atoms={x: -1, mono_mul(s1, s1): -2}),
+            Scalar.from_poly(Poly(w, {x: 1, y: 3})),
+            Scalar.from_poly(Poly(w, {x: 1, y: -1, s1: 2})),
+        ]
+        for f in insertions:
+            got = dict(_coefficients(alg, p, f, order, blocks))
+            assert list(got) == list(degrees)
+            for d in degrees:
+                assert got[d] == closed_coefficient(alg, p, f, d, blocks), (model, p.label(), f, d)
+
+
+def test_shifted_insertion_exponents_are_checked(tp1_alg):
+    """Each degree's shift is a q-power added to a packed image, checked
+    against the slot bound: on tp1 at order 1, s1^(2^30 - 1) has a series and
+    s1^(2^30) leaves the bound at degree 1."""
+    t = tp1_alg.table
+    p = fixed_points(tp1_alg.data)[0]
+    fits = Descendent(Poly.monomial(t.mono({t.s(0): 2 ** 30 - 1})))
+    assert set(vertex_fp(tp1_alg, p, fits, 1).coeffs) == {(0,), (1,)}
+    with pytest.raises(ExponentOverflowError) as exc:
+        vertex_fp(tp1_alg, p, Descendent(Poly.monomial(t.mono({t.s(0): 2 ** 30}))), 1)
+    assert (exc.value.index, exc.value.exponent) == (0, 2 ** 31)
