@@ -430,7 +430,7 @@ def load_model(path: str) -> GaugeData:
     if aspec_raw is not None and not (isinstance(aspec_raw, dict)
                                       and all(isinstance(x, str) for x in aspec_raw.values())):
         raise ModelError("'a_specialization' must be a JSON object of strings")
-    aspec = None
+    aspec = table = None
     if aspec_raw:
         table = VariableTable(len(raw["chi"]), len(raw["theta"]))
         aspec, names, images = {}, {}, {}
@@ -453,7 +453,8 @@ def load_model(path: str) -> GaugeData:
                                      "an image is a monomial in the a_i and h"
                                      % (_image_quote(name), _image_quote(expr)))
             aspec[int(row) - 1] = image
-    return GaugeData.create(raw["chi"], raw["theta"], blocks=blocks, a_specialization=aspec)
+    return GaugeData.create(raw["chi"], raw["theta"], blocks=blocks, a_specialization=aspec,
+                            table=table)
 
 
 def _select_point(pts: list, spec: str):
@@ -555,136 +556,163 @@ def dispatch(args, out=None) -> int:
     """Run one parsed command, printing to ``out`` (``sys.stdout`` at call time)."""
     out = sys.stdout if out is None else out
     if getattr(args, "order", 0) < 0:
-        raise UsageError("--order must be >= 0, got %d" % args.order)
+        raise UsageError("--order must be >= 0, got %s" % _cap(str(args.order)))
     if getattr(args, "order", 0) > MAX_ORDER:
-        raise UsageError("--order must be at most %d, got %d" % (MAX_ORDER, args.order))
-    data = load_model(args.model)
-    alg = CoulombAlgebra(data)
+        raise UsageError("--order must be at most %d, got %s" % (MAX_ORDER, _cap(str(args.order))))
+    alg = CoulombAlgebra(load_model(args.model))
     try:
-        return _run(args, out, data, alg)
+        return COMMANDS[args.command][0](args, out, alg)
     except ExponentOverflowError as exc:
         # the exponent is out of bounds, so it is not packed to be printed
         raise UsageError("%s leaves the exponent bound 2^31 of a packed slot"
                          % alg.table.power_str(exc.index, exc.exponent))
 
 
-def _run(args, out, data: GaugeData, alg: CoulombAlgebra) -> int:
-    """The body of :func:`dispatch`, once the model is loaded."""
-    table = alg.table
+def _descendent(args, table: VariableTable) -> Descendent:
+    """The ``--descendent`` of `vertex` and `qde-check`, by default 1."""
+    if args.descendent is None:
+        return Descendent(Poly.one(table.width))
+    return parse_descendent(args.descendent, table)
 
-    if args.command == "circuits":
-        cs = circuits(data)
-        if args.json:
-            _print(out, [{"vector": list(c.vector), "wall_rows": sorted(i + 1 for i in c.wall_rows)}
-                         for c in cs])
-        else:
-            for idx, c in enumerate(cs):
-                _print(out, "rho[%d] = (%s)  wall rows {%s}\n" % (
-                    idx, _vector(c.vector),
-                    ",".join(str(i + 1) for i in sorted(c.wall_rows))))
-        return 0
 
-    if args.command == "fixed-points":
-        pts = fixed_points(data)
-        # a model file that gives blocks marks the points `vertex` and `whittaker` accept
-        lifts = [is_lift(alg, p) for p in pts] if data.blocks else [None] * len(pts)
-        if args.json:
-            _print(out, [_point_json(table, p, lift) for p, lift in zip(pts, lifts)])
-        else:
-            for idx, (p, lift) in enumerate(zip(pts, lifts)):
-                _print(out, _point_text(table, idx, p, lift))
-        return 0
-
-    if args.command == "analyze":
-        cs = circuits(data)
-        cone = eff_cone(data)
-        pts = fixed_points(data)
-        if args.json:
-            _print(out, {
-                "n": data.n, "k": data.k,
-                "circuits": [list(c.vector) for c in cs],
-                "effective_cone": _cone_json(cone),
-                "kahler_chamber_generators": [list(f) for f in cone.facet_normals],
-                "fixed_points": [_point_json(table, p) for p in pts],
-            })
-            return 0
-        _print(out, "model: n=%d k=%d%s\n" % (
-            data.n, data.k, " blocks=%r" % (list(data.blocks),) if data.blocks else ""))
+def _circuits(args, out, alg: CoulombAlgebra) -> int:
+    cs = circuits(alg.data)
+    if args.json:
+        _print(out, [{"vector": list(c.vector), "wall_rows": sorted(i + 1 for i in c.wall_rows)}
+                     for c in cs])
+    else:
         for idx, c in enumerate(cs):
-            _print(out, "rho[%d] = (%s)\n" % (idx, _vector(c.vector)))
-        _print(out, "effective cone generators: %s\n"
-               % "; ".join("(%s)" % _vector(g) for g in cone.generators))
-        _print(out, "chamber of theta generated by: %s\n"
-               % "; ".join("(%s)" % _vector(f) for f in cone.facet_normals))
-        for idx, p in enumerate(pts):
-            _print(out, _point_text(table, idx, p))
+            _print(out, "rho[%d] = (%s)  wall rows {%s}\n" % (
+                idx, _vector(c.vector), ",".join(str(i + 1) for i in sorted(c.wall_rows))))
+    return 0
+
+
+def _fixed_points(args, out, alg: CoulombAlgebra) -> int:
+    pts = fixed_points(alg.data)
+    # a model file that gives blocks marks the points `vertex` and `whittaker` accept
+    lifts = [is_lift(alg, p) for p in pts] if alg.data.blocks else [None] * len(pts)
+    if args.json:
+        _print(out, [_point_json(alg.table, p, lift) for p, lift in zip(pts, lifts)])
+    else:
+        for idx, (p, lift) in enumerate(zip(pts, lifts)):
+            _print(out, _point_text(alg.table, idx, p, lift))
+    return 0
+
+
+def _analyze(args, out, alg: CoulombAlgebra) -> int:
+    data = alg.data
+    cs = circuits(data)
+    cone = eff_cone(data)
+    pts = fixed_points(data)
+    if args.json:
+        _print(out, {
+            "n": data.n, "k": data.k,
+            "circuits": [list(c.vector) for c in cs],
+            "effective_cone": _cone_json(cone),
+            "kahler_chamber_generators": [list(f) for f in cone.facet_normals],
+            "fixed_points": [_point_json(alg.table, p) for p in pts],
+        })
         return 0
+    _print(out, "model: n=%d k=%d%s\n" % (
+        data.n, data.k, " blocks=%r" % (list(data.blocks),) if data.blocks else ""))
+    for idx, c in enumerate(cs):
+        _print(out, "rho[%d] = (%s)\n" % (idx, _vector(c.vector)))
+    _print(out, "effective cone generators: %s\n"
+           % "; ".join("(%s)" % _vector(g) for g in cone.generators))
+    _print(out, "chamber of theta generated by: %s\n"
+           % "; ".join("(%s)" % _vector(f) for f in cone.facet_normals))
+    for idx, p in enumerate(pts):
+        _print(out, _point_text(alg.table, idx, p))
+    return 0
 
-    if args.command == "vertex":
-        p = _select_lift(alg, fixed_points(data), args.point)
-        tau = parse_descendent(args.descendent, table) if args.descendent is not None else \
-            Descendent(Poly.one(table.width))
-        if data.blocks:
-            _check_weyl_invariant(alg, tau, args.descendent)
-        series = vertex_fp_nonab(alg, p, tau, args.order)
-        report = _degree_report(table, series.coeffs, args.json, "Q^({d}): {v}\n",
-                                "order %d\n" % series.order)
-        _print(out, {"order": series.order, "coefficients": report} if args.json else report)
-        return 0
 
-    if args.command == "whittaker":
-        p = _select_lift(alg, fixed_points(data), args.point)
-        module = alg.verma_module(p)
-        w = module.whittaker_vector(args.order)
-        _print(out, _degree_report(table, w.terms, args.json, "[{d}]: {v}\n",
-                                   "order %d\n" % args.order))
-        return 0
+def _vertex(args, out, alg: CoulombAlgebra) -> int:
+    p = _select_lift(alg, fixed_points(alg.data), args.point)
+    tau = _descendent(args, alg.table)
+    if alg.data.blocks:
+        _check_weyl_invariant(alg, tau, args.descendent)
+    series = vertex_fp_nonab(alg, p, tau, args.order)
+    report = _degree_report(alg.table, series.coeffs, args.json, "Q^({d}): {v}\n",
+                            "order %d\n" % series.order)
+    _print(out, {"order": series.order, "coefficients": report} if args.json else report)
+    return 0
 
-    if args.command == "qde-check":
-        cs = circuits(data)
-        if not 0 <= args.circuit < len(cs):
-            raise ModelError("circuit index %d out of range" % args.circuit)
-        tau = parse_descendent(args.descendent, table) if args.descendent is not None else \
-            Descendent(Poly.one(table.width))
-        pts = fixed_points(data)
-        sel = [_select_lift(alg, pts, args.point)] if args.point is not None else \
-            [p for p in pts if is_lift(alg, p)]
-        rho = cs[args.circuit].vector
-        records = [{"circuit": list(rho), "point": p.label(),
-                    "passed": not qde_check(alg, p, tau, rho, args.order)} for p in sel]
-        return _verdict_report(out, records, args.json, lambda r, verdict: (
-            "%s circuit (%s) at %s\n" % (verdict, _vector(rho), r["point"])))
 
-    if args.command == "bethe":
-        rels = bethe_relations_q1(alg) if args.q1 else dmodule_relations(alg)
-        payload = render_bethe_system(alg, rels, "json" if args.json else "text")
-        _print(out, payload)
-        return 0
+def _whittaker(args, out, alg: CoulombAlgebra) -> int:
+    p = _select_lift(alg, fixed_points(alg.data), args.point)
+    w = alg.verma_module(p).whittaker_vector(args.order)
+    _print(out, _degree_report(alg.table, w.terms, args.json, "[{d}]: {v}\n",
+                               "order %d\n" % args.order))
+    return 0
 
-    if args.command == "mul":
-        element = parse_generator_word(args.word, alg)
-        _print(out, _degree_report(table, element.terms, args.json, "({v}) r[{d}]\n",
-                                   "0\n" if element.is_zero() else ""))
-        return 0
 
-    if args.command == "wallcross":
-        try:
-            theta2 = tuple(int(x) for x in args.theta2.split(","))
-        except ValueError:
-            raise UsageError("--theta2 must be comma-separated integers, got %s"
-                             % _image_quote(args.theta2))
-        if len(theta2) != data.k:
-            raise ModelError("--theta2 must have %d entries" % data.k)
-        scn = make_scenario(alg, theta2)
-        # a list, not a generator, in all(): both checks run for every circuit
-        records = [{"circuit": list(rho), "reversing": rho in scn.reversing,
-                    "passed": all([check_reversal(scn, rho), dmodule_match(scn, rho)])}
-                   for rho in list(scn.reversing) + list(scn.kept)]
-        return _verdict_report(out, records, args.json, lambda r, verdict: (
-            "%s circuit (%s): %s\n" % ("reversing" if r["reversing"] else "kept",
-                                       _vector(r["circuit"]), verdict)))
+def _qde_check(args, out, alg: CoulombAlgebra) -> int:
+    cs = circuits(alg.data)
+    if not 0 <= args.circuit < len(cs):
+        raise ModelError("circuit index %s out of range" % _cap(str(args.circuit)))
+    tau = _descendent(args, alg.table)
+    pts = fixed_points(alg.data)
+    sel = [_select_lift(alg, pts, args.point)] if args.point is not None else \
+        [p for p in pts if is_lift(alg, p)]
+    rho = cs[args.circuit].vector
+    records = [{"circuit": list(rho), "point": p.label(),
+                "passed": not qde_check(alg, p, tau, rho, args.order)} for p in sel]
+    return _verdict_report(out, records, args.json, lambda r, verdict: (
+        "%s circuit (%s) at %s\n" % (verdict, _vector(rho), r["point"])))
 
-    raise ModelError("unknown command %r" % args.command)
+
+def _bethe(args, out, alg: CoulombAlgebra) -> int:
+    rels = bethe_relations_q1(alg) if args.q1 else dmodule_relations(alg)
+    _print(out, render_bethe_system(alg, rels, "json" if args.json else "text"))
+    return 0
+
+
+def _mul(args, out, alg: CoulombAlgebra) -> int:
+    element = parse_generator_word(args.word, alg)
+    _print(out, _degree_report(alg.table, element.terms, args.json, "({v}) r[{d}]\n",
+                               "0\n" if element.is_zero() else ""))
+    return 0
+
+
+def _wallcross(args, out, alg: CoulombAlgebra) -> int:
+    try:
+        theta2 = tuple(int(x) for x in args.theta2.split(","))
+    except ValueError:
+        raise UsageError("--theta2 must be comma-separated integers, got %s"
+                         % _image_quote(args.theta2))
+    if len(theta2) != alg.data.k:
+        raise ModelError("--theta2 must have %d entries" % alg.data.k)
+    scn = make_scenario(alg, theta2)
+    # a list, not a generator, in all(): both checks run for every circuit
+    records = [{"circuit": list(rho), "reversing": rho in scn.reversing,
+                "passed": all([check_reversal(scn, rho), dmodule_match(scn, rho)])}
+               for rho in list(scn.reversing) + list(scn.kept)]
+    return _verdict_report(out, records, args.json, lambda r, verdict: (
+        "%s circuit (%s): %s\n" % ("reversing" if r["reversing"] else "kept",
+                                   _vector(r["circuit"]), verdict)))
+
+
+# an argument after the model and --json: (name, keyword arguments of add_argument)
+_ORDER = ("--order", {"type": int, "default": 3})
+_POINT = ("--point", {"default": None, "help": "fixed point: index or 1-based support like 1,2"})
+_DESCENDENT = ("--descendent", {"default": None})
+
+# every subcommand, in the order of --help: the function that runs it on
+# (args, out, algebra) and returns the exit code, and its further arguments
+COMMANDS = {
+    "analyze": (_analyze, ()),
+    "circuits": (_circuits, ()),
+    "fixed-points": (_fixed_points, ()),
+    "vertex": (_vertex, (_ORDER, _POINT, _DESCENDENT)),
+    "whittaker": (_whittaker, (_ORDER, _POINT)),
+    "qde-check": (_qde_check, (_ORDER, _POINT, ("--circuit", {"type": int, "required": True}),
+                               _DESCENDENT)),
+    "bethe": (_bethe, (("--q1", {"action": "store_true"}),)),
+    "mul": (_mul, (("word", {"help": "generator word, e.g. \"r[1,0] r[-1,0]\""}),)),
+    "wallcross": (_wallcross, (("--theta2", {
+        "required": True,
+        "help": "comma-separated integers; a negative first entry as --theta2=-1,-1"}),)),
+}
 
 
 def _point_json(table, p, lift=None):
@@ -726,38 +754,12 @@ def build_parser():
 
     ap = Parser(prog="coulombkit", description="exact engine for convolution-algebra models")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(sp, order=True, point=False):
+    for name, (_, arguments) in COMMANDS.items():
+        sp = sub.add_parser(name)
         sp.add_argument("model", help="path to the JSON model file")
         sp.add_argument("--json", action="store_true")
-        if order:
-            sp.add_argument("--order", type=int, default=3)
-        if point:
-            sp.add_argument("--point", default=None,
-                            help="fixed point: index or 1-based support like 1,2")
-
-    common(sub.add_parser("analyze"), order=False)
-    common(sub.add_parser("circuits"), order=False)
-    common(sub.add_parser("fixed-points"), order=False)
-    sp = sub.add_parser("vertex")
-    common(sp, point=True)
-    sp.add_argument("--descendent", default=None)
-    sp = sub.add_parser("whittaker")
-    common(sp, point=True)
-    sp = sub.add_parser("qde-check")
-    common(sp, point=True)
-    sp.add_argument("--circuit", type=int, required=True)
-    sp.add_argument("--descendent", default=None)
-    sp = sub.add_parser("bethe")
-    common(sp, order=False)
-    sp.add_argument("--q1", action="store_true")
-    sp = sub.add_parser("mul")
-    common(sp, order=False)
-    sp.add_argument("word", help="generator word, e.g. \"r[1,0] r[-1,0]\"")
-    sp = sub.add_parser("wallcross")
-    common(sp, order=False)
-    sp.add_argument("--theta2", required=True,
-                    help="comma-separated integers; a negative first entry as --theta2=-1,-1")
+        for flag, options in arguments:
+            sp.add_argument(flag, **options)
     return ap
 
 

@@ -151,7 +151,7 @@ class CoulombAlgebra:
 
     def __init__(self, data: GaugeData):
         self.data = data
-        self.table: VariableTable = data.table()
+        self.table: VariableTable = data.table
         # genuine rows first, so row i < data.n is the matter row chi_i
         self.rows = signed_rows(data, self.table)
         # the packed monomial q

@@ -146,18 +146,19 @@ class _Record:
 
 class GaugeData(_Record):
     """Integer model datum: weight rows chi, stability theta, optional GL blocks.
-    ``create`` keeps ``cofactors``, c_S for each (k-1)-subset S of rank k-1, and
-    the circuits, ``walls``; ``points`` and ``cone`` are built on first use."""
+    ``create`` keeps ``cofactors``, c_S for each (k-1)-subset S of rank k-1, the
+    circuits, ``walls``, and the model's one variable ``table``, built when the
+    caller passes none; ``points`` and ``cone`` are built on first use."""
 
     _compared = ("n", "k", "chi", "theta", "blocks")
 
     def __init__(self, n, k, chi, theta, blocks=None, a_specialization=None, cofactors=None,
-                 walls=None):
-        self._set(n=n, k=k, chi=chi, theta=theta, blocks=blocks,
-                  a_specialization=a_specialization, cofactors=cofactors, walls=walls)
+                 walls=None, table=None):
+        self._set(n=n, k=k, chi=chi, theta=theta, blocks=blocks, a_specialization=a_specialization,
+                  cofactors=cofactors, walls=walls, table=table)
 
     @classmethod
-    def create(cls, chi, theta, blocks=None, a_specialization=None):
+    def create(cls, chi, theta, blocks=None, a_specialization=None, table=None):
         chi = tuple(tuple(int(x) for x in row) for row in chi)
         theta = tuple(int(x) for x in theta)
         n = len(chi)
@@ -218,13 +219,13 @@ class GaugeData(_Record):
                 walls[rho] = Circuit(vector=rho, wall_rows=wall)
         return cls(n=n, k=k, chi=chi, theta=theta, blocks=blocks,
                    a_specialization=dict(a_specialization) if a_specialization else None,
-                   cofactors=cofactors, walls=tuple(walls[v] for v in sorted(walls)))
+                   cofactors=cofactors, walls=tuple(walls[v] for v in sorted(walls)),
+                   table=table or VariableTable(n, k))
 
     @cached_property
     def points(self) -> tuple:
         """The torus-fixed points: column t of the inverse of the rows of a
         k-subset T is c_{T-t} <chi_{T_t}, c_{T-t}>, the pairing being +-1."""
-        table = self.table()
         k = self.k
         out = []
         for subset in itertools.combinations(range(self.n), k):
@@ -238,9 +239,9 @@ class GaugeData(_Record):
             minus = frozenset(subset[t] for t in range(k) if c[t] < 0)
             restriction = {}
             for l in range(k):
-                mono = [0] * table.width
+                mono = [0] * self.table.width
                 for i, col in zip(subset, cols):
-                    mono[table.a(i)] -= col[l]
+                    mono[self.table.a(i)] -= col[l]
                     mono[HBAR_HALF] -= 2 * col[l] if i in minus else 0
                 restriction[l] = tuple(mono)
             rays = tuple(tuple(x if i in plus else -x for x in col) for i, col in zip(subset, cols))
@@ -252,9 +253,6 @@ class GaugeData(_Record):
     def cone(self) -> Cone:
         gens = tuple(c.vector for c in self.walls)
         return Cone(generators=gens, facet_normals=_facets_from_generators(gens, self.k))
-
-    def table(self) -> VariableTable:
-        return VariableTable(self.n, self.k)
 
     def block_slices(self):
         return _block_slices(self.k, self.blocks)

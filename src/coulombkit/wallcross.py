@@ -27,7 +27,7 @@ def make_scenario(alg: CoulombAlgebra, theta2) -> WallCrossScenario:
     theta2 = tuple(int(x) for x in theta2)
     reversing, kept = separating_circuits(alg.data, theta2)
     data2 = GaugeData.create(alg.data.chi, theta2, blocks=alg.data.blocks,
-                             a_specialization=alg.data.a_specialization)
+                             a_specialization=alg.data.a_specialization, table=alg.table)
     return WallCrossScenario(algebra=alg, algebra2=CoulombAlgebra(data2),
                              reversing=tuple(c.vector for c in reversing),
                              kept=tuple(c.vector for c in kept))

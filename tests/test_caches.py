@@ -19,7 +19,7 @@ from coulombkit import (Descendent, PoleEvaluationError, Poly, fixed_points, qde
 from coulombkit.cli import _degree_report, build_parser, dispatch, parse_descendent
 from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import RingMap
-from coulombkit.hypertoric import enumerate_degrees, pair
+from coulombkit.hypertoric import GaugeData, enumerate_degrees, pair
 from coulombkit.pochhammer import hq_ratio
 from coulombkit.verma import VermaModule
 from coulombkit.vertex import QSeries, is_lift
@@ -44,7 +44,10 @@ def test_shared_algebra_matches_a_fresh_algebra_per_call(a2, model):
         for text in DESCENDENTS:
             for fn in (vertex_fp, whittaker_function):
                 got = fn(shared, p, parse_descendent(text, shared.table), order)
-                fresh = CoulombAlgebra(data)
+                # a freshly created model, so that its table renders from cold memos
+                fresh = CoulombAlgebra(GaugeData.create(
+                    data.chi, data.theta, blocks=data.blocks,
+                    a_specialization=data.a_specialization))
                 want = fn(fresh, p, parse_descendent(text, fresh.table), order)
                 assert got == want, (fn.__name__, p.label(), text)
                 assert _render(shared, got) == _render(fresh, want), (fn.__name__, p.label(), text)
@@ -315,3 +318,20 @@ def test_point_maps_build_no_empty_ring_map(monkeypatch):
     args = build_parser().parse_args(["qde-check", path, "--circuit", "0", "--order", "3"])
     assert dispatch(args, out=io.StringIO()) == 0
     assert built and [args for args in built if not args[1]] == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["vertex", "tgr24", "--order", "2"],
+    ["qde-check", "tgr24", "--circuit", "0", "--order", "3"],
+    ["wallcross", "a2", "--theta2", "1,2"],
+    ["bethe", "tgr24", "--q1"],
+    ["analyze", "a2"],
+])
+def test_one_variable_table_per_command(argv, monkeypatch):
+    """The model keeps one table, the one its flavor images were parsed with
+    if it has any: the fixed points, the algebra and the second stability
+    condition of `wallcross` all read it, and none builds another."""
+    built = counting(monkeypatch, coulombkit.exactring.VariableTable, "__init__")
+    path = os.path.join(os.path.dirname(__file__), "data", argv[1] + ".json")
+    assert dispatch(build_parser().parse_args([argv[0], path] + argv[2:]), out=io.StringIO()) == 0
+    assert len(built) == 1

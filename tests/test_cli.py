@@ -57,7 +57,7 @@ def test_each_distinct_flavor_image_is_parsed_once(monkeypatch):
                         lambda name, text, table: calls.append(name) or original(name, text, table))
     data = load_model(model_path("tgr24"))
     assert calls == ["a1", "a2", "a3", "a4"]
-    table = data.table()
+    table = data.table
     assert data.a_specialization == {i: table.mono({table.a(i % 4): -1}) for i in range(8)}
     assert all(data.a_specialization[i + 4] is data.a_specialization[i] for i in range(4))
 
@@ -298,6 +298,15 @@ GOLDEN = [
     ("fixed_points_fl3.txt", ["fixed-points", "fl3"]),
     ("vertex_fl3_point157_order2.txt", ["vertex", "fl3", "--point", "1,5,7", "--order", "2"]),
     ("bethe_fl3.txt", ["bethe", "fl3"]),
+    # the text and JSON forms no other golden file pins
+    ("analyze_tgr24.txt", ["analyze", "tgr24"]),
+    ("wallcross_a2.txt", ["wallcross", "a2", "--theta2", "1,2"]),
+    ("wallcross_a2.json", ["wallcross", "a2", "--theta2", "1,2", "--json"]),
+    ("qde_check_tgr24_circuit0_order1.json",
+     ["qde-check", "tgr24", "--circuit", "0", "--order", "1", "--json"]),
+    ("fixed_points_fl3.json", ["fixed-points", "fl3", "--json"]),
+    ("bethe_tgr24.json", ["bethe", "tgr24", "--json"]),
+    ("whittaker_a2_order2.json", ["whittaker", "a2", "--order", "2", "--json"]),
 ]
 
 
@@ -604,6 +613,13 @@ MAX_INT = "9" * 4300
     (["mul", "a2", "r[1,0] s1/"], "division not allowed in generator words"),
     (["mul", "a2", "r[1,0] s1/(1-s2)"], "division not allowed in generator words"),
     (["mul", "a2", "r[1,0] (1+s1)^-1"], "division not allowed in generator words"),
+    # an --order or a --circuit out of range is quoted by its first 40 characters
+    (["vertex", "a2", "--order", "9" * 4000],
+     "--order must be at most 64, got %s..." % ("9" * 40)),
+    (["vertex", "a2", "--order", "-" + "9" * 4000],
+     "--order must be >= 0, got -%s..." % ("9" * 39)),
+    (["qde-check", "a2", "--circuit", "9" * 4000, "--order", "1"],
+     "circuit index %s... out of range" % ("9" * 40)),
 ])
 def test_grammar_limits_exit_2(tmp_path, capsys, argv, message):
     from coulombkit.cli import main

@@ -92,7 +92,7 @@ def test_one_pass_against_sympy(model):
         assert c.wall_rows == {i for i in range(n) if pair(chi[i], c.vector) == 0}
     points = fixed_points(data)
     assert [p.support for p in points] == [s for s, d in minors.items() if d]
-    table = data.table()
+    table = data.table
     for p in points:
         inv = Matrix([chi[i] for i in p.support]).inv()
         assert list(p.coeffs) == list(inv.T * Matrix(theta))

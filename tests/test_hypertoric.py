@@ -127,14 +127,14 @@ def test_fixed_points_a2(a2):
 def test_fixed_points_tp1(tp1):
     pts = fixed_points(tp1)
     assert [p.support for p in pts] == [(0,), (1,)]
-    t = tp1.table()
+    t = tp1.table
     # restriction at p={1}: s -> a1^-1, hence x2|_p = a2/a1
     assert pts[0].restriction[0] == t.mono({t.a(0): -1})
 
 
 def test_restriction_solves_defining_equations(a2):
     # x_j|_p = 1 for j in p+, h^-1 for j in p-, for every fixed point
-    t = a2.table()
+    t = a2.table
     for p in fixed_points(a2):
         for j in p.support:
             x = Scalar.monomial(t.x_mono(j, a2.chi[j]))
@@ -350,7 +350,7 @@ def test_fixed_points_against_sympy_inverse(name, request):
     Matrix = pytest.importorskip("sympy").Matrix
     data = {"tp3": lambda: tpn(3), "tgr32": lambda: tgr_model(3, 2)}.get(
         name, lambda: request.getfixturevalue(name))()
-    t = data.table()
+    t = data.table
     k = data.k
     pts = fixed_points(data)
     assert pts

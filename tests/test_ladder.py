@@ -86,10 +86,16 @@ def test_the_ladder_script_runs_its_two_fastest_rungs():
     ladder = _ladder_script()
     fastest = ["a2-whittaker-8", "tgr25-whittaker-p17-3"]
     report = ladder.run_ladder([r for r in ladder.RUNGS if r[0] in fastest])
-    assert report["timeout_s"] == 120
+    assert report["timeout_s"] == 120 and report["ref_s"] == ladder.bench.REF_S
     assert [r["name"] for r in report["rungs"]] == fastest
     assert [r["stdout_bytes"] for r in report["rungs"]] == [8254, 4895]
     for rung in report["rungs"]:
         assert (rung["exit_code"], rung["timed_out"], rung["matches_table"]) == (0, False, True)
         assert rung["sha256"].startswith(rung["table_sha256"])
         assert rung["wall_s"] > 0 and rung["peak_rss_mb"] > 0
+        # the wall time scaled by REF_S over the reference times around the rung
+        mean = (rung["ref_before_s"] + rung["ref_after_s"]) / 2
+        assert mean > 0
+        assert rung["calibrated_s"] == round(rung["wall_s"] * report["ref_s"] / mean, 4)
+    # the reference timed after one rung is the one timed before the next
+    assert report["rungs"][0]["ref_after_s"] == report["rungs"][1]["ref_before_s"]

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from coulombkit import (Circuit, Cone, FixedPoint, GaugeData, ModelError, Relation, Scalar,
-                        WallCrossScenario)
+                        VariableTable, WallCrossScenario)
 from coulombkit.coulomb import CoulombAlgebra
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -38,13 +38,17 @@ def _relation(**change):
 
 
 def test_keyword_construction_reads_back_every_field():
+    table = VariableTable(3, 2)
     data = GaugeData(n=3, k=2, chi=CHI, theta=(2, 1), blocks=None,
-                     a_specialization={"a1": "a2"}, cofactors={(0,): [0, 1]}, walls=())
+                     a_specialization={"a1": "a2"}, cofactors={(0,): [0, 1]}, walls=(),
+                     table=table)
     assert (data.n, data.k, data.chi, data.theta, data.blocks) == (3, 2, CHI, (2, 1), None)
     assert (data.a_specialization, data.cofactors, data.walls) == ({"a1": "a2"},
                                                                    {(0,): [0, 1]}, ())
+    assert data.table is table
     bare = GaugeData(n=3, k=2, chi=CHI, theta=(2, 1))
-    assert (bare.blocks, bare.a_specialization, bare.cofactors, bare.walls) == (None,) * 4
+    assert (bare.blocks, bare.a_specialization, bare.cofactors, bare.walls,
+            bare.table) == (None,) * 5
     circ = Circuit(vector=(1, -1), wall_rows=frozenset({2}))
     assert (circ.vector, circ.wall_rows) == ((1, -1), frozenset({2}))
     p = _point()
@@ -66,7 +70,9 @@ def test_cone_refuses_disagreeing_descriptions():
 
 def test_gauge_data_compares_the_model_and_ignores_what_create_derives(a2):
     same = GaugeData(n=a2.n, k=a2.k, chi=a2.chi, theta=a2.theta, blocks=a2.blocks,
-                     a_specialization={"a1": "a2"}, cofactors={}, walls=())
+                     a_specialization={"a1": "a2"}, cofactors={}, walls=(),
+                     table=VariableTable(a2.n, a2.k))
+    assert same.table is not a2.table
     assert same == a2 and hash(same) == hash(a2)
     assert {a2: "a2"}[same] == "a2"
     for change in ({"theta": (1, 2)}, {"chi": CHI[::-1]}, {"blocks": (2,)},

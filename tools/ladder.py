@@ -11,6 +11,13 @@ the stdout size and sha256, the exit code and the peak resident memory of the
 child (``os.wait4``).  A rung that runs past ``TIMEOUT_S`` (120 s) is killed
 and recorded with ``"timed_out": true``.
 
+The machine's speed drifts, so the script times ``reference_work`` of
+``perfbench/run.py`` (loaded read only) before the first rung and after each
+one.  Each rung records the reference times just before and just after it,
+``ref_before_s`` and ``ref_after_s``, and ``calibrated_s``, its wall time
+scaled by ``REF_S`` over their mean: what the rung takes on a machine that
+runs the reference loop in ``REF_S``.  Drift inside a long rung is not seen.
+
 ``table_sha256`` is the sha256 prefix that the ladder table of ROADMAP.md
 records for the rung; ``matches_table`` says whether the run printed those
 bytes.  The probes have no table entry: they record how a run ends.
@@ -38,11 +45,17 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "tests", "data")
 TIMEOUT_S = 120.0
 
-# perfbench/models.py, loaded by path so that perfbench/ stays off sys.path
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_models", os.path.join(ROOT, "perfbench", "models.py"))
-models = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(models)
+
+def _load(name: str):
+    """perfbench/<name>.py, loaded by path so that perfbench/ stays off sys.path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, os.path.join(ROOT, "perfbench", name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+models, bench = _load("models"), _load("run")
 
 MODELS = {
     "tp1": lambda: models.tp(1),
@@ -132,19 +145,25 @@ def run_rung(argv, directory: str) -> dict:
 def run_ladder(rungs=RUNGS) -> dict:
     """Run the given rungs in order and return the report."""
     report = {"python": platform.python_version(), "machine": platform.machine(),
-              "cpus": os.cpu_count(), "timeout_s": TIMEOUT_S, "rungs": []}
+              "cpus": os.cpu_count(), "timeout_s": TIMEOUT_S, "ref_s": bench.REF_S, "rungs": []}
     with tempfile.TemporaryDirectory() as directory:
+        before = round(bench.reference_s(), 6)
         for name, command, model, extra, table in rungs:
             cli_argv = [command, model_path(model, directory)] + extra
             got = run_rung(cli_argv, directory)
+            after = round(bench.reference_s(), 6)
+            calibrated = round(got["wall_s"] * bench.REF_S / ((before + after) / 2), 4)
             shown = [command, os.path.relpath(cli_argv[1], ROOT) if MODELS[model] is None
                      else model + ".json"] + extra
-            entry = {"name": name, "command": shlex.join(shown), **got, "table_sha256": table,
+            entry = {"name": name, "command": shlex.join(shown), **got,
+                     "ref_before_s": before, "ref_after_s": after, "calibrated_s": calibrated,
+                     "table_sha256": table,
                      "matches_table": None if table is None else got["sha256"].startswith(table)}
             report["rungs"].append(entry)
-            print("%-24s %8.2f s %10d B %s exit %d %7.1f MB%s" % (
-                name, got["wall_s"], got["stdout_bytes"], got["sha256"][:12], got["exit_code"],
-                got["peak_rss_mb"], " TIMEOUT" if got["timed_out"] else
+            before = after
+            print("%-24s %8.2f s %8.2f cal s %10d B %s exit %d %7.1f MB%s" % (
+                name, got["wall_s"], calibrated, got["stdout_bytes"], got["sha256"][:12],
+                got["exit_code"], got["peak_rss_mb"], " TIMEOUT" if got["timed_out"] else
                 "" if table is None or entry["matches_table"] else " SHA DIFFERS"),
                 file=sys.stderr)
     return report
