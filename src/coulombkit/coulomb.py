@@ -32,10 +32,14 @@ the cone are degreewise trivial, which is what the Verma and vertex layers
 are built on.  :meth:`CoulombAlgebra.relation` builds every two-sided
 product R_c f R_{-c} of them.  The algebra memoizes, and drops with it,
 structure constants, mixed coefficients, kernels at a point
-(:meth:`CoulombAlgebra.point_kernel`), degree lists, Verma modules and ring
+(:meth:`CoulombAlgebra.point_kernel`), degree lists, Verma modules, the
+root memo ``roots`` (the direction of every binomial root converted for
+the algebra: every ``hq_product`` call here, and the ``poch_product`` and
+insertion conversions of :mod:`coulombkit.vertex`, pass it) and ring
 maps: evaluation maps per (point, specialization, shift), which the Verma
 modules read through :meth:`CoulombAlgebra.evaluate` while the closed
-series reads only unshifted ones, and shift maps s_j -> q^{d_j} s_j.
+series reads only unshifted ones, and shift maps s_j -> q^{d_j} s_j, which
+a coefficient free of every s_j never needs.
 Cached values are immutable and a RingMap only grows memos that never
 change a result, so concurrent identical insertions are harmless.
 """
@@ -164,6 +168,10 @@ class CoulombAlgebra:
         self._eval_maps = {}
         self._shift_maps = {}
         self._degrees = {}
+        # every kernel's binomial root -> its direction (exactring._mapped_keys)
+        self.roots = {}
+        # the gauge variables s_j, which a shift moves
+        self._gauge = tuple(self.table.s(j) for j in range(data.k))
 
     # -- basic builders -------------------------------------------------
 
@@ -209,7 +217,7 @@ class CoulombAlgebra:
             if length:
                 factors.append((x - ci * self.q, length,
                                 -sign if (i in pol) == (ci > 0) else sign))
-        out = self._sc_cache[key] = hq_product(self.table.width, factors)
+        out = self._sc_cache[key] = hq_product(self.table.width, factors, roots=self.roots)
         return out
 
     def point_kernel(self, p: FixedPoint, d, specialize: bool = False) -> Scalar:
@@ -223,9 +231,10 @@ class CoulombAlgebra:
             ring, w = self.evaluation_map(p, specialize), self.table.width
             rows = [(x, di, sign) for chi, x, sign in self.rows if (di := pair(chi, d))]
             try:
-                got = hq_product(w, [(ring.mono(x), di, sign) for x, di, sign in rows])
+                got = hq_product(w, [(ring.mono(x), di, sign) for x, di, sign in rows],
+                                 roots=self.roots)
             except PoleEvaluationError:
-                got = self.evaluate(p, hq_product(w, rows), specialize)
+                got = self.evaluate(p, hq_product(w, rows, roots=self.roots), specialize)
             self._point_kernels[key] = got
         return got
 
@@ -284,8 +293,9 @@ class CoulombAlgebra:
         return got
 
     def shift(self, f: Scalar, d) -> Scalar:
-        """f with every s_j sent to q^{d_j} s_j."""
-        return f.subs(self.shift_map(d)) if any(d) else f
+        """f with every s_j sent to q^{d_j} s_j; f itself when d is zero or
+        f is free of every s_j, with no shift map built."""
+        return f.subs(self.shift_map(d)) if any(d) and f.uses(self._gauge) else f
 
     def shift_coefficient(self, f: Scalar, c) -> Scalar:
         """Move a coefficient across r_c: every s_j picks up q^{-c_j}."""
@@ -307,7 +317,7 @@ class CoulombAlgebra:
             di = pair(chi, d)
             if di and i not in pol:
                 factors.append((x, -di, -sign if di > 0 else sign))
-        return hq_product(self.table.width, factors)
+        return hq_product(self.table.width, factors, roots=self.roots)
 
     def mixed_coefficient(self, d) -> Scalar:
         """Left coefficient of the mixed generator at degree d."""

@@ -79,7 +79,6 @@ is the one normalization, and every operation keeps that invariant.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from fractions import Fraction
 from functools import lru_cache
@@ -183,6 +182,16 @@ def _checked(m: int, width: int) -> int:
 def packed_power(width: int, idx: int, e: int) -> int:
     """The packed monomial of variable ``idx`` to the raw exponent e."""
     return e << (SLOT_BITS * (width - 1 - idx))
+
+
+@lru_cache(maxsize=64)
+def _variable_mask(width: int, indices: tuple):
+    """(bias, mask, unused) for :meth:`Scalar.uses`: a biased monomial m + bias
+    is free of the variables ``indices`` exactly when its bits under
+    ``mask``, which covers their slots, are ``unused``."""
+    bias = _layout(width).bias
+    mask = sum(packed_power(width, idx, _SLOT_MASK) for idx in indices)
+    return bias, mask, bias & mask
 
 
 def _degree(m: int) -> int:
@@ -702,16 +711,21 @@ def _pole(g: int, width: int) -> PoleEvaluationError:
                                atom=atom)
 
 
-def _mapped_keys(atoms, ring: RingMap | None, width: int):
+_UNSEEN = object()  # a root memo's miss; a unit root is memoized as None
+
+
+def _mapped_keys(atoms, ring: RingMap | dict | None, width: int):
     """(coefficient, monomial, keys) with prod psi_d(g)^(-mult) over the pairs
-    ``((g, d), mult)`` in ``atoms``, g sent through ``ring`` (None: the
-    identity) from a ring of ``width`` variables, equal to coefficient *
-    monomial * prod over the canonical keys; a binomial (1 - g) is the atom
-    (g, 1).  A key whose multiplicities cancel is left out.
+    ``((g, d), mult)`` in ``atoms``, g sent through ``ring`` from a ring of
+    ``width`` variables, equal to coefficient * monomial * prod over the
+    canonical keys; a binomial (1 - g) is the atom (g, 1).  A key whose
+    multiplicities cancel is left out.  ``ring`` is a :class:`RingMap`, or
+    the identity: a dict is a root memo ``{g: _direction(g)}`` that the
+    conversion reads and fills, None converts without one.
 
     g maps to u^p with u primitive (:func:`_direction`, memoized by
-    :meth:`RingMap.root`).  When the image is 1, psi_d(1) is a number, zero
-    only for d = 1: a denominator pair there is a
+    :meth:`RingMap.root` or the root memo).  When the image is 1, psi_d(1)
+    is a number, zero only for d = 1: a denominator pair there is a
     :class:`PoleEvaluationError`, whatever cancels it, and a numerator pair
     makes the coefficient 0.
     """
@@ -719,7 +733,12 @@ def _mapped_keys(atoms, ring: RingMap | None, width: int):
     for (g, d), mult in atoms:
         if not mult:
             continue
-        root = _direction(g, width) if ring is None else ring.root(g)
+        if type(ring) is dict:
+            root = ring.get(g, _UNSEEN)
+            if root is _UNSEEN:
+                root = ring[g] = _direction(g, width)
+        else:
+            root = _direction(g, width) if ring is None else ring.root(g)
         if root is None:
             if d > 1:
                 # psi_d(1) is the prime l for d a power of l, else 1
@@ -983,11 +1002,16 @@ class Scalar:
     def uses(self, indices) -> bool:
         """Whether a variable of the sequence ``indices`` occurs in the
         prefactor, the sum part or an atom root; stops at the first hit."""
-        bias = _layout(self.w).bias
-        mask = sum(packed_power(self.w, idx, _SLOT_MASK) for idx in indices)
-        unused = bias & mask
-        monos = itertools.chain((self.pre,), self.num.terms, (r for r, _ in self.atoms))
-        return any((m + bias) & mask != unused for m in monos)
+        bias, mask, unused = _variable_mask(self.w, tuple(indices))
+        if (self.pre + bias) & mask != unused:
+            return True
+        for m in self.num.terms:
+            if (m + bias) & mask != unused:
+                return True
+        for r, _ in self.atoms:
+            if (r + bias) & mask != unused:
+                return True
+        return False
 
     def __repr__(self):
         return "Scalar(num=%r, pre=%r, atoms=%r)" % (

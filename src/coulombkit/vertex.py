@@ -83,7 +83,8 @@ def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
             return _checked(y + step * q, w) if step else y
 
         atoms = (((mono(g), e), mult) for (g, e), mult in f.atoms.items())
-        return alg.point_kernel(p, d, specialize) * f._image(w, mono, _mapped_keys(atoms, None, w))
+        mapped = _mapped_keys(atoms, alg.roots, w)
+        return alg.point_kernel(p, d, specialize) * f._image(w, mono, mapped)
 
     return ((d, value(d)) for d in alg.degrees(order))
 
@@ -153,7 +154,7 @@ def qde_check(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
             y = x + pair(chi, d) * q
             z = y + (1 - abs(ci)) * q if side * ci > 0 else y + h
             symbols.append((z, abs(ci), row_sign))
-        return poch_product(w, symbols)
+        return poch_product(w, symbols, roots=alg.roots)
 
     theta = alg.data.theta
     degrees = set(alg.degrees(order))

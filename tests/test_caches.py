@@ -16,11 +16,12 @@ import coulombkit.exactring
 import coulombkit.hypertoric
 from coulombkit import (Descendent, PoleEvaluationError, Poly, fixed_points, qde_check,
                         vertex_fp, vertex_fp_nonab, whittaker_function)
-from coulombkit.cli import _degree_report, build_parser, dispatch, parse_descendent
+from coulombkit.cli import (_degree_report, build_parser, dispatch, parse_descendent,
+                            parse_generator_word)
 from coulombkit.coulomb import CoulombAlgebra
 from coulombkit.exactring import RingMap
 from coulombkit.hypertoric import GaugeData, enumerate_degrees, pair
-from coulombkit.pochhammer import hq_ratio
+from coulombkit.pochhammer import hq_ratio, poch_product
 from coulombkit.verma import VermaModule
 from coulombkit.vertex import QSeries, is_lift
 
@@ -334,4 +335,57 @@ def test_one_variable_table_per_command(argv, monkeypatch):
     built = counting(monkeypatch, coulombkit.exactring.VariableTable, "__init__")
     path = os.path.join(os.path.dirname(__file__), "data", argv[1] + ".json")
     assert dispatch(build_parser().parse_args([argv[0], path] + argv[2:]), out=io.StringIO()) == 0
+    assert len(built) == 1
+
+
+def _kernels(alg):
+    """A fixed list of structure constants and the order-4 point kernels."""
+    near = list(itertools.product(range(-1, 2), repeat=alg.data.k))
+    for c, d in itertools.product(near, repeat=2):
+        alg.structure_constant(c, d)
+    for p in fixed_points(alg.data):
+        for d in alg.degrees(4):
+            alg.point_kernel(p, d)
+
+
+def test_each_kernel_root_is_converted_once_per_algebra(a2, monkeypatch):
+    """The algebra's kernels share their binomial roots: each distinct root
+    goes through ``_direction`` once, however many kernels contain it."""
+    roots = counting(monkeypatch, coulombkit.exactring, "_direction")
+    _kernels(CoulombAlgebra(a2))
+    assert roots and len(roots) == len(set(roots))
+
+
+def test_algebras_share_no_root_memo(a2, monkeypatch):
+    first, second = CoulombAlgebra(a2), CoulombAlgebra(a2)
+    assert first.roots is not second.roots
+    _kernels(first)
+    roots = counting(monkeypatch, coulombkit.exactring, "_direction")
+    _kernels(second)
+    assert len(roots) == len(first.roots) == len(second.roots)
+
+
+def test_memoized_unit_root_is_a_pole_on_every_use(a2):
+    """A root memoized as the unit still makes a denominator (1 - 1) a pole,
+    and a numerator (1 - 1) a zero, every time."""
+    alg = CoulombAlgebra(a2)
+    w = alg.table.width
+    for _ in range(2):
+        with pytest.raises(PoleEvaluationError):
+            poch_product(w, [(0, 1, -1)], roots=alg.roots)
+        assert poch_product(w, [(0, 1, 1)], roots=alg.roots).is_zero()
+    assert alg.roots == {0: None}
+
+
+def test_generators_multiply_through_no_shift_map(a2, monkeypatch):
+    """A plain generator's coefficient 1 is free of every s_j, so moving it
+    across another generator builds no shift map; an s-dependent one does."""
+    alg = CoulombAlgebra(a2)
+    built = counting(monkeypatch, RingMap, "__init__")
+    c, d = (1, 0), (-2, 1)
+    assert alg.mul(alg.r(c), alg.r(d)) == alg.r((-1, 1), alg.structure_constant(c, d))
+    assert parse_generator_word("r[1,0] r[0,1]", alg) \
+        == alg.r((1, 1), alg.structure_constant((1, 0), (0, 1)))
+    assert built == []
+    alg.mul(alg.r(c), alg.cartan(parse_descendent("s1", alg.table).as_scalar()))
     assert len(built) == 1

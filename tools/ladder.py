@@ -18,9 +18,10 @@ one.  Each rung records the reference times just before and just after it,
 scaled by ``REF_S`` over their mean: what the rung takes on a machine that
 runs the reference loop in ``REF_S``.  Drift inside a long rung is not seen.
 
-``table_sha256`` is the sha256 prefix that the ladder table of ROADMAP.md
-records for the rung; ``matches_table`` says whether the run printed those
-bytes.  The probes have no table entry: they record how a run ends.
+``table_sha256`` is the sha256 prefix that ``RUNGS`` records for the rung,
+the one place it is kept: each was pinned against the run recorded in
+``BENCH_30.json``.  ``matches_table`` says whether the run printed those
+bytes.  The probes have no prefix: they record how a run ends.
 
 The report is one JSON object on stdout; a line per rung goes to stderr as it
 finishes.  Rungs run one at a time.  ``run_ladder`` runs a list of rungs and
@@ -68,7 +69,8 @@ MODELS = {
     "fl3": None,  # tests/data/fl3.json
 }
 
-# (name, command, model, further arguments, sha256 prefix of the ladder table)
+# (name, command, model, further arguments, sha256 prefix of the expected stdout,
+# pinned against BENCH_30.json)
 RUNGS = [
     ("tp4-vertex-12", "vertex", "tp4", ["--order", "12"], "b2d723d29eaf"),
     ("tp6-vertex-12", "vertex", "tp6", ["--order", "12"], "0ba3482aad15"),
