@@ -720,8 +720,8 @@ def _mapped_keys(atoms, ring: RingMap | dict | None, width: int):
     ``width`` variables, equal to coefficient * monomial * prod over the
     canonical keys; a binomial (1 - g) is the atom (g, 1).  A key whose
     multiplicities cancel is left out.  ``ring`` is a :class:`RingMap`, or
-    the identity: a dict is a root memo ``{g: _direction(g)}`` that the
-    conversion reads and fills, None converts without one.
+    the identity given as a root memo ``{g: _direction(g)}`` that the
+    conversion reads and fills; None is the identity with a fresh memo.
 
     g maps to u^p with u primitive (:func:`_direction`, memoized by
     :meth:`RingMap.root` or the root memo).  When the image is 1, psi_d(1)
@@ -729,6 +729,8 @@ def _mapped_keys(atoms, ring: RingMap | dict | None, width: int):
     :class:`PoleEvaluationError`, whatever cancels it, and a numerator pair
     makes the coefficient 0.
     """
+    if ring is None:
+        ring = {}
     coeff, pre, keys, vanished = 1, 0, {}, False
     for (g, d), mult in atoms:
         if not mult:
@@ -738,7 +740,7 @@ def _mapped_keys(atoms, ring: RingMap | dict | None, width: int):
             if root is _UNSEEN:
                 root = ring[g] = _direction(g, width)
         else:
-            root = _direction(g, width) if ring is None else ring.root(g)
+            root = ring.root(g)
         if root is None:
             if d > 1:
                 # psi_d(1) is the prime l for d a power of l, else 1

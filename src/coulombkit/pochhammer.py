@@ -15,7 +15,8 @@ or divided, and the factored form survives evaluation.  The conversion
 finds each binomial's root direction once per root memo: a
 :class:`~coulombkit.coulomb.CoulombAlgebra` passes its own, as ``roots=``,
 to every kernel it builds, so a root its kernels share is found once per
-algebra; the single-symbol cases, which have no algebra, pass none.
+algebra; the single-symbol cases, which have no algebra, pass none, and
+each of their calls converts through a memo of its own.
 ``hq_product`` is
 the product of kernel factors that the convolution relations, vertex
 coefficients and module actions use; the other functions here are
