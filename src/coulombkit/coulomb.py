@@ -33,13 +33,12 @@ are built on.  :meth:`CoulombAlgebra.relation` builds every two-sided
 product R_c f R_{-c} of them.  The algebra memoizes, and drops with it,
 structure constants, mixed coefficients, kernels at a point
 (:meth:`CoulombAlgebra.point_kernel`), degree lists, Verma modules, the
-root memo ``roots`` (the direction of every binomial root converted for
-the algebra: every ``hq_product`` call here, and the ``poch_product`` and
-insertion conversions of :mod:`coulombkit.vertex`, pass it) and ring
-maps: evaluation maps per (point, specialization, shift), which the Verma
-modules read through :meth:`CoulombAlgebra.evaluate` while the closed
-series reads only unshifted ones, and shift maps s_j -> q^{d_j} s_j, which
-a coefficient free of every s_j never needs.
+relations R_c R_{-c}, the root memo ``roots`` (the direction of every
+binomial root converted for the algebra: every ``hq_product`` call and
+shift here and the ``poch_product`` conversions of :mod:`coulombkit.vertex`
+pass it), each shifted monomial's s-exponents, and the evaluation maps
+per (point, specialization, shift) of :meth:`CoulombAlgebra.evaluate`.  A
+shift is no map (:meth:`CoulombAlgebra._q_shift`).
 Cached values are immutable and a RingMap only grows memos that never
 change a result, so concurrent identical insertions are harmless.
 """
@@ -49,8 +48,8 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .exactring import (PoleEvaluationError, Q_HALF, RingMap, Scalar, VariableTable, atom_str,
-                        pack, packed_power, unpack)
+from .exactring import (PoleEvaluationError, Q_HALF, RingMap, Scalar, VariableTable, _checked,
+                        _mapped_keys, atom_str, pack, packed_power, unpack)
 from .hypertoric import FixedPoint, GaugeData, enumerate_degrees, mixed_polarization, pair
 from .pochhammer import hq_product
 
@@ -166,8 +165,10 @@ class CoulombAlgebra:
         self._point_kernels = {}
         self._modules = {}
         self._eval_maps = {}
-        self._shift_maps = {}
+        self._relations = {}
         self._degrees = {}
+        # packed monomial -> its s-exponents, for a shift
+        self._s_exponents = {}
         # every kernel's binomial root -> its direction (exactring._mapped_keys)
         self.roots = {}
         # the gauge variables s_j, which a shift moves
@@ -282,20 +283,26 @@ class CoulombAlgebra:
                                       % (p.label(), atom_str(self.table, pack(exc.atom))),
                                       atom=exc.atom)
 
-    def shift_map(self, d) -> RingMap:
-        """The ring map s_j -> q^{d_j} s_j, built here once per degree."""
-        d = tuple(d)
-        got = self._shift_maps.get(d)
-        if got is None:
-            w, s = self.table.width, self.table.s
-            got = self._shift_maps[d] = RingMap(
-                {s(j): packed_power(w, s(j), 1) + dj * self.q for j, dj in enumerate(d) if dj}, w)
-        return got
+    def _q_shift(self, f: Scalar, d, image=None) -> Scalar:
+        """f with each monomial m (prefactor, sum-part terms, atom roots) sent
+        to image(m), by default m, times q^{<e, d>}, e the s-exponents of m;
+        an image formed here is checked, one handed in counts as checked."""
+        w, q, exps, s, k = self.table.width, self.q, self._s_exponents, self._gauge[0], self.data.k
+
+        def mono(m):
+            e = exps.get(m)
+            if e is None:
+                e = exps[m] = unpack(m, w)[s:s + k]
+            step, y = pair(e, d), m if image is None else image(m)
+            return _checked(y + step * q, w) if step or image is None else y
+
+        atoms = (((mono(g), e), mult) for (g, e), mult in f.atoms.items())
+        return f._image(w, mono, _mapped_keys(atoms, self.roots, w))
 
     def shift(self, f: Scalar, d) -> Scalar:
-        """f with every s_j sent to q^{d_j} s_j; f itself when d is zero or
-        f is free of every s_j, with no shift map built."""
-        return f.subs(self.shift_map(d)) if any(d) and f.uses(self._gauge) else f
+        """f with every s_j sent to q^{d_j} s_j (:meth:`_q_shift`); f itself
+        when d is zero or f is free of every s_j."""
+        return self._q_shift(f, d) if any(d) and f.uses(self._gauge) else f
 
     def shift_coefficient(self, f: Scalar, c) -> Scalar:
         """Move a coefficient across r_c: every s_j picks up q^{-c_j}."""
@@ -342,7 +349,14 @@ class CoulombAlgebra:
     def relation(self, c, f: Scalar | None = None, other: "CoulombAlgebra | None" = None) -> Scalar:
         """The scalar part of R_c f R_{-c}, R being the mixed generators of
         ``other`` (by default this algebra) multiplied in this algebra; the
-        one place the product is built, by :meth:`mul`."""
+        one place the product is built, by :meth:`mul`; R_c R_{-c} is
+        memoized per degree."""
+        c = tuple(c)
+        if f is None and other is None:
+            got = self._relations.get(c)
+            if got is None:
+                got = self._relations[c] = self.relation(c, other=self)
+            return got
         other = self if other is None else other
         nc = tuple(-x for x in c)
         prod = self.r(c, other.mixed_coefficient(c))

@@ -67,10 +67,10 @@ out, and each fragment, monomial and binomial is formatted once per
 
 A substitution is ``Scalar.subs`` of a :class:`RingMap`: the images of the
 variables plus memos of the image of each monomial and the direction of the
-image of each atom root, so a map built once per point or shift maps each
-monomial and root once (a plain dict becomes a throwaway map).  The memos
-never change a result, and a denominator atom sent to 1 raises on every
-application.
+image of each atom root, so a map built once per point maps each
+monomial and root once; the algebra's q-shift is no map but hands
+``Scalar._image`` its own images.  The memos never change a result, and a
+denominator atom sent to 1 raises on every application.
 
 A coefficient is an ``int`` when it is integral, otherwise a ``Fraction``
 whose denominator is greater than 1; never a float.  :func:`exact_coeff`

@@ -14,10 +14,8 @@ compare their series by one rule.
 
 from __future__ import annotations
 
-import itertools
-
 from .coulomb import Combination, CoulombAlgebra
-from .exactring import HBAR_HALF, Poly, Scalar, _checked, _mapped_keys, packed_power, unpack
+from .exactring import HBAR_HALF, Poly, Scalar, packed_power
 from .hypertoric import FixedPoint, pair
 from .pochhammer import poch_product, sign_kernel
 
@@ -63,8 +61,8 @@ def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     """(degree, coefficient) pairs of the closed localization product at p,
     over the algebra's degree list for ``order``: the kernel at p
     (:meth:`CoulombAlgebra.point_kernel`) times the insertion at p shifted by
-    d.  Each monomial of the insertion is mapped once, keeping its s-exponents
-    e; at d its image gains q^{<e, d>}, as a map never moves q.
+    d: :meth:`CoulombAlgebra._q_shift` of its images at p, as a map never
+    moves q.
 
     This is the product evaluated at p, as neither factor has a pole there on
     its own: the kernel has none at a lift, and an insertion with a
@@ -72,21 +70,9 @@ def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     f = tau.as_scalar() if isinstance(tau, Descendent) else tau
     if any(m > 0 for m in f.atoms.values()):
         raise ValueError("the insertion has a denominator; a descendent is a polynomial")
-    ring, w, q, s = alg.evaluation_map(p, specialize), alg.table.width, alg.q, alg.table.s(0)
-    images = {m: (ring.mono(m), unpack(m, w)[s:s + alg.data.k])
-              for m in itertools.chain((f.pre,), f.num.terms, (g for g, _ in f.atoms))}
-
-    def value(d):
-        def mono(m):
-            y, e = images[m]
-            step = pair(e, d)
-            return _checked(y + step * q, w) if step else y
-
-        atoms = (((mono(g), e), mult) for (g, e), mult in f.atoms.items())
-        mapped = _mapped_keys(atoms, alg.roots, w)
-        return alg.point_kernel(p, d, specialize) * f._image(w, mono, mapped)
-
-    return ((d, value(d)) for d in alg.degrees(order))
+    ring = alg.evaluation_map(p, specialize)
+    return ((d, alg.point_kernel(p, d, specialize) * alg._q_shift(f, d, ring.mono))
+            for d in alg.degrees(order))
 
 
 def vertex_fp(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,

@@ -4,10 +4,16 @@ they check.
 The closed vertex series builds the kernel from the rows' images at the point
 and adds each degree's shift to the insertion's images as a power of q.  The
 oracle here builds the unevaluated kernel (:func:`matter_kernel`), multiplies
-it by the insertion shifted through the algebra's shift map, and evaluates
-the product once through the algebra's evaluation map, as the series was
-defined before it was split; it also accepts an insertion with denominators,
-such as a two-sided product R_c f R_{-c}.
+it by the insertion shifted through a ring map (:func:`shift_by_ring_map`),
+and evaluates the product once through the algebra's evaluation map, as the
+series was defined before it was split; it also accepts an insertion with
+denominators, such as a two-sided product R_c f R_{-c}.
+
+:func:`shift_by_ring_map` is the q-shift as a substitution: the RingMap
+s_j -> q^{d_j} s_j applied by ``Scalar.subs``, with the engine's shortcut
+for a zero d or a value free of every s_j.  The engine's shift moves each
+monomial by q^{<e, d>} without a map, and must agree with it field by field,
+overflow errors included.
 
 The right module has the basis t_c and the action t_c r_d = F(c, d) t_{c+d},
 F being :func:`module_factor`, a kernel over the rows with <chi, d> < 0 in
@@ -42,7 +48,7 @@ from fractions import Fraction
 from coulombkit import (AlgebraElement, CoulombAlgebra, Descendent, GaugeData, Scalar,
                         enumerate_degrees)
 from coulombkit.coulomb import Combination
-from coulombkit.exactring import unpack
+from coulombkit.exactring import RingMap, packed_power, unpack
 from coulombkit.hypertoric import pair
 from coulombkit.pochhammer import hq_product
 
@@ -55,10 +61,22 @@ def matter_kernel(alg, d) -> Scalar:
                       [(x, di, sign) for chi, x, sign in alg.rows if (di := pair(chi, d))])
 
 
+def shift_by_ring_map(alg, f: Scalar, d) -> Scalar:
+    """f with every s_j sent to q^{d_j} s_j by one RingMap; f itself when d
+    is zero or f is free of every s_j."""
+    gauge = [alg.table.s(j) for j in range(alg.data.k)]
+    if not any(d) or not f.uses(gauge):
+        return f
+    w = alg.table.width
+    return f.subs(RingMap({s: packed_power(w, s, 1) + dj * alg.q
+                           for s, dj in zip(gauge, d) if dj}, w))
+
+
 def closed_coefficient(alg, p, insertion: Scalar, d, specialize: bool = False) -> Scalar:
     """The degree-d coefficient at p: the kernel times the insertion shifted
     by d, evaluated at p as one product."""
-    return alg.evaluate(p, matter_kernel(alg, d) * alg.shift(insertion, d), specialize)
+    return alg.evaluate(p, matter_kernel(alg, d) * shift_by_ring_map(alg, insertion, d),
+                        specialize)
 
 
 def kaehler_relation_check(alg, p, descendent, circuit, order: int) -> bool:

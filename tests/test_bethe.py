@@ -43,8 +43,8 @@ def test_q1_specialization_commutes(tp1_alg, a2_alg):
 
 def test_relations_share_one_flavor_map_and_one_q1_map(monkeypatch):
     """tgr(3,4) has 6 relations; the ring maps built for them are one flavor
-    map, one q = 1 map and one shift map per shift degree, so none is built
-    per relation, and asking again on the same algebra builds none."""
+    map and one q = 1 map, so none is built per relation or per shift, and
+    asking again on the same algebra builds none."""
     from coulombkit import exactring
     made = []
     init = exactring.RingMap.__init__
@@ -53,7 +53,7 @@ def test_relations_share_one_flavor_map_and_one_q1_map(monkeypatch):
     alg = CoulombAlgebra(tgr_model(3, 4))
     relations = bethe_relations_q1(alg)
     assert len(relations) == 6
-    assert len(made) == 5
+    assert len(made) == 2
     assert sum(images == {0: 0} for images, _ in made) == 1
     del made[:]
     assert [r.lhs for r in bethe_relations_q1(alg)] == [r.lhs for r in relations]

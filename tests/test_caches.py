@@ -1,8 +1,8 @@
 """The per-algebra caches: signed-row kernels per fixed point and degree,
-Verma modules per fixed point, Whittaker vectors per order, and the
-evaluation and shift ring maps.  Cached results must equal, and render
-exactly as, the same calls on a fresh algebra, and no two algebras may share
-a cached value."""
+Verma modules per fixed point, Whittaker vectors per order, the two-sided
+relations and the evaluation ring maps; a shift builds no ring map.  Cached
+results must equal, and render exactly as, the same calls on a fresh
+algebra, and no two algebras may share a cached value."""
 
 import io
 import itertools
@@ -88,6 +88,25 @@ def test_second_whittaker_function_builds_no_module(a2, monkeypatch):
     assert len(built) == 1
 
 
+def test_relations_are_built_once_per_degree(a2, monkeypatch):
+    """The modules of one algebra read their norms from one two-sided
+    relation per degree: the Whittaker functions at every a2 fixed point
+    multiply once per distinct degree, however many points share it."""
+    alg = CoulombAlgebra(a2)
+    products = counting(monkeypatch, CoulombAlgebra, "mul")
+    for p in fixed_points(a2):
+        whittaker_function(alg, p, parse_descendent("a1*s1 - h", alg.table), 2)
+    degrees = {d for p in fixed_points(a2) for d in alg.verma_module(p).whittaker_vector(2).terms}
+    assert len(products) == len(degrees)
+    c = (1, -1)
+    assert alg.relation(c) is alg.relation(c) == CoulombAlgebra(a2).relation(c)
+    # a relation with an insertion is not memoized
+    f = parse_descendent("s1", alg.table).as_scalar()
+    del products[:]
+    assert alg.relation(c, f) == alg.relation(c, f)
+    assert len(products) == 4
+
+
 def test_whittaker_vector_is_memoized_per_order(a2):
     module = CoulombAlgebra(a2).verma_module(fixed_points(a2)[0])
     w2 = module.whittaker_vector(2)
@@ -133,7 +152,7 @@ def test_second_descendent_maps_no_atom_root_again(a2, monkeypatch):
     assert roots == []
 
 
-def test_algebras_share_no_ring_map(a2):
+def test_algebras_share_no_ring_map(a2, monkeypatch):
     first, second = CoulombAlgebra(a2), CoulombAlgebra(a2)
     p = fixed_points(a2)[0]
     for alg in (first, second):
@@ -145,9 +164,13 @@ def test_algebras_share_no_ring_map(a2):
         assert first.evaluation_map(p, specialize) is ring
         assert second.evaluation_map(p, specialize) is not ring
         assert second.evaluation_map(p, specialize).images == ring.images
+    # a shift builds no map, and each algebra keeps its own s-exponent memo
+    built = counting(monkeypatch, RingMap, "__init__")
+    f = parse_descendent("a1*s1^2 - h*s2", first.table).as_scalar()
+    assert first.shift(f, (3, -2)) == second.shift(f, (3, -2)) != f
+    assert built == []
+    assert first._s_exponents is not second._s_exponents
     d = (1, 0)
-    assert first.shift_map(d) is first.shift_map(d)
-    assert first.shift_map(d) is not second.shift_map(d)
     # the shifted maps a module evaluates through live on its algebra
     shifted = first.evaluation_map(p, shift=d)
     assert first.evaluation_map(p, shift=list(d)) is shifted
@@ -378,8 +401,8 @@ def test_memoized_unit_root_is_a_pole_on_every_use(a2):
 
 
 def test_generators_multiply_through_no_shift_map(a2, monkeypatch):
-    """A plain generator's coefficient 1 is free of every s_j, so moving it
-    across another generator builds no shift map; an s-dependent one does."""
+    """Moving a coefficient across a generator builds no ring map, whether
+    it is free of every s_j, as a plain generator's 1 is, or not."""
     alg = CoulombAlgebra(a2)
     built = counting(monkeypatch, RingMap, "__init__")
     c, d = (1, 0), (-2, 1)
@@ -388,4 +411,4 @@ def test_generators_multiply_through_no_shift_map(a2, monkeypatch):
         == alg.r((1, 1), alg.structure_constant((1, 0), (0, 1)))
     assert built == []
     alg.mul(alg.r(c), alg.cartan(parse_descendent("s1", alg.table).as_scalar()))
-    assert len(built) == 1
+    assert built == []
