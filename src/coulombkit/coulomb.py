@@ -36,11 +36,11 @@ structure constants, mixed coefficients, kernels at a point
 relations R_c R_{-c}, the root memo ``roots`` (the direction of every
 binomial root converted for the algebra: every ``hq_product`` call and
 shift here and the ``poch_product`` conversions of :mod:`coulombkit.vertex`
-pass it), each shifted monomial's s-exponents, and the evaluation maps
-per (point, specialization, shift) of :meth:`CoulombAlgebra.evaluate`.  A
-shift is no map (:meth:`CoulombAlgebra._q_shift`).
-Cached values are immutable and a RingMap only grows memos that never
-change a result, so concurrent identical insertions are harmless.
+pass it), each shifted monomial's s-exponents, and one evaluation map per
+(point, specialization).  A shift is no map, nor is evaluation at a shifted
+point (:meth:`CoulombAlgebra._q_shift`).  Cached values are immutable and
+a RingMap only grows memos that never change a result, so concurrent
+identical insertions are harmless.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .exactring import (PoleEvaluationError, Q_HALF, RingMap, Scalar, VariableTable, _checked,
-                        _mapped_keys, atom_str, pack, packed_power, unpack)
+from .exactring import (PoleEvaluationError, Q_HALF, RingMap, RootMemo, Scalar, VariableTable,
+                        _SLOT_TOP, _checked, _mapped_keys, atom_str, pack, packed_power,
+                        q_shifted, unpack)
 from .hypertoric import FixedPoint, GaugeData, enumerate_degrees, mixed_polarization, pair
 from .pochhammer import hq_product
 
@@ -170,7 +171,7 @@ class CoulombAlgebra:
         # packed monomial -> its s-exponents, for a shift
         self._s_exponents = {}
         # every kernel's binomial root -> its direction (exactring._mapped_keys)
-        self.roots = {}
+        self.roots = RootMemo(self.table.width)
         # the gauge variables s_j, which a shift moves
         self._gauge = tuple(self.table.s(j) for j in range(data.k))
 
@@ -247,37 +248,28 @@ class CoulombAlgebra:
         aspec = self.data.a_specialization or {}
         return RingMap({self.table.a(i): mono for i, mono in aspec.items()}, self.table.width)
 
-    def evaluation_map(self, p: FixedPoint, specialize: bool = False, shift=()) -> RingMap:
+    def evaluation_map(self, p: FixedPoint, specialize: bool = False) -> RingMap:
         """The ring map of evaluation at the fixed point p, optionally composed
-        with the model's flavor specialization, with s_j sent to q^{shift_j}
-        times its restriction; one per (point, specialize, shift), a zero
-        shift being the unshifted map, from whose images a shifted map is
-        copied."""
-        shift = tuple(shift) if any(shift) else ()
-        key = (p, specialize, shift)
+        with the model's flavor specialization; one per (point, specialize)."""
+        key = (p, specialize)
         got = self._eval_maps.get(key)
         if got is None:
-            if shift:
-                # the unshifted map's images, each s_j image times q^{shift_j}
-                images = dict(self.evaluation_map(p, specialize).images)
-                for j in p.restriction:
-                    images[self.table.s(j)] += shift[j] * self.q
-            else:
-                images = dict(self.flavor_map.images) if specialize else {}
-                for j, mono in p.restriction.items():
-                    x = pack(mono)
-                    images[self.table.s(j)] = self.flavor_map.mono(x) if specialize else x
+            images = dict(self.flavor_map.images) if specialize else {}
+            for j, mono in p.restriction.items():
+                x = pack(mono)
+                images[self.table.s(j)] = self.flavor_map.mono(x) if specialize else x
             got = self._eval_maps[key] = RingMap(images, self.table.width)
         return got
 
     def evaluate(self, p: FixedPoint, f: Scalar, specialize: bool = False, shift=()) -> Scalar:
-        """f under :meth:`evaluation_map`.
+        """f under :meth:`evaluation_map`, every s_j times q^{shift_j}
+        (:meth:`_q_shift`).
 
         A vanishing denominator is reported with the point's label and the
         factor written in the model's variables.
         """
         try:
-            return f.subs(self.evaluation_map(p, specialize, shift))
+            return self._q_shift(f, shift, self.evaluation_map(p, specialize).mono)
         except PoleEvaluationError as exc:
             raise PoleEvaluationError("pole at fixed point %s: atom %s vanishes"
                                       % (p.label(), atom_str(self.table, pack(exc.atom))),
@@ -285,19 +277,23 @@ class CoulombAlgebra:
 
     def _q_shift(self, f: Scalar, d, image=None) -> Scalar:
         """f with each monomial m (prefactor, sum-part terms, atom roots) sent
-        to image(m), by default m, times q^{<e, d>}, e the s-exponents of m;
-        an image formed here is checked, one handed in counts as checked."""
+        to image(m), by default m, times q^{<e, d>}, e the s-exponents of m.
+        Only an image formed here is checked, on the unpacked exponents when
+        the q step could leave its slot; a pole names the root of f."""
         w, q, exps, s, k = self.table.width, self.q, self._s_exponents, self._gauge[0], self.data.k
+        roots, bound = self.roots, _SLOT_TOP >> 2
 
         def mono(m):
             e = exps.get(m)
             if e is None:
                 e = exps[m] = unpack(m, w)[s:s + k]
             step, y = pair(e, d), m if image is None else image(m)
-            return _checked(y + step * q, w) if step or image is None else y
+            if -bound < step < bound:
+                return _checked(y + step * q, w) if step or image is None else y
+            # q^(1/2) would move by 2^62 or more, past a slot's 2^63
+            return pack(q_shifted(unpack(y, w), step))
 
-        atoms = (((mono(g), e), mult) for (g, e), mult in f.atoms.items())
-        return f._image(w, mono, _mapped_keys(atoms, self.roots, w))
+        return f._image(w, mono, _mapped_keys(f.atoms.items(), lambda g: roots[mono(g)], w))
 
     def shift(self, f: Scalar, d) -> Scalar:
         """f with every s_j sent to q^{d_j} s_j (:meth:`_q_shift`); f itself

@@ -32,8 +32,8 @@ count -- a Pochhammer length, a multiplicity, a position along a chain,
 the last checked below 2^31 in the chain split -- so it is at most 2^31
 times the number of factors multiplied into its value, and no command
 multiplies 2^31 of them into one value.  Packed arithmetic is exact while
-every exponent stays below 2^63 in size; a ring-map image whose moves could
-pass 2^62 is computed from the unpacked exponents instead.
+every exponent stays below 2^63 in size; a ring-map image or q-shift whose
+moves could pass 2^62 is computed from the unpacked exponents instead.
 
 A :class:`Scalar` is a rational function kept in the factored shape
 
@@ -68,9 +68,10 @@ out, and each fragment, monomial and binomial is formatted once per
 A substitution is ``Scalar.subs`` of a :class:`RingMap`: the images of the
 variables plus memos of the image of each monomial and the direction of the
 image of each atom root, so a map built once per point maps each
-monomial and root once; the algebra's q-shift is no map but hands
-``Scalar._image`` its own images.  The memos never change a result, and a
-denominator atom sent to 1 raises on every application.
+monomial and root once.  The algebra's q-shift, evaluation at a shifted
+point included, is no map but hands ``Scalar._image`` its own images.  The
+memos never change a result, and a denominator atom sent to 1 raises,
+naming its own root, on every application.
 
 A coefficient is an ``int`` when it is integral, otherwise a ``Fraction``
 whose denominator is greater than 1; never a float.  :func:`exact_coeff`
@@ -323,9 +324,9 @@ class RingMap:
     packed.  ``mono(m)`` memoizes the image of each packed monomial, and
     ``root(g)`` the direction ``(u, p)`` of the image of each atom root g
     (the image is ``u^p`` with u primitive), or None when that image is 1.
-    Build one map per point and shift and apply it again and again; the
-    memos only grow with the monomials it has seen, and ``images`` must not
-    change after construction.
+    Build one map per point and apply it again and again; the memos only
+    grow with the monomials it has seen, and ``images`` must not change
+    after construction.
     """
 
     __slots__ = ("images", "width", "source", "_moves", "_monos", "_roots")
@@ -711,37 +712,38 @@ def _pole(g: int, width: int) -> PoleEvaluationError:
                                atom=atom)
 
 
-_UNSEEN = object()  # a root memo's miss; a unit root is memoized as None
+class RootMemo(dict):
+    """The identity's root memo: ``memo[g]`` is :func:`_direction` of g,
+    found on the first lookup and kept (None for the unit)."""
+
+    __slots__ = ("width",)
+
+    def __init__(self, width: int):
+        self.width = width
+
+    def __missing__(self, g):
+        got = self[g] = _direction(g, self.width)
+        return got
 
 
-def _mapped_keys(atoms, ring: RingMap | dict | None, width: int):
+def _mapped_keys(atoms, root, width: int):
     """(coefficient, monomial, keys) with prod psi_d(g)^(-mult) over the pairs
-    ``((g, d), mult)`` in ``atoms``, g sent through ``ring`` from a ring of
-    ``width`` variables, equal to coefficient * monomial * prod over the
-    canonical keys; a binomial (1 - g) is the atom (g, 1).  A key whose
-    multiplicities cancel is left out.  ``ring`` is a :class:`RingMap`, or
-    the identity given as a root memo ``{g: _direction(g)}`` that the
-    conversion reads and fills; None is the identity with a fresh memo.
-
-    g maps to u^p with u primitive (:func:`_direction`, memoized by
-    :meth:`RingMap.root` or the root memo).  When the image is 1, psi_d(1)
-    is a number, zero only for d = 1: a denominator pair there is a
-    :class:`PoleEvaluationError`, whatever cancels it, and a numerator pair
-    makes the coefficient 0.
+    ``((g, d), mult)`` in ``atoms``, g of a ring of ``width`` variables sent
+    by a map, equal to coefficient * monomial * prod over the canonical keys;
+    a binomial (1 - g) is the atom (g, 1).  A key whose multiplicities cancel
+    is left out.  ``root(g)`` is the direction (u, p) of the image u^p of g,
+    u primitive, or None when the image is 1: :meth:`RingMap.root`, a
+    :class:`RootMemo` lookup for the identity, or the q-shift's lookup of its
+    image.  psi_d(1) is a number, zero only for d = 1: a denominator pair
+    there is a :class:`PoleEvaluationError` naming g, whatever cancels it,
+    and a numerator pair makes the coefficient 0.
     """
-    if ring is None:
-        ring = {}
     coeff, pre, keys, vanished = 1, 0, {}, False
     for (g, d), mult in atoms:
         if not mult:
             continue
-        if type(ring) is dict:
-            root = ring.get(g, _UNSEEN)
-            if root is _UNSEEN:
-                root = ring[g] = _direction(g, width)
-        else:
-            root = ring.root(g)
-        if root is None:
+        direction = root(g)
+        if direction is None:
             if d > 1:
                 # psi_d(1) is the prime l for d a power of l, else 1
                 coeff = exact_coeff(coeff * Fraction(sum(_psi(d))) ** -mult)
@@ -750,7 +752,7 @@ def _mapped_keys(atoms, ring: RingMap | dict | None, width: int):
             else:
                 vanished = True
             continue
-        u, p = root
+        u, p = direction
         if p < 0:
             # psi_d(x^-1) = -x^-1 psi_1(x) for d = 1, x^-phi(d) psi_d(x) otherwise
             p = -p
@@ -790,7 +792,8 @@ class Scalar:
         if type(pre) is tuple:
             pre = pack(pre)
         coeff, unit, keys = (1, 0, {}) if not atoms else _mapped_keys(
-            (((pack(g) if type(g) is tuple else g, 1), m) for g, m in atoms.items()), None, width)
+            (((pack(g) if type(g) is tuple else g, 1), m) for g, m in atoms.items()),
+            RootMemo(width).__getitem__, width)
         x = Scalar._of(width, num.scale(coeff), unit if pre is None else pre + unit, keys)
         self.w, self.num, self.pre, self.atoms = width, x.num, x.pre, x.atoms
 
@@ -983,8 +986,8 @@ class Scalar:
         normal form has no atom that divides the numerator.
         """
         ring = images if isinstance(images, RingMap) else RingMap(images, target_width, self.w)
-        mapped = _mapped_keys(self.atoms.items(), ring, ring.source) if self.atoms else (1, 0, {})
-        return self._image(ring.width, ring.mono, mapped)
+        return self._image(ring.width, ring.mono,
+                           _mapped_keys(self.atoms.items(), ring.root, ring.source))
 
     def _image(self, width: int, mono, mapped) -> "Scalar":
         """Each monomial of the prefactor and sum part sent to ``mono`` of it,

@@ -28,11 +28,11 @@ functions are deliberately not represented.
 
 from __future__ import annotations
 
-from .exactring import (HBAR_HALF, Poly, Q_HALF, Scalar, _mapped_keys, pack, packed_power,
-                        q_shifted)
+from .exactring import (HBAR_HALF, Poly, Q_HALF, RootMemo, Scalar, _mapped_keys, pack,
+                        packed_power, q_shifted)
 
 
-def poch_product(width: int, symbols, e: int = 0, *, roots: dict | None = None) -> Scalar:
+def poch_product(width: int, symbols, e: int = 0, *, roots: RootMemo | None = None) -> Scalar:
     """sign_kernel(e) times the product of (x; q)_d^power over the
     (x, d, power) in ``symbols``, x packed.
 
@@ -42,10 +42,11 @@ def poch_product(width: int, symbols, e: int = 0, *, roots: dict | None = None) 
     ``roots`` is the caller's root memo for :func:`_mapped_keys`, if any.
     """
     q = packed_power(width, Q_HALF, 2)
+    roots = RootMemo(width) if roots is None else roots
     sign, unit, keys = _mapped_keys(
         (((x + m * q, 1), -power if d >= 0 else power)
          for x, d, power in symbols for m in (range(d) if d >= 0 else range(-1, d - 1, -1))),
-        roots, width)
+        roots.__getitem__, width)
     if not sign:
         return Scalar.zero(width)
     pre = packed_power(width, Q_HALF, e) - packed_power(width, HBAR_HALF, e) + unit
@@ -53,7 +54,7 @@ def poch_product(width: int, symbols, e: int = 0, *, roots: dict | None = None) 
     return Scalar._raw(width, Poly(width, {0: -sign if e % 2 else sign}), pre, keys)
 
 
-def hq_product(width: int, factors, *, roots: dict | None = None) -> Scalar:
+def hq_product(width: int, factors, *, roots: RootMemo | None = None) -> Scalar:
     """The product of hq_ratio(x, d)^power over the (x, d, power) in
     ``factors``, x packed; ``roots`` as for :func:`poch_product`."""
     h, q = packed_power(width, HBAR_HALF, 2), packed_power(width, Q_HALF, 2)

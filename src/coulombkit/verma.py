@@ -11,11 +11,11 @@ the mixed generator at c+e, then evaluate the total left scalar with the
 gauge variables sent to q^{(c+e)_j} times their restriction at the point.
 The scalars are kernel products, each built by one
 :func:`~coulombkit.pochhammer.poch_product` call, and the evaluation is the
-algebra's: :meth:`~coulombkit.coulomb.CoulombAlgebra.evaluation_map` keeps
-one ring map per (point, specialization, shift), the module none.
-Degrees outside the effective cone of the point contribute zero.  A vector
-is a :class:`~coulombkit.coulomb.Combination` over the cone's degrees: it
-sums and compares by the same rule as an algebra element.
+algebra's (:meth:`~coulombkit.coulomb.CoulombAlgebra.evaluate`): the point's
+one ring map, with the shift added as a power of q.  Degrees outside the
+effective cone of the point contribute zero.  A vector is a
+:class:`~coulombkit.coulomb.Combination` over the cone's degrees: it sums
+and compares by the same rule as an algebra element.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class VermaModule:
     """The module attached to one fixed point of one model.
 
     Norms are memoized per degree and Whittaker vectors per order, both
-    dropped with the module; every evaluation goes through the algebra's
-    maps (:meth:`~coulombkit.coulomb.CoulombAlgebra.evaluate`).  Obtain the
+    dropped with the module; every evaluation is the algebra's
+    (:meth:`~coulombkit.coulomb.CoulombAlgebra.evaluate`).  Obtain the
     module through :meth:`CoulombAlgebra.verma_module` to share them across
     every caller of the same algebra and point.
     """

@@ -2,14 +2,14 @@
 
 Coefficients are computed directly from the closed localization product --
 never through the module pairing -- so that the pairing route implemented in
-:mod:`coulombkit.verma` is a genuinely independent cross-check.  The
+:mod:`coulombkit.verma` is an independent cross-check of the algebra; both
+evaluate at a shifted point by :meth:`CoulombAlgebra.evaluate`.  The
 degree-d coefficient at a fixed point p is the kernel's weight at p times
 the insertion's value at p shifted by d, over the algebra's degree list for
-the order, through no shifted ring map (the module route keeps those).  A
-series is stored degreewise: the key carries the Kahler power, the value is
-a scalar in the residue variables only; :class:`QSeries` is a
-:class:`~coulombkit.coulomb.Combination`, so both routes build, sum and
-compare their series by one rule.
+the order.  A series is stored degreewise: the key carries the Kahler
+power, the value is a scalar in the residue variables only;
+:class:`QSeries` is a :class:`~coulombkit.coulomb.Combination`, so both
+routes build, sum and compare their series by one rule.
 """
 
 from __future__ import annotations
@@ -61,8 +61,7 @@ def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     """(degree, coefficient) pairs of the closed localization product at p,
     over the algebra's degree list for ``order``: the kernel at p
     (:meth:`CoulombAlgebra.point_kernel`) times the insertion at p shifted by
-    d: :meth:`CoulombAlgebra._q_shift` of its images at p, as a map never
-    moves q.
+    d (:meth:`CoulombAlgebra.evaluate`).
 
     This is the product evaluated at p, as neither factor has a pole there on
     its own: the kernel has none at a lift, and an insertion with a
@@ -70,8 +69,7 @@ def _coefficients(alg: CoulombAlgebra, p: FixedPoint, tau: Descendent | Scalar,
     f = tau.as_scalar() if isinstance(tau, Descendent) else tau
     if any(m > 0 for m in f.atoms.values()):
         raise ValueError("the insertion has a denominator; a descendent is a polynomial")
-    ring = alg.evaluation_map(p, specialize)
-    return ((d, alg.point_kernel(p, d, specialize) * alg._q_shift(f, d, ring.mono))
+    return ((d, alg.point_kernel(p, d, specialize) * alg.evaluate(p, f, specialize, d))
             for d in alg.degrees(order))
 
 

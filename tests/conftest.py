@@ -6,7 +6,8 @@ import pytest
 from coulombkit import GaugeData, Poly, Scalar, VariableTable, VermaVector, fixed_points
 from coulombkit.cli import load_model
 from coulombkit.coulomb import CoulombAlgebra
-from coulombkit.exactring import _binomials, unpack
+from coulombkit.exactring import (ExponentOverflowError, PoleEvaluationError, _binomials,
+                                  unpack)
 from coulombkit.hypertoric import pair
 
 
@@ -34,6 +35,19 @@ def a2_alg(a2):
 def sqed11():
     # one positive and one negative weight; the simplest reversing wall
     return GaugeData.create([[1], [-1]], [1])
+
+
+def outcome(route, *args):
+    """``route(*args)`` as comparable fields: the scalar's width, terms,
+    prefactor and atoms in dict order, a pole's text and atom, or an
+    overflow's variable and exponent."""
+    try:
+        x = route(*args)
+    except PoleEvaluationError as exc:
+        return "pole", str(exc), exc.atom
+    except ExponentOverflowError as exc:
+        return "overflow", exc.index, exc.exponent
+    return x.w, list(x.num.terms.items()), x.pre, list(x.atoms.items())
 
 
 def tpn(n):

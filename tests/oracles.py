@@ -5,9 +5,17 @@ The closed vertex series builds the kernel from the rows' images at the point
 and adds each degree's shift to the insertion's images as a power of q.  The
 oracle here builds the unevaluated kernel (:func:`matter_kernel`), multiplies
 it by the insertion shifted through a ring map (:func:`shift_by_ring_map`),
-and evaluates the product once through the algebra's evaluation map, as the
-series was defined before it was split; it also accepts an insertion with
-denominators, such as a two-sided product R_c f R_{-c}.
+and evaluates the product once through a ring map of its own
+(:func:`evaluate_by_ring_map`), as the series was defined before it was
+split; it also accepts an insertion with denominators, such as a two-sided
+product R_c f R_{-c}.
+
+:func:`evaluate_by_ring_map` is evaluation at a shifted fixed point as a
+substitution: the RingMap sending s_j to q^{shift_j} times its image under
+the algebra's point map, applied by ``Scalar.subs``.  The engine's
+``CoulombAlgebra.evaluate`` moves each image by q^{<e, shift>} without a
+shifted map, and must agree with it field by field, poles and overflow
+errors included.
 
 :func:`shift_by_ring_map` is the q-shift as a substitution: the RingMap
 s_j -> q^{d_j} s_j applied by ``Scalar.subs``, with the engine's shortcut
@@ -44,11 +52,12 @@ graded-lex order.  The engine's rendering must equal it byte for byte.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from coulombkit import (AlgebraElement, CoulombAlgebra, Descendent, GaugeData, Scalar,
                         enumerate_degrees)
 from coulombkit.coulomb import Combination
-from coulombkit.exactring import RingMap, packed_power, unpack
+from coulombkit.exactring import PoleEvaluationError, RingMap, atom_str, pack, packed_power, unpack
 from coulombkit.hypertoric import pair
 from coulombkit.pochhammer import hq_product
 
@@ -72,11 +81,32 @@ def shift_by_ring_map(alg, f: Scalar, d) -> Scalar:
                            for s, dj in zip(gauge, d) if dj}, w))
 
 
+@lru_cache(maxsize=1024)
+def shifted_evaluation_map(alg, p, specialize: bool, shift: tuple) -> RingMap:
+    """The RingMap of evaluation at p shifted by ``shift``: the point map's
+    images, each s_j image times q^{shift_j}."""
+    images = dict(alg.evaluation_map(p, specialize).images)
+    for j, dj in enumerate(shift):
+        images[alg.table.s(j)] += dj * alg.q
+    return RingMap(images, alg.table.width)
+
+
+def evaluate_by_ring_map(alg, p, f: Scalar, specialize: bool = False, shift=()) -> Scalar:
+    """f under :func:`shifted_evaluation_map`, applied by ``Scalar.subs``; a
+    pole is reported as ``CoulombAlgebra.evaluate`` reports it."""
+    try:
+        return f.subs(shifted_evaluation_map(alg, p, specialize, tuple(shift)))
+    except PoleEvaluationError as exc:
+        raise PoleEvaluationError("pole at fixed point %s: atom %s vanishes"
+                                  % (p.label(), atom_str(alg.table, pack(exc.atom))),
+                                  atom=exc.atom)
+
+
 def closed_coefficient(alg, p, insertion: Scalar, d, specialize: bool = False) -> Scalar:
     """The degree-d coefficient at p: the kernel times the insertion shifted
     by d, evaluated at p as one product."""
-    return alg.evaluate(p, matter_kernel(alg, d) * shift_by_ring_map(alg, insertion, d),
-                        specialize)
+    return evaluate_by_ring_map(
+        alg, p, matter_kernel(alg, d) * shift_by_ring_map(alg, insertion, d), specialize)
 
 
 def kaehler_relation_check(alg, p, descendent, circuit, order: int) -> bool:

@@ -1,8 +1,10 @@
 """The per-algebra caches: signed-row kernels per fixed point and degree,
 Verma modules per fixed point, Whittaker vectors per order, the two-sided
-relations and the evaluation ring maps; a shift builds no ring map.  Cached
-results must equal, and render exactly as, the same calls on a fresh
-algebra, and no two algebras may share a cached value."""
+relations and one evaluation ring map per point and specialization; neither
+a shift nor evaluation at a shifted point builds a ring map, and the latter
+must equal the shifted ring map it replaced.  Cached results must equal, and
+render exactly as, the same calls on a fresh algebra, and no two algebras
+may share a cached value."""
 
 import io
 import itertools
@@ -14,7 +16,7 @@ import pytest
 import coulombkit.coulomb
 import coulombkit.exactring
 import coulombkit.hypertoric
-from coulombkit import (Descendent, PoleEvaluationError, Poly, fixed_points, qde_check,
+from coulombkit import (Descendent, PoleEvaluationError, Poly, Scalar, fixed_points, qde_check,
                         vertex_fp, vertex_fp_nonab, whittaker_function)
 from coulombkit.cli import (_degree_report, build_parser, dispatch, parse_descendent,
                             parse_generator_word)
@@ -25,8 +27,8 @@ from coulombkit.pochhammer import hq_ratio, poch_product
 from coulombkit.verma import VermaModule
 from coulombkit.vertex import QSeries, is_lift
 
-from conftest import counting, data_model, point_by_support, tpn, truncate
-from oracles import matter_kernel
+from conftest import counting, data_model, outcome, point_by_support, tpn, truncate
+from oracles import evaluate_by_ring_map, matter_kernel
 
 # the three acceptance descendents plus one more
 DESCENDENTS = ["1", "s1", "a1*s1 - h", "2*a2*s1^2 + 3*h"]
@@ -170,45 +172,33 @@ def test_algebras_share_no_ring_map(a2, monkeypatch):
     assert first.shift(f, (3, -2)) == second.shift(f, (3, -2)) != f
     assert built == []
     assert first._s_exponents is not second._s_exponents
-    d = (1, 0)
-    # the shifted maps a module evaluates through live on its algebra
-    shifted = first.evaluation_map(p, shift=d)
-    assert first.evaluation_map(p, shift=list(d)) is shifted
-    assert second.evaluation_map(p, shift=d) is not shifted
-    assert second.evaluation_map(p, shift=d).images == shifted.images
 
 
-def test_zero_shift_is_the_unshifted_map(a2):
-    alg = CoulombAlgebra(a2)
-    for p in fixed_points(a2):
-        for specialize in (False, True):
-            ring = alg.evaluation_map(p, specialize)
-            assert alg.evaluation_map(p, specialize, shift=(0, 0)) is ring
-            assert alg.evaluation_map(p, specialize, shift=[0, 0]) is ring
-            assert alg.evaluation_map(p, specialize, shift=(0, 1)) is not ring
-
-
-@pytest.mark.parametrize("model", ["a2", "tgr24"])
-def test_shifted_evaluation_is_shift_then_evaluate(model, request):
-    """The algebra's shifted map evaluates a kernel as shifting it first and
-    evaluating it unshifted does, a pole included."""
-    data = request.getfixturevalue(model)
+@pytest.mark.parametrize("model", ["a2", "tgr24", "fl3"])
+def test_shifted_evaluation_is_shift_then_evaluate(model):
+    """Evaluation at a shifted point (``CoulombAlgebra.evaluate``) equals the
+    shifted RingMap of the point map applied by ``Scalar.subs``
+    (:func:`oracles.evaluate_by_ring_map`), field by field, a pole's text and
+    atom included: every point, both specializations, every kernel, mixed
+    coefficient and relation near 0, every shift in [-1, 1]^k."""
+    data = data_model(model)
     alg = CoulombAlgebra(data)
     near = list(itertools.product(range(-1, 2), repeat=data.k))
-    kernels = [matter_kernel(alg, d) for d in near] + [alg.mixed_coefficient(d) for d in near]
-
-    def outcome(p, f, specialize, shift=()):
-        try:
-            return alg.evaluate(p, f, specialize, shift)
-        except PoleEvaluationError:
-            return "pole"
-
+    values = [matter_kernel(alg, d) for d in near] + [alg.mixed_coefficient(d) for d in near]
+    values += [alg.relation(d) for d in near if any(d)]
     for p in fixed_points(data):
         for specialize in (False, True):
-            for f in kernels:
+            for f in values:
                 for d in near:
-                    assert outcome(p, f, specialize, shift=d) \
-                        == outcome(p, alg.shift(f, d), specialize), (p.label(), d)
+                    args = (alg, p, f, specialize, d)
+                    assert outcome(CoulombAlgebra.evaluate, *args) \
+                        == outcome(evaluate_by_ring_map, *args), (p.label(), specialize, d)
+    # a step of q whose exponent leaves the packed slot raises as the ring map does
+    f = Scalar.monomial(alg.table.mono({alg.table.s(0): 2}))
+    big = (1 << 61,) + (0,) * (data.k - 1)
+    for p in fixed_points(data):
+        for route in (CoulombAlgebra.evaluate, evaluate_by_ring_map):
+            assert outcome(route, alg, p, f, False, big) == ("overflow", 0, 1 << 63)
 
 
 def test_cached_evaluation_map_raises_the_pole_of_a_fresh_one(tgr24):
@@ -294,43 +284,24 @@ def test_degrees_are_enumerated_once_per_order(a2, monkeypatch):
     assert sorted(orders) == [1, 2]
 
 
-@pytest.mark.parametrize("model", ["a2", "tgr24"])
-def test_shifted_map_is_copied_from_the_unshifted_one(model, request, monkeypatch):
-    """Once the unshifted map of a point exists, a shifted map is the one
-    RingMap built from its images, each s_j image times q^{shift_j}."""
-    data = request.getfixturevalue(model)
-    alg = CoulombAlgebra(data)
-    built = counting(monkeypatch, coulombkit.coulomb, "RingMap")
-    for p in fixed_points(data):
-        for specialize in (False, True):
-            ring = alg.evaluation_map(p, specialize)
-            del built[:]
-            for shift in itertools.product(range(-1, 2), repeat=data.k):
-                if any(shift):
-                    shifted = alg.evaluation_map(p, specialize, shift)
-                    assert len(built) == 1, (p.label(), specialize, shift)
-                    del built[:]
-                    want = dict(ring.images)
-                    for j in p.restriction:
-                        want[alg.table.s(j)] += shift[j] * alg.q
-                    assert shifted.images == want
-
-
 @pytest.mark.parametrize("model", ["tp1", "a2", "tgr24", "fl3"])
 def test_closed_route_builds_no_ring_map_once_its_point_map_exists(model, monkeypatch):
     """The closed series at a point builds its kernels from the rows' images
-    and adds each degree's shift to the insertion's images as a power of q:
-    once the point's map exists, no descendent and no degree builds a map."""
+    and adds each degree's shift to the insertion's images as a power of q,
+    and the module route evaluates at each shifted point the same way: once
+    the point's maps exist, no descendent and no degree builds a map."""
     data = data_model(model)
     alg = CoulombAlgebra(data)
     closed = vertex_fp_nonab if data.blocks else vertex_fp
     lifts = [p for p in fixed_points(data) if is_lift(alg, p)]
     for p in lifts:
         alg.evaluation_map(p, specialize=bool(data.blocks))
+        alg.evaluation_map(p)
     built = counting(monkeypatch, RingMap, "__init__")
     for p in lifts:
         for text in ("1", "s1", "a1*s1 - h"):
-            closed(alg, p, parse_descendent(text, alg.table), 2)
+            for route in (closed, whittaker_function):
+                route(alg, p, parse_descendent(text, alg.table), 2)
     assert built == []
 
 
