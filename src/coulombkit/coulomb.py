@@ -55,16 +55,6 @@ from .hypertoric import FixedPoint, GaugeData, enumerate_degrees, mixed_polariza
 from .pochhammer import hq_product
 
 
-def epsilon(c: int) -> int:
-    return (c > 0) - (c < 0)
-
-
-def delta(c: int, d: int) -> int:
-    if c * d < 0:
-        return min(abs(c), abs(d))
-    return 0
-
-
 def signed_rows(data: GaugeData, table: VariableTable) -> list:
     """The rows of the virtual abelian model, as (weight, packed x monomial, sign).
 
@@ -212,12 +202,12 @@ class CoulombAlgebra:
         got = self._sc_cache.get(key)
         if got is not None:
             return got
-        factors = []
+        q, factors = self.q, []
         for i, (chi, x, sign) in enumerate(self.rows):
             ci = pair(chi, c)
-            length = epsilon(ci) * delta(ci, pair(chi, d))
-            if length:
-                factors.append((x - ci * self.q, length,
+            # a row with <chi, c> <chi, d> < 0 has length sign(c_i) min(|c_i|, |d_i|)
+            if ci and ci * (di := pair(chi, d)) < 0:
+                factors.append((x - ci * q, min(ci, -di) if ci > 0 else max(ci, -di),
                                 -sign if (i in pol) == (ci > 0) else sign))
         out = self._sc_cache[key] = hq_product(self.table.width, factors, roots=self.roots)
         return out

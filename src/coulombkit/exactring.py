@@ -97,6 +97,8 @@ SLOT_BITS = 64
 EXPONENT_BOUND = 1 << 31
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 _SLOT_TOP = 1 << (SLOT_BITS - 1)
+# the sum part of the unit, which Scalar.__mul__ compares against (never mutated)
+_UNIT_TERMS = {0: 1}
 
 
 class PoleEvaluationError(ArithmeticError):
@@ -739,6 +741,7 @@ def _mapped_keys(atoms, root, width: int):
     and a numerator pair makes the coefficient 0.
     """
     coeff, pre, keys, vanished = 1, 0, {}, False
+    get = keys.get
     for (g, d), mult in atoms:
         if not mult:
             continue
@@ -753,6 +756,16 @@ def _mapped_keys(atoms, root, width: int):
                 vanished = True
             continue
         u, p = direction
+        if d == 1 and (p == 1 or p == -1):
+            # a binomial with a primitive image: one key, and
+            # psi_1(u^-1) = -u^-1 psi_1(u)
+            if p < 0:
+                pre += u * mult
+                if mult % 2:
+                    coeff = -coeff
+            k = (u, 1)
+            keys[k] = get(k, 0) + mult
+            continue
         if p < 0:
             # psi_d(x^-1) = -x^-1 psi_1(x) for d = 1, x^-phi(d) psi_d(x) otherwise
             p = -p
@@ -760,7 +773,8 @@ def _mapped_keys(atoms, root, width: int):
             if d == 1 and mult % 2:
                 coeff = -coeff
         for e in (d,) if p == 1 else _psi_image(d, p):
-            keys[(u, e)] = keys.get((u, e), 0) + mult
+            k = (u, e)
+            keys[k] = get(k, 0) + mult
     return (0 if vanished else coeff), pre, {k: m for k, m in keys.items() if m}
 
 
@@ -926,6 +940,11 @@ class Scalar:
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b = self.num.terms, other.num.terms
+        # values are immutable, so the unit times x is x itself
+        if not other.pre and not other.atoms and b == _UNIT_TERMS:
+            return self
+        if not self.pre and not self.atoms and a == _UNIT_TERMS:
+            return other
         if not a or not b:
             return Scalar.zero(self.w)
         sa, oa = self.atoms, other.atoms

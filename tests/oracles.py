@@ -45,6 +45,14 @@ reverses products and that it swaps the mixed generators at d and -d.
 norms.  Its tests check that a mixed generator and its opposite are adjoint
 for it, and that it is diagonal on the basis with the norms on the diagonal.
 
+:func:`structure_constant_reference` builds gamma(c, d) by the loop the
+engine used before it computed each length inline: both pairings of every
+row taken afresh and the length epsilon(<chi, c>) delta(<chi, c>, <chi, d>).
+:func:`mapped_keys_reference` converts atoms with one path for every image
+u^p, p = +-1 included, through the tables of psi_d; the engine's
+``_mapped_keys`` takes a binomial with a primitive image in one step, and
+the two must agree key by key, in order, poles and vanishing values included.
+
 The reference renderer prints a scalar from exponent tuples, with no memo:
 each monomial formatted from its variable labels, the atoms of every root
 regrouped into binomials by a divisor walk, oriented, and then sorted in
@@ -57,7 +65,8 @@ from functools import lru_cache
 from coulombkit import (AlgebraElement, CoulombAlgebra, Descendent, GaugeData, Scalar,
                         enumerate_degrees)
 from coulombkit.coulomb import Combination
-from coulombkit.exactring import PoleEvaluationError, RingMap, atom_str, pack, packed_power, unpack
+from coulombkit.exactring import (PoleEvaluationError, RingMap, _pole, _psi, _psi_image, atom_str,
+                                  exact_coeff, pack, packed_power, unpack)
 from coulombkit.hypertoric import pair
 from coulombkit.pochhammer import hq_product
 
@@ -123,6 +132,61 @@ def kaehler_relation_check(alg, p, descendent, circuit, order: int) -> bool:
     return all(closed_coefficient(alg, p, relation, d)
                == rhs.get(tuple(x - y for x, y in zip(d, c)), zero)
                for d in degrees)
+
+
+# -- structure constants and atom conversion ----------------------------------
+
+def epsilon(c: int) -> int:
+    return (c > 0) - (c < 0)
+
+
+def delta(c: int, d: int) -> int:
+    if c * d < 0:
+        return min(abs(c), abs(d))
+    return 0
+
+
+def structure_constant_reference(alg, c, d, pol=None) -> Scalar:
+    """gamma(c, d) in the polarization ``pol``, by default every row: each
+    row's pairings with c and d taken afresh, its length
+    epsilon(<chi, c>) delta(<chi, c>, <chi, d>), and the kernel built through
+    a root memo of its own."""
+    pol = alg.canonical_pol if pol is None else frozenset(pol)
+    factors = []
+    for i, (chi, x, sign) in enumerate(alg.rows):
+        ci = pair(chi, c)
+        length = epsilon(ci) * delta(ci, pair(chi, d))
+        if length:
+            factors.append((x - ci * alg.q, length,
+                            -sign if (i in pol) == (ci > 0) else sign))
+    return hq_product(alg.table.width, factors)
+
+
+def mapped_keys_reference(atoms, root, width: int):
+    """``exactring._mapped_keys`` with one path for every atom: each image
+    u^p, p = +-1 included, through the tables of psi_d and of psi_d(x^p)."""
+    coeff, pre, keys, vanished = 1, 0, {}, False
+    for (g, d), mult in atoms:
+        if not mult:
+            continue
+        direction = root(g)
+        if direction is None:
+            if d > 1:
+                coeff = exact_coeff(coeff * Fraction(sum(_psi(d))) ** -mult)
+            elif mult > 0:
+                raise _pole(g, width)
+            else:
+                vanished = True
+            continue
+        u, p = direction
+        if p < 0:
+            p = -p
+            pre += u * (p * (len(_psi(d)) - 1) * mult)
+            if d == 1 and mult % 2:
+                coeff = -coeff
+        for e in (d,) if p == 1 else _psi_image(d, p):
+            keys[(u, e)] = keys.get((u, e), 0) + mult
+    return (0 if vanished else coeff), pre, {k: m for k, m in keys.items() if m}
 
 
 # -- the right module ---------------------------------------------------------

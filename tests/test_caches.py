@@ -383,3 +383,19 @@ def test_generators_multiply_through_no_shift_map(a2, monkeypatch):
     assert built == []
     alg.mul(alg.r(c), alg.cartan(parse_descendent("s1", alg.table).as_scalar()))
     assert built == []
+
+
+@pytest.mark.parametrize("model", ["a2", "tgr24"])
+def test_structure_constants_pair_d_only_with_rows_that_move_under_c(a2, tgr24, model,
+                                                                     monkeypatch):
+    """A structure constant pairs each signed row with c, virtual rows
+    included, and pairs with d only the rows with <chi, c> != 0: a row that
+    c leaves alone has length 0 whatever d is."""
+    data = a2 if model == "a2" else tgr24
+    alg = CoulombAlgebra(data)
+    pairs = counting(monkeypatch, coulombkit.coulomb, "pair")
+    degrees = [(1, 0), (0, -1), (-2, 1), (2, 2), (0, 0)]
+    for c, d in itertools.product(degrees, repeat=2):
+        alg.structure_constant(c, d)
+    moved = sum(1 for c in degrees for chi, _, _ in alg.rows if pair(chi, c))
+    assert len(pairs) == len(degrees) * (len(alg.rows) * len(degrees) + moved)

@@ -5,14 +5,15 @@ import itertools
 import pytest
 
 from coulombkit import GaugeData, Poly, Scalar, circuits, specialize_q1
-from coulombkit.coulomb import AlgebraElement, CoulombAlgebra, collect, delta, epsilon
+from coulombkit.coulomb import AlgebraElement, CoulombAlgebra, collect
 from coulombkit.exactring import mono_mul
-from coulombkit.hypertoric import pair
+from coulombkit.hypertoric import mixed_polarization, pair
 from coulombkit.pochhammer import hq_ratio, hq_ratio_inv, poch, q_shifted, sign_kernel
 
-from conftest import one_minus, rng_for, tgr_model, tpn
-from oracles import (ModuleElement, abelian_point_algebra, abelian_point_lift, lift_degree,
-                     module_act, module_vector, project_lift_scalar, tau)
+from conftest import data_model, one_minus, outcome, rng_for, tgr_model, tpn
+from oracles import (ModuleElement, abelian_point_algebra, abelian_point_lift, delta, epsilon,
+                     lift_degree, module_act, module_vector, project_lift_scalar,
+                     structure_constant_reference, tau)
 
 
 def test_structure_constant_identity(a2_alg):
@@ -294,6 +295,27 @@ def test_epsilon_delta():
     assert [epsilon(v) for v in (-3, 0, 5)] == [-1, 0, 1]
     assert delta(2, 3) == 0 and delta(-2, -3) == 0 and delta(0, 4) == 0
     assert delta(2, -3) == 2 and delta(-4, 1) == 1
+
+
+# fl3 has rank 3: its full [-3, 3] grid is 117,649 pairs per polarization
+@pytest.mark.parametrize("model, span", [("a2", 3), ("tgr24", 3), ("fl3", 2)])
+@pytest.mark.parametrize("mixed", [False, True], ids=["canonical", "mixed"])
+def test_structure_constant_matches_the_reference(a2, tgr24, model, span, mixed):
+    """gamma(c, d), its lengths computed inline, equals the reference loop
+    field by field, for every c and d in [-span, span]^k; tgr(2,4) has
+    virtual rows, and the mixed polarization leaves rows of either sign out."""
+    data = {"a2": a2, "tgr24": tgr24}.get(model) or data_model(model)
+    alg = CoulombAlgebra(data)
+    pol = None
+    if mixed:
+        side = (1,) + (-1,) * (data.k - 1)
+        pol = mixed_polarization([chi for chi, _, _ in alg.rows], side)
+        assert 0 < len(pol) < len(alg.rows)
+    grid = list(itertools.product(range(-span, span + 1), repeat=data.k))
+    for c in grid:
+        for d in grid:
+            assert outcome(alg.structure_constant, c, d, pol) \
+                == outcome(structure_constant_reference, alg, c, d, pol), (c, d)
 
 
 def test_weyl_on_degree_moves_entry_j_to_position_w_j():

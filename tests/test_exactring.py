@@ -83,6 +83,27 @@ def test_scalar_mul_and_inv():
         Scalar.zero(W).inv()
 
 
+def test_the_unit_times_a_value_is_that_value():
+    """Values are immutable, so a product with the unit returns the other
+    operand itself, on either side; a constant 1 or -1 with a prefactor,
+    the constant -1 and the zero are not the unit."""
+    one = Scalar.one(W)
+    x = Scalar(W, Poly.one(W), pre=mono(q=1), atoms={mono(h=1, s1=1): -1, mono(s1=2): 1})
+    y = Scalar(W, Poly.from_terms(W, [(T.unit(), 2), (mono(a1=1), -1)]), atoms={mono(s1=1): 1})
+    for v in (x, y, Scalar.zero(W), Scalar.monomial(mono(q=1), -1)):
+        assert one * v is v and v * one is v
+    other = Scalar.one(W)
+    assert one * one is one and (one * other is one or one * other is other)
+    q = mono(q=1)
+    for u, want in ((Scalar.monomial(q), lambda v: v.mul_mono(pack(q))),
+                    (Scalar.monomial(q, -1), lambda v: -v.mul_mono(pack(q))),
+                    (Scalar.monomial(T.unit(), -1), lambda v: -v),
+                    (Scalar.zero(W), lambda v: Scalar.zero(W))):
+        for v in (x, y):
+            for got in (u * v, v * u):
+                assert got is not v and got == want(v)
+
+
 def test_inv_of_a_sum_part_raises():
     # 1 + s1 is no product of atoms, so its inverse is not representable
     f = Scalar(W, Poly.from_terms(W, [(T.unit(), 1), (mono(s1=1), 1)]))

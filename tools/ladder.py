@@ -20,7 +20,9 @@ runs the reference loop in ``REF_S``.  Drift inside a long rung is not seen.
 
 ``table_sha256`` is the sha256 prefix that ``RUNGS`` records for the rung,
 the one place it is kept: each was pinned against the run recorded in
-``BENCH_30.json``.  ``matches_table`` says whether the run printed those
+``BENCH_30.json``, except ``a2-whittaker-48`` and ``a2-qde-check-c0-40``,
+pinned against runs of the change that added them and of its parent, which
+printed the same bytes.  ``matches_table`` says whether the run printed those
 bytes.  The probes have no prefix: they record how a run ends.
 
 The report is one JSON object on stdout; a line per rung goes to stderr as it
@@ -69,12 +71,16 @@ MODELS = {
     "fl3": None,  # tests/data/fl3.json
 }
 
-# (name, command, model, further arguments, sha256 prefix of the expected stdout,
-# pinned against BENCH_30.json)
+# (name, command, model, further arguments, sha256 prefix of the expected stdout)
 RUNGS = [
     ("tp4-vertex-12", "vertex", "tp4", ["--order", "12"], "b2d723d29eaf"),
     ("tp6-vertex-12", "vertex", "tp6", ["--order", "12"], "0ba3482aad15"),
     ("a2-whittaker-8", "whittaker", "a2", ["--order", "8"], "0f8210e5abe4"),
+    # the module route and the q-difference check at an order where start-up is
+    # under a fifth of the run
+    ("a2-whittaker-48", "whittaker", "a2", ["--order", "48"], "c70cd8c7ac47"),
+    ("a2-qde-check-c0-40", "qde-check", "a2", ["--circuit", "0", "--order", "40"],
+     "c62fc5e097f0"),
     ("a2-vertex-40", "vertex", "a2", ["--order", "40"], "d2f69e0b5bee"),
     ("a2-vertex-64", "vertex", "a2", ["--order", "64"], "130bb0701e17"),
     ("tgr24-vertex-3", "vertex", "tgr24", ["--order", "3"], "b2973b7ac282"),
