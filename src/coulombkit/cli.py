@@ -90,6 +90,13 @@ def _check_digits(*numbers):
         raise ExprError("a number in the expression has more than %d digits" % digits)
 
 
+def _bounded_int(text: str, limit: int):
+    """int(text) when its size is at most ``limit``, else None.  ``text`` is digits
+    after at most one minus sign, and they are counted before any is converted."""
+    digits = text.lstrip("-").lstrip("0") or "0"
+    return int(text) if len(digits) <= len(str(limit)) and int(digits) <= limit else None
+
+
 def _checked_monomial(table: VariableTable, m: tuple) -> tuple:
     """m, once every exponent has passed :func:`_check_digits` and is at
     most ``MAX_EXPONENT`` in size (a half-variable exponent counts halved)."""
@@ -292,15 +299,11 @@ class _ExprParser:
             if not self.allow_q:
                 raise ExprError("the variable q is not allowed" + self.where)
             return 0
-        m = re.fullmatch(r"a(\d+)", name)
-        if m and 1 <= int(m.group(1)) <= table.n:
-            return table.a(int(m.group(1)) - 1)
-        m = re.fullmatch(r"s(\d+)", name)
-        if m and 1 <= int(m.group(1)) <= table.k:
-            return table.s(int(m.group(1)) - 1)
-        m = re.fullmatch(r"Q(\d+)", name)
-        if m and self.allow_q and 1 <= int(m.group(1)) <= table.k:
-            return table.qvar(int(m.group(1)) - 1)
+        for prefix, slot, count in (("a", table.a, table.n), ("s", table.s, table.k),
+                                    ("Q", table.qvar, table.k if self.allow_q else 0)):
+            i = _bounded_int(name[1:], count) if re.fullmatch(prefix + r"\d+", name) else None
+            if i:
+                return slot(i - 1)
         raise ExprError("unknown variable %s" % _image_quote(name))
 
 
@@ -363,12 +366,10 @@ def parse_generator_word(text: str, alg: CoulombAlgebra):
             entries = [e for e in re.split(r"[,\s]+", m.group(2)) if e]
             if not all(re.fullmatch(r"-?\d+", e) for e in entries):
                 raise ExprError("generator %s: degree entries must be integers" % _cap(typed))
-            # compare digit counts first: a long entry is never converted
-            if any(len(e.lstrip("-0")) > len(str(MAX_GENERATOR_DEGREE))
-                   or abs(int(e)) > MAX_GENERATOR_DEGREE for e in entries):
+            d = tuple(_bounded_int(e, MAX_GENERATOR_DEGREE) for e in entries)
+            if None in d:
                 raise ExprError("generator %s: degree entry above the limit %d"
                                 % (_cap(typed), MAX_GENERATOR_DEGREE))
-            d = tuple(int(e) for e in entries)
             if len(d) != alg.data.k:
                 raise ExprError("generator degree %s has length %d, expected %d"
                                 % (_image_quote(typed), len(d), alg.data.k))
@@ -435,14 +436,12 @@ def load_model(path: str) -> GaugeData:
         table = VariableTable(len(raw["chi"]), len(raw["theta"]))
         aspec, names, images = {}, {}, {}
         for name, expr in aspec_raw.items():
-            m = re.fullmatch(r"a(\d+)", name)
-            # compare digit counts first: a long index is never converted
-            row = m.group(1).lstrip("0") if m else ""
-            if not row or len(row) > len(str(table.n)) or int(row) > table.n:
+            row = _bounded_int(name[1:], table.n) if re.fullmatch(r"a\d+", name) else None
+            if not row:
                 raise ModelError("a_specialization key %s is not a flavor variable"
                                  % _image_quote(name))
             if row in names:
-                raise ModelError("a_specialization keys %s and %s both name a%s"
+                raise ModelError("a_specialization keys %s and %s both name a%d"
                                  % (_image_quote(names[row]), _image_quote(name), row))
             names[row] = name
             image = images.get(expr)
@@ -452,7 +451,7 @@ def load_model(path: str) -> GaugeData:
                     raise ModelError("a_specialization %s: the image %s names a gauge variable; "
                                      "an image is a monomial in the a_i and h"
                                      % (_image_quote(name), _image_quote(expr)))
-            aspec[int(row) - 1] = image
+            aspec[row - 1] = image
     return GaugeData.create(raw["chi"], raw["theta"], blocks=blocks, a_specialization=aspec,
                             table=table)
 
@@ -461,9 +460,8 @@ def _select_point(pts: list, spec: str):
     """The point an index (``1``) or a 1-based support (``1,3``) names; a
     trailing comma makes a support of one element (``1,``)."""
     if re.fullmatch(r"\d+", spec):
-        # compare digit counts first: a long index is never converted
         idx = spec.lstrip("0") or "0"
-        if len(idx) > len(str(len(pts))) or int(idx) >= len(pts):
+        if _bounded_int(idx, len(pts) - 1) is None:
             raise ModelError("point index %s out of range (0..%d)" % (_cap(idx), len(pts) - 1))
         return pts[int(idx)]
     body = spec[:-1] if spec.endswith(",") else spec
