@@ -334,7 +334,8 @@ _LONG_QUOTE = re.compile(r"""(['"])((?:\\.|(?!\1)[^\\]){%d})(?:\\.|(?!\1)[^\\])+
 
 def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
     """The exponents of ``text``, the image of the flavor variable ``name``;
-    every refusal names the key and the start of the image."""
+    every refusal is a :class:`ModelError` that names the key and the start
+    of the image."""
     try:
         poly = _ExprParser(table, text, allow_q=False, where="").parse()
         if not poly.is_monomial():
@@ -343,8 +344,8 @@ def _parse_monomial_image(name: str, text: str, table: VariableTable) -> tuple:
         if c != 1:
             raise ExprError("expected a monomial with coefficient 1")
     except ExprError as exc:
-        raise ExprError("a_specialization %s: %s in the image %s"
-                        % (_image_quote(name), exc, _image_quote(text)))
+        raise ModelError("a_specialization %s: %s in the image %s"
+                         % (_image_quote(name), exc, _image_quote(text)))
     return m
 
 

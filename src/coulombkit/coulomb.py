@@ -31,15 +31,17 @@ which side of the effective cone d lies; products of mixed generators inside
 the cone are degreewise trivial, which is what the Verma and vertex layers
 are built on.  :meth:`CoulombAlgebra.relation` builds every two-sided
 product R_c f R_{-c} of them.  The algebra memoizes, and drops with it,
-structure constants, mixed coefficients, kernels at a point
+mixed coefficients, kernels at a point
 (:meth:`CoulombAlgebra.point_kernel`), degree lists, Verma modules, the
 relations R_c R_{-c}, the root memo ``roots`` (the direction of every
 binomial root converted for the algebra: every ``hq_product`` call and
 shift here and the ``poch_product`` conversions of :mod:`coulombkit.vertex`
 pass it), each shifted monomial's s-exponents, and one evaluation map per
-(point, specialization).  A shift is no map, nor is evaluation at a shifted
-point (:meth:`CoulombAlgebra._q_shift`).  Cached values are immutable and
-a RingMap only grows memos that never change a result, so concurrent
+(point, specialization); ROADMAP item 6 lists what the measured ones save.
+A structure constant is built on each call: few of its keys repeat.  A
+shift is no map, nor is evaluation at a shifted point
+(:meth:`CoulombAlgebra._q_shift`).  Cached values are immutable and a
+RingMap only grows a memo that never changes a result, so concurrent
 identical insertions are harmless.
 """
 
@@ -151,7 +153,6 @@ class CoulombAlgebra:
         # the packed monomial q
         self.q = packed_power(self.table.width, Q_HALF, 2)
         self.canonical_pol = frozenset(range(len(self.rows)))
-        self._sc_cache = {}
         self._mixed_cache = {}
         self._point_kernels = {}
         self._modules = {}
@@ -198,10 +199,6 @@ class CoulombAlgebra:
     def structure_constant(self, c, d, pol: frozenset | None = None) -> Scalar:
         """The scalar gamma with r_c(Pol) r_d(Pol) = gamma r_{c+d}(Pol)."""
         pol = self.canonical_pol if pol is None else frozenset(pol)
-        key = (tuple(c), tuple(d), pol)
-        got = self._sc_cache.get(key)
-        if got is not None:
-            return got
         q, factors = self.q, []
         for i, (chi, x, sign) in enumerate(self.rows):
             ci = pair(chi, c)
@@ -209,8 +206,7 @@ class CoulombAlgebra:
             if ci and ci * (di := pair(chi, d)) < 0:
                 factors.append((x - ci * q, min(ci, -di) if ci > 0 else max(ci, -di),
                                 -sign if (i in pol) == (ci > 0) else sign))
-        out = self._sc_cache[key] = hq_product(self.table.width, factors, roots=self.roots)
-        return out
+        return hq_product(self.table.width, factors, roots=self.roots)
 
     def point_kernel(self, p: FixedPoint, d, specialize: bool = False) -> Scalar:
         """The degree-d localization weight at p, one :func:`hq_product` over

@@ -208,13 +208,13 @@ class VariableTable:
     """Canonical, totally ordered variable layout for a rank-k model with n matter rows.
 
     ``labels`` holds, per variable index, the pair ``(var_label(idx),
-    is_half_variable(idx))``, built once for the renderer, ``fragments`` the
-    text of each (variable index, exponent), ``strings`` of each packed
-    monomial (:meth:`packed_str`), and ``binomials`` of each ``(1 - g)``;
-    ``q1`` is the ring map of :func:`specialize_q1`, built on first use.
+    is_half_variable(idx))``, built once for the renderer; ``strings`` the
+    text of each packed monomial (:meth:`packed_str`), and ``binomials`` of
+    each ``(1 - g)``, the two memos of rendering (ROADMAP item 6 lists what
+    each saves).  The table holds no ring map.
     """
 
-    __slots__ = ("n", "k", "width", "labels", "fragments", "strings", "binomials", "q1")
+    __slots__ = ("n", "k", "width", "labels", "strings", "binomials")
 
     def __init__(self, n: int, k: int):
         self.n = n
@@ -222,11 +222,11 @@ class VariableTable:
         self.width = 2 + n + 2 * k
         self.labels = tuple((self.var_label(i), self.is_half_variable(i))
                             for i in range(self.width))
-        self.fragments, self.strings, self.binomials, self.q1 = {}, {0: "1"}, {}, None
+        self.strings, self.binomials = {0: "1"}, {}
 
     def packed_str(self, m: int) -> str:
-        """The text of a packed monomial, remembered per table: the fragment
-        of its first nonzero slot, then the text of the rest."""
+        """The text of a packed monomial, remembered per table: the text of
+        its first nonzero slot (:meth:`power_str`), then that of the rest."""
         got = self.strings.get(m)
         if got is None:
             # that slot is bit_length(|m|) // 64 from the end, and its exponent
@@ -234,21 +234,18 @@ class VariableTable:
             shift = SLOT_BITS * (abs(m).bit_length() // SLOT_BITS)
             e = (m + ((1 << shift) >> 1)) >> shift
             key = (self.width - 1 - shift // SLOT_BITS, e)
-            text = self.fragments.get(key) or self.power_str(*key)
+            text = self.power_str(*key)
             rest = m - (e << shift)
             got = self.strings[m] = text + "*" + self.packed_str(rest) if rest else text
         return got
 
     def power_str(self, idx: int, e: int) -> str:
-        """The text of variable ``idx`` to the raw exponent e, kept in ``fragments``."""
+        """The text of variable ``idx`` to the raw exponent e."""
         label, half = self.labels[idx]
         if half and e % 2:
-            text = "%s^(%d/2)" % (label, e)
-        else:
-            p = e // 2 if half else e
-            text = label if p == 1 else "%s^%d" % (label, p)
-        self.fragments[idx, e] = text
-        return text
+            return "%s^(%d/2)" % (label, e)
+        p = e // 2 if half else e
+        return label if p == 1 else "%s^%d" % (label, p)
 
     def a(self, i: int) -> int:
         """Index of the flavor variable a_{i+1} (0-based i)."""
@@ -324,14 +321,15 @@ class RingMap:
 
     The images may be given as tuples or packed; ``images`` holds them
     packed.  ``mono(m)`` memoizes the image of each packed monomial, and
-    ``root(g)`` the direction ``(u, p)`` of the image of each atom root g
-    (the image is ``u^p`` with u primitive), or None when that image is 1.
-    Build one map per point and apply it again and again; the memos only
-    grow with the monomials it has seen, and ``images`` must not change
-    after construction.
+    ``root(g)`` is the direction ``(u, p)`` of the image of the atom root g
+    (the image is ``u^p`` with u primitive), or None when that image is 1,
+    found from ``mono(g)`` on each call: a memo of the directions saved no
+    measurable time.  Build one map per point and apply it again and again;
+    the memo only grows with the monomials it has seen, and ``images`` must
+    not change after construction.
     """
 
-    __slots__ = ("images", "width", "source", "_moves", "_monos", "_roots")
+    __slots__ = ("images", "width", "source", "_moves", "_monos")
 
     def __init__(self, images: dict, width: int, source: int | None = None):
         self.images = {idx: pack(m) if type(m) is tuple else m for idx, m in images.items()}
@@ -345,7 +343,6 @@ class RingMap:
                            for idx, move in ((idx, img - packed_power(width, idx, 1))
                                              for idx, img in self.images.items())]
         self._monos = {}
-        self._roots = {}
 
     def mono(self, m: int) -> int:
         got = self._monos.get(m)
@@ -381,11 +378,7 @@ class RingMap:
         return pack(tuple(out[:self.width]))
 
     def root(self, g: int):
-        try:
-            return self._roots[g]
-        except KeyError:
-            got = self._roots[g] = _direction(self.mono(g), self.width)
-            return got
+        return _direction(self.mono(g), self.width)
 
 
 def exact_coeff(c):
@@ -639,24 +632,13 @@ class Poly:
         return "Poly(%r)" % (self.tuple_terms(),)
 
 
-def _content(g: int, width: int) -> int:
-    """The gcd of the exponents of g != 1.  It divides g itself and the
-    lowest nonzero exponent, read from the lowest set bit; when those two are
-    coprime, nothing is unpacked."""
-    shift = ((g & -g).bit_length() - 1) // SLOT_BITS * SLOT_BITS
-    low = ((g >> shift) & _SLOT_MASK ^ _SLOT_TOP) - _SLOT_TOP
-    if gcd(g, low) == 1:
-        return 1
-    return gcd(*unpack(g, width))
-
-
 def _direction(g: int, width: int):
     """(r, n) with g = r^n, r primitive and its first nonzero exponent
     positive; r is g itself when g already is such a root.  The sign of the
     first nonzero exponent is the sign of g.  None for the unit g = 1."""
     if not g:
         return None
-    n = _content(g, width)
+    n = gcd(*unpack(g, width))
     if g < 0:
         return -g // n, -n
     if n == 1:
@@ -1043,10 +1025,8 @@ class Scalar:
 
 
 def specialize_q1(x: Scalar, table: VariableTable) -> Scalar:
-    """Set q^(1/2) -> 1 (the commutative limit of the convolution product),
-    through the one ring map ``table.q1``."""
-    ring = table.q1 = table.q1 or RingMap({Q_HALF: 0}, table.width)
-    return x.subs(ring)
+    """Set q^(1/2) -> 1 (the commutative limit of the convolution product)."""
+    return x.subs(RingMap({Q_HALF: 0}, table.width))
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,12 @@ CASES = [
     refused("error: expected integer at position 4", "vertex", "tp1", "--descendent=s1^("),
     refused("error: expected integer at position 4", "vertex", "tp1", "--descendent=s1^ "),
     refused("error: expected ')' at position 3", "mul", "tp1", "r[1] (a1"),
+    # a character or token the grammar has no place for is named by position
+    refused("error: syntax error at position 2: '$'", "vertex", "tp1", "--descendent=s1$"),
+    refused("error: unexpected token ')' at position 2", "vertex", "tp1", "--descendent=s1)"),
+    refused("error: syntax error at position 0: unexpected '*'",
+            "vertex", "tp1", "--descendent=*s1"),
+    refused("error: zero denominator in rational literal", "vertex", "tp1", "--descendent=1/0"),
     # an unknown variable is quoted by its first 40 characters, and a long
     # index is never converted
     refused("error: unknown variable '%s...'" % ("b" * 40),
@@ -266,6 +272,7 @@ CASES = [
             "qde-check", "a2", "--circuit", "9" * 4000, "--order", "1"),
     # a second stability vector on a wall is refused by the wall's normal
     refused("error: theta2 on wall with normal (1,-1)", "wallcross", "a2", "--theta2=-1,-1"),
+    refused("error: --theta2 must have 2 entries", "wallcross", "a2", "--theta2=1"),
     refused("error: --theta2 must be comma-separated integers, got '1,x'",
             "wallcross", "a2", "--theta2", "1,x"),
     refused("error: --theta2 must be comma-separated integers, got '%s...'" % ("1" * 40),
@@ -310,6 +317,9 @@ CASES = [
     refused("error: parse error in model.json: ", "circuits", "[" * 100000 + "]" * 100000,
             prefix=True),
     *(refused("error: " + message, "circuits", raw) for raw, message in [
+        ("[]", "model file must hold a JSON object"),
+        ("{}", "model file is missing 'chi'"),
+        ('{"chi": [[1]]}', "model file is missing 'theta'"),
         ('{"chi": [1, 2], "theta": [1]}', "'chi' must be a list of integer lists"),
         ('{"chi": "x", "theta": [1]}', "'chi' must be a list of integer lists"),
         ('{"chi": [[1], [1]], "theta": "1"}', "'theta' must be a list of integers"),
